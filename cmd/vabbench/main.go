@@ -47,9 +47,8 @@ import (
 )
 
 // sinkConn is a counting-sink subscriber socket for the gateway flush
-// workloads: the first Read serves a scripted client hello upgrading the
-// session to ProtocolV2, later Reads block until Close, and Writes are
-// accepted instantly. Drain cost is zero and identical regardless of
+// workloads: the first Read serves a scripted client hello, later Reads
+// block until Close, and Writes are accepted instantly. Drain cost is zero and identical regardless of
 // server internals, so the workload isolates server-side flush cost —
 // encode, sequence, fan-out, and the writer path down to the socket call.
 type sinkConn struct {
@@ -369,7 +368,8 @@ func main() {
 		}
 	}
 	wireBuf := make([]byte, 0, gateway.MaxPayloadSize)
-	wirePayload, err := gateway.AppendReadingBatch(nil, wireReadings)
+	const wireSeq = 1 << 20 // a mid-stream sequence: a 3-byte prefix
+	wirePayload, err := gateway.AppendSeqBatch(nil, wireSeq, wireReadings)
 	if err != nil {
 		fatal(err)
 	}
@@ -379,27 +379,17 @@ func main() {
 	// subscribers; one op publishes `flushes` full batches and waits until
 	// every subscriber has received every flush frame (framesSent
 	// telemetry). ns/item is the per-reading-per-subscriber delivery cost.
-	// The 1k shape upgrades every subscriber to v2 (one batch frame per
-	// flush); the 10k shape keeps the fleet on the legacy v1 wire (one
-	// frame per reading — sixteen per flush), the per-frame fan-out cost
-	// that dominates with deployed pre-batching clients. Built lazily so
-	// filtered runs don't pay the session setup.
+	// Every sink replays the client hello, and every flush is one batch
+	// frame per subscriber. Built lazily so filtered runs don't pay the
+	// session setup.
 	const gwBatch = 16
-	mkGatewayFlush := func(subs, flushes int, v2 bool) func() {
+	mkGatewayFlush := func(subs, flushes int) func() {
 		var op func()
 		return func() {
 			if op == nil {
-				var hello []byte
-				if v2 {
-					var err error
-					hello, err = gateway.EncodeFrame(gateway.MsgHello, []byte{gateway.ProtocolV2})
-					if err != nil {
-						fatal(err)
-					}
-				}
-				framesPerFlush := gwBatch // v1: one frame per reading
-				if v2 {
-					framesPerFlush = 1 // one batch frame per flush
+				hello, err := gateway.EncodeFrame(gateway.MsgHello, []byte{gateway.ProtocolV2})
+				if err != nil {
+					fatal(err)
 				}
 				ln := newSinkListener(subs)
 				srv := gateway.NewServerListener(context.Background(), ln, func(string, ...interface{}) {})
@@ -414,13 +404,14 @@ func main() {
 				for srv.Subscribers() < subs {
 					time.Sleep(time.Millisecond)
 				}
-				time.Sleep(200 * time.Millisecond) // hello upgrades settle
 				rd := gateway.Reading{NodeAddr: 1, Seq: 1, Count: 1, TempC: 15, PressureMbar: 1250, SNRdB: 18, Time: time.Unix(0, 1700000000000000000).UTC()}
 				op = func() {
-					want := frames.Value() + int64(flushes*framesPerFlush*subs)
+					want := frames.Value() + int64(flushes*subs)
 					for f := 0; f < flushes; f++ {
 						for i := 0; i < gwBatch; i++ {
-							srv.Publish(rd)
+							if err := srv.Publish(rd); err != nil {
+								fatal(err) // the op would wait forever for frames
+							}
 						}
 					}
 					for frames.Value() < want {
@@ -434,11 +425,10 @@ func main() {
 			op()
 		}
 	}
-	// The 10k op stays at 4 flushes: 64 v1 frames fills exactly one
-	// subscriber send-queue's worth of backlog, so the op is comparable
-	// across gateway designs without tripping slow-subscriber eviction.
-	gatewayFlush1k := mkGatewayFlush(1_000, 8, true)
-	gatewayFlush10k := mkGatewayFlush(10_000, 4, false)
+	// The 10k op stays at 4 flushes, well inside one subscriber ring, so
+	// a slow writer never trips slow-subscriber eviction mid-op.
+	gatewayFlush1k := mkGatewayFlush(1_000, 8)
+	gatewayFlush10k := mkGatewayFlush(10_000, 4)
 
 	// items gives per-op item counts for ns/item normalization (per-node
 	// cost for the fleet-cycle workloads, per-reading cost for the wire
@@ -550,14 +540,14 @@ func main() {
 		}},
 		{"wire_encode_batch16", func() {
 			var err error
-			wireBuf, err = gateway.AppendReadingBatch(wireBuf[:0], wireReadings)
+			wireBuf, err = gateway.AppendSeqBatch(wireBuf[:0], wireSeq, wireReadings)
 			if err != nil {
 				fatal(err)
 			}
 		}},
 		{"wire_decode_batch16", func() {
 			var err error
-			wireDecoded, err = gateway.DecodeReadingBatchInto(wireDecoded[:0], wirePayload)
+			wireDecoded, _, err = gateway.DecodeSeqBatchInto(wireDecoded[:0], wirePayload)
 			if err != nil {
 				fatal(err)
 			}

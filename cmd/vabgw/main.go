@@ -38,10 +38,10 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines per polling cycle (waves of node rounds run concurrently; cycle output is bit-identical at any count)")
 	metricsAddr := flag.String("metrics", "", "ops endpoint address for /metrics, /healthz and pprof (empty = telemetry off)")
 	packed := flag.Int("packed", 0, "node payload batch: ≤1 = v1 single-reading payloads, 2..8 = packed multi-reading payloads (readings per response frame)")
-	batch := flag.Int("batch", 1, "gateway broadcast coalescing: readings per flush (1 = publish immediately; v2 subscribers receive batch frames)")
+	batch := flag.Int("batch", 1, "gateway broadcast coalescing: readings per flush (1 = publish immediately, one reading per batch frame)")
 	flush := flag.Duration("flush", 25*time.Millisecond, "gateway flush deadline for a partial batch")
 	heartbeat := flag.Duration("heartbeat", gateway.DefaultHeartbeat, "heartbeat ping period for idle subscribers")
-	hbMiss := flag.Int("heartbeat-miss", gateway.DefaultHeartbeatMiss, "missed heartbeat periods before a silent v2 peer is evicted")
+	hbMiss := flag.Int("heartbeat-miss", gateway.DefaultHeartbeatMiss, "missed heartbeat periods before a silent peer is evicted")
 	replay := flag.Int("replay", gateway.DefaultReplayWindow, "replay ring size backing session resume, in readings (0 disables resume)")
 	drain := flag.Duration("drain", gateway.DefaultDrainTimeout, "graceful-drain budget on shutdown: time allowed to flush pending frames and goodbyes")
 	shards := flag.Int("shards", 0, "subscriber registry shards (0 = one per CPU; more shards spread fan-out across cores)")
@@ -152,7 +152,7 @@ func main() {
 				continue
 			}
 			for _, r := range readings {
-				srv.Publish(gateway.Reading{
+				err := srv.Publish(gateway.Reading{
 					NodeAddr:     r.Addr,
 					Seq:          seqs[r.Addr],
 					Count:        r.Reading.Count,
@@ -161,6 +161,9 @@ func main() {
 					SNRdB:        r.SNRdB,
 					Time:         time.Now().UTC(),
 				})
+				if err != nil {
+					log.Printf("vabgw: node %d reading dropped: %v", r.Addr, err)
+				}
 				seqs[r.Addr]++
 			}
 			log.Printf("vabgw: cycle delivered %d/%d (subscribers: %d)",

@@ -262,7 +262,9 @@ func main() {
 				Time:         time.Now().UTC(),
 			}
 			start := time.Now()
-			srv.Publish(rd)
+			if err := srv.Publish(rd); err != nil {
+				log.Fatalf("vabload: publish: %v", err) // the feed's readings are always encodable
+			}
 			if d := time.Since(start); d > maxPublish {
 				maxPublish = d
 			}
@@ -351,7 +353,7 @@ func runSubscriber(ctx context.Context, dial func(context.Context, ...gateway.Di
 	var lastSeq uint64
 	first := true
 	for ctx.Err() == nil {
-		opts := []gateway.DialOption{gateway.WithBatching(), gateway.WithHandshakeTimeout(10 * time.Second)}
+		opts := []gateway.DialOption{gateway.WithHandshakeTimeout(10 * time.Second)}
 		if resume {
 			opts = append(opts, gateway.WithResume(lastSeq))
 		}
@@ -393,31 +395,21 @@ func runSubscriber(ctx context.Context, dial func(context.Context, ...gateway.Di
 			if st.delivered%int64(sample) == 0 {
 				st.samples = append(st.samples, float64(time.Since(rd.Time))/float64(time.Millisecond))
 			}
-			if resume {
-				if !ackChecked {
-					if from, _, ok := c.ResumeWindow(); ok {
-						ackChecked = true
-						if lastSeq > 0 && from > lastSeq+1 {
-							st.replayLoss += int64(from - lastSeq - 1)
-						}
+			if resume && !ackChecked {
+				if from, _, ok := c.ResumeWindow(); ok {
+					ackChecked = true
+					if lastSeq > 0 && from > lastSeq+1 {
+						st.replayLoss += int64(from - lastSeq - 1)
 					}
-				}
-				if seq := c.LastSeq(); seq > 0 {
-					if lastSeq > 0 && seq > lastSeq+1 {
-						st.gaps += int64(seq - lastSeq - 1)
-					}
-					lastSeq = seq
-				}
-			} else if seq := uint64(rd.Count); seq > 0 {
-				// Without resume, Count carries the publish index: use it
-				// to observe (not repair) loss across the stream.
-				if lastSeq > 0 && seq > lastSeq+1 {
-					st.gaps += int64(seq - lastSeq - 1)
-				}
-				if seq > lastSeq {
-					lastSeq = seq
 				}
 			}
+			// Every session is sequenced: a jump observes loss, which
+			// resume sessions repair and plain ones only count.
+			seq := c.LastSeq()
+			if lastSeq > 0 && seq > lastSeq+1 {
+				st.gaps += int64(seq - lastSeq - 1)
+			}
+			lastSeq = seq
 		}
 		stop()
 		c.Close()

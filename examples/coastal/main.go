@@ -76,11 +76,14 @@ func main() {
 		fmt.Printf("cycle %d: delivered %d/%d (retries %d)\n",
 			cycle, rep.Delivered, rep.Polled, rep.Retries)
 		for _, r := range readings {
-			srv.Publish(gateway.Reading{
+			err := srv.Publish(gateway.Reading{
 				NodeAddr: r.Addr, Count: r.Reading.Count,
 				TempC: r.Reading.TempC, PressureMbar: r.Reading.PressureMbar,
 				SNRdB: r.SNRdB, Time: time.Now().UTC(),
 			})
+			if err != nil {
+				log.Printf("node %d reading dropped: %v", r.Addr, err)
+			}
 		}
 		time.Sleep(150 * time.Millisecond) // let the subscriber drain
 	}

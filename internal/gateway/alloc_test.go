@@ -12,22 +12,31 @@ import (
 // These pins hold the append/into forms at zero allocations per op once
 // their destination buffers are warm.
 
+// TestAppendReadingAllocs pins the unbatched publish path: one reading
+// encoded as a batch of one.
 func TestAppendReadingAllocs(t *testing.T) {
-	rd := testReading()
-	buf := make([]byte, 0, readingWireSize)
+	rds := []Reading{testReading()}
+	buf := make([]byte, 0, MaxPayloadSize)
 	if n := testing.AllocsPerRun(200, func() {
-		buf = AppendReading(buf[:0], rd)
+		var err error
+		buf, err = AppendSeqBatch(buf[:0], 1, rds)
+		if err != nil {
+			t.Fatal(err)
+		}
 	}); n != 0 {
-		t.Errorf("AppendReading allocates %.1f/op, want 0", n)
+		t.Errorf("AppendSeqBatch of one reading allocates %.1f/op, want 0", n)
 	}
 }
 
 func TestAppendFrameAllocs(t *testing.T) {
-	payload := AppendReading(nil, testReading())
+	payload, err := AppendSeqBatch(nil, 1, []Reading{testReading()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	buf := make([]byte, 0, MaxFrameSize)
 	if n := testing.AllocsPerRun(200, func() {
 		var err error
-		buf, err = AppendFrame(buf[:0], MsgReading, payload)
+		buf, err = AppendFrame(buf[:0], MsgSeqBatch, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,31 +54,35 @@ func TestBatchCodecAllocs(t *testing.T) {
 	encBuf := make([]byte, 0, MaxPayloadSize)
 	if n := testing.AllocsPerRun(200, func() {
 		var err error
-		encBuf, err = AppendReadingBatch(encBuf[:0], rds)
+		encBuf, err = AppendSeqBatch(encBuf[:0], 1000, rds)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("AppendReadingBatch allocates %.1f/op, want 0", n)
+		t.Errorf("AppendSeqBatch allocates %.1f/op, want 0", n)
 	}
-	payload, err := AppendReadingBatch(nil, rds)
+	payload, err := AppendSeqBatch(nil, 1000, rds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	decBuf := make([]Reading, 0, len(rds))
 	if n := testing.AllocsPerRun(200, func() {
 		var err error
-		decBuf, err = DecodeReadingBatchInto(decBuf[:0], payload)
+		decBuf, _, err = DecodeSeqBatchInto(decBuf[:0], payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("DecodeReadingBatchInto allocates %.1f/op, want 0", n)
+		t.Errorf("DecodeSeqBatchInto allocates %.1f/op, want 0", n)
 	}
 }
 
 func TestReadFrameBufAllocs(t *testing.T) {
-	frame, err := EncodeFrame(MsgReading, AppendReading(nil, testReading()))
+	payload, err := AppendSeqBatch(nil, 1, []Reading{testReading()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := EncodeFrame(MsgSeqBatch, payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,12 @@ import (
 	"vab/internal/bitio"
 )
 
-// Protocol v2: batched readings. The v1 wire ships every reading as its
-// own 38-byte float64-heavy frame under a 9-byte header — 47 bytes per
-// reading for values the sensors quantize to 16 bits at the source. The
-// v2 MsgReadingBatch payload carries one length-prefixed block of N
-// readings against a shared base:
+// MsgSeqBatch is the gateway's one data frame: the first reading's stream
+// sequence, then one block of N readings delta-coded against a shared
+// base. Readings in the frame carry consecutive sequences firstSeq,
+// firstSeq+1, …
 //
+//	uvarint firstSeq               (≥ 1)
 //	uvarint N                      (≥ 1)
 //	base:   addr(1) seq(1) · uvarint count · zigzag temp (centi-°C) ·
 //	        zigzag pressure (mbar) · zigzag SNR (centi-dB) ·
@@ -24,28 +24,12 @@ import (
 //	        (every delta against the base reading)
 //
 // Varints are standard byte-level LEB128 (encoding/binary); signed
-// fields are zigzag-mapped (bitio.ZigZag). Quantization bounds:
-// temperature 0.01 °C, pressure 1 mbar, SNR 0.01 dB — lossless for the
-// sensor pipeline, whose payloads are quantized at least that coarsely
-// at the node — and timestamps are exact nanoseconds.
-//
-// Negotiation: the server's hello stays the single byte [1] that v1
-// clients require. A client wanting batches replies with its own Hello
-// [2]; the server upgrades that subscriber and streams MsgReadingBatch
-// from the next flush. Clients that stay silent keep receiving v1
-// MsgReading frames, so old consumers work unchanged.
-const (
-	// ProtocolV1 is the original one-frame-per-reading stream.
-	ProtocolV1 = 1
-	// ProtocolV2 adds batched MsgReadingBatch frames.
-	ProtocolV2 = 2
-)
+// fields are zigzag-mapped (bitio.ZigZag). Quantization: temperature
+// 0.01 °C, pressure 1 mbar, SNR 0.01 dB — lossless for the sensor
+// pipeline, whose payloads are quantized at least that coarsely at the
+// node — and timestamps are exact nanoseconds.
 
-// MsgReadingBatch carries a block of readings (protocol v2, gateway →
-// client; sent only to subscribers that negotiated v2).
-const MsgReadingBatch MsgType = 0x04
-
-// ErrBadBatch reports a malformed MsgReadingBatch payload.
+// ErrBadBatch reports a malformed MsgSeqBatch payload.
 var ErrBadBatch = fmt.Errorf("gateway: malformed reading batch")
 
 // batchQuantBound bounds the quantized field values either side admits:
@@ -58,7 +42,9 @@ func appendZigZag(dst []byte, v int64) []byte {
 	return binary.AppendUvarint(dst, bitio.ZigZag(v))
 }
 
-// quantizeReading maps one reading onto the v2 wire grid.
+// quantizeReading maps one reading onto the wire grid, rejecting
+// non-finite and out-of-range fields. Publish checks every reading with
+// it, so nothing that reaches the encoder can fail here.
 func quantizeReading(rd Reading) (centi, mbar, snr int64, err error) {
 	if math.IsNaN(rd.TempC) || math.IsInf(rd.TempC, 0) ||
 		math.IsNaN(rd.PressureMbar) || math.IsInf(rd.PressureMbar, 0) ||
@@ -68,23 +54,42 @@ func quantizeReading(rd Reading) (centi, mbar, snr int64, err error) {
 	centi = int64(math.Round(rd.TempC * 100))
 	mbar = int64(math.Round(rd.PressureMbar))
 	snr = int64(math.Round(rd.SNRdB * 100))
-	if centi < -batchQuantBound || centi > batchQuantBound ||
-		mbar < -batchQuantBound || mbar > batchQuantBound ||
-		snr < -batchQuantBound || snr > batchQuantBound {
+	if !quantOK(centi) || !quantOK(mbar) || !quantOK(snr) {
 		return 0, 0, 0, fmt.Errorf("gateway: reading fields outside quantizable range")
 	}
 	return centi, mbar, snr, nil
 }
 
-// AppendReadingBatch encodes rds as a MsgReadingBatch payload appended
-// to dst (reuse dst's capacity for an allocation-free steady state).
-// It returns ErrOversize when the block exceeds MaxPayloadSize — split
-// the batch and retry — and rejects non-finite field values.
-func AppendReadingBatch(dst []byte, rds []Reading) ([]byte, error) {
+// quantOK reports whether a quantized value is within the range the
+// encoder produces.
+func quantOK(v int64) bool { return v >= -batchQuantBound && v <= batchQuantBound }
+
+// AppendSeqBatch appends a MsgSeqBatch payload for rds, the first of
+// which carries stream sequence firstSeq, to dst (reuse dst's capacity
+// for an allocation-free steady state). It returns ErrOversize when the
+// payload would exceed MaxPayloadSize — split the batch and retry — and
+// rejects non-finite or out-of-range field values.
+func AppendSeqBatch(dst []byte, firstSeq uint64, rds []Reading) ([]byte, error) {
+	if firstSeq == 0 {
+		return dst, fmt.Errorf("gateway: sequence numbering starts at 1")
+	}
+	mark := len(dst)
+	out, err := appendBlock(binary.AppendUvarint(dst, firstSeq), rds)
+	if err != nil {
+		return dst, err
+	}
+	if len(out)-mark > MaxPayloadSize {
+		return dst, ErrOversize
+	}
+	return out, nil
+}
+
+// appendBlock appends the delta-coded block of rds (the MsgSeqBatch body
+// after its sequence prefix) to dst.
+func appendBlock(dst []byte, rds []Reading) ([]byte, error) {
 	if len(rds) == 0 {
 		return dst, fmt.Errorf("gateway: empty reading batch")
 	}
-	mark := len(dst)
 	out := binary.AppendUvarint(dst, uint64(len(rds)))
 	base := rds[0]
 	bCenti, bMbar, bSNR, err := quantizeReading(base)
@@ -110,10 +115,29 @@ func AppendReadingBatch(dst []byte, rds []Reading) ([]byte, error) {
 		out = appendZigZag(out, snr-bSNR)
 		out = appendZigZag(out, rd.Time.UnixNano()-bTime)
 	}
-	if len(out)-mark > MaxPayloadSize {
-		return dst, ErrOversize
-	}
 	return out, nil
+}
+
+// DecodeSeqBatchInto parses a MsgSeqBatch payload, appending the readings
+// to dst (reuse dst's capacity for an allocation-free steady state) and
+// returning the first reading's stream sequence. The payload must be
+// fully consumed — trailing bytes are an error, so any accepted payload
+// is one the encoder could have produced.
+func DecodeSeqBatchInto(dst []Reading, p []byte) ([]Reading, uint64, error) {
+	if len(p) > MaxPayloadSize {
+		// Never admit a payload the (canonical) encoder could not have
+		// framed.
+		return dst, 0, ErrBadBatch
+	}
+	firstSeq, n := binary.Uvarint(p)
+	if n <= 0 || firstSeq == 0 {
+		return dst, 0, ErrBadBatch
+	}
+	out, err := decodeBlockInto(dst, p[n:])
+	if err != nil {
+		return dst, 0, err
+	}
+	return out, firstSeq, nil
 }
 
 // batchCursor walks a batch payload.
@@ -145,17 +169,9 @@ func (c *batchCursor) bytes(n int) ([]byte, bool) {
 	return b, true
 }
 
-// DecodeReadingBatchInto parses a MsgReadingBatch payload, appending
-// the readings to dst (reuse dst's capacity for an allocation-free
-// steady state). The payload must be fully consumed — trailing bytes
-// are an error, so any accepted payload is one the encoder could have
-// produced.
-func DecodeReadingBatchInto(dst []Reading, p []byte) ([]Reading, error) {
-	if len(p) > MaxPayloadSize {
-		// The decoder must not admit payloads the (canonical) encoder can
-		// never frame.
-		return dst, ErrBadBatch
-	}
+// decodeBlockInto parses a delta-coded block, appending the readings to
+// dst.
+func decodeBlockInto(dst []Reading, p []byte) ([]Reading, error) {
 	c := batchCursor{p: p}
 	n, ok := c.uvarint()
 	if !ok || n == 0 || n > uint64(len(p)) {
@@ -215,14 +231,4 @@ func DecodeReadingBatchInto(dst []Reading, p []byte) ([]Reading, error) {
 		return dst[:mark], ErrBadBatch
 	}
 	return dst, nil
-}
-
-// quantOK reports whether a decoded quantized value is within the range
-// the encoder could have produced.
-func quantOK(v int64) bool { return v >= -batchQuantBound && v <= batchQuantBound }
-
-// DecodeReadingBatch is the allocating convenience form of
-// DecodeReadingBatchInto.
-func DecodeReadingBatch(p []byte) ([]Reading, error) {
-	return DecodeReadingBatchInto(nil, p)
 }

@@ -7,9 +7,11 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"vab/internal/telemetry"
 )
 
-// quantizedReading returns a reading already on the v2 wire grid, the
+// quantizedReading returns a reading already on the wire grid, the
 // form every real pipeline reading arrives in (sensors quantize at the
 // source, SNR is rounded by the reader).
 func quantizedReading(rng *rand.Rand) Reading {
@@ -32,13 +34,17 @@ func TestBatchRoundTripProperty(t *testing.T) {
 		for i := range rds {
 			rds[i] = quantizedReading(rng)
 		}
-		p, err := AppendReadingBatch(nil, rds)
+		firstSeq := max(1, rng.Uint64()>>rng.Intn(64)) // every prefix length
+		p, err := AppendSeqBatch(nil, firstSeq, rds)
 		if err != nil {
 			t.Fatalf("trial %d: encode: %v", trial, err)
 		}
-		got, err := DecodeReadingBatch(p)
+		got, gotFirst, err := DecodeSeqBatchInto(nil, p)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
+		}
+		if gotFirst != firstSeq {
+			t.Fatalf("trial %d: first sequence %d, want %d", trial, gotFirst, firstSeq)
 		}
 		if len(got) != n {
 			t.Fatalf("trial %d: got %d readings, want %d", trial, len(got), n)
@@ -53,8 +59,9 @@ func TestBatchRoundTripProperty(t *testing.T) {
 
 func TestBatchWireSavings(t *testing.T) {
 	// A batch of sequential readings from one node — the shape the
-	// reader actually publishes — must beat the v1 wire cost per reading
-	// by at least 2x, header included (ISSUE acceptance bar).
+	// reader actually publishes — must cost at most half the 47 B/reading
+	// of a per-reading frame (9-byte header, 38-byte float64 payload),
+	// header and sequence prefix included.
 	rng := rand.New(rand.NewSource(3))
 	base := quantizedReading(rng)
 	rds := make([]Reading, 16)
@@ -66,49 +73,55 @@ func TestBatchWireSavings(t *testing.T) {
 		rd.Time = base.Time.Add(time.Duration(i) * 250 * time.Millisecond)
 		rds[i] = rd
 	}
-	p, err := AppendReadingBatch(nil, rds)
+	p, err := AppendSeqBatch(nil, 1<<20, rds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := EncodeFrame(MsgReadingBatch, p)
+	frame, err := EncodeFrame(MsgSeqBatch, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2PerReading := float64(len(frame)) / float64(len(rds))
-	v1PerReading := float64(frameHeaderSize + readingWireSize)
-	t.Logf("v1 %.1f B/reading, v2 %.2f B/reading (batch of %d, frame %d B)",
-		v1PerReading, v2PerReading, len(rds), len(frame))
-	if v2PerReading*2 > v1PerReading {
-		t.Errorf("v2 wire cost %.2f B/reading is not ≥2x better than v1 %.1f", v2PerReading, v1PerReading)
+	const perReadingFrame = 47.0
+	perReading := float64(len(frame)) / float64(len(rds))
+	t.Logf("%.2f B/reading (batch of %d, frame %d B)", perReading, len(rds), len(frame))
+	if perReading*2 > perReadingFrame {
+		t.Errorf("wire cost %.2f B/reading is not ≥2x better than %.0f", perReading, perReadingFrame)
 	}
 }
 
 func TestBatchRejectsMalformed(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rds := []Reading{quantizedReading(rng), quantizedReading(rng)}
-	p, err := AppendReadingBatch(nil, rds)
+	p, err := AppendSeqBatch(nil, 9, rds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeReadingBatch(nil); err == nil {
+	decode := func(p []byte) error {
+		_, _, err := DecodeSeqBatchInto(nil, p)
+		return err
+	}
+	if decode(nil) == nil {
 		t.Error("empty payload accepted")
 	}
-	if _, err := DecodeReadingBatch(p[:len(p)-1]); err == nil {
+	if decode(p[:len(p)-1]) == nil {
 		t.Error("truncated payload accepted")
 	}
-	if _, err := DecodeReadingBatch(append(append([]byte(nil), p...), 0)); err == nil {
+	if decode(append(append([]byte(nil), p...), 0)) == nil {
 		t.Error("trailing garbage accepted")
 	}
-	if _, err := DecodeReadingBatch([]byte{0}); err == nil {
+	if decode([]byte{9, 0}) == nil {
 		t.Error("zero-count batch accepted")
 	}
-	if _, err := AppendReadingBatch(nil, nil); err == nil {
+	if decode(append([]byte{0}, p[1:]...)) == nil {
+		t.Error("sequence 0 accepted")
+	}
+	if _, err := AppendSeqBatch(nil, 1, nil); err == nil {
 		t.Error("empty batch encoded")
 	}
-	if _, err := AppendReadingBatch(nil, []Reading{{TempC: math.NaN()}}); err == nil {
+	if _, err := AppendSeqBatch(nil, 1, []Reading{{TempC: math.NaN()}}); err == nil {
 		t.Error("NaN reading encoded")
 	}
-	if _, err := AppendReadingBatch(nil, []Reading{{TempC: 1e18}}); err == nil {
+	if _, err := AppendSeqBatch(nil, 1, []Reading{{TempC: 1e18}}); err == nil {
 		t.Error("out-of-range reading encoded")
 	}
 }
@@ -124,22 +137,27 @@ func TestBatchOversizeSplits(t *testing.T) {
 		rd.Time = time.Unix(0, int64(i)*86400e9).UTC()
 		rds[i] = rd
 	}
-	if _, err := AppendReadingBatch(nil, rds); !errors.Is(err, ErrOversize) {
+	if _, err := AppendSeqBatch(nil, 1, rds); !errors.Is(err, ErrOversize) {
 		t.Fatalf("oversize batch: %v", err)
 	}
-	// The server-side splitter must still deliver every reading.
+	// The server-side splitter must still deliver every reading, with
+	// consecutive sequences across the split frames.
 	s := &Server{logf: func(string, ...interface{}) {}}
-	s.pending = rds
-	b := &broadcast{}
-	s.encodeBroadcast(b, false, true, false)
-	frames := b.v2
+	b := s.getBroadcast()
+	s.encodeSeqFrames(b, rds, 100)
+	b.seal()
+	frames := b.frames
 	var got []Reading
 	for _, frame := range frames {
-		payload := frame[frameHeaderSize:]
+		var first uint64
 		var err error
-		got, err = DecodeReadingBatchInto(got, payload)
+		n := len(got)
+		got, first, err = DecodeSeqBatchInto(got, frame[frameHeaderSize:])
 		if err != nil {
 			t.Fatal(err)
+		}
+		if first != 100+uint64(n) {
+			t.Fatalf("frame starts at sequence %d, want %d", first, 100+n)
 		}
 	}
 	if len(got) != len(rds) {
@@ -158,14 +176,11 @@ func TestBatchOversizeSplits(t *testing.T) {
 func TestV2ClientReceivesBatches(t *testing.T) {
 	s, _ := startServer(t)
 	s.SetBatching(4, time.Hour) // deadline far away: flush only on size
-	c, err := Dial(context.Background(), s.Addr().String(), WithBatching())
+	c, err := Dial(context.Background(), s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// The upgrade Hello races the first Publish; wait for the server to
-	// register it so the flush below is batched.
-	waitUpgrade(t, s)
 	rng := rand.New(rand.NewSource(21))
 	want := make([]Reading, 4)
 	for i := range want {
@@ -177,36 +192,8 @@ func TestV2ClientReceivesBatches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reading %d: %v", i, err)
 		}
-		if got != w {
-			t.Fatalf("reading %d:\n got  %+v\n want %+v", i, got, w)
-		}
-	}
-}
-
-func TestV1ClientAgainstBatchingServer(t *testing.T) {
-	// Backward compatibility: a v1 client (no upgrade Hello) connected to
-	// a server with batching enabled still receives every reading as
-	// plain MsgReading frames.
-	s, _ := startServer(t)
-	s.SetBatching(3, time.Hour)
-	c, err := Dial(context.Background(), s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	rng := rand.New(rand.NewSource(22))
-	want := make([]Reading, 3)
-	for i := range want {
-		want[i] = quantizedReading(rng)
-		s.Publish(want[i])
-	}
-	for i, w := range want {
-		got, err := c.Next(time.Now().Add(5 * time.Second))
-		if err != nil {
-			t.Fatalf("reading %d: %v", i, err)
-		}
-		if got != w {
-			t.Fatalf("reading %d:\n got  %+v\n want %+v", i, got, w)
+		if got != w || c.LastSeq() != uint64(i+1) {
+			t.Fatalf("reading %d (seq %d):\n got  %+v\n want %+v", i, c.LastSeq(), got, w)
 		}
 	}
 }
@@ -215,12 +202,11 @@ func TestDeadlineFlush(t *testing.T) {
 	// A partial batch must reach subscribers once flushAfter elapses.
 	s, _ := startServer(t)
 	s.SetBatching(100, 20*time.Millisecond)
-	c, err := Dial(context.Background(), s.Addr().String(), WithBatching())
+	c, err := Dial(context.Background(), s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	waitUpgrade(t, s)
 	rd := quantizedReading(rand.New(rand.NewSource(23)))
 	s.Publish(rd)
 	got, err := c.Next(time.Now().Add(5 * time.Second))
@@ -233,49 +219,80 @@ func TestDeadlineFlush(t *testing.T) {
 }
 
 func TestMixedSubscribers(t *testing.T) {
-	// One v1 and one v2 subscriber on the same flush: both see the same
-	// readings, in order, through their respective wire formats.
+	// A plain and a resuming subscriber on the same flushes: both see the
+	// same readings under the same sequences, in order.
 	s, _ := startServer(t)
 	s.SetBatching(4, time.Hour)
-	v1, err := Dial(context.Background(), s.Addr().String())
+	plain, err := Dial(context.Background(), s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v1.Close()
-	v2, err := Dial(context.Background(), s.Addr().String(), WithBatching())
+	defer plain.Close()
+	resumed, err := Dial(context.Background(), s.Addr().String(), WithResume(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v2.Close()
-	waitUpgrade(t, s)
+	defer resumed.Close()
 	rng := rand.New(rand.NewSource(24))
-	want := make([]Reading, 4)
+	want := make([]Reading, 8)
 	for i := range want {
 		want[i] = quantizedReading(rng)
 		s.Publish(want[i])
 	}
-	for _, c := range []*Client{v1, v2} {
+	for _, c := range []*Client{plain, resumed} {
 		for i, w := range want {
 			got, err := c.Next(time.Now().Add(5 * time.Second))
 			if err != nil {
 				t.Fatalf("reading %d: %v", i, err)
 			}
-			if got != w {
-				t.Fatalf("reading %d:\n got  %+v\n want %+v", i, got, w)
+			if got != w || c.LastSeq() != uint64(i+1) {
+				t.Fatalf("reading %d (seq %d):\n got  %+v\n want %+v", i, c.LastSeq(), got, w)
 			}
 		}
 	}
 }
 
-// waitUpgrade blocks until at least one subscriber has negotiated v2.
-func waitUpgrade(t *testing.T, s *Server) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if s.cntV2.Load() > 0 || s.cntSeq.Load() > 0 {
-			return
-		}
-		time.Sleep(time.Millisecond)
+// TestPublishRejectsUnencodable: a reading the wire cannot carry is
+// refused at Publish, takes no sequence number and is counted; its
+// batch-mates are delivered with consecutive sequences.
+func TestPublishRejectsUnencodable(t *testing.T) {
+	s, _ := startServer(t)
+	reg := telemetry.NewRegistry()
+	s.Instrument(reg)
+	s.SetBatching(4, time.Hour)
+	c, err := Dial(context.Background(), s.Addr().String(), WithResume(0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("subscriber never upgraded to v2")
+	defer c.Close()
+	var want []Reading
+	for i := uint64(1); i <= 9; i++ {
+		rd := seqReading(i)
+		if i == 3 {
+			rd.SNRdB = math.Inf(-1)
+			if err := s.Publish(rd); err == nil {
+				t.Fatal("non-finite reading accepted")
+			}
+			continue
+		}
+		if err := s.Publish(rd); err != nil {
+			t.Fatalf("reading %d: %v", i, err)
+		}
+		want = append(want, rd)
+	}
+	for i, w := range want {
+		got, err := c.Next(time.Now().Add(5 * time.Second))
+		if err != nil {
+			t.Fatalf("reading %d: %v", i, err)
+		}
+		if got != w || c.LastSeq() != uint64(i+1) {
+			t.Fatalf("reading %d (seq %d):\n got  %+v\n want %+v", i, c.LastSeq(), got, w)
+		}
+	}
+	if n := s.NextSeq(); n != uint64(len(want))+1 {
+		t.Errorf("next sequence %d, want %d (a rejected reading took a number)", n, len(want)+1)
+	}
+	if got := reg.Counter("vab_gateway_readings_rejected_total", "").Value(); got != 1 {
+		t.Errorf("vab_gateway_readings_rejected_total = %d, want 1", got)
+	}
 }

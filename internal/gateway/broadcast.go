@@ -2,13 +2,13 @@ package gateway
 
 import "sync/atomic"
 
-// broadcast is one flush's worth of encoded frames, shared by reference
-// across every subscriber ring: the v1 (per-reading MsgReading), v2
-// (MsgReadingBatch) and sequenced (MsgSeqBatch) variants are each encoded
-// exactly once into a single contiguous buffer, and subscribers hold
-// sub-slices of it. Refcounting recycles the arena through the server's
-// freelist once the last writer goroutine has drained it, so steady-state
-// broadcasts allocate nothing.
+// broadcast is an arena of encoded frames shared by reference across
+// subscriber rings: a flush's MsgSeqBatch frames are encoded exactly once
+// into a single contiguous buffer, and subscribers hold sub-slices of it.
+// Refcounting recycles the arena through the server's freelist once the
+// last writer goroutine has drained it, so steady-state broadcasts
+// allocate nothing. A resume reply (ack plus replay) uses a private
+// arena with a single reference.
 //
 // Lifecycle: the flush path (under seqMu) takes an arena from the
 // freelist, encodes, sets refs to the shard count, and enqueues it to
@@ -22,137 +22,75 @@ type broadcast struct {
 	buf    []byte   // all frames, back to back
 	bounds []int    // frame boundaries into buf; bounds[0] == 0
 	frames [][]byte // one sub-slice of buf per frame
-
-	// Variant views into frames (aliases, not copies).
-	v1, v2, seq [][]byte
 }
 
 // broadcastFreelist bounds how many idle arenas the server retains.
 const broadcastFreelist = 8
 
-// getBroadcast takes a recycled arena or allocates a fresh one.
+// getBroadcast takes a recycled arena or allocates a fresh one, emptied
+// for encoding.
 func (s *Server) getBroadcast() *broadcast {
+	var b *broadcast
 	select {
-	case b := <-s.freeBcast:
-		return b
+	case b = <-s.freeBcast:
 	default:
-		return &broadcast{}
+		b = &broadcast{}
 	}
+	b.buf = b.buf[:0]
+	b.bounds = append(b.bounds[:0], 0)
+	return b
 }
 
 // releaseBroadcast drops one reference and recycles the arena when it
-// was the last. Safe on nil (control entries carry no broadcast).
+// was the last. Safe on nil (control entries carry no arena).
 func (s *Server) releaseBroadcast(b *broadcast) {
 	if b == nil || b.refs.Add(-1) != 0 {
 		return
 	}
-	b.v1, b.v2, b.seq = nil, nil, nil
 	select {
 	case s.freeBcast <- b:
 	default: // freelist full: let the GC take it
 	}
 }
 
-// encodeBroadcast encodes s.pending once into b, building only the
-// variants some subscriber needs. Returns the number of v2 and seq
-// frames (for the batch metric). Callers hold seqMu.
-func (s *Server) encodeBroadcast(b *broadcast, needV1, needV2, needSeq bool) (nBatch int) {
-	b.buf = b.buf[:0]
-	b.bounds = append(b.bounds[:0], 0)
-	nV1 := 0
-	if needV1 {
-		for _, rd := range s.pending {
-			s.v1Payload = AppendReading(s.v1Payload[:0], rd)
-			buf, err := AppendFrame(b.buf, MsgReading, s.v1Payload)
-			if err != nil {
-				s.logf("gateway: encode reading: %v", err)
-				continue
-			}
-			b.buf = buf
-			b.bounds = append(b.bounds, len(b.buf))
-		}
-		nV1 = len(b.bounds) - 1
+// appendFrame encodes one frame into the arena.
+func (b *broadcast) appendFrame(t MsgType, payload []byte) error {
+	buf, err := AppendFrame(b.buf, t, payload)
+	if err != nil {
+		return err
 	}
-	nV2 := 0
-	if needV2 {
-		nV2 = s.encodeBatchInto(b, s.pending, 0, false)
-	}
-	nSeq := 0
-	if needSeq {
-		nSeq = s.encodeBatchInto(b, s.pending, s.pendingFirst, true)
-	}
-	// Materialize the frame slices only after the buffer has stopped
-	// growing (append may reallocate b.buf, invalidating sub-slices).
+	b.buf = buf
+	b.bounds = append(b.bounds, len(b.buf))
+	return nil
+}
+
+// seal materializes the frame slices once the buffer has stopped growing
+// (append may reallocate b.buf, invalidating earlier sub-slices).
+func (b *broadcast) seal() {
 	b.frames = b.frames[:0]
 	for i := 0; i+1 < len(b.bounds); i++ {
 		b.frames = append(b.frames, b.buf[b.bounds[i]:b.bounds[i+1]])
 	}
-	b.v1 = b.frames[:nV1]
-	b.v2 = b.frames[nV1 : nV1+nV2]
-	b.seq = b.frames[nV1+nV2:]
-	return nV2 + nSeq
 }
 
-// encodeBatchInto appends readings to b as one MsgReadingBatch (or
-// MsgSeqBatch when sequenced) frame, splitting recursively in the
-// pathological case the encoded block exceeds the payload bound.
-// Returns the number of frames appended. Callers hold seqMu.
-func (s *Server) encodeBatchInto(b *broadcast, rds []Reading, firstSeq uint64, sequenced bool) int {
-	if len(rds) == 0 {
-		return 0
-	}
-	var payload []byte
-	var err error
-	if sequenced {
-		payload, err = AppendSeqBatch(s.v2Payload[:0], firstSeq, rds)
-	} else {
-		payload, err = AppendReadingBatch(s.v2Payload[:0], rds)
-	}
+// encodeSeqFrames appends rds, the first carrying stream sequence
+// firstSeq, to b as MsgSeqBatch frames, splitting recursively in the
+// pathological case the encoded block exceeds the payload bound. Returns
+// the number of frames appended. Callers hold seqMu.
+func (s *Server) encodeSeqFrames(b *broadcast, rds []Reading, firstSeq uint64) int {
+	payload, err := AppendSeqBatch(s.payload[:0], firstSeq, rds)
 	if err == ErrOversize && len(rds) > 1 {
 		half := len(rds) / 2
-		n := s.encodeBatchInto(b, rds[:half], firstSeq, sequenced)
-		return n + s.encodeBatchInto(b, rds[half:], firstSeq+uint64(half), sequenced)
+		n := s.encodeSeqFrames(b, rds[:half], firstSeq)
+		return n + s.encodeSeqFrames(b, rds[half:], firstSeq+uint64(half))
+	}
+	if err == nil {
+		s.payload = payload[:0]
+		err = b.appendFrame(MsgSeqBatch, payload)
 	}
 	if err != nil {
 		s.logf("gateway: encode batch: %v", err)
 		return 0
 	}
-	s.v2Payload = payload[:0]
-	t := MsgReadingBatch
-	if sequenced {
-		t = MsgSeqBatch
-	}
-	buf, err := AppendFrame(b.buf, t, payload)
-	if err != nil {
-		s.logf("gateway: encode batch frame: %v", err)
-		return 0
-	}
-	b.buf = buf
-	b.bounds = append(b.bounds, len(b.buf))
 	return 1
-}
-
-// appendSeqBatchFramesAlloc encodes readings as standalone MsgSeqBatch
-// frames (fresh allocations — used by the rare resume path, whose frames
-// are owned by a control entry rather than a shared arena).
-func appendSeqBatchFramesAlloc(frames [][]byte, rds []Reading, firstSeq uint64, logf func(string, ...interface{})) [][]byte {
-	if len(rds) == 0 {
-		return frames
-	}
-	payload, err := AppendSeqBatch(nil, firstSeq, rds)
-	if err == ErrOversize && len(rds) > 1 {
-		half := len(rds) / 2
-		frames = appendSeqBatchFramesAlloc(frames, rds[:half], firstSeq, logf)
-		return appendSeqBatchFramesAlloc(frames, rds[half:], firstSeq+uint64(half), logf)
-	}
-	if err != nil {
-		logf("gateway: encode seq batch: %v", err)
-		return frames
-	}
-	frame, err := EncodeFrame(MsgSeqBatch, payload)
-	if err != nil {
-		logf("gateway: encode seq batch frame: %v", err)
-		return frames
-	}
-	return append(frames, frame)
 }

@@ -50,9 +50,8 @@ func TestChurnSoakThroughChaos(t *testing.T) {
 	}
 	srv := NewServerListener(ctx, eng.Listen(ln), t.Logf)
 	defer srv.Close()
-	// Heartbeats stay slow relative to injected stalls so the ack always
-	// precedes the first heartbeat (the client's fallback heuristic);
-	// lazy subscribers are evicted by queue overflow, not dead-peer checks.
+	// Heartbeats stay slow relative to injected stalls, so lazy
+	// subscribers are evicted by queue overflow, not dead-peer checks.
 	srv.SetHeartbeatPolicy(time.Second, 3)
 	srv.SetReplay(1 << 16) // nothing ages out: gaps must be zero
 	srv.SetBatching(8, 2*time.Millisecond)
@@ -104,9 +103,6 @@ func TestChurnSoakThroughChaos(t *testing.T) {
 				break // injected fault or timeout: reconnect
 			}
 			seq := c.LastSeq()
-			if seq == 0 {
-				continue // pre-ack unsequenced frame (not expected, but legal)
-			}
 			if seq <= lastSeq {
 				t.Fatalf("round %d: sequence went backwards: %d after %d", round, seq, lastSeq)
 			}

@@ -20,28 +20,22 @@ type Client struct {
 	// path allocates nothing.
 	payloadBuf []byte
 	// queue holds readings decoded from a batch frame that Next has not
-	// yet handed out; qpos indexes the next one.
-	queue []Reading
-	qpos  int
-	// queueSeq is the stream sequence of queue[0] when the current batch
-	// came from a MsgSeqBatch frame, 0 for unsequenced batches.
+	// yet handed out; qpos indexes the next one, and queueSeq is the
+	// stream sequence of queue[0].
+	queue    []Reading
+	qpos     int
 	queueSeq uint64
 	// lastSeq is the stream sequence of the last reading Next returned
-	// from a sequenced frame (0 before any).
+	// (on a resume session, the resume point until then).
 	lastSeq uint64
-	// pong caches the encoded MsgPong frame when this session answers
-	// heartbeats (nil = stay silent, the v1 behaviour).
-	pong []byte
 	// ack* record the MsgResumeAck bounds once it arrives.
 	ackReplayFrom uint64
 	ackLiveNext   uint64
 	ackSeen       bool
-	// awaitingAck suppresses unsequenced reading frames on a resume
-	// session until the MsgResumeAck arrives: readings the server fanned
-	// out before processing MsgResume are re-delivered by the replay, so
-	// passing them through would duplicate. A heartbeat before the ack
-	// means the gateway predates resume (it would have answered first) —
-	// suppression lifts and the session falls back to the plain stream.
+	// awaitingAck drops data frames on a resume session until the
+	// MsgResumeAck arrives: everything the server fanned out before it
+	// processed MsgResume lands ahead of the ack and is re-sent by the
+	// replay, so passing it through would duplicate.
 	awaitingAck bool
 }
 
@@ -50,7 +44,6 @@ type DialOption func(*dialConfig)
 
 type dialConfig struct {
 	handshakeTimeout time.Duration
-	protocol         byte
 	resume           bool
 	resumeLast       uint64
 	localAddr        net.Addr
@@ -67,27 +60,12 @@ func WithHandshakeTimeout(d time.Duration) DialOption {
 	}
 }
 
-// WithBatching requests the v2 batched stream: after the handshake the
-// client sends its own Hello advertising ProtocolV2, and a v2-capable
-// gateway switches this subscription to MsgReadingBatch frames. Next
-// unpacks batches transparently, so callers see the same per-reading
-// interface either way. Gateways that predate v2 ignore the upgrade
-// (they never read from the socket) and keep sending v1 frames, which
-// the client still accepts — the option is safe against any server.
-func WithBatching() DialOption {
-	return func(c *dialConfig) { c.protocol = ProtocolV2 }
-}
-
-// WithResume requests sequenced delivery with gap replay (implies
-// WithBatching): after the upgrade the client sends MsgResume carrying
-// the last stream sequence it saw (0 on a fresh session), and a
-// resume-capable gateway replays the missed window as MsgSeqBatch frames
-// before the live stream continues. Gateways that predate resume ignore
-// the frame and the session falls back to the plain v2 stream — the
-// option is safe against any server.
+// WithResume requests gap replay: after its hello the client sends
+// MsgResume carrying the last stream sequence it saw (0 on a fresh
+// session), and the gateway replays the missed window before the live
+// stream continues.
 func WithResume(lastSeq uint64) DialOption {
 	return func(c *dialConfig) {
-		c.protocol = ProtocolV2
 		c.resume = true
 		c.resumeLast = lastSeq
 	}
@@ -103,7 +81,7 @@ func WithLocalAddr(addr net.Addr) DialOption {
 
 // Dial connects to a gateway and verifies the protocol handshake.
 func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
-	cfg := dialConfig{handshakeTimeout: 5 * time.Second, protocol: ProtocolV1}
+	cfg := dialConfig{handshakeTimeout: 5 * time.Second}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -120,7 +98,7 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 // subscribe over netmem conns; it also suits tunneled or pre-dialed
 // transports. The conn is closed on handshake failure.
 func NewClientConn(conn net.Conn, opts ...DialOption) (*Client, error) {
-	cfg := dialConfig{handshakeTimeout: 5 * time.Second, protocol: ProtocolV1}
+	cfg := dialConfig{handshakeTimeout: 5 * time.Second}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -136,22 +114,13 @@ func newClientConn(conn net.Conn, cfg dialConfig) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("gateway: handshake: %w", err)
 	}
-	if t != MsgHello || len(payload) != 1 || payload[0] != 1 {
+	if t != MsgHello || len(payload) != 1 || payload[0] != ProtocolV2 {
 		conn.Close()
-		return nil, fmt.Errorf("gateway: unexpected handshake frame type %d", t)
+		return nil, fmt.Errorf("gateway: unexpected handshake frame type %d %v", t, payload)
 	}
-	if cfg.protocol >= ProtocolV2 {
-		upgrade, err := EncodeFrame(MsgHello, []byte{cfg.protocol})
-		if err == nil {
-			_, err = conn.Write(upgrade)
-		}
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("gateway: protocol upgrade: %w", err)
-		}
-		// A v2 session answers heartbeats, making it liveness-trackable.
-		// The pong frame is constant — share the package-level encoding.
-		c.pong = pongFrame
+	if _, err := conn.Write(helloFrame); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("gateway: hello: %w", err)
 	}
 	if cfg.resume {
 		frame, err := EncodeFrame(MsgResume, AppendResume(nil, cfg.resumeLast))
@@ -169,16 +138,14 @@ func newClientConn(conn net.Conn, cfg dialConfig) (*Client, error) {
 	return c, nil
 }
 
-// Next blocks until the next reading arrives, transparently skipping
-// heartbeats (answering them with pongs on v2 sessions) and unpacking
-// batch frames. The deadline (zero = none) bounds the wait. A graceful
-// server shutdown surfaces as ErrServerClosing.
+// Next blocks until the next reading arrives, transparently answering
+// heartbeats with pongs and unpacking batch frames. The deadline (zero =
+// none) bounds the wait. A graceful server shutdown surfaces as
+// ErrServerClosing.
 func (c *Client) Next(deadline time.Time) (Reading, error) {
 	if c.qpos < len(c.queue) {
 		rd := c.queue[c.qpos]
-		if c.queueSeq != 0 {
-			c.lastSeq = c.queueSeq + uint64(c.qpos)
-		}
+		c.lastSeq = c.queueSeq + uint64(c.qpos)
 		c.qpos++
 		return rd, nil
 	}
@@ -193,43 +160,20 @@ func (c *Client) Next(deadline time.Time) (Reading, error) {
 		}
 		switch t {
 		case MsgHeartbeat:
-			if c.pong != nil {
-				// Best-effort: a failed pong will surface as a read error
-				// on the next frame anyway.
-				c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-				c.conn.Write(c.pong)
-			}
-			// A resume-capable gateway acks before its first heartbeat
-			// (it processes our MsgResume within the handshake exchange);
-			// a heartbeat first means no ack is coming — fall back.
-			c.awaitingAck = false
+			// Best-effort: a failed pong will surface as a read error on
+			// the next frame anyway.
+			c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+			c.conn.Write(pongFrame)
 			continue
-		case MsgReading:
-			if c.awaitingAck {
-				continue // will arrive again in the replay
-			}
-			c.queueSeq = 0
-			return DecodeReading(payload)
-		case MsgReadingBatch:
-			if c.awaitingAck {
-				continue // will arrive again in the replay
-			}
-			c.queue, err = DecodeReadingBatchInto(c.queue[:0], payload)
-			if err != nil {
-				return Reading{}, err
-			}
-			c.queueSeq = 0
-			c.qpos = 1
-			return c.queue[0], nil
 		case MsgSeqBatch:
-			c.awaitingAck = false
-			var firstSeq uint64
-			c.queue, firstSeq, err = DecodeSeqBatchInto(c.queue[:0], payload)
+			if c.awaitingAck {
+				continue // will arrive again in the replay
+			}
+			c.queue, c.queueSeq, err = DecodeSeqBatchInto(c.queue[:0], payload)
 			if err != nil {
 				return Reading{}, err
 			}
-			c.queueSeq = firstSeq
-			c.lastSeq = firstSeq
+			c.lastSeq = c.queueSeq
 			c.qpos = 1
 			return c.queue[0], nil
 		case MsgResumeAck:
@@ -249,16 +193,16 @@ func (c *Client) Next(deadline time.Time) (Reading, error) {
 }
 
 // LastSeq returns the stream sequence of the last reading Next returned
-// from a sequenced frame (0 before any) — the value to pass to
+// (0 before any, or the WithResume point) — the value to pass to
 // WithResume on the next dial.
 func (c *Client) LastSeq() uint64 { return c.lastSeq }
 
 // ResumeWindow reports the MsgResumeAck bounds once the gateway has
 // acknowledged a resume: replayFrom is the first sequence the server
 // delivers, liveNext the next live sequence at ack time. ok is false
-// until the ack arrives (or forever, against a server without resume).
-// replayFrom > lastSeq+1 means the gap [lastSeq+1, replayFrom) aged out
-// of the server's ring and is unrecoverable.
+// until the ack arrives. replayFrom > lastSeq+1 means the gap
+// [lastSeq+1, replayFrom) aged out of the server's ring and is
+// unrecoverable.
 func (c *Client) ResumeWindow() (replayFrom, liveNext uint64, ok bool) {
 	return c.ackReplayFrom, c.ackLiveNext, c.ackSeen
 }

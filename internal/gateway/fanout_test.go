@@ -15,46 +15,44 @@ import (
 	"vab/internal/telemetry"
 )
 
-// countConn is a fake subscriber socket: writes are counted and
-// discarded, reads block until Close. It lets the alloc pin drive the
-// full fan-out path (ring, writer goroutine, writev batching) without
-// kernel sockets or draining goroutines that could allocate.
-type countConn struct {
-	bytes  atomic.Int64
+// nullConn is a fake subscriber socket: writes are discarded, reads
+// block until Close. It lets the alloc pin drive the full fan-out path
+// (ring, writer goroutine, writev batching) without kernel sockets or
+// draining goroutines that could allocate.
+type nullConn struct {
 	closed atomic.Bool
 	unread chan struct{}
 	addr   netmem.Addr
 }
 
-func newCountConn() *countConn {
-	return &countConn{unread: make(chan struct{}), addr: netmem.Addr{Name: "count"}}
+func newNullConn() *nullConn {
+	return &nullConn{unread: make(chan struct{}), addr: netmem.Addr{Name: "null"}}
 }
 
-func (c *countConn) Read(b []byte) (int, error) {
+func (c *nullConn) Read(b []byte) (int, error) {
 	<-c.unread
 	return 0, io.EOF
 }
 
-func (c *countConn) Write(b []byte) (int, error) {
+func (c *nullConn) Write(b []byte) (int, error) {
 	if c.closed.Load() {
 		return 0, net.ErrClosed
 	}
-	c.bytes.Add(int64(len(b)))
 	return len(b), nil
 }
 
-func (c *countConn) Close() error {
+func (c *nullConn) Close() error {
 	if c.closed.CompareAndSwap(false, true) {
 		close(c.unread)
 	}
 	return nil
 }
 
-func (c *countConn) LocalAddr() net.Addr              { return c.addr }
-func (c *countConn) RemoteAddr() net.Addr             { return c.addr }
-func (c *countConn) SetDeadline(time.Time) error      { return nil }
-func (c *countConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *countConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *nullConn) LocalAddr() net.Addr              { return c.addr }
+func (c *nullConn) RemoteAddr() net.Addr             { return c.addr }
+func (c *nullConn) SetDeadline(time.Time) error      { return nil }
+func (c *nullConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *nullConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestBroadcastAllocs pins the encode-once flush path at zero
 // allocations per publish in steady state, measured across the whole
@@ -66,38 +64,35 @@ func TestBroadcastAllocs(t *testing.T) {
 	defer s.Close()
 	s.SetShards(4)
 	s.SetHeartbeatPolicy(time.Hour, 3) // no ticks during the measurement
+	reg := telemetry.NewRegistry()
+	s.Instrument(reg)
+	frames := reg.Counter("vab_gateway_frames_sent_total", "")
 
 	const subs = 8
-	conns := make([]*countConn, subs)
+	conns := make([]*nullConn, subs)
 	for i := range conns {
-		conns[i] = newCountConn()
+		conns[i] = newNullConn()
 		if !s.register(conns[i]) {
 			t.Fatal("register refused")
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Subscribers() < subs {
+	for frames.Value() < subs { // every hello written
 		if time.Now().After(deadline) {
 			t.Fatal("subscribers never registered")
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	total := func() int64 {
-		var n int64
-		for _, c := range conns {
-			n += c.bytes.Load()
-		}
-		return n
-	}
 	rd := seqReading(1)
 	// One op = one published reading fanned out to every subscriber as a
-	// v1 frame; it completes when every writer has put the frame on its
-	// socket, so the measurement covers the full delivery path.
+	// batch-of-one MsgSeqBatch frame; it completes when every writer has
+	// put the frame on its socket, so the measurement covers the full
+	// delivery path.
 	op := func() {
-		want := total() + subs*int64(V1FrameBytesPerReading)
+		want := frames.Value() + subs
 		s.Publish(rd)
-		for total() < want {
+		for frames.Value() < want {
 			runtime.Gosched()
 		}
 	}
@@ -148,7 +143,7 @@ func TestSubscriberGaugeLive(t *testing.T) {
 // flushes: a steady publisher, stalled subscribers being evicted, and
 // parallel resuming sessions that reconnect mid-stream — every resumed
 // session must observe a strictly increasing, gap-free sequence. Run
-// under -race this pins the shard registry, census counters, and arena
+// under -race this pins the shard registry, subscriber count, and arena
 // refcounting.
 func TestShardChurnResumeSoak(t *testing.T) {
 	rounds := 40
@@ -217,9 +212,6 @@ func TestShardChurnResumeSoak(t *testing.T) {
 						break
 					}
 					seq := c.LastSeq()
-					if seq == 0 {
-						continue
-					}
 					if seq <= lastSeq {
 						errCh <- errSeq("sequence went backwards", seq, lastSeq)
 						c.Close()

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 )
@@ -9,7 +10,7 @@ import (
 // arbitrary bytes: they must never panic, and accepted payloads must
 // survive a re-encode/re-decode cycle with identical values (semantic
 // round trip — non-canonical varints re-encode canonically, as in
-// FuzzBatchDecode).
+// FuzzSeqBatchDecode).
 func FuzzResumeFrame(f *testing.F) {
 	f.Add(AppendResume(nil, 0))
 	f.Add(AppendResume(nil, 1<<40))
@@ -37,7 +38,8 @@ func FuzzResumeFrame(f *testing.F) {
 
 // FuzzSeqBatchDecode: arbitrary MsgSeqBatch payloads must decode without
 // panicking, and accepted payloads must survive a re-encode/re-decode
-// cycle with the same first sequence and identical readings.
+// cycle with the same first sequence and identical readings. The block
+// corpus of FuzzBatchDecode is seeded too, behind a sequence prefix.
 func FuzzSeqBatchDecode(f *testing.F) {
 	if p, err := AppendSeqBatch(nil, 1, []Reading{testReading()}); err == nil {
 		f.Add(p)
@@ -51,6 +53,9 @@ func FuzzSeqBatchDecode(f *testing.F) {
 	}
 	f.Add([]byte{1})
 	f.Add([]byte{})
+	for i, block := range blockSeeds() {
+		f.Add(append(binary.AppendUvarint(nil, uint64(1)<<(7*i)), block...))
+	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		rds, firstSeq, err := DecodeSeqBatchInto(nil, p)
 		if err != nil {

@@ -12,13 +12,14 @@ import (
 // Encoder and decoder share the MaxPayloadSize bound, so every accepted
 // frame must be one the encoder could have produced.
 func FuzzReadFrame(f *testing.F) {
-	good, _ := EncodeFrame(MsgReading, EncodeReading(testReading()))
+	payload, _ := AppendSeqBatch(nil, 1, []Reading{testReading()})
+	good, _ := EncodeFrame(MsgSeqBatch, payload)
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x56}, 64))
 	// Boundary seeds: the largest encodable frame and a header one byte
 	// past the shared payload bound.
-	biggest, _ := EncodeFrame(MsgReading, make([]byte, MaxPayloadSize))
+	biggest, _ := EncodeFrame(MsgSeqBatch, make([]byte, MaxPayloadSize))
 	f.Add(biggest)
 	f.Add(oversizeHeader())
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -43,52 +44,36 @@ func FuzzReadFrame(f *testing.F) {
 // payload bytes (and supplies them), which the decoder must reject.
 func oversizeHeader() []byte {
 	hdr := binary.BigEndian.AppendUint32(nil, Magic)
-	hdr = append(hdr, byte(MsgReading))
+	hdr = append(hdr, byte(MsgSeqBatch))
 	hdr = binary.BigEndian.AppendUint32(hdr, MaxPayloadSize+1)
 	return append(hdr, make([]byte, MaxPayloadSize+1)...)
 }
 
-// FuzzDecodeReading must never panic on arbitrary payloads.
-func FuzzDecodeReading(f *testing.F) {
-	f.Add(EncodeReading(testReading()))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, p []byte) {
-		_, _ = DecodeReading(p)
-	})
-}
-
-// FuzzBatchDecode hammers the v2 batch decoder with arbitrary payloads:
-// it must never panic, and any payload it accepts must survive a
-// re-encode/re-decode cycle with identical readings. The decoder's
+// FuzzBatchDecode hammers the block codec (the MsgSeqBatch body after
+// its sequence prefix) with arbitrary payloads: it must never panic, and
+// any payload it accepts must survive a re-encode/re-decode cycle with
+// identical readings. Its seeds also start FuzzSeqBatchDecode, which
+// reaches the same decoder through the whole frame payload. The decoder's
 // strict full-consumption and range rules keep the accepted set inside
 // what the encoder can reproduce (modulo non-canonical varints, which
 // re-encode canonically — hence a semantic, not byte, round trip).
 func FuzzBatchDecode(f *testing.F) {
-	one, _ := AppendReadingBatch(nil, []Reading{testReading()})
-	f.Add(one)
-	rd2 := testReading()
-	rd2.Seq++
-	rd2.Count++
-	rd2.TempC += 0.07
-	rd2.Time = rd2.Time.Add(250 * time.Millisecond)
-	two, _ := AppendReadingBatch(nil, []Reading{testReading(), rd2})
-	f.Add(two)
-	f.Add([]byte{})
-	f.Add([]byte{1})
-	f.Add([]byte{2, 0, 0, 0})
+	for _, seed := range blockSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, p []byte) {
-		rds, err := DecodeReadingBatch(p)
+		rds, err := decodeBlockInto(nil, p)
 		if err != nil {
 			return
 		}
 		if len(rds) == 0 {
 			t.Fatal("accepted payload produced zero readings")
 		}
-		re, err := AppendReadingBatch(nil, rds)
+		re, err := appendBlock(nil, rds)
 		if err != nil {
 			t.Fatalf("accepted readings failed to re-encode: %v", err)
 		}
-		rds2, err := DecodeReadingBatch(re)
+		rds2, err := decodeBlockInto(nil, re)
 		if err != nil {
 			t.Fatalf("re-encoded payload failed to decode: %v", err)
 		}
@@ -106,4 +91,17 @@ func FuzzBatchDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// blockSeeds is the block-codec seed corpus: one- and two-reading
+// blocks, then the empty, zero-count and truncated edge cases.
+func blockSeeds() [][]byte {
+	one, _ := appendBlock(nil, []Reading{testReading()})
+	rd2 := testReading()
+	rd2.Seq++
+	rd2.Count++
+	rd2.TempC += 0.07
+	rd2.Time = rd2.Time.Add(250 * time.Millisecond)
+	two, _ := appendBlock(nil, []Reading{testReading(), rd2})
+	return [][]byte{one, two, {}, {1}, {2, 0, 0, 0}}
 }

@@ -5,23 +5,26 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"net"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
+// testReading is on the wire's quantization grid (0.01 °C, 1 mbar,
+// 0.01 dB), so it survives the wire exactly.
 func testReading() Reading {
 	return Reading{
 		NodeAddr: 7, Seq: 3, Count: 99,
-		TempC: 15.25, PressureMbar: 1294.5, SNRdB: 18.75,
+		TempC: 15.25, PressureMbar: 1294, SNRdB: 18.75,
 		Time: time.Unix(0, 1700000000123456789).UTC(),
 	}
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	payload := []byte{1, 2, 3}
-	frame, err := EncodeFrame(MsgReading, payload)
+	frame, err := EncodeFrame(MsgSeqBatch, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,13 +32,13 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MsgReading || !bytes.Equal(got, payload) {
+	if typ != MsgSeqBatch || !bytes.Equal(got, payload) {
 		t.Errorf("round trip: %v %v", typ, got)
 	}
 }
 
 func TestFrameErrors(t *testing.T) {
-	if _, err := EncodeFrame(MsgReading, make([]byte, MaxFrameSize)); !errors.Is(err, ErrOversize) {
+	if _, err := EncodeFrame(MsgSeqBatch, make([]byte, MaxFrameSize)); !errors.Is(err, ErrOversize) {
 		t.Error("oversize not rejected")
 	}
 	bad := []byte{0, 0, 0, 0, 1, 0, 0, 0, 0}
@@ -43,13 +46,13 @@ func TestFrameErrors(t *testing.T) {
 		t.Errorf("bad magic: %v", err)
 	}
 	// Oversize length field.
-	frame, _ := EncodeFrame(MsgReading, []byte{1})
+	frame, _ := EncodeFrame(MsgSeqBatch, []byte{1})
 	frame[5] = 0xFF
 	if _, _, err := ReadFrame(bytes.NewReader(frame)); !errors.Is(err, ErrOversize) {
 		t.Error("oversize length accepted")
 	}
 	// Truncated payload.
-	frame2, _ := EncodeFrame(MsgReading, []byte{1, 2, 3, 4})
+	frame2, _ := EncodeFrame(MsgSeqBatch, []byte{1, 2, 3, 4})
 	if _, _, err := ReadFrame(bytes.NewReader(frame2[:len(frame2)-2])); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncation: %v", err)
 	}
@@ -58,7 +61,7 @@ func TestFrameErrors(t *testing.T) {
 func TestFramePayloadBoundary(t *testing.T) {
 	// Encoder and decoder must agree on the exact payload bound: a frame
 	// of MaxPayloadSize round-trips, one byte more is rejected by both.
-	frame, err := EncodeFrame(MsgReading, make([]byte, MaxPayloadSize))
+	frame, err := EncodeFrame(MsgSeqBatch, make([]byte, MaxPayloadSize))
 	if err != nil {
 		t.Fatalf("encode at MaxPayloadSize: %v", err)
 	}
@@ -68,7 +71,7 @@ func TestFramePayloadBoundary(t *testing.T) {
 	if _, payload, err := ReadFrame(bytes.NewReader(frame)); err != nil || len(payload) != MaxPayloadSize {
 		t.Errorf("decode at MaxPayloadSize: len=%d err=%v", len(payload), err)
 	}
-	if _, err := EncodeFrame(MsgReading, make([]byte, MaxPayloadSize+1)); !errors.Is(err, ErrOversize) {
+	if _, err := EncodeFrame(MsgSeqBatch, make([]byte, MaxPayloadSize+1)); !errors.Is(err, ErrOversize) {
 		t.Errorf("encode beyond bound: %v", err)
 	}
 	// A handcrafted header announcing one payload byte too many must be
@@ -82,29 +85,49 @@ func TestFramePayloadBoundary(t *testing.T) {
 	}
 }
 
+// TestReadingRoundTrip: an unbatched reading goes out as a batch of one
+// and decodes to itself when it is on the wire grid, and to its nearest
+// grid point otherwise.
 func TestReadingRoundTrip(t *testing.T) {
 	rd := testReading()
-	got, err := DecodeReading(EncodeReading(rd))
-	if err != nil {
-		t.Fatal(err)
+	off := rd
+	off.TempC, off.PressureMbar, off.SNRdB = 15.254, 1294.4, 18.746
+	for _, in := range []Reading{rd, off} {
+		p, err := AppendSeqBatch(nil, 1, []Reading{in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, first, err := DecodeSeqBatchInto(nil, p)
+		if err != nil || first != 1 || len(got) != 1 {
+			t.Fatalf("decode: first=%d n=%d err=%v", first, len(got), err)
+		}
+		if got[0] != rd {
+			t.Errorf("round trip of %+v:\n got %+v\nwant %+v", in, got[0], rd)
+		}
 	}
-	if got != rd {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, rd)
-	}
-	if _, err := DecodeReading([]byte{1, 2}); err == nil {
+	if _, _, err := DecodeSeqBatchInto(nil, []byte{1, 2}); err == nil {
 		t.Error("short payload accepted")
 	}
 }
 
 func TestReadingRoundTripProperty(t *testing.T) {
-	f := func(addr, seq byte, count uint32, temp, press, snr float64, ns int64) bool {
+	// Any reading on the wire grid survives the trip exactly, at any
+	// stream sequence.
+	f := func(addr, seq byte, count uint32, centi, mbar, centiSNR int32, ns int64, first uint64) bool {
+		grid := func(v int32) int64 { return max(int64(v), -math.MaxInt32) }
 		rd := Reading{
 			NodeAddr: addr, Seq: seq, Count: count,
-			TempC: temp, PressureMbar: press, SNRdB: snr,
-			Time: time.Unix(0, ns).UTC(),
+			TempC: float64(grid(centi)) / 100, PressureMbar: float64(grid(mbar)),
+			SNRdB: float64(grid(centiSNR)) / 100,
+			Time:  time.Unix(0, ns).UTC(),
 		}
-		got, err := DecodeReading(EncodeReading(rd))
-		return err == nil && got == rd
+		first = max(first, 1)
+		p, err := AppendSeqBatch(nil, first, []Reading{rd})
+		if err != nil {
+			return false
+		}
+		got, gotFirst, err := DecodeSeqBatchInto(nil, p)
+		return err == nil && gotFirst == first && len(got) == 1 && got[0] == rd
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

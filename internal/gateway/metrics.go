@@ -14,11 +14,11 @@ type gwMetrics struct {
 	connects    *telemetry.Counter // lifetime accepted subscribers
 	framesSent  *telemetry.Counter // frames written to sockets
 	readings    *telemetry.Counter // readings published
+	rejected    *telemetry.Counter // readings Publish refused (not encodable)
 	heartbeats  *telemetry.Counter // heartbeat frames sent
 	slowDrops   *telemetry.Counter // subscribers dropped for not draining
 	writeErrors *telemetry.Counter // socket write failures
-	upgrades    *telemetry.Counter // subscribers negotiated to protocol v2
-	batches     *telemetry.Counter // MsgReadingBatch frames encoded
+	batches     *telemetry.Counter // MsgSeqBatch frames encoded for flushes
 	hbDrops     *telemetry.Counter // dead peers dropped for missing pongs
 	resumes     *telemetry.Counter // MsgResume sessions accepted
 	replayed    *telemetry.Counter // readings replayed from the ring
@@ -44,16 +44,16 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 			"Wire frames successfully written to subscriber sockets."),
 		readings: reg.Counter("vab_gateway_readings_published_total",
 			"Sensor readings published to the fan-out."),
+		rejected: reg.Counter("vab_gateway_readings_rejected_total",
+			"Readings Publish refused because the wire cannot encode them (non-finite or out-of-range fields)."),
 		heartbeats: reg.Counter("vab_gateway_heartbeats_total",
 			"Heartbeat frames sent to idle subscribers."),
 		slowDrops: reg.Counter("vab_gateway_slow_subscriber_drops_total",
 			"Subscribers disconnected because their send queue filled."),
 		writeErrors: reg.Counter("vab_gateway_write_errors_total",
 			"Socket write failures (subscriber lost mid-frame)."),
-		upgrades: reg.Counter("vab_gateway_protocol_upgrades_total",
-			"Subscribers that negotiated the v2 batched stream."),
 		batches: reg.Counter("vab_gateway_reading_batches_total",
-			"Batch frames encoded for v2 and resumed subscribers."),
+			"Batch frames encoded by broadcast flushes."),
 		hbDrops: reg.Counter("vab_gateway_dead_peer_drops_total",
 			"Subscribers dropped because heartbeat pongs stopped."),
 		resumes: reg.Counter("vab_gateway_resumes_total",

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 )
 
@@ -34,12 +33,29 @@ const (
 // MsgType discriminates wire messages.
 type MsgType byte
 
-// Message types.
+// Message types. 0x01 (per-reading frames) and 0x04 (unsequenced batches)
+// belong to retired data formats and are never reused.
 const (
-	MsgReading   MsgType = 0x01 // sensor reading, gateway → client
-	MsgHeartbeat MsgType = 0x02 // liveness, gateway → client
-	MsgHello     MsgType = 0x03 // version/handshake, gateway → client
+	MsgHeartbeat MsgType = 0x02 // liveness probe, gateway → client
+	MsgHello     MsgType = 0x03 // protocol version, both directions
+	// MsgPong answers a gateway heartbeat (client → gateway); a subscriber
+	// whose pongs stop is dropped as a dead peer.
+	MsgPong MsgType = 0x05
+	// MsgResume requests gap replay (client → gateway).
+	MsgResume MsgType = 0x06
+	// MsgResumeAck acknowledges a resume with the replay window bounds.
+	MsgResumeAck MsgType = 0x07
+	// MsgSeqBatch carries a block of sequenced readings (gateway → client):
+	// the only data frame.
+	MsgSeqBatch MsgType = 0x08
+	// MsgGoodbye announces a graceful server shutdown: the stream ends
+	// after this frame, and reconnecting is the right response.
+	MsgGoodbye MsgType = 0x09
 )
+
+// ProtocolV2 is the protocol version both hellos carry. It is the only
+// one: a peer announcing anything else is not a gateway.
+const ProtocolV2 = 2
 
 // Reading is one decoded sensor sample with link metadata.
 type Reading struct {
@@ -51,14 +67,6 @@ type Reading struct {
 	SNRdB        float64
 	Time         time.Time
 }
-
-// readingWireSize is the fixed encoding size of a Reading payload.
-const readingWireSize = 1 + 1 + 4 + 8 + 8 + 8 + 8
-
-// V1FrameBytesPerReading is the total v1 wire cost of one reading —
-// frame header plus the fixed payload — the baseline the v2 batched
-// format is measured against.
-const V1FrameBytesPerReading = frameHeaderSize + readingWireSize
 
 // Errors.
 var (
@@ -124,36 +132,4 @@ func ReadFrameBuf(r io.Reader, buf []byte) (MsgType, []byte, error) {
 		return 0, buf, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
 	return t, payload, nil
-}
-
-// AppendReading appends the v1 fixed-layout reading payload to dst.
-func AppendReading(dst []byte, rd Reading) []byte {
-	out := append(dst, rd.NodeAddr, rd.Seq)
-	out = binary.BigEndian.AppendUint32(out, rd.Count)
-	out = binary.BigEndian.AppendUint64(out, math.Float64bits(rd.TempC))
-	out = binary.BigEndian.AppendUint64(out, math.Float64bits(rd.PressureMbar))
-	out = binary.BigEndian.AppendUint64(out, math.Float64bits(rd.SNRdB))
-	return binary.BigEndian.AppendUint64(out, uint64(rd.Time.UnixNano()))
-}
-
-// EncodeReading serializes a reading payload (v1 layout).
-func EncodeReading(rd Reading) []byte {
-	return AppendReading(make([]byte, 0, readingWireSize), rd)
-}
-
-// DecodeReading parses a reading payload.
-func DecodeReading(p []byte) (Reading, error) {
-	if len(p) != readingWireSize {
-		return Reading{}, fmt.Errorf("%w: reading payload %d bytes, want %d", ErrTruncated, len(p), readingWireSize)
-	}
-	rd := Reading{
-		NodeAddr: p[0],
-		Seq:      p[1],
-		Count:    binary.BigEndian.Uint32(p[2:6]),
-	}
-	rd.TempC = math.Float64frombits(binary.BigEndian.Uint64(p[6:14]))
-	rd.PressureMbar = math.Float64frombits(binary.BigEndian.Uint64(p[14:22]))
-	rd.SNRdB = math.Float64frombits(binary.BigEndian.Uint64(p[22:30]))
-	rd.Time = time.Unix(0, int64(binary.BigEndian.Uint64(p[30:38]))).UTC()
-	return rd, nil
 }

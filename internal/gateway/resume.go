@@ -9,45 +9,27 @@ import (
 // missed instead of silently losing them.
 //
 // The server numbers every published reading with a stream sequence
-// (uint64, starting at 1) and keeps the most recent readings in a replay
-// ring. A v2 client that wants recovery sends a MsgResume frame carrying
-// the last stream sequence it saw (0 on a fresh session); the server
-// answers with MsgResumeAck and switches that subscriber to sequenced
-// MsgSeqBatch frames — the v2 batch block prefixed with the first
-// reading's stream sequence, consecutive within the frame. The ack names
-// the first sequence that will actually be delivered, so the client knows
-// exactly which readings (if any) aged out of the ring and are gone:
+// (uint64, starting at 1), ships it in MsgSeqBatch frames, and keeps the
+// most recent readings in a replay ring. A client that wants recovery
+// sends a MsgResume frame carrying the last stream sequence it saw (0 on
+// a fresh session); the server answers with MsgResumeAck and replays the
+// gap. The ack names the first sequence that will actually be delivered,
+// so the client knows exactly which readings (if any) aged out of the
+// ring and are gone:
 //
 //	MsgResume    (client → gateway): uvarint lastSeq
 //	MsgResumeAck (gateway → client): uvarint replayFrom · uvarint liveNext
-//	MsgSeqBatch  (gateway → client): uvarint firstSeq · batch block
 //
 // replayFrom > lastSeq+1 means the gap [lastSeq+1, replayFrom) is
 // unrecoverable (the ring aged it out) and the session continues
-// live-only from replayFrom. Servers that predate resume simply ignore
-// the MsgResume frame, and the client falls back to the plain v2 stream.
+// live-only from replayFrom.
 //
 // Interleaving contract: the server composes the ack and the replay
-// under the broadcast lock, so replayed sequences are enqueued strictly
-// before any live flush that follows — a resumed subscriber observes one
-// gap-free, strictly increasing sequence.
-
-// Additional message types (protocol v2 extension; unknown to v1 peers,
-// which never see them, and ignored by pre-resume v2 servers).
-const (
-	// MsgPong answers a gateway heartbeat (client → gateway). A subscriber
-	// that pongs is liveness-tracked: the gateway drops it when pongs stop.
-	MsgPong MsgType = 0x05
-	// MsgResume requests sequenced delivery with gap replay.
-	MsgResume MsgType = 0x06
-	// MsgResumeAck acknowledges a resume with the replay window bounds.
-	MsgResumeAck MsgType = 0x07
-	// MsgSeqBatch is a sequence-prefixed reading batch.
-	MsgSeqBatch MsgType = 0x08
-	// MsgGoodbye announces a graceful server shutdown: the stream ends
-	// after this frame, and reconnecting is the right response.
-	MsgGoodbye MsgType = 0x09
-)
+// under the sequence lock and routes them through the subscriber's shard
+// queue, so they land strictly after every flush the replay covers and
+// strictly before any flush that follows. The client drops data frames
+// until the ack (the replay re-sends them), and a resumed subscriber
+// observes one gap-free, strictly increasing sequence.
 
 // ErrBadResume reports a malformed resume-family payload.
 var ErrBadResume = fmt.Errorf("gateway: malformed resume frame")
@@ -88,52 +70,12 @@ func DecodeResumeAck(p []byte) (replayFrom, liveNext uint64, err error) {
 	return replayFrom, liveNext, nil
 }
 
-// AppendSeqBatch appends a MsgSeqBatch payload: the first reading's
-// stream sequence followed by the v2 batch block. Readings in the frame
-// carry consecutive sequences firstSeq, firstSeq+1, … It returns
-// ErrOversize when the whole payload would exceed MaxPayloadSize — split
-// the batch and retry, like AppendReadingBatch.
-func AppendSeqBatch(dst []byte, firstSeq uint64, rds []Reading) ([]byte, error) {
-	if firstSeq == 0 {
-		return dst, fmt.Errorf("gateway: sequence numbering starts at 1")
-	}
-	mark := len(dst)
-	out := binary.AppendUvarint(dst, firstSeq)
-	out, err := AppendReadingBatch(out, rds)
-	if err != nil {
-		return dst, err
-	}
-	if len(out)-mark > MaxPayloadSize {
-		return dst, ErrOversize
-	}
-	return out, nil
-}
-
-// DecodeSeqBatchInto parses a MsgSeqBatch payload, appending the readings
-// to dst and returning the first reading's stream sequence.
-func DecodeSeqBatchInto(dst []Reading, p []byte) ([]Reading, uint64, error) {
-	if len(p) > MaxPayloadSize {
-		// Like DecodeReadingBatchInto: never admit a payload the
-		// (canonical) encoder could not have framed.
-		return dst, 0, ErrBadResume
-	}
-	firstSeq, n := binary.Uvarint(p)
-	if n <= 0 || firstSeq == 0 {
-		return dst, 0, ErrBadResume
-	}
-	out, err := DecodeReadingBatchInto(dst, p[n:])
-	if err != nil {
-		return dst, 0, err
-	}
-	return out, firstSeq, nil
-}
-
 // ReplayRing holds the most recent published readings, indexed by their
 // stream sequence, so a resuming subscriber can recover its gap. Appends
 // must be contiguous (each seq one past the previous); the server's
 // publish path guarantees that by construction. The zero-size ring keeps
 // nothing. Not safe for concurrent use — the server guards it with its
-// broadcast lock.
+// sequence lock.
 type ReplayRing struct {
 	buf  []Reading
 	next uint64 // the sequence the next Append must carry

@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"vab/internal/netmem"
 )
 
 // seqReading tags a reading with its publish index so content checks can
@@ -13,7 +15,6 @@ import (
 func seqReading(i uint64) Reading {
 	rd := testReading()
 	rd.Count = uint32(i)
-	rd.PressureMbar = 1294 // whole mbar: survives the v2 quantization grid
 	rd.Time = time.Unix(0, 1700000000000000000+int64(i)).UTC()
 	return rd
 }
@@ -124,7 +125,6 @@ func TestResumeRecoversGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitForSequenced(t, srv)
 	publishUpTo(&published, 5)
 	var lastSeq uint64
 	for i := 0; i < 5; i++ {
@@ -205,9 +205,74 @@ func TestResumeAgedOutGap(t *testing.T) {
 	}
 }
 
-// TestHeartbeatDeadPeerEviction: a subscriber that proved it pongs and
-// then goes silent is dropped after miss periods; a v1 subscriber that
-// never ponged is left alone.
+// TestResumeIgnoresEarlyHeartbeat: heartbeats that reach a resuming
+// client before its ack must not lift the pre-ack suppression. The
+// client's resume request is held back while readings and heartbeats
+// flow; the readings then arrive twice on the wire — live before the
+// ack, replayed after it — and the client must deliver each once.
+func TestResumeIgnoresEarlyHeartbeat(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ln := netmem.Listen("early-heartbeat", 0)
+	srv := NewServerListener(ctx, ln, t.Logf)
+	defer srv.Close()
+	srv.SetHeartbeatPolicy(5*time.Millisecond, 200)
+
+	conn, err := ln.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type dialed struct {
+		c   *Client
+		err error
+	}
+	done := make(chan dialed, 1)
+	go func() {
+		c, err := NewClientConn(&slowSecondWrite{Conn: conn, delay: 100 * time.Millisecond}, WithResume(0))
+		done <- dialed{c, err}
+	}()
+	waitForSubscribers(t, srv, 1)
+	time.Sleep(20 * time.Millisecond) // heartbeats queue up ahead of the data
+	for i := uint64(1); i <= 5; i++ {
+		srv.Publish(seqReading(i))
+	}
+	d := <-done
+	if d.err != nil {
+		t.Fatal(d.err)
+	}
+	defer d.c.Close()
+	for want := uint64(1); want <= 5; want++ {
+		rd, err := d.c.Next(time.Now().Add(2 * time.Second))
+		if err != nil {
+			t.Fatalf("next (want %d): %v", want, err)
+		}
+		if got := d.c.LastSeq(); got != want || uint64(rd.Count) != want {
+			t.Fatalf("seq %d (count %d), want %d", got, rd.Count, want)
+		}
+	}
+	if rd, err := d.c.Next(time.Now().Add(200 * time.Millisecond)); err == nil {
+		t.Fatalf("reading %d (seq %d) delivered twice", rd.Count, d.c.LastSeq())
+	}
+}
+
+// slowSecondWrite delays the second Write on a conn — for a resuming
+// client, the MsgResume that follows its hello.
+type slowSecondWrite struct {
+	net.Conn
+	delay  time.Duration
+	writes int
+}
+
+func (c *slowSecondWrite) Write(b []byte) (int, error) {
+	c.writes++
+	if c.writes == 2 {
+		time.Sleep(c.delay)
+	}
+	return c.Conn.Write(b)
+}
+
+// TestHeartbeatDeadPeerEviction: a subscriber that goes silent is
+// dropped after miss periods, while a client answering heartbeats stays.
 func TestHeartbeatDeadPeerEviction(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -218,24 +283,29 @@ func TestHeartbeatDeadPeerEviction(t *testing.T) {
 	defer srv.Close()
 	srv.SetHeartbeatPolicy(30*time.Millisecond, 2)
 
-	// v1 bystander: never sends anything, must survive.
-	v1, err := net.Dial("tcp", addr(srv))
+	// Live client: keeps reading, so it pongs every heartbeat.
+	live, err := Dial(ctx, addr(srv))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v1.Close()
-	go drainConn(v1)
+	defer live.Close()
+	go func() {
+		for {
+			if _, err := live.Next(time.Time{}); err != nil {
+				return
+			}
+		}
+	}()
 
-	// Dead peer: upgrades to v2 (making it pong-tracked), then goes
-	// silent while still draining the socket so writes never block.
+	// Dead peer: says hello, then goes silent while still draining the
+	// socket so writes never block.
 	dead, err := net.Dial("tcp", addr(srv))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dead.Close()
 	go drainConn(dead)
-	hello, _ := EncodeFrame(MsgHello, []byte{ProtocolV2})
-	if _, err := dead.Write(hello); err != nil {
+	if _, err := dead.Write(helloFrame); err != nil {
 		t.Fatal(err)
 	}
 
@@ -247,14 +317,14 @@ func TestHeartbeatDeadPeerEviction(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// Give the reaper a few more periods: the v1 subscriber must remain.
+	// Give the reaper a few more periods: the live client must remain.
 	time.Sleep(150 * time.Millisecond)
 	if srv.Subscribers() != 1 {
-		t.Fatalf("v1 subscriber evicted without ever ponging")
+		t.Fatalf("ponging client evicted")
 	}
 }
 
-// TestClientPongsKeepSessionAlive: a live v2 client that keeps calling
+// TestClientPongsKeepSessionAlive: a live client that keeps calling
 // Next answers heartbeats and survives many miss windows.
 func TestClientPongsKeepSessionAlive(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -266,7 +336,7 @@ func TestClientPongsKeepSessionAlive(t *testing.T) {
 	defer srv.Close()
 	srv.SetHeartbeatPolicy(20*time.Millisecond, 2)
 
-	c, err := Dial(ctx, addr(srv), WithBatching())
+	c, err := Dial(ctx, addr(srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,12 +370,11 @@ func TestGracefulDrainGoodbye(t *testing.T) {
 	}
 	srv.SetBatching(64, time.Hour) // park readings in the pending batch
 
-	c, err := Dial(ctx, addr(srv), WithResume(0))
+	c, err := Dial(ctx, addr(srv))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	waitForSequenced(t, srv)
 	for i := uint64(1); i <= 5; i++ {
 		srv.Publish(seqReading(i))
 	}
@@ -347,25 +416,6 @@ func drainConn(c net.Conn) {
 		if _, err := c.Read(buf); err != nil {
 			return
 		}
-	}
-}
-
-// waitForSequenced blocks until the server has processed a MsgResume
-// (some subscriber switched to sequenced delivery).
-func waitForSequenced(t *testing.T, s *Server) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		// cntSeq moves under the sequence lock when MsgResume is
-		// processed — once it is nonzero, the replay entry is queued
-		// ahead of any flush published after this point.
-		if s.cntSeq.Load() > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no subscriber switched to sequenced delivery")
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 

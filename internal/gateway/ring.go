@@ -3,10 +3,9 @@ package gateway
 import "sync"
 
 // ringEntry is one unit of outbound work for a subscriber's writer
-// goroutine: the frames to write (aliasing a shared broadcast arena, or
-// privately owned for control traffic like resume replays and goodbyes)
-// and the arena reference to release once written (nil for control
-// entries).
+// goroutine: the frames to write (aliasing a broadcast arena, or the
+// pre-encoded constant frames of heartbeats and goodbyes) and the arena
+// reference to release once written (nil for constant frames).
 type ringEntry struct {
 	frames [][]byte
 	b      *broadcast

@@ -21,28 +21,23 @@ import (
 // the replay ring, batch coalescing, frame encoding — lives under one
 // small sequence lock (seqMu) that is never held across per-subscriber
 // work, so Publish costs O(encode) regardless of subscriber count. Each
-// flush encodes its v1/v2/sequenced frame variants exactly once into a
-// refcounted broadcast arena; shard flushers land arena references in
+// flush encodes its MsgSeqBatch frame exactly once into a refcounted
+// broadcast arena; shard flushers land arena references in
 // per-subscriber frame rings, and each subscriber's writer goroutine
 // drains many queued flushes per wakeup through one writev
 // (net.Buffers). Steady-state broadcasts allocate nothing: arenas
 // recycle through a freelist once the last writer releases them.
 //
 // Published readings can be coalesced (SetBatching): the server buffers
-// them and flushes when the batch fills or a deadline expires. At flush,
-// v1 subscribers receive one MsgReading frame per reading — exactly the
-// original stream, just bursty — while subscribers that negotiated
-// protocol v2 (by sending a Hello frame back) receive one
-// MsgReadingBatch frame per flush, cutting wire bytes per reading
-// several-fold.
+// them and flushes when the batch fills or a deadline expires; without
+// coalescing every reading goes out as a batch of one.
 //
 // Resilience (see resume.go and DESIGN.md "Gateway resilience contract"):
 // every reading gets a stream sequence and enters a replay ring, so a
-// subscriber that sent MsgResume recovers its reconnect gap as sequenced
-// MsgSeqBatch frames; heartbeats double as dead-peer probes (subscribers
-// that have ponged once are dropped when pongs stop); Close drains
-// gracefully — flush, MsgGoodbye, bounded writes — instead of snapping
-// every socket mid-frame.
+// subscriber that sent MsgResume recovers its reconnect gap; heartbeats
+// double as dead-peer probes (subscribers are dropped when pongs stop);
+// Close drains gracefully — flush, MsgGoodbye, bounded writes — instead
+// of snapping every socket mid-frame.
 type Server struct {
 	ln   net.Listener
 	logf func(format string, args ...interface{})
@@ -52,21 +47,16 @@ type Server struct {
 	shards   []*shard
 	shardIdx int // round-robin registration cursor, under seqMu
 
-	// Live-census atomics: subscriber count and per-variant counts (how
-	// many v1 / v2 / sequenced subscribers exist right now). The flush
-	// path reads them to decide which frame variants to encode without
-	// touching any shard lock.
+	// subCount is the live subscriber count; the flush path reads it to
+	// skip encoding when nobody listens, without touching a shard lock.
 	subCount atomic.Int64
-	cntV1    atomic.Int64
-	cntV2    atomic.Int64
-	cntSeq   atomic.Int64
 
 	closed bool // under seqMu
 	wg     sync.WaitGroup
 
 	// Heartbeat policy: period between MsgHeartbeat frames per
-	// subscriber, and how many periods of inbound silence a pong-capable
-	// subscriber survives before it is declared dead. Guarded by seqMu.
+	// subscriber, and how many periods of inbound silence a subscriber
+	// survives before it is declared dead. Guarded by seqMu.
 	hbPeriod time.Duration
 	hbMiss   int
 
@@ -95,8 +85,7 @@ type Server struct {
 	pending    []Reading
 	flushTimer *time.Timer
 	timerArmed bool
-	v1Payload  []byte    // scratch for one v1 reading payload
-	v2Payload  []byte    // scratch for one batch payload
+	payload    []byte    // scratch for one batch payload
 	replayBuf  []Reading // scratch for ring replays
 
 	// freeBcast recycles broadcast arenas (see broadcast.go).
@@ -107,22 +96,6 @@ type Server struct {
 	metrics metricsPtr
 }
 
-// subscriber delivery classes, in fan-out selection order.
-const (
-	classV1 uint32 = iota + 1
-	classV2
-	classSeq
-)
-
-// subscriber countState values: which variant census bucket the
-// subscriber currently occupies (exactly one, until removal zeroes it).
-const (
-	subGone int32 = iota
-	subV1
-	subV2
-	subSeq
-)
-
 type subscriber struct {
 	conn  net.Conn
 	ring  *frameRing
@@ -131,20 +104,8 @@ type subscriber struct {
 	// isTCP selects the writev fast path; other conns (netfaults
 	// wrappers, in-memory transports) get one coalesced Write instead.
 	isTCP bool
-	// class is the delivery variant the fan-out path selects by: v1
-	// until the client's Hello upgrades it to v2, and sequenced from the
-	// moment the shard flusher lands the subscriber's resume entry. One
-	// atomic, because fan-out reads it for every subscriber on every
-	// flush.
-	class atomic.Uint32
-	// pongable flips on the first inbound pong/hello: only subscribers
-	// that have proven they answer are liveness-judged by silence.
-	pongable atomic.Bool
 	// lastSeen is the UnixNano of the last inbound frame.
 	lastSeen atomic.Int64
-	// countState tracks which census bucket (subV1/subV2/subSeq) this
-	// subscriber is counted in; removal swaps in subGone exactly once.
-	countState atomic.Int32
 	// bw is conn's writev-style batch interface when it has one (netmem
 	// conns); resolved once at registration.
 	bw buffersWriter
@@ -187,7 +148,7 @@ const (
 	// DefaultHeartbeat is the per-subscriber heartbeat period.
 	DefaultHeartbeat = 5 * time.Second
 	// DefaultHeartbeatMiss is how many silent heartbeat periods a
-	// pong-capable subscriber survives.
+	// subscriber survives.
 	DefaultHeartbeatMiss = 3
 	// DefaultReplayWindow is the replay ring size (readings).
 	DefaultReplayWindow = 1024
@@ -198,7 +159,7 @@ const (
 // Pre-encoded constant frames: these never vary, so encoding them per
 // subscriber per tick was pure waste on the hot path.
 var (
-	helloFrame      = mustFrame(MsgHello, []byte{ProtocolV1})
+	helloFrame      = mustFrame(MsgHello, []byte{ProtocolV2})
 	heartbeatFrame  = mustFrame(MsgHeartbeat, nil)
 	heartbeatFrames = [][]byte{heartbeatFrame}
 	goodbyeFrame    = mustFrame(MsgGoodbye, nil)
@@ -255,10 +216,10 @@ func NewServerListener(ctx context.Context, ln net.Listener, logf func(string, .
 
 // heartbeatLoop paces the liveness sweep: every heartbeat period it
 // queues one sweep entry per shard, and the shard flushers push the
-// pre-encoded MsgHeartbeat frame into idle rings and evict pong-capable
-// subscribers that went silent. Centralizing this removes the per-
-// subscriber ticker and the two-way select from the writer hot loop —
-// at 100k sessions those were a measurable share of every wakeup.
+// pre-encoded MsgHeartbeat frame into idle rings and evict subscribers
+// that went silent. Centralizing this removes the per-subscriber ticker
+// and the two-way select from the writer hot loop — at 100k sessions
+// those were a measurable share of every wakeup.
 func (s *Server) heartbeatLoop() {
 	defer s.wg.Done()
 	for {
@@ -368,8 +329,6 @@ func (s *Server) register(conn net.Conn) bool {
 	}
 	_, sub.isTCP = conn.(*net.TCPConn)
 	sub.bw, _ = conn.(buffersWriter)
-	sub.class.Store(classV1)
-	sub.countState.Store(subV1)
 	sub.lastSeen.Store(time.Now().UnixNano())
 
 	sh.mu.Lock()
@@ -379,7 +338,6 @@ func (s *Server) register(conn net.Conn) bool {
 		return false
 	}
 	sh.subs[sub] = struct{}{}
-	s.cntV1.Add(1)
 	// The serve/readLoop goroutines join the WaitGroup before the shard
 	// lock is released: Close's wg.Wait cannot slip between registration
 	// and wg.Add and leak a goroutine (the shard flushers keep the
@@ -397,12 +355,10 @@ func (s *Server) register(conn net.Conn) bool {
 	return true
 }
 
-// readLoop drains frames the subscriber sends upstream. v1 clients send
-// nothing — the loop just waits for the connection to close. A Hello
-// frame carrying a protocol version upgrades the subscriber (the v2
-// negotiation); MsgPong refreshes liveness; MsgResume switches the
-// subscriber to sequenced delivery and replays its gap. Everything else
-// is ignored for forward compatibility.
+// readLoop drains frames the subscriber sends upstream. Every frame
+// refreshes liveness (the client's Hello and its pongs); MsgResume also
+// replays the subscriber's gap. Everything else is ignored for forward
+// compatibility.
 func (s *Server) readLoop(sub *subscriber) {
 	defer s.wg.Done()
 	var buf []byte
@@ -419,25 +375,10 @@ func (s *Server) readLoop(sub *subscriber) {
 			buf = payload[:0]
 		}
 		sub.lastSeen.Store(time.Now().UnixNano())
-		switch t {
-		case MsgHello:
-			if len(payload) == 1 && payload[0] >= ProtocolV2 {
-				if sub.countState.CompareAndSwap(subV1, subV2) {
-					s.cntV1.Add(-1)
-					s.cntV2.Add(1)
-				}
-				sub.class.CompareAndSwap(classV1, classV2)
-				sub.pongable.Store(true)
-				s.met().upgrades.Inc()
+		if t == MsgResume {
+			if lastSeq, err := DecodeResume(payload); err == nil {
+				s.handleResume(sub, lastSeq)
 			}
-		case MsgPong:
-			sub.pongable.Store(true)
-		case MsgResume:
-			lastSeq, err := DecodeResume(payload)
-			if err != nil {
-				continue
-			}
-			s.handleResume(sub, lastSeq)
 		}
 	}
 }
@@ -453,26 +394,6 @@ func (s *Server) handleResume(sub *subscriber, lastSeq uint64) {
 	if s.closed {
 		return
 	}
-	// Move the subscriber to the sequenced census bucket; a subscriber
-	// already removed (subGone) gets nothing.
-	switch {
-	case sub.countState.CompareAndSwap(subV2, subSeq):
-		s.cntV2.Add(-1)
-		s.cntSeq.Add(1)
-	case sub.countState.CompareAndSwap(subV1, subSeq):
-		s.cntV1.Add(-1)
-		s.cntSeq.Add(1)
-	case sub.countState.Load() == subSeq:
-		// Repeated resume on a live session: recompute the replay below.
-	default:
-		return
-	}
-	sub.class.CompareAndSwap(classV1, classV2)
-	sub.pongable.Store(true)
-	// sub.class flips to classSeq when the shard flusher lands the
-	// entry, which keeps the v2→seq delivery switch FIFO with
-	// surrounding flushes.
-
 	// Replay covers everything up to (not including) the pending batch:
 	// pending readings reach this subscriber through the ordinary flush,
 	// already sequenced, so replaying them too would duplicate.
@@ -497,16 +418,15 @@ func (s *Server) handleResume(sub *subscriber, lastSeq uint64) {
 	if firstSeq > 0 {
 		replayFrom = firstSeq
 	}
-	ack := AppendResumeAck(nil, replayFrom, replayEnd)
-	frame, err := EncodeFrame(MsgResumeAck, ack)
-	if err != nil {
-		return
-	}
-	frames := [][]byte{frame}
+	b := s.getBroadcast()
+	s.payload = AppendResumeAck(s.payload[:0], replayFrom, replayEnd)
+	b.appendFrame(MsgResumeAck, s.payload) // a few bytes: cannot exceed the bound
 	if len(s.replayBuf) > 0 {
-		frames = appendSeqBatchFramesAlloc(frames, s.replayBuf, firstSeq, s.logf)
+		s.encodeSeqFrames(b, s.replayBuf, firstSeq)
 	}
-	sub.shard.enqueue(shardEntry{kind: entryResume, sub: sub, frames: frames})
+	b.seal()
+	b.refs.Store(1) // handed to the subscriber's ring by the flusher
+	sub.shard.enqueue(shardEntry{kind: entryResume, sub: sub, b: b})
 	m := s.met()
 	m.resumes.Inc()
 	m.replayed.Add(int64(len(s.replayBuf)))
@@ -649,7 +569,7 @@ func (s *Server) SetHeartbeat(d time.Duration) {
 }
 
 // SetHeartbeatPolicy sets both the heartbeat period and the number of
-// silent periods after which a pong-capable subscriber is declared dead.
+// silent periods after which a subscriber is declared dead.
 // Applies to subscribers that connect afterwards.
 func (s *Server) SetHeartbeatPolicy(period time.Duration, miss int) {
 	s.seqMu.Lock()
@@ -716,11 +636,20 @@ func (s *Server) SetBatching(max int, flushAfter time.Duration) {
 // to SetBatching. The reading is assigned the next stream sequence and
 // retained in the replay ring. Subscribers whose rings are full are
 // disconnected. Publish never blocks on subscriber I/O.
-func (s *Server) Publish(rd Reading) {
+//
+// A reading the wire cannot carry (a non-finite field, or one outside
+// the quantization range) is rejected with an error before it takes a
+// sequence number, so it costs its batch-mates nothing and subscribers
+// see no gap. Publishing after Close is a no-op.
+func (s *Server) Publish(rd Reading) error {
+	if _, _, _, err := quantizeReading(rd); err != nil {
+		s.met().rejected.Inc()
+		return err
+	}
 	s.seqMu.Lock()
 	if s.closed {
 		s.seqMu.Unlock()
-		return
+		return nil
 	}
 	if len(s.pending) == 0 {
 		s.pendingFirst = s.nextSeq
@@ -743,6 +672,7 @@ func (s *Server) Publish(rd Reading) {
 		s.timerArmed = true
 	}
 	s.seqMu.Unlock()
+	return nil
 }
 
 // NextSeq returns the stream sequence the next published reading will
@@ -768,10 +698,10 @@ func (s *Server) deadlineFlush() {
 	s.seqMu.Unlock()
 }
 
-// flushLocked encodes the pending readings once — only the variants the
-// live census needs — and hands the broadcast arena to every shard
-// flusher. Per-subscriber work (ring pushes, evictions, socket writes)
-// happens downstream, off this lock. Callers hold seqMu.
+// flushLocked encodes the pending readings once, when anyone listens,
+// and hands the broadcast arena to every shard flusher. Per-subscriber
+// work (ring pushes, evictions, socket writes) happens downstream, off
+// this lock. Callers hold seqMu.
 func (s *Server) flushLocked() {
 	if s.timerArmed {
 		s.flushTimer.Stop()
@@ -780,21 +710,16 @@ func (s *Server) flushLocked() {
 	if len(s.pending) == 0 {
 		return
 	}
-	needV1 := s.cntV1.Load() > 0
-	needV2 := s.cntV2.Load() > 0
-	needSeq := s.cntSeq.Load() > 0
 	m := s.met()
-	if needV1 || needV2 || needSeq {
+	if s.subCount.Load() > 0 {
 		b := s.getBroadcast()
-		nBatch := s.encodeBroadcast(b, needV1, needV2, needSeq)
+		m.batches.Add(int64(s.encodeSeqFrames(b, s.pending, s.pendingFirst)))
+		b.seal()
 		// One reference per shard; flushers add one per subscriber ring
 		// they land the arena in, then drop their own.
 		b.refs.Store(int64(len(s.shards)))
 		for _, sh := range s.shards {
 			sh.enqueue(shardEntry{kind: entryBroadcast, b: b})
-		}
-		if nBatch > 0 {
-			m.batches.Add(int64(nBatch))
 		}
 	}
 	m.readings.Add(int64(len(s.pending)))

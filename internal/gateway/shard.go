@@ -12,27 +12,26 @@ const (
 	// entryBroadcast fans a shared broadcast arena out to every
 	// subscriber on the shard.
 	entryBroadcast shardEntryKind = iota
-	// entryResume delivers a resume ack + replay to one subscriber and
-	// flips it to sequenced delivery. Routed through the shard queue so
-	// the replay composes strictly before any later live flush: both are
-	// enqueued under seqMu, and the flusher processes FIFO.
+	// entryResume delivers a resume ack + replay to one subscriber.
+	// Routed through the shard queue so the replay composes strictly
+	// before any later live flush: both are enqueued under seqMu, and the
+	// flusher processes FIFO.
 	entryResume
 	// entryShutdown seals every ring on the shard (goodbye first) and
 	// marks the shard dead. Always the last entry a queue carries.
 	entryShutdown
 	// entryHeartbeat sweeps the shard once per heartbeat period: queue a
-	// pre-encoded MsgHeartbeat in every ring and evict peers that proved
-	// pongable and then went silent. Centralising this here keeps the
-	// per-subscriber writer loop free of tickers and selects.
+	// pre-encoded MsgHeartbeat in every ring and evict peers that went
+	// silent. Centralising this here keeps the per-subscriber writer loop
+	// free of tickers and selects.
 	entryHeartbeat
 )
 
 // shardEntry is one queued unit of flusher work.
 type shardEntry struct {
 	kind    shardEntryKind
-	b       *broadcast    // entryBroadcast
+	b       *broadcast    // entryBroadcast; entryResume: ack + replay (one reference)
 	sub     *subscriber   // entryResume
-	frames  [][]byte      // entryResume: ack + replay frames (privately owned)
 	silence time.Duration // entryHeartbeat: dead-peer threshold (miss × period)
 }
 
@@ -128,7 +127,7 @@ func (sh *shard) run() {
 func (sh *shard) process(e *shardEntry) {
 	switch e.kind {
 	case entryResume:
-		sh.deliverResume(e.sub, e.frames)
+		sh.deliverResume(e.sub, e.b)
 	case entryShutdown:
 		sh.shutdown()
 	case entryHeartbeat:
@@ -145,36 +144,13 @@ func (sh *shard) fanOut(bs []*broadcast) {
 	sh.mu.Lock()
 	for sub := range sh.subs {
 		entries = entries[:0]
-		class := sub.class.Load()
 		for _, b := range bs {
-			var frames [][]byte
-			switch class {
-			case classSeq:
-				frames = b.seq
-			case classV2:
-				frames = b.v2
-				if len(frames) == 0 {
-					frames = b.v1 // upgraded after the variant census: v1 burst is still correct v2 wire
-				}
-			default:
-				frames = b.v1
-			}
-			if len(frames) == 0 {
-				// The subscriber changed class after the flush's variant
-				// census and its variant was not encoded. Skipping this
-				// broadcast matches the old behaviour for a subscriber
-				// that registered after the flush started.
-				continue
-			}
 			// Take the subscriber's reference before the push makes the
 			// entry visible: the writer may pop and release it
 			// immediately, and an increment after the fact would race
 			// the count to zero mid-fan-out.
 			b.refs.Add(1)
-			entries = append(entries, ringEntry{frames: frames, b: b})
-		}
-		if len(entries) == 0 {
-			continue
+			entries = append(entries, ringEntry{frames: b.frames, b: b})
 		}
 		ok, wasEmpty := sub.ring.pushN(entries)
 		if !ok {
@@ -199,7 +175,7 @@ func (sh *shard) fanOut(bs []*broadcast) {
 }
 
 // heartbeat queues a MsgHeartbeat in every subscriber ring and drops
-// peers that pong but have been silent past the threshold. A full ring
+// peers that have been silent past the threshold. A full ring
 // skips the heartbeat rather than evicting: the pending broadcasts
 // already keep the conn visibly alive, and ring overflow on the
 // broadcast path handles true slowness.
@@ -209,16 +185,14 @@ func (sh *shard) heartbeat(silence time.Duration) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for sub := range sh.subs {
-		if sub.pongable.Load() {
-			if idle := now.Sub(time.Unix(0, sub.lastSeen.Load())); idle > silence {
-				s.met().hbDrops.Inc()
-				s.logf("gateway: dropping dead peer %v (silent %v)", sub.conn.RemoteAddr(), idle.Round(time.Millisecond))
-				sh.removeLocked(sub)
-				sub.ring.discard(s.releaseBroadcast)
-				sub.wakeWriter()
-				sub.conn.Close()
-				continue
-			}
+		if idle := now.Sub(time.Unix(0, sub.lastSeen.Load())); idle > silence {
+			s.met().hbDrops.Inc()
+			s.logf("gateway: dropping dead peer %v (silent %v)", sub.conn.RemoteAddr(), idle.Round(time.Millisecond))
+			sh.removeLocked(sub)
+			sub.ring.discard(s.releaseBroadcast)
+			sub.wakeWriter()
+			sub.conn.Close()
+			continue
 		}
 		if ok, wasEmpty := sub.ring.push(ringEntry{frames: heartbeatFrames}); ok {
 			s.met().heartbeats.Inc()
@@ -229,26 +203,25 @@ func (sh *shard) heartbeat(silence time.Duration) {
 	}
 }
 
-// deliverResume hands the ack+replay frames to one subscriber and flips
-// it to sequenced delivery. Runs on the flusher so it lands in FIFO
-// order with the broadcasts enqueued around it.
-func (sh *shard) deliverResume(sub *subscriber, frames [][]byte) {
+// deliverResume hands the ack+replay arena to one subscriber. Runs on
+// the flusher so it lands in FIFO order with the broadcasts enqueued
+// around it: earlier ring entries carry flushes the replay covers (the
+// client drops those until the ack), later ones carry newer sequences.
+func (sh *shard) deliverResume(sub *subscriber, b *broadcast) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.subs[sub]; !ok {
+		sh.srv.releaseBroadcast(b)
 		return
 	}
-	ok, wasEmpty := sub.ring.push(ringEntry{frames: frames})
+	ok, wasEmpty := sub.ring.push(ringEntry{frames: b.frames, b: b})
 	if !ok {
 		// The replay alone saturated the ring: the subscriber cannot
 		// keep up; evict it like any other slow subscriber.
+		sh.srv.releaseBroadcast(b)
 		sh.evictLocked(sub, "resume overflow")
 		return
 	}
-	// Sequenced delivery starts with the entry just queued: earlier ring
-	// entries carry pre-resume broadcasts (the client suppresses those
-	// until the ack), later flushes see classSeq at fan-out.
-	sub.class.Store(classSeq)
 	if wasEmpty {
 		sub.wakeWriter()
 	}
@@ -270,32 +243,25 @@ func (sh *shard) shutdown() {
 }
 
 // evictLocked removes sub from the shard and tears its session down.
-// Callers hold sh.mu.
+// The drop is counted before the subscriber count falls, so anyone who
+// sees the subscriber gone also sees why. Callers hold sh.mu.
 func (sh *shard) evictLocked(sub *subscriber, why string) {
-	sh.removeLocked(sub)
-	sub.ring.discard(sh.srv.releaseBroadcast)
-	sub.wakeWriter()
-	sub.conn.Close()
 	s := sh.srv
 	s.met().slowDrops.Inc()
+	sh.removeLocked(sub)
+	sub.ring.discard(s.releaseBroadcast)
+	sub.wakeWriter()
+	sub.conn.Close()
 	s.logf("gateway: dropped subscriber %v (%s)", sub.conn.RemoteAddr(), why)
 }
 
-// removeLocked deletes sub from the registry and settles its counters:
-// the variant census and the live-subscriber gauge update here, exactly
-// once, no matter which path (evict, drop, shutdown) removes the sub.
-// Callers hold sh.mu.
+// removeLocked deletes sub from the registry and settles the live-
+// subscriber count and gauge. Every path (evict, drop, shutdown, dead
+// peer) calls it only while sub is registered, under sh.mu, so the count
+// moves exactly once per subscriber. Callers hold sh.mu.
 func (sh *shard) removeLocked(sub *subscriber) {
 	delete(sh.subs, sub)
 	s := sh.srv
-	switch sub.countState.Swap(subGone) {
-	case subV1:
-		s.cntV1.Add(-1)
-	case subV2:
-		s.cntV2.Add(-1)
-	case subSeq:
-		s.cntSeq.Add(-1)
-	}
 	n := s.subCount.Add(-1)
 	s.met().subscribers.Set(float64(n))
 }

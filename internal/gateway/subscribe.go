@@ -42,14 +42,13 @@ func WithBlockingDelivery() SubscribeOption {
 // WithSessionResume carries the stream sequence across reconnects: each
 // re-dial sends MsgResume with the last sequence seen, so the gateway
 // replays the disconnection gap from its ring (when still within the
-// window) instead of the session silently skipping it. Implies the v2
-// protocol; harmless against gateways that predate resume.
+// window) instead of the session silently skipping it.
 func WithSessionResume() SubscribeOption {
 	return func(c *subscribeConfig) { c.resume = true }
 }
 
 // WithDialOptions appends options to every Dial attempt (e.g.
-// WithBatching, WithHandshakeTimeout).
+// WithHandshakeTimeout, WithLocalAddr).
 func WithDialOptions(opts ...DialOption) SubscribeOption {
 	return func(c *subscribeConfig) { c.dialOpts = append(c.dialOpts, opts...) }
 }
