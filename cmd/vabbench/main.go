@@ -425,8 +425,8 @@ func main() {
 			op()
 		}
 	}
-	// The 10k op stays at 4 flushes, well inside one subscriber ring, so
-	// a slow writer never trips slow-subscriber eviction mid-op.
+	// The 10k op stays at 4 flushes, well inside the 64-entry broadcast
+	// log, so a slow writer never trips slow-subscriber eviction mid-op.
 	gatewayFlush1k := mkGatewayFlush(1_000, 8)
 	gatewayFlush10k := mkGatewayFlush(10_000, 4)
 

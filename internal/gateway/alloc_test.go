@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -74,6 +75,33 @@ func TestBatchCodecAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("DecodeSeqBatchInto allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestUpstreamReadAllocs pins the subscriber readLoop's small buffer:
+// pong and resume frames, the largest resume included, read into a
+// buffer of upstreamBufSize without growing it or allocating.
+func TestUpstreamReadAllocs(t *testing.T) {
+	resume, err := EncodeFrame(MsgResume, AppendResume(nil, math.MaxUint64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := append(append([]byte(nil), pongFrame...), resume...)
+	r := bytes.NewReader(stream)
+	buf := make([]byte, 0, upstreamBufSize)
+	if n := testing.AllocsPerRun(200, func() {
+		r.Reset(stream)
+		for _, want := range []MsgType{MsgPong, MsgResume} {
+			typ, payload, err := ReadFrameBuf(r, buf)
+			if err != nil || typ != want {
+				t.Fatalf("read %v: %v, want %v", typ, err, want)
+			}
+			if cap(payload) > cap(buf) {
+				t.Fatalf("%v frame grew the buffer to %d bytes", typ, cap(payload))
+			}
+		}
+	}); n != 0 {
+		t.Errorf("upstream reads allocate %.1f/op, want 0", n)
 	}
 }
 

@@ -3,25 +3,28 @@ package gateway
 import "sync/atomic"
 
 // broadcast is an arena of encoded frames shared by reference across
-// subscriber rings: a flush's MsgSeqBatch frames are encoded exactly once
-// into a single contiguous buffer, and subscribers hold sub-slices of it.
-// Refcounting recycles the arena through the server's freelist once the
-// last writer goroutine has drained it, so steady-state broadcasts
-// allocate nothing. A resume reply (ack plus replay) uses a private
-// arena with a single reference.
+// shard logs: a flush's MsgSeqBatch frames are encoded exactly once into
+// a single contiguous buffer, and writers send sub-slices of it.
+// Refcounting recycles the arena through the server's freelist once no
+// cursor can reach it, so steady-state broadcasts allocate nothing. A
+// resume reply (ack plus replay) uses a private arena with a single
+// reference.
 //
 // Lifecycle: the flush path (under seqMu) takes an arena from the
-// freelist, encodes, sets refs to the shard count, and enqueues it to
-// every shard. Each shard flusher adds one reference per subscriber ring
-// it lands the frames in, then releases its own shard hold; each writer
-// goroutine releases after writing (or on eviction/teardown). The last
-// release returns the arena to the freelist.
+// freelist, encodes, sets refs to the shard count, and appends it to
+// every shard's log. Each shard's wake pass drops its reference once
+// every cursor on the shard is past the arena's position, and the last
+// release returns the arena to the freelist. An arena whose log slot was
+// overwritten before its shard released it is left to the GC.
 type broadcast struct {
 	refs atomic.Int64
 
 	buf    []byte   // all frames, back to back
 	bounds []int    // frame boundaries into buf; bounds[0] == 0
 	frames [][]byte // one sub-slice of buf per frame
+
+	// at is the log position a resume reply is written before.
+	at uint64
 }
 
 // broadcastFreelist bounds how many idle arenas the server retains.
@@ -42,9 +45,10 @@ func (s *Server) getBroadcast() *broadcast {
 }
 
 // releaseBroadcast drops one reference and recycles the arena when it
-// was the last. Safe on nil (control entries carry no arena).
+// was the last. The constant heartbeat and goodbye entries are never
+// recycled.
 func (s *Server) releaseBroadcast(b *broadcast) {
-	if b == nil || b.refs.Add(-1) != 0 {
+	if b == heartbeatEntry || b == goodbyeEntry || b.refs.Add(-1) != 0 {
 		return
 	}
 	select {

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -56,8 +57,8 @@ func (c *nullConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestBroadcastAllocs pins the encode-once flush path at zero
 // allocations per publish in steady state, measured across the whole
-// process — sequence lock, arena encode, shard fan-out, ring push, and
-// the writer goroutines' socket writes all included.
+// process — sequence lock, arena encode, log append, wake pass, and the
+// writer goroutines' socket writes all included.
 func TestBroadcastAllocs(t *testing.T) {
 	ln := netmem.Listen("alloc", 0) // accept blocks: subs register directly
 	s := NewServerListener(context.Background(), ln, func(string, ...interface{}) {})
@@ -97,7 +98,7 @@ func TestBroadcastAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < 64; i++ {
-		op() // warm: scratch buffers, rings, arena freelist all reach steady state
+		op() // warm: scratch buffers and the arena freelist reach steady state
 	}
 	if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
 		t.Fatalf("steady-state broadcast allocated %.2f times per publish, want 0", allocs)
@@ -137,6 +138,125 @@ func TestSubscriberGaugeLive(t *testing.T) {
 		t.Fatalf("gauge after eviction = %g, want 0 (no flush ran since)", g)
 	}
 	conn.Close()
+}
+
+// stuckConn takes the hello, then blocks every later write until Close:
+// a peer that stopped reading.
+type stuckConn struct {
+	*nullConn
+	writes atomic.Int32
+}
+
+func (c *stuckConn) Write(b []byte) (int, error) {
+	if c.writes.Add(1) > 1 {
+		<-c.unread
+		return 0, net.ErrClosed
+	}
+	return c.nullConn.Write(b)
+}
+
+// TestSlowSubscriberEvictedAtLogBound: a subscriber whose conn blocks
+// stays registered while it is at most logSlots flushes behind and is
+// evicted at the next flush, while a subscriber on the same shard that
+// keeps up receives every reading before and after the eviction.
+func TestSlowSubscriberEvictedAtLogBound(t *testing.T) {
+	ln := netmem.Listen("evict", 0)
+	s := NewServerListener(context.Background(), ln, t.Logf)
+	defer s.Close()
+	s.SetShards(1)
+	s.SetHeartbeatPolicy(time.Hour, 3)
+	reg := telemetry.NewRegistry()
+	s.Instrument(reg)
+	drops := reg.Counter("vab_gateway_slow_subscriber_drops_total", "")
+
+	if !s.register(&stuckConn{nullConn: newNullConn()}) {
+		t.Fatal("register refused")
+	}
+	conn, err := ln.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClientConn(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitSubscribers(t, s, 2)
+
+	for i := uint64(1); i <= 2*logSlots; i++ {
+		s.Publish(seqReading(i))
+		rd, err := c.Next(time.Now().Add(5 * time.Second))
+		if err != nil {
+			t.Fatalf("reading %d: %v", i, err)
+		}
+		if c.LastSeq() != i || uint64(rd.Count) != i {
+			t.Fatalf("got seq %d (count %d), want %d", c.LastSeq(), rd.Count, i)
+		}
+		switch {
+		case i <= logSlots:
+			if n := s.Subscribers(); n != 2 || drops.Value() != 0 {
+				t.Fatalf("%d flushes behind: %d subscribers, %d drops; want 2, 0", i, n, drops.Value())
+			}
+		case i == logSlots+1:
+			waitForSubscribers(t, s, 1)
+			if drops.Value() != 1 {
+				t.Fatalf("stuck subscriber left with %d slow drops, want 1", drops.Value())
+			}
+		}
+	}
+}
+
+// TestLappedWriterWritesNoOverwrittenSlot: a writer whose next slot has
+// been overwritten gathers nothing, and a writer racing the appender only
+// ever gathers the frame of the position it asked for.
+func TestLappedWriterWritesNoOverwrittenSlot(t *testing.T) {
+	const n = 20000
+	arenas := make([]*broadcast, n)
+	for p := range arenas {
+		arenas[p] = &broadcast{frames: [][]byte{binary.BigEndian.AppendUint64(nil, uint64(p))}}
+	}
+	sh := newShard(nil)
+	for p := 0; p < logSlots+8; p++ {
+		sh.append(arenas[p])
+	}
+	bufs, last := sh.gather(nil, 0, writerBatch)
+	if last != nil || len(bufs) != 0 {
+		t.Fatalf("lapped gather returned %d frames", len(bufs))
+	}
+	if bufs, last = sh.gather(bufs, 8, logSlots+8); last != arenas[logSlots+7] || len(bufs) != logSlots {
+		t.Fatalf("oldest retained window gathered %d frames", len(bufs))
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for p := logSlots + 8; p < n; p++ {
+			sh.append(arenas[p])
+			if p%16 == 0 {
+				runtime.Gosched()
+			}
+		}
+	}()
+	laps := 0
+	for cur, batches := uint64(0), 0; cur < n; batches++ {
+		end := min(sh.head.Load(), cur+writerBatch)
+		if bufs, last = sh.gather(bufs[:0], cur, end); last == nil && cur < end {
+			laps++
+			cur = sh.head.Load()
+			continue
+		}
+		for i, f := range bufs {
+			if got := binary.BigEndian.Uint64(f); got != cur+uint64(i) {
+				t.Fatalf("position %d gathered the frame of position %d", cur+uint64(i), got)
+			}
+		}
+		cur = end
+		if batches%64 == 0 {
+			time.Sleep(50 * time.Microsecond) // fall behind now and then
+		}
+	}
+	<-done
+	t.Logf("%d laps", laps)
 }
 
 // TestShardChurnResumeSoak races subscribe/evict/resume against sharded

@@ -22,7 +22,12 @@ type gwMetrics struct {
 	hbDrops     *telemetry.Counter // dead peers dropped for missing pongs
 	resumes     *telemetry.Counter // MsgResume sessions accepted
 	replayed    *telemetry.Counter // readings replayed from the ring
+	lag         *telemetry.Histogram
 }
+
+// lagBuckets bounds vab_gateway_subscriber_lag_flushes: log entries
+// behind the head, up to the 64-entry eviction bound.
+var lagBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64}
 
 // noopGW is handed out before Instrument is called: its nil fields make
 // every metric operation a no-op.
@@ -49,7 +54,7 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 		heartbeats: reg.Counter("vab_gateway_heartbeats_total",
 			"Heartbeat frames sent to idle subscribers."),
 		slowDrops: reg.Counter("vab_gateway_slow_subscriber_drops_total",
-			"Subscribers disconnected because their send queue filled."),
+			"Subscribers disconnected because they fell more than 64 broadcast log entries behind."),
 		writeErrors: reg.Counter("vab_gateway_write_errors_total",
 			"Socket write failures (subscriber lost mid-frame)."),
 		batches: reg.Counter("vab_gateway_reading_batches_total",
@@ -60,6 +65,9 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 			"Resume requests accepted (subscriber switched to sequenced delivery)."),
 		replayed: reg.Counter("vab_gateway_readings_replayed_total",
 			"Readings replayed from the ring to resuming subscribers."),
+		lag: reg.Histogram("vab_gateway_subscriber_lag_flushes",
+			"Largest head - cursor over a shard's live subscribers, in broadcast log entries; one observation per wake pass.",
+			lagBuckets),
 	}
 	s.metrics.Store(m)
 	m.subscribers.Set(float64(s.Subscribers()))

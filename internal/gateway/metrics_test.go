@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -160,6 +161,52 @@ func TestMetricsSlowSubscriberDrop(t *testing.T) {
 	}
 	if got := scrape(t, ops.URL, "vab_gateway_subscribers"); got != 0 {
 		t.Errorf("vab_gateway_subscribers = %g, want 0", got)
+	}
+}
+
+// TestSubscriberLagMetric pins vab_gateway_subscriber_lag_flushes: its
+// name, type and bucket bounds, and that wake passes observe into it.
+func TestSubscriberLagMetric(t *testing.T) {
+	s, _ := startServer(t)
+	reg := telemetry.NewRegistry()
+	s.Instrument(reg)
+	ops := httptest.NewServer(telemetry.NewHandler(reg))
+	defer ops.Close()
+	c, err := Dial(context.Background(), s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitSubscribers(t, s, 1)
+	s.Publish(testReading())
+	if _, err := c.Next(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for scrape(t, ops.URL, "vab_gateway_subscriber_lag_flushes_count") < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("no wake pass observed a lag")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	resp, err := http.Get(ops.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^# TYPE vab_gateway_subscriber_lag_flushes histogram$`).Match(body) {
+		t.Error("vab_gateway_subscriber_lag_flushes is not exported as a histogram")
+	}
+	var les []string
+	for _, m := range regexp.MustCompile(`(?m)^vab_gateway_subscriber_lag_flushes_bucket\{le="([^"]+)"\} `).FindAllSubmatch(body, -1) {
+		les = append(les, string(m[1]))
+	}
+	if got, want := strings.Join(les, " "), "0 1 2 4 8 16 32 64 +Inf"; got != want {
+		t.Errorf("lag buckets %q, want %q", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"encoding/binary"
 	"log"
 	"net"
 	"runtime"
@@ -16,17 +17,18 @@ import (
 // loop).
 //
 // Fan-out architecture (see DESIGN.md "Fan-out architecture"): the
-// subscriber registry is split across N independently locked shards,
-// each with its own flusher goroutine. Publish-side state — sequencing,
-// the replay ring, batch coalescing, frame encoding — lives under one
-// small sequence lock (seqMu) that is never held across per-subscriber
-// work, so Publish costs O(encode) regardless of subscriber count. Each
-// flush encodes its MsgSeqBatch frame exactly once into a refcounted
-// broadcast arena; shard flushers land arena references in
-// per-subscriber frame rings, and each subscriber's writer goroutine
-// drains many queued flushes per wakeup through one writev
-// (net.Buffers). Steady-state broadcasts allocate nothing: arenas
-// recycle through a freelist once the last writer releases them.
+// subscriber registry is split across N independently locked shards.
+// Publish-side state — sequencing, the replay ring, batch coalescing,
+// frame encoding — lives under one small sequence lock (seqMu) that is
+// never held across per-subscriber work, so Publish costs O(encode +
+// shards) regardless of subscriber count. Each flush encodes its
+// MsgSeqBatch frame exactly once into a refcounted broadcast arena and
+// appends it to every shard's 64-entry broadcast log; each subscriber's
+// writer goroutine writes the log from its own cursor, many entries per
+// writev (net.Buffers). A per-shard wake goroutine wakes writers that had
+// caught up and evicts those more than 64 entries behind. Steady-state
+// broadcasts allocate nothing: arenas recycle through a freelist once
+// every cursor has passed them.
 //
 // Published readings can be coalesced (SetBatching): the server buffers
 // them and flushes when the batch fills or a deadline expires; without
@@ -98,9 +100,18 @@ type Server struct {
 
 type subscriber struct {
 	conn  net.Conn
-	ring  *frameRing
 	wake  chan struct{} // capacity 1: writer wakeup
 	shard *shard
+	// cursor is the next log position the writer writes; it moves only
+	// after a write returns, so the arenas being written stay pinned.
+	cursor atomic.Uint64
+	// reply is a pending resume reply, written just before log position
+	// reply.at.
+	reply atomic.Pointer[broadcast]
+	// gone ends the writer: the subscriber was dropped, evicted or found
+	// dead. Stored only under shard.mu.
+	gone atomic.Bool
+	idx  int // position in shard.subs, under shard.mu
 	// isTCP selects the writev fast path; other conns (netfaults
 	// wrappers, in-memory transports) get one coalesced Write instead.
 	isTCP bool
@@ -132,9 +143,15 @@ func (sub *subscriber) wakeWriter() {
 	}
 }
 
-// writerBatch is how many ring entries a writer drains per wakeup; all
-// their frames go out in one writev.
+// writerBatch is how many log entries a writer gathers into one write;
+// all their frames go out in one writev.
 const writerBatch = 32
+
+// upstreamBufSize is the initial read buffer of a subscriber's readLoop:
+// a frame header plus the largest resume payload (a 10-byte uvarint).
+// Hello and pong frames are smaller still; a larger frame grows the
+// buffer.
+const upstreamBufSize = frameHeaderSize + binary.MaxVarintLen64
 
 // maxShards bounds SetShards.
 const maxShards = 64
@@ -159,12 +176,10 @@ const (
 // Pre-encoded constant frames: these never vary, so encoding them per
 // subscriber per tick was pure waste on the hot path.
 var (
-	helloFrame      = mustFrame(MsgHello, []byte{ProtocolV2})
-	heartbeatFrame  = mustFrame(MsgHeartbeat, nil)
-	heartbeatFrames = [][]byte{heartbeatFrame}
-	goodbyeFrame    = mustFrame(MsgGoodbye, nil)
-	goodbyeFrames   = [][]byte{goodbyeFrame}
-	pongFrame       = mustFrame(MsgPong, nil)
+	helloFrame     = mustFrame(MsgHello, []byte{ProtocolV2})
+	heartbeatFrame = mustFrame(MsgHeartbeat, nil)
+	goodbyeFrame   = mustFrame(MsgGoodbye, nil)
+	pongFrame      = mustFrame(MsgPong, nil)
 )
 
 func mustFrame(t MsgType, payload []byte) []byte {
@@ -215,11 +230,10 @@ func NewServerListener(ctx context.Context, ln net.Listener, logf func(string, .
 }
 
 // heartbeatLoop paces the liveness sweep: every heartbeat period it
-// queues one sweep entry per shard, and the shard flushers push the
-// pre-encoded MsgHeartbeat frame into idle rings and evict subscribers
-// that went silent. Centralizing this removes the per-subscriber ticker
-// and the two-way select from the writer hot loop — at 100k sessions
-// those were a measurable share of every wakeup.
+// appends the pre-encoded MsgHeartbeat entry to every shard's log, and
+// the shard's next wake pass evicts subscribers that went silent.
+// Centralizing this keeps tickers and selects out of the writer hot loop
+// — at 100k sessions those were a measurable share of every wakeup.
 func (s *Server) heartbeatLoop() {
 	defer s.wg.Done()
 	for {
@@ -236,7 +250,8 @@ func (s *Server) heartbeatLoop() {
 		period := s.hbPeriod
 		silence := time.Duration(s.hbMiss) * period
 		for _, sh := range s.shards {
-			sh.enqueue(shardEntry{kind: entryHeartbeat, silence: silence})
+			sh.sweep.Store(int64(silence))
+			sh.append(heartbeatEntry)
 		}
 		s.hbTimer.Reset(period)
 		s.seqMu.Unlock()
@@ -284,7 +299,8 @@ func (s *Server) SetShards(n int) {
 		return
 	}
 	for _, sh := range s.shards {
-		sh.closeQueue() // empty registries: flushers just exit
+		sh.closing.Store(true) // empty registries: one last pass, then exit
+		sh.kickPass()
 	}
 	s.startShards(n)
 }
@@ -323,7 +339,6 @@ func (s *Server) register(conn net.Conn) bool {
 
 	sub := &subscriber{
 		conn:  conn,
-		ring:  newFrameRing(),
 		wake:  make(chan struct{}, 1),
 		shard: sh,
 	}
@@ -337,12 +352,15 @@ func (s *Server) register(conn net.Conn) bool {
 		conn.Close()
 		return false
 	}
-	sh.subs[sub] = struct{}{}
+	// The stream starts at the log head: a wake pass cannot have released
+	// anything at or past it.
+	sub.cursor.Store(sh.head.Load())
+	sub.idx = len(sh.subs)
+	sh.subs = append(sh.subs, sub)
 	// The serve/readLoop goroutines join the WaitGroup before the shard
-	// lock is released: Close's wg.Wait cannot slip between registration
-	// and wg.Add and leak a goroutine (the shard flushers keep the
-	// counter nonzero until after their shutdown entry runs, which needs
-	// this same lock).
+	// lock is released: Close marks the shard dead under this same lock
+	// before its wg.Wait, so it cannot slip between registration and
+	// wg.Add and leak a goroutine.
 	s.wg.Add(2)
 	sh.mu.Unlock()
 
@@ -361,7 +379,7 @@ func (s *Server) register(conn net.Conn) bool {
 // compatibility.
 func (s *Server) readLoop(sub *subscriber) {
 	defer s.wg.Done()
-	var buf []byte
+	buf := make([]byte, 0, upstreamBufSize)
 	for {
 		t, payload, err := ReadFrameBuf(sub.conn, buf)
 		if err != nil {
@@ -383,11 +401,11 @@ func (s *Server) readLoop(sub *subscriber) {
 	}
 }
 
-// handleResume computes the replay under the sequence lock and routes it
-// through the subscriber's shard queue as a control entry, so the ack
-// and replayed sequences land strictly before any flush enqueued later
-// — the flusher processes its queue FIFO, and every enqueue (this one
-// and all flushes) happens under seqMu.
+// handleResume computes the replay under the sequence lock and pins it
+// to the shard's log head, so the writer sends the ack and replayed
+// sequences after every flush appended before it and before any flush
+// appended later: every append happens under seqMu too. A resume that
+// arrives while an earlier reply is still pending is ignored.
 func (s *Server) handleResume(sub *subscriber, lastSeq uint64) {
 	s.seqMu.Lock()
 	defer s.seqMu.Unlock()
@@ -425,44 +443,76 @@ func (s *Server) handleResume(sub *subscriber, lastSeq uint64) {
 		s.encodeSeqFrames(b, s.replayBuf, firstSeq)
 	}
 	b.seal()
-	b.refs.Store(1) // handed to the subscriber's ring by the flusher
-	sub.shard.enqueue(shardEntry{kind: entryResume, sub: sub, b: b})
+	b.refs.Store(1) // released by the writer once written
+	b.at = sub.shard.head.Load()
+	if !sub.reply.CompareAndSwap(nil, b) {
+		s.releaseBroadcast(b)
+		return
+	}
+	sub.wakeWriter()
 	m := s.met()
 	m.resumes.Inc()
 	m.replayed.Add(int64(len(s.replayBuf)))
 }
 
-// serve is the subscriber's writer goroutine: handshake, then drain the
-// frame ring — many entries per wakeup, all frames in one writev. The
-// wait is a bare channel receive: heartbeats and dead-peer checks are
-// the heartbeat sweep's job (heartbeatLoop), which queues pre-encoded
-// MsgHeartbeat frames through this same ring, so the hot loop carries no
-// ticker and no select.
+// serve is the subscriber's writer goroutine: handshake, then write the
+// shard's log from the subscriber's cursor — up to writerBatch entries
+// per writev, with a pending resume reply spliced in at its position. The
+// wait is a bare channel receive: wake passes and resumes send the
+// wakeups, and heartbeats are log entries, so the hot loop carries no
+// ticker and no select. The writer exits after the goodbye, when its
+// subscriber is gone, on a write error, or when it finds it was lapped.
 func (s *Server) serve(sub *subscriber) {
 	defer s.wg.Done()
-	defer s.drop(sub)
+	sh := sub.shard
+	defer func() {
+		s.drop(sub)
+		sh.mu.Lock()
+		sh.unlistLocked(sub) // the cursor stops pinning arenas only now
+		sh.mu.Unlock()
+	}()
 	if err := s.writeOne(sub, helloFrame); err != nil {
 		return
 	}
-	entries := make([]ringEntry, writerBatch)
 	var bufs net.Buffers
 	var flat []byte
-	for {
-		n, done := sub.ring.popInto(entries)
-		if n == 0 {
-			if done {
-				return
-			}
+	cur := sub.cursor.Load()
+	for !sub.gone.Load() {
+		// head before reply: a head past reply.at was appended after the
+		// reply was set, so this load then sees the reply.
+		end := min(sh.head.Load(), cur+writerBatch)
+		reply := sub.reply.Load()
+		if reply != nil && reply.at <= end {
+			end = reply.at
+		} else {
+			reply = nil
+		}
+		if cur == end && reply == nil {
 			<-sub.wake
 			sub.wcount = 0 // re-arm the write deadline on the next batch
 			continue
 		}
-		err := s.writeEntries(sub, entries[:n], &bufs, &flat)
-		for i := 0; i < n; i++ {
-			s.releaseBroadcast(entries[i].b)
-			entries[i] = ringEntry{}
+		var last *broadcast
+		bufs, last = sh.gather(bufs[:0], cur, end)
+		if cur < end && last == nil {
+			sh.mu.Lock()
+			if !sub.gone.Load() {
+				sh.evictLocked(sub, "lapped")
+			}
+			sh.mu.Unlock()
+			return
 		}
-		if err != nil {
+		if reply != nil {
+			bufs = append(bufs, reply.frames...)
+		}
+		err := s.writeFrames(sub, bufs, &flat)
+		cur = end
+		sub.cursor.Store(cur)
+		if reply != nil {
+			sub.reply.Store(nil)
+			s.releaseBroadcast(reply)
+		}
+		if err != nil || last == goodbyeEntry {
 			return
 		}
 	}
@@ -505,15 +555,11 @@ func (s *Server) writeOne(sub *subscriber, frame []byte) error {
 	return err
 }
 
-// writeEntries flushes a batch of ring entries: all frames in one writev
-// on TCP, or one coalesced Write elsewhere (wrapped and in-memory conns),
-// so a wakeup costs one syscall no matter how many flushes queued up.
-func (s *Server) writeEntries(sub *subscriber, es []ringEntry, bufs *net.Buffers, flat *[]byte) error {
-	*bufs = (*bufs)[:0]
-	for _, e := range es {
-		*bufs = append(*bufs, e.frames...)
-	}
-	nf := len(*bufs)
+// writeFrames writes a batch of frames: all of them in one writev on
+// TCP, or one coalesced Write elsewhere (wrapped and in-memory conns), so
+// a wakeup costs one syscall no matter how many flushes queued up.
+func (s *Server) writeFrames(sub *subscriber, bufs net.Buffers, flat *[]byte) error {
+	nf := len(bufs)
 	if nf == 0 {
 		return nil
 	}
@@ -521,15 +567,15 @@ func (s *Server) writeEntries(sub *subscriber, es []ringEntry, bufs *net.Buffers
 	var err error
 	switch {
 	case nf == 1:
-		_, err = sub.conn.Write((*bufs)[0])
+		_, err = sub.conn.Write(bufs[0])
 	case sub.isTCP:
-		v := *bufs // WriteTo consumes its receiver; keep our header intact
+		v := bufs // WriteTo consumes its receiver, which escapes: only here
 		_, err = v.WriteTo(sub.conn)
 	case sub.bw != nil:
-		_, err = sub.bw.WriteBuffers(*bufs)
+		_, err = sub.bw.WriteBuffers(bufs)
 	default:
 		*flat = (*flat)[:0]
-		for _, f := range *bufs {
+		for _, f := range bufs {
 			*flat = append(*flat, f...)
 		}
 		_, err = sub.conn.Write(*flat)
@@ -543,15 +589,13 @@ func (s *Server) writeEntries(sub *subscriber, es []ringEntry, bufs *net.Buffers
 	return err
 }
 
-// drop tears a subscriber down; idempotent across the serve defer, the
-// readLoop error path, and flusher-side eviction.
+// drop tears a subscriber down; idempotent across the writer's exit,
+// the readLoop error path, and wake-pass eviction.
 func (s *Server) drop(sub *subscriber) {
 	sh := sub.shard
 	sh.mu.Lock()
-	if _, ok := sh.subs[sub]; ok {
+	if !sub.gone.Load() {
 		sh.removeLocked(sub)
-		sub.ring.discard(s.releaseBroadcast)
-		sub.wakeWriter()
 	}
 	sh.mu.Unlock()
 	sub.conn.Close()
@@ -634,8 +678,8 @@ func (s *Server) SetBatching(max int, flushAfter time.Duration) {
 
 // Publish broadcasts a reading to every subscriber, coalescing according
 // to SetBatching. The reading is assigned the next stream sequence and
-// retained in the replay ring. Subscribers whose rings are full are
-// disconnected. Publish never blocks on subscriber I/O.
+// retained in the replay ring. Subscribers more than 64 log entries
+// behind are disconnected. Publish never blocks on subscriber I/O.
 //
 // A reading the wire cannot carry (a non-finite field, or one outside
 // the quantization range) is rejected with an error before it takes a
@@ -699,9 +743,9 @@ func (s *Server) deadlineFlush() {
 }
 
 // flushLocked encodes the pending readings once, when anyone listens,
-// and hands the broadcast arena to every shard flusher. Per-subscriber
-// work (ring pushes, evictions, socket writes) happens downstream, off
-// this lock. Callers hold seqMu.
+// and appends the broadcast arena to every shard's log. Per-subscriber
+// work (wakeups, evictions, socket writes) happens downstream, off this
+// lock. Callers hold seqMu.
 func (s *Server) flushLocked() {
 	if s.timerArmed {
 		s.flushTimer.Stop()
@@ -715,11 +759,11 @@ func (s *Server) flushLocked() {
 		b := s.getBroadcast()
 		m.batches.Add(int64(s.encodeSeqFrames(b, s.pending, s.pendingFirst)))
 		b.seal()
-		// One reference per shard; flushers add one per subscriber ring
-		// they land the arena in, then drop their own.
+		// One reference per shard, dropped by its wake pass once every
+		// cursor on the shard is past the arena.
 		b.refs.Store(int64(len(s.shards)))
 		for _, sh := range s.shards {
-			sh.enqueue(shardEntry{kind: entryBroadcast, b: b})
+			sh.append(b)
 		}
 	}
 	m.readings.Add(int64(len(s.pending)))
@@ -747,12 +791,17 @@ func (s *Server) Close() error {
 	close(s.hbDone)
 	err := s.ln.Close()
 	s.drainUntil.Store(time.Now().Add(s.drainTimeout).UnixNano())
-	// The shutdown entry is the last thing each flusher processes after
-	// the final flush (FIFO), so queued frames — goodbye included — still
-	// reach subscribers under the drain deadline.
+	// The goodbye is each log's last entry, after the final flush, so
+	// writers still send every frame — goodbye included — under the drain
+	// deadline, then exit. closing is set after the append, so the wake
+	// goroutine's last pass sees the goodbye.
 	for _, sh := range s.shards {
-		sh.enqueue(shardEntry{kind: entryShutdown})
-		sh.closeQueue()
+		sh.mu.Lock()
+		sh.dead = true
+		sh.mu.Unlock()
+		sh.append(goodbyeEntry)
+		sh.closing.Store(true)
+		sh.kickPass()
 	}
 	s.seqMu.Unlock()
 	s.wg.Wait()

@@ -1,267 +1,207 @@
 package gateway
 
 import (
+	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// shardEntryKind discriminates units of work on a shard's flush queue.
-type shardEntryKind uint8
+// logSlots is the depth of each shard's broadcast log, in entries (one
+// per flush, heartbeat or goodbye). It is also the slow-subscriber bound:
+// a subscriber more than logSlots entries behind the head is evicted,
+// because the slot holding its next entry has been overwritten.
+const logSlots = 64
 
-const (
-	// entryBroadcast fans a shared broadcast arena out to every
-	// subscriber on the shard.
-	entryBroadcast shardEntryKind = iota
-	// entryResume delivers a resume ack + replay to one subscriber.
-	// Routed through the shard queue so the replay composes strictly
-	// before any later live flush: both are enqueued under seqMu, and the
-	// flusher processes FIFO.
-	entryResume
-	// entryShutdown seals every ring on the shard (goodbye first) and
-	// marks the shard dead. Always the last entry a queue carries.
-	entryShutdown
-	// entryHeartbeat sweeps the shard once per heartbeat period: queue a
-	// pre-encoded MsgHeartbeat in every ring and evict peers that went
-	// silent. Centralising this here keeps the per-subscriber writer loop
-	// free of tickers and selects.
-	entryHeartbeat
-)
-
-// shardEntry is one queued unit of flusher work.
-type shardEntry struct {
-	kind    shardEntryKind
-	b       *broadcast    // entryBroadcast; entryResume: ack + replay (one reference)
-	sub     *subscriber   // entryResume
-	silence time.Duration // entryHeartbeat: dead-peer threshold (miss × period)
+// logSlot is one log entry: the arena to write and the log position it
+// was appended at. Appends store pos before b and readers load b before
+// pos, so a reader that finds its own position holds that position's
+// arena.
+type logSlot struct {
+	pos atomic.Uint64
+	b   atomic.Pointer[broadcast]
 }
 
+// Constant log entries, shared by every shard and never recycled.
+var (
+	heartbeatEntry = &broadcast{frames: [][]byte{heartbeatFrame}}
+	goodbyeEntry   = &broadcast{frames: [][]byte{goodbyeFrame}}
+)
+
 // shard is an independently locked slice of the subscriber registry with
-// its own flusher goroutine. Publish-side work (encode, sequence, replay
-// ring) stays under the server's small sequence lock; everything
-// per-subscriber — registration, ring pushes, eviction — convoys only on
-// its shard, so fan-out scales across shards instead of one global mutex.
+// its own broadcast log and wake goroutine. The flush path appends each
+// arena to every shard's log under the server's seqMu; each subscriber's
+// writer then writes the log from its own cursor, so no per-subscriber
+// queue sits between a flush and the socket. The wake goroutine wakes
+// writers that had caught up, evicts writers that fell too far behind and
+// recycles arenas every cursor has passed.
 type shard struct {
 	srv *Server
 
-	// mu guards subs and dead.
-	mu   sync.Mutex
-	subs map[*subscriber]struct{}
-	dead bool // no further registrations (server closing)
+	log  [logSlots]logSlot
+	head atomic.Uint64 // the next position to append, under seqMu
 
-	// The flush queue: producers append under qmu and signal; the flusher
-	// swaps queue/proc (double buffer) and works through proc without
-	// holding qmu, so Publish never waits behind ring pushes.
-	qmu     sync.Mutex
-	qcond   sync.Cond
-	queue   []shardEntry
-	proc    []shardEntry
-	qclosed bool
+	kick    chan struct{} // capacity 1: a wake pass is due
+	closing atomic.Bool   // the pass after the next kick is the last
+	sweep   atomic.Int64  // dead-peer threshold for the next pass (ns; 0 = none)
 
-	// Flusher-only scratch for batched fan-out passes (no locking).
-	bcast   []*broadcast
-	entries []ringEntry
+	// mu guards subs, dead, start, tail and each subscriber's idx, and
+	// orders every store to a subscriber's gone flag.
+	mu sync.Mutex
+	// subs holds registered subscribers and evicted ones whose writer is
+	// still unwinding: both hold cursors that pin arenas.
+	subs  []*subscriber
+	dead  bool   // no further registrations (server closing)
+	start int    // where the next pass starts its walk
+	tail  uint64 // the oldest position whose arena this shard still holds
 }
 
 func newShard(s *Server) *shard {
-	sh := &shard{srv: s, subs: make(map[*subscriber]struct{})}
-	sh.qcond.L = &sh.qmu
-	return sh
+	return &shard{srv: s, kick: make(chan struct{}, 1)}
 }
 
-// enqueue appends one unit of work and wakes the flusher.
-func (sh *shard) enqueue(e shardEntry) {
-	sh.qmu.Lock()
-	sh.queue = append(sh.queue, e)
-	sh.qmu.Unlock()
-	sh.qcond.Signal()
+// append adds one entry to the log and schedules a wake pass. Callers
+// hold seqMu.
+func (sh *shard) append(b *broadcast) {
+	p := sh.head.Load()
+	slot := &sh.log[p%logSlots]
+	slot.pos.Store(p)
+	slot.b.Store(b)
+	sh.head.Store(p + 1)
+	sh.kickPass()
 }
 
-// closeQueue ends the flusher once the queue drains.
-func (sh *shard) closeQueue() {
-	sh.qmu.Lock()
-	sh.qclosed = true
-	sh.qmu.Unlock()
-	sh.qcond.Broadcast()
+func (sh *shard) kickPass() {
+	select {
+	case sh.kick <- struct{}{}:
+	default:
+	}
 }
 
-// run is the shard flusher: it drains the queue in FIFO order, pushing
-// broadcast frames into subscriber rings and waking their writers.
+// gather appends the frames of log positions [from, to) to bufs and
+// returns the last arena gathered. The arena is nil when the caller was
+// lapped: a slot in the range now holds a newer position, and nothing
+// from it may be written.
+func (sh *shard) gather(bufs net.Buffers, from, to uint64) (net.Buffers, *broadcast) {
+	var b *broadcast
+	for p := from; p < to; p++ {
+		slot := &sh.log[p%logSlots]
+		b = slot.b.Load()
+		if slot.pos.Load() != p {
+			return bufs, nil
+		}
+		bufs = append(bufs, b.frames...)
+	}
+	return bufs, b
+}
+
+// run is the shard's wake goroutine: one pass per kick, until the pass
+// that follows Close's goodbye (or a SetShards retirement).
 func (sh *shard) run() {
 	defer sh.srv.wg.Done()
 	for {
-		sh.qmu.Lock()
-		for len(sh.queue) == 0 && !sh.qclosed {
-			sh.qcond.Wait()
-		}
-		if len(sh.queue) == 0 { // qclosed and drained
-			sh.qmu.Unlock()
+		<-sh.kick
+		last := sh.closing.Load()
+		sh.pass()
+		if last {
 			return
 		}
-		sh.queue, sh.proc = sh.proc[:0], sh.queue
-		sh.qmu.Unlock()
-		// Consecutive broadcasts are fanned out as one batch: a run of
-		// queued flushes costs each subscriber one ring lock and one
-		// wakeup instead of one per flush. Other entry kinds keep their
-		// FIFO position, so the resume-ordering contract is untouched.
-		for i := 0; i < len(sh.proc); {
-			if sh.proc[i].kind != entryBroadcast {
-				sh.process(&sh.proc[i])
-				sh.proc[i] = shardEntry{}
-				i++
+	}
+}
+
+// pass walks the subscriber slice once, starting one place later than
+// the previous pass so no subscriber is always woken first. It evicts
+// subscribers more than logSlots entries behind the head, drops silent
+// peers when a heartbeat sweep is due, wakes writers with entries to
+// write, and then releases this shard's hold on every arena all cursors
+// have passed, writers still unwinding from an eviction included.
+func (sh *shard) pass() {
+	s := sh.srv
+	m := s.met()
+	head := sh.head.Load()
+	silence := time.Duration(sh.sweep.Swap(0))
+	var now time.Time
+	if silence > 0 {
+		now = time.Now()
+	}
+	sh.mu.Lock()
+	low, lag, live := head, uint64(0), int64(0)
+	if sh.start >= len(sh.subs) {
+		sh.start = 0
+	}
+	for _, part := range [2][]*subscriber{sh.subs[sh.start:], sh.subs[:sh.start]} {
+		for _, sub := range part {
+			cur := min(sub.cursor.Load(), head) // a writer may be past our head snapshot
+			low = min(low, cur)
+			if sub.gone.Load() {
 				continue
 			}
-			sh.bcast = sh.bcast[:0]
-			for i < len(sh.proc) && sh.proc[i].kind == entryBroadcast {
-				sh.bcast = append(sh.bcast, sh.proc[i].b)
-				sh.proc[i] = shardEntry{}
-				i++
+			behind := head - cur
+			var idle time.Duration
+			if silence > 0 {
+				idle = now.Sub(time.Unix(0, sub.lastSeen.Load()))
 			}
-			sh.fanOut(sh.bcast)
-			for j := range sh.bcast {
-				sh.bcast[j] = nil
+			switch {
+			case behind > logSlots:
+				sh.evictLocked(sub, "slow subscriber")
+			case idle > silence:
+				m.hbDrops.Inc()
+				s.logf("gateway: dropping dead peer %v (silent %v)", sub.conn.RemoteAddr(), idle.Round(time.Millisecond))
+				sh.removeLocked(sub)
+				sub.conn.Close()
+			default:
+				live++
+				lag = max(lag, behind)
+				if behind > 0 {
+					sub.wakeWriter()
+				}
 			}
 		}
 	}
-}
-
-func (sh *shard) process(e *shardEntry) {
-	switch e.kind {
-	case entryResume:
-		sh.deliverResume(e.sub, e.b)
-	case entryShutdown:
-		sh.shutdown()
-	case entryHeartbeat:
-		sh.heartbeat(e.silence)
-	}
-}
-
-// fanOut lands a batch of broadcasts in every subscriber ring on the
-// shard: per subscriber, all of them go in under one ring lock with at
-// most one writer wakeup.
-func (sh *shard) fanOut(bs []*broadcast) {
-	s := sh.srv
-	entries := sh.entries
-	sh.mu.Lock()
-	for sub := range sh.subs {
-		entries = entries[:0]
-		for _, b := range bs {
-			// Take the subscriber's reference before the push makes the
-			// entry visible: the writer may pop and release it
-			// immediately, and an increment after the fact would race
-			// the count to zero mid-fan-out.
-			b.refs.Add(1)
-			entries = append(entries, ringEntry{frames: b.frames, b: b})
-		}
-		ok, wasEmpty := sub.ring.pushN(entries)
-		if !ok {
-			for _, e := range entries {
-				s.releaseBroadcast(e.b)
-			}
-			sh.evictLocked(sub, "slow subscriber")
-			continue
-		}
-		if wasEmpty {
-			sub.wakeWriter()
+	sh.start++
+	for ; sh.tail < low; sh.tail++ {
+		// A slot already overwritten has lost its arena to the GC.
+		slot := &sh.log[sh.tail%logSlots]
+		if b := slot.b.Load(); slot.pos.Load() == sh.tail {
+			s.releaseBroadcast(b)
 		}
 	}
 	sh.mu.Unlock()
-	for i := range entries {
-		entries[i] = ringEntry{}
+	if silence > 0 {
+		m.heartbeats.Add(live)
 	}
-	sh.entries = entries[:0]
-	for _, b := range bs {
-		s.releaseBroadcast(b) // the shard's own holds
-	}
+	m.lag.Observe(float64(lag))
 }
 
-// heartbeat queues a MsgHeartbeat in every subscriber ring and drops
-// peers that have been silent past the threshold. A full ring
-// skips the heartbeat rather than evicting: the pending broadcasts
-// already keep the conn visibly alive, and ring overflow on the
-// broadcast path handles true slowness.
-func (sh *shard) heartbeat(silence time.Duration) {
-	s := sh.srv
-	now := time.Now()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for sub := range sh.subs {
-		if idle := now.Sub(time.Unix(0, sub.lastSeen.Load())); idle > silence {
-			s.met().hbDrops.Inc()
-			s.logf("gateway: dropping dead peer %v (silent %v)", sub.conn.RemoteAddr(), idle.Round(time.Millisecond))
-			sh.removeLocked(sub)
-			sub.ring.discard(s.releaseBroadcast)
-			sub.wakeWriter()
-			sub.conn.Close()
-			continue
-		}
-		if ok, wasEmpty := sub.ring.push(ringEntry{frames: heartbeatFrames}); ok {
-			s.met().heartbeats.Inc()
-			if wasEmpty {
-				sub.wakeWriter()
-			}
-		}
-	}
-}
-
-// deliverResume hands the ack+replay arena to one subscriber. Runs on
-// the flusher so it lands in FIFO order with the broadcasts enqueued
-// around it: earlier ring entries carry flushes the replay covers (the
-// client drops those until the ack), later ones carry newer sequences.
-func (sh *shard) deliverResume(sub *subscriber, b *broadcast) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.subs[sub]; !ok {
-		sh.srv.releaseBroadcast(b)
-		return
-	}
-	ok, wasEmpty := sub.ring.push(ringEntry{frames: b.frames, b: b})
-	if !ok {
-		// The replay alone saturated the ring: the subscriber cannot
-		// keep up; evict it like any other slow subscriber.
-		sh.srv.releaseBroadcast(b)
-		sh.evictLocked(sub, "resume overflow")
-		return
-	}
-	if wasEmpty {
-		sub.wakeWriter()
-	}
-}
-
-// shutdown runs the graceful-close path for this shard: queue a goodbye
-// in every ring, seal the rings so writers drain and exit, and refuse
-// further registrations.
-func (sh *shard) shutdown() {
-	sh.mu.Lock()
-	for sub := range sh.subs {
-		sub.ring.push(ringEntry{frames: goodbyeFrames}) // best-effort: a full ring drops the goodbye
-		sub.ring.seal()
-		sh.removeLocked(sub)
-		sub.wakeWriter()
-	}
-	sh.dead = true
-	sh.mu.Unlock()
-}
-
-// evictLocked removes sub from the shard and tears its session down.
-// The drop is counted before the subscriber count falls, so anyone who
-// sees the subscriber gone also sees why. Callers hold sh.mu.
+// evictLocked removes a too-slow sub and closes its conn. The drop is
+// counted before the subscriber count falls, so anyone who sees the
+// subscriber gone also sees why. Callers hold sh.mu.
 func (sh *shard) evictLocked(sub *subscriber, why string) {
 	s := sh.srv
 	s.met().slowDrops.Inc()
 	sh.removeLocked(sub)
-	sub.ring.discard(s.releaseBroadcast)
-	sub.wakeWriter()
 	sub.conn.Close()
 	s.logf("gateway: dropped subscriber %v (%s)", sub.conn.RemoteAddr(), why)
 }
 
-// removeLocked deletes sub from the registry and settles the live-
-// subscriber count and gauge. Every path (evict, drop, shutdown, dead
-// peer) calls it only while sub is registered, under sh.mu, so the count
-// moves exactly once per subscriber. Callers hold sh.mu.
+// removeLocked ends sub's registration: it marks the subscriber gone,
+// settles the live-subscriber count and gauge, and wakes the writer so it
+// exits. Every path (evict, drop, dead peer, writer exit) calls it only
+// while sub is not yet gone, under sh.mu, so the count moves exactly once
+// per subscriber. The writer unlists sub from subs itself, on exit.
 func (sh *shard) removeLocked(sub *subscriber) {
-	delete(sh.subs, sub)
-	s := sh.srv
-	n := s.subCount.Add(-1)
-	s.met().subscribers.Set(float64(n))
+	sub.gone.Store(true)
+	n := sh.srv.subCount.Add(-1)
+	sh.srv.met().subscribers.Set(float64(n))
+	sub.wakeWriter()
+}
+
+// unlistLocked deletes sub from the subscriber slice once its writer has
+// exited. Callers hold sh.mu.
+func (sh *shard) unlistLocked(sub *subscriber) {
+	last := len(sh.subs) - 1
+	sh.subs[sub.idx] = sh.subs[last]
+	sh.subs[sub.idx].idx = sub.idx
+	sh.subs[last] = nil
+	sh.subs = sh.subs[:last]
 }

@@ -145,8 +145,6 @@ func Calibrate(cfg CalibrateConfig) (*Table, error) {
 		}
 		meas[j.idx] = m
 		t.Cells[j.idx] = m.cell
-		t.ChipRate = m.chipRate // identical across cells: the default PHY numerology
-		t.SourceLevelDB = core.DefaultSourceLevelDB
 		return nil
 	}
 	workers := cfg.Workers
@@ -182,6 +180,8 @@ func Calibrate(cfg CalibrateConfig) (*Table, error) {
 			}
 		}
 	}
+	t.ChipRate = meas[0].chipRate // identical across cells: the default PHY numerology
+	t.SourceLevelDB = core.DefaultSourceLevelDB
 
 	// Cells too sparse to estimate an SNR distribution (fewer than three
 	// delivered frames) fall back to the analytic budget for the SNR
@@ -190,10 +190,16 @@ func Calibrate(cfg CalibrateConfig) (*Table, error) {
 	// residue; X3 documents the same gap for delivery). Measure that bias
 	// on the well-sampled cells and apply it to the fallbacks, so SNR
 	// means never jump *up* where the link got too weak to measure.
+	//
+	// The budget reads the cell's design after the fault engine has run,
+	// so a cell whose elements were all killed has an analytic SNR of
+	// −Inf. Such cells stay out of the bias, and every fallback is floored
+	// at the lowest finite cell SNR: the table must stay finite for the
+	// logistic fit and for JSON.
 	var biasSum float64
 	var biasN int
 	for i := range meas {
-		if meas[i].delivered >= 3 {
+		if meas[i].delivered >= 3 && isFinite(meas[i].analyticSNRdB) {
 			biasSum += meas[i].analyticSNRdB - t.Cells[i].SNRMeanDB
 			biasN++
 		}
@@ -204,6 +210,15 @@ func Calibrate(cfg CalibrateConfig) (*Table, error) {
 			if meas[i].delivered < 3 {
 				t.Cells[i].SNRMeanDB = meas[i].analyticSNRdB - bias
 			}
+		}
+	}
+	floor, _ := finiteSNRRange(t.Cells)
+	if math.IsInf(floor, 1) {
+		return nil, fmt.Errorf("linksim: no cell has a finite SNR")
+	}
+	for i := range t.Cells {
+		if !isFinite(t.Cells[i].SNRMeanDB) {
+			t.Cells[i].SNRMeanDB = floor
 		}
 	}
 
@@ -386,15 +401,7 @@ func isotonicNonIncreasing(series []float64) {
 // deterministic coarse grid search minimizing squared error. Cells pinned
 // at exactly 0 or 1 still vote: they anchor the curve's tails.
 func fitLogistic(cells []Cell) (k, snr50 float64) {
-	minSNR, maxSNR := math.Inf(1), math.Inf(-1)
-	for _, c := range cells {
-		if c.SNRMeanDB < minSNR {
-			minSNR = c.SNRMeanDB
-		}
-		if c.SNRMeanDB > maxSNR {
-			maxSNR = c.SNRMeanDB
-		}
-	}
+	minSNR, maxSNR := finiteSNRRange(cells)
 	if math.IsInf(minSNR, 1) || minSNR == maxSNR {
 		return 0.8, minSNR - 5 // degenerate grid: a gentle default curve
 	}
@@ -415,3 +422,18 @@ func fitLogistic(cells []Cell) (k, snr50 float64) {
 	}
 	return k, snr50
 }
+
+// finiteSNRRange returns the lowest and highest finite cell SNR means
+// (+Inf and −Inf when there is none): a grid bounded by an infinite SNR
+// would never end.
+func finiteSNRRange(cells []Cell) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, c := range cells {
+		if isFinite(c.SNRMeanDB) {
+			lo, hi = min(lo, c.SNRMeanDB), max(hi, c.SNRMeanDB)
+		}
+	}
+	return lo, hi
+}
+
+func isFinite(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }

@@ -3,6 +3,7 @@ package linksim
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // smallGrid is a CI-sized calibration campaign: four cells, seconds of
@@ -96,6 +97,50 @@ func TestCalibrateDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Fatal("calibration tables differ across worker counts")
+	}
+}
+
+// TestCalibrateFallbackStaysFinite: on this grid and seed the fault
+// engine kills every element of the 200 m cell, which delivers nothing,
+// so its analytic-budget fallback SNR is −Inf. The logistic fit's grid
+// search used to start there and never end; the table must come out
+// finite, and encodable as JSON, within a bounded time.
+func TestCalibrateFallbackStaysFinite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waveform calibration campaign")
+	}
+	cfg := CalibrateConfig{
+		Envs: []string{"river"}, RangesM: []float64{50, 200}, OrientsRad: []float64{0},
+		Intensities: []float64{1}, Scenario: "chaos", RoundsPerCell: 10, Seed: 50,
+	}
+	type result struct {
+		tab *Table
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		tab, err := Calibrate(cfg)
+		done <- result{tab, err}
+	}()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("Calibrate did not finish")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	for i, c := range r.tab.Cells {
+		if !isFinite(c.SNRMeanDB) {
+			t.Fatalf("cell %d SNR mean %g", i, c.SNRMeanDB)
+		}
+	}
+	if !isFinite(r.tab.LogisticK) || !isFinite(r.tab.LogisticSNR50) {
+		t.Fatalf("logistic fit k=%g snr50=%g", r.tab.LogisticK, r.tab.LogisticSNR50)
+	}
+	if _, err := r.tab.Encode(); err != nil {
+		t.Fatal(err)
 	}
 }
 

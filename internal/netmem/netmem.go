@@ -5,7 +5,7 @@
 // The load harness (cmd/vabload) uses it to stand up 100k+ concurrent
 // subscriber sessions in one process — far past RLIMIT_NOFILE — while
 // still exercising the full wire protocol: framing, hello exchange,
-// heartbeats, resume, per-subscriber rings and the writer drain path.
+// heartbeats, resume, the broadcast logs and the writer drain path.
 // Unlike net.Pipe the conns are buffered (a write completes once it fits
 // in the peer's window, like TCP), so producer and consumer scheduling
 // decouple the same way they do on a real socket.
