@@ -1,11 +1,17 @@
 // Package vab's root benchmark harness regenerates every evaluation
 // artifact of the reproduction (one benchmark per paper table/figure,
 // E1…E10), runs the design-choice ablations called out in DESIGN.md, and
-// measures the hot DSP paths. Custom metrics attached to each benchmark
-// carry the headline numbers (ranges in meters, ratios, SNRs) so a bench
-// run doubles as a results summary:
+// times the workloads the per-layer ladder of internal/benchmark does not
+// (Monte-Carlo cells, the 64-node waveform fleet cycle, the TDL crossover
+// sweep). Custom metrics attached to each benchmark carry the headline
+// numbers (ranges in meters, ratios, SNRs) so a bench run doubles as a
+// results summary:
 //
 //	go test -bench=. -benchmem
+//
+// A workload the ladder times (FFT kernels, link rebuild, uplink noise,
+// acquisition, …) is defined there only; run it with
+// `bash internal/benchmark/run.sh --workload calibrate --trace 1`.
 package vab
 
 import (
@@ -342,28 +348,9 @@ func BenchmarkChannelRoundTripInto(b *testing.B) {
 	b.SetBytes(int64(n * 16))
 }
 
-// BenchmarkLinkRebuild measures the incremental per-round geometry refresh
-// (sway) against BenchmarkLinkNew, the from-scratch construction it
-// replaced in the round pipeline.
-func BenchmarkLinkRebuild(b *testing.B) {
-	cfg := channel.Config{
-		Env: ocean.CharlesRiver(), CarrierHz: 18.5e3, SampleRate: 16e3,
-		ReaderDepth: 1.6, NodeDepth: 2.4, Range: 100,
-		SelfInterferenceDB: -30, ColoredNoise: true, Seed: 1,
-	}
-	l, err := channel.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := channel.Geometry{ReaderDepth: 1.61, NodeDepth: 2.39, Range: 100.02}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := l.Rebuild(g, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkLinkNew measures from-scratch link construction, the path the
+// per-round Rebuild (the ladder's channel.rebuild_us) replaced in the
+// round pipeline.
 func BenchmarkLinkNew(b *testing.B) {
 	cfg := channel.Config{
 		Env: ocean.CharlesRiver(), CarrierHz: 18.5e3, SampleRate: 16e3,
@@ -377,28 +364,6 @@ func BenchmarkLinkNew(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkUplinkNoise isolates the uplink half — fading, leakage and
-// Wenz-shaped noise on the workspace scratch — the per-round cost of the
-// addNoise path.
-func BenchmarkUplinkNoise(b *testing.B) {
-	l, err := channel.New(channel.Config{
-		Env: ocean.CharlesRiver(), CarrierHz: 18.5e3, SampleRate: 16e3,
-		ReaderDepth: 1.6, NodeDepth: 2.4, Range: 100,
-		SelfInterferenceDB: -30, ColoredNoise: true, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := 16384
-	x := phy.CarrierEnvelope(n)
-	dst := make([]complex128, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.UplinkInto(dst, x, x)
-	}
-	b.SetBytes(int64(n * 16))
 }
 
 // benchTDL measures one TDL engine at a given tap count over a 16 k-sample
@@ -432,59 +397,7 @@ func BenchmarkTDLFreq16(b *testing.B) { benchTDL(b, 16, true) }
 func BenchmarkTDLTime64(b *testing.B) { benchTDL(b, 64, false) }
 func BenchmarkTDLFreq64(b *testing.B) { benchTDL(b, 64, true) }
 
-func BenchmarkReaderAcquire(b *testing.B) {
-	p := phy.DefaultParams()
-	m, err := phy.NewModulator(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dem, err := phy.NewDemodulator(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	chips := make([]byte, 64)
-	g, err := m.GammaWaveform(chips)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	y := dsp.GaussianNoise(make([]complex128, len(g)+2000), 0.01, rng)
-	for i, v := range g {
-		y[500+i] += complex(0.2*v, 0)
-	}
-	dem.Suppress(y)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dem.Acquire(y, 0.2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- DSP micro-benches. ---
-
-func BenchmarkFFT1024(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := dsp.GaussianNoise(make([]complex128, 1024), 1, rng)
-	out := make([]complex128, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dsp.FFTInto(out, x)
-	}
-	b.SetBytes(1024 * 16)
-}
-
-func BenchmarkFFTBluestein1000(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := dsp.GaussianNoise(make([]complex128, 1000), 1, rng)
-	out := make([]complex128, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dsp.FFTInto(out, x)
-	}
-}
 
 func BenchmarkRFFT1024(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

@@ -24,11 +24,11 @@
 //     cells so chip-rate changes and severity shifts translate into
 //     principled probability adjustments.
 //   - Shared MAC semantics. The abstract scheduler does not reimplement
-//     the polling protocol: it calls the same exported decision-phase
-//     primitives (mac.FoldDelivered, PollPolicy.FoldPollFailure, …) the
-//     waveform scheduler uses, and feeds the same mac.RateController, so
-//     probation, health and rate stepdown behave identically by
-//     construction.
+//     the polling protocol: it folds outcomes through the same
+//     mac.NodeColumns transitions (FoldDeliveredAt, PollPolicy.FoldPollFailureAt,
+//     …) the waveform scheduler folds through, and feeds the same
+//     mac.RateController, so probation, health and rate stepdown behave
+//     identically by construction.
 //   - Hero links. Every cycle a configurable subset of links is promoted
 //     to full waveform fidelity and cross-checked against the model
 //     online; divergence counters and an SNR z-score histogram are

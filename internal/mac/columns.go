@@ -1,30 +1,44 @@
 package mac
 
-// Struct-of-arrays fold state.
+// Decision-phase fold state, exported.
 //
-// NodeState is the right layout for a waveform scheduler polling tens of
-// nodes: one struct per node, mutated in place. At fleet scale (10⁵–10⁶
-// abstract nodes per cycle, internal/linksim) the same layout becomes the
-// bottleneck — every fold-phase transition touches a ~100-byte struct, so
-// a cycle's serial fold drags two cache lines per node through the cache
-// even though it reads a handful of fields. NodeColumns is the same state
-// as parallel arrays, split into the *hot* columns the fold phase and the
-// decision phase stream (health, silent-cycle count, liveness flags,
-// probe schedule) and the *cold* columns only reports materialize
-// (cumulative counters, last SNR, quarantine provenance).
+// RunCycle folds poll outcomes into per-node bookkeeping — health EWMA,
+// silent-cycle counting, probation entry/exit with backed-off re-probes,
+// permanent drops. Those transitions are the MAC layer's *semantics*; the
+// waveform transceiver underneath is incidental. The link-abstraction tier
+// (internal/linksim) runs the same polling protocol over a statistical
+// channel model at 10⁵–10⁶ nodes and must make exactly the decisions a
+// waveform fleet would make for the same outcome sequence. Rather than
+// fork the policy, the transitions live here once, over NodeColumns, and
+// both schedulers call them: Scheduler indexes the columns by node address
+// (256 entries), the abstract tier by fleet node index.
 //
-// The transitions below mirror fold.go's primitives field for field —
-// FoldDeliveredAt ↔ FoldDelivered, FoldPollFailureAt ↔ FoldPollFailure,
-// and so on — and share the scalar health EWMA (foldHealth) with the
-// NodeState path, so a fleet folding through columns makes bit-identical
-// decisions to a scheduler folding through structs. TestColumnsMatchFold
-// pins the parity over randomized outcome sequences, and the
-// link-abstraction tier's TestFleetMatchesMacScheduler pins it end to end
-// against a live Scheduler.
+// The columns are struct-of-arrays because of the abstract tier's scale:
+// folding through one ~100-byte struct per node would drag two cache lines
+// per node through a million-node cycle. They split into the *hot* columns
+// the fold phase and the decision phase stream (health, silent-cycle
+// count, liveness flags, probe schedule) and the *cold* columns only
+// reports materialize (cumulative counters, last SNR, quarantine
+// provenance). State materializes one node as a NodeState for reports.
+// The link-abstraction tier's TestFleetMatchesMacScheduler pins the two
+// schedulers against each other end to end.
 //
 // Counters are int32: a single node would need 2³¹ polls to overflow —
 // about 68 years of one-second cycles — while the narrower columns keep a
 // million-node fleet's hot state inside ~20 MB.
+
+// LivenessChange reports the transition FoldPollFailureAt applied to a node.
+type LivenessChange int
+
+// Liveness transitions, in increasing severity.
+const (
+	// LivenessNone: the node stays in the regular schedule.
+	LivenessNone LivenessChange = iota
+	// LivenessQuarantined: the node entered probation (Probation policy).
+	LivenessQuarantined
+	// LivenessDropped: the node was permanently removed (DropAfter policy).
+	LivenessDropped
+)
 
 // Liveness flag bits of NodeColumns.Flags.
 const (
@@ -34,9 +48,20 @@ const (
 	FlagDropped
 )
 
+// healthAlpha is the EWMA coefficient of the per-node health score.
+const healthAlpha = 0.25
+
+// foldHealth folds one cycle outcome into a health score.
+func foldHealth(h float64, delivered bool) float64 {
+	outcome := 0.0
+	if delivered {
+		outcome = 1
+	}
+	return (1-healthAlpha)*h + healthAlpha*outcome
+}
+
 // NodeColumns holds per-node scheduler bookkeeping as struct-of-arrays,
-// indexed by a dense node index the owner assigns (the link-abstraction
-// tier uses its fleet node index).
+// indexed by a dense node index the owner assigns.
 type NodeColumns struct {
 	// Hot columns: read or written by every fold-phase transition and by
 	// the decision phase's liveness scan.
@@ -56,9 +81,9 @@ type NodeColumns struct {
 	Addr              []byte
 }
 
-// NewNodeColumns allocates columns for n nodes, each initialized exactly
-// as Scheduler.AddNode initializes a NodeState: health 1, everything else
-// zero. Addresses are left 0 for the owner to assign.
+// NewNodeColumns allocates columns for n nodes, each initialized as a
+// freshly added node: health 1, everything else zero. Addresses are left 0
+// for the owner to assign.
 func NewNodeColumns(n int) *NodeColumns {
 	c := &NodeColumns{
 		Health:            make([]float64, n),
@@ -93,7 +118,10 @@ func (c *NodeColumns) Quarantined(i int) bool { return c.Flags[i]&FlagQuarantine
 // Dropped reports whether node i was permanently removed.
 func (c *NodeColumns) Dropped(i int) bool { return c.Flags[i]&FlagDropped != 0 }
 
-// FoldDeliveredAt is FoldDelivered over the columnar layout.
+// FoldDeliveredAt folds a delivered poll (or a restoring probe's
+// successful round) into node i: success and SNR accounting plus the
+// health EWMA. Quarantine exit for probes is a separate step — see
+// RestoreAt.
 func (c *NodeColumns) FoldDeliveredAt(i int, snrDB float64) {
 	c.Successes[i]++
 	c.LastSNRdB[i] = snrDB
@@ -101,15 +129,18 @@ func (c *NodeColumns) FoldDeliveredAt(i int, snrDB float64) {
 	c.Health[i] = foldHealth(c.Health[i], true)
 }
 
-// RestoreAt is (*NodeState).Restore over the columnar layout: quarantine
-// exit after a successful re-probe, returning the recovery latency.
+// RestoreAt exits quarantine after a successful re-probe and returns the
+// recovery latency in cycles (1 = restored by the first probe after
+// entry), the value the recovery-latency histogram records.
 func (c *NodeColumns) RestoreAt(i, cycle int) int {
 	c.Flags[i] &^= FlagQuarantined
 	return cycle - int(c.QuarantinedAt[i]) + 1
 }
 
-// FoldProbeFailureAt is PollPolicy.FoldProbeFailure over the columnar
-// layout: health decay plus the doubled, capped re-probe backoff.
+// FoldProbeFailureAt folds a failed quarantine re-probe: the health EWMA
+// decays and the re-probe backoff doubles up to the policy cap. Probes
+// deliberately skip the retry budget — a node that is still down should
+// cost the cycle as little airtime as possible.
 func (p PollPolicy) FoldProbeFailureAt(c *NodeColumns, i, cycle int) {
 	c.Health[i] = foldHealth(c.Health[i], false)
 	iv := c.ProbeInterval[i] * 2
@@ -120,8 +151,11 @@ func (p PollPolicy) FoldProbeFailureAt(c *NodeColumns, i, cycle int) {
 	c.NextProbe[i] = int32(cycle) + iv
 }
 
-// FoldPollFailureAt is PollPolicy.FoldPollFailure over the columnar
-// layout: the silent cycle is counted and the liveness policy applied.
+// FoldPollFailureAt folds a poll whose retry budget is exhausted: the
+// silent cycle is counted and the liveness policy applied — quarantine
+// (Probation) or permanent drop once DropAfter consecutive silent cycles
+// accumulate. The caller owns any rate-controller loss feeding and
+// metrics.
 func (p PollPolicy) FoldPollFailureAt(c *NodeColumns, i, cycle int) LivenessChange {
 	c.Health[i] = foldHealth(c.Health[i], false)
 	c.SilentCycles[i]++
@@ -140,17 +174,18 @@ func (p PollPolicy) FoldPollFailureAt(c *NodeColumns, i, cycle int) LivenessChan
 	return LivenessNone
 }
 
-// ProbeDueAt is (*NodeState).ProbeDue over the columnar layout.
+// ProbeDueAt reports whether quarantined node i's re-probe backoff has
+// elapsed at the given cycle.
 func (c *NodeColumns) ProbeDueAt(i, cycle int) bool {
 	return c.Flags[i]&FlagQuarantined != 0 && int32(cycle) >= c.NextProbe[i]
 }
 
 // NextProbeAt returns node i's next scheduled re-probe cycle (meaningful
-// only while quarantined).
+// only while quarantined) — the hook an event-driven scheduler uses to
+// calendar probes instead of scanning every quarantined node.
 func (c *NodeColumns) NextProbeAt(i int) int { return int(c.NextProbe[i]) }
 
-// State materializes node i as a NodeState, for reports and for parity
-// checks against struct-folding schedulers.
+// State materializes node i as a NodeState, for reports.
 func (c *NodeColumns) State(i int) NodeState {
 	return NodeState{
 		Addr:              c.Addr[i],
@@ -163,9 +198,6 @@ func (c *NodeColumns) State(i int) NodeState {
 		Health:            c.Health[i],
 		Quarantined:       c.Flags[i]&FlagQuarantined != 0,
 		QuarantineEntries: int(c.QuarantineEntries[i]),
-		probeInterval:     int(c.ProbeInterval[i]),
-		nextProbe:         int(c.NextProbe[i]),
-		quarantinedAt:     int(c.QuarantinedAt[i]),
 	}
 }
 

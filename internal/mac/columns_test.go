@@ -1,93 +1,136 @@
 package mac
 
 import (
-	"math/rand"
 	"testing"
 )
 
-// TestColumnsMatchFold drives randomized outcome sequences through the
-// NodeState fold primitives and the NodeColumns counterparts and checks
-// the materialized state matches field for field — including the
-// unexported probe-schedule fields — after every step. This is the
-// layout-parity pin behind the link-abstraction tier's struct-of-arrays
-// fold: same outcomes, same decisions, bit for bit.
-func TestColumnsMatchFold(t *testing.T) {
-	policies := []PollPolicy{
-		DefaultPollPolicy(),
-		{MaxRetries: 2, BackoffSlots: 8, DropAfter: 3, Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 8},
-		{MaxRetries: 1, BackoffSlots: 4, DropAfter: 1, Probation: true, ProbeBackoffBase: 1, ProbeBackoffMax: 1},
-		{MaxRetries: 0, BackoffSlots: 1, DropAfter: 2}, // drop, no probation
-		{MaxRetries: 3, BackoffSlots: 8},               // never drop
-	}
-	for pi, p := range policies {
-		rng := rand.New(rand.NewSource(int64(41 + pi)))
-		const nodes = 5
-		cols := NewNodeColumns(nodes)
-		structs := make([]NodeState, nodes)
-		for i := range structs {
-			structs[i] = NodeState{Addr: byte(i + 1), Health: 1}
-			cols.Addr[i] = byte(i + 1)
+// scriptTrx replays a fixed per-address outcome schedule: outcomes[addr][i]
+// is the result of the i-th poll of addr (false = timeout). Exhausted
+// scripts keep returning the last entry.
+type scriptTrx struct {
+	outcomes map[byte][]bool
+	calls    map[byte]int
+}
+
+func (t *scriptTrx) Poll(addr byte) (RoundResult, error) {
+	sc := t.outcomes[addr]
+	i := t.calls[addr]
+	t.calls[addr]++
+	ok := false
+	if len(sc) > 0 {
+		if i >= len(sc) {
+			i = len(sc) - 1
 		}
-		for cycle := 0; cycle < 200; cycle++ {
-			for i := 0; i < nodes; i++ {
-				st := &structs[i]
-				switch {
-				case st.Dropped != cols.Dropped(i) || st.Quarantined != cols.Quarantined(i):
-					t.Fatalf("policy %d cycle %d node %d: liveness diverged before fold", pi, cycle, i)
-				case st.Dropped:
-					continue
-				case st.Quarantined:
-					if !st.ProbeDue(cycle) {
-						if cols.ProbeDueAt(i, cycle) {
-							t.Fatalf("policy %d cycle %d node %d: ProbeDue disagrees", pi, cycle, i)
-						}
-						continue
-					}
-					if st.NextProbe() != cols.NextProbeAt(i) {
-						t.Fatalf("policy %d cycle %d node %d: NextProbe %d vs %d", pi, cycle, i, st.NextProbe(), cols.NextProbeAt(i))
-					}
-					st.Polls++
-					cols.Polls[i]++
-					if rng.Float64() < 0.4 { // probe delivers
-						snr := rng.NormFloat64()*4 + 10
-						FoldDelivered(st, snr)
-						cols.FoldDeliveredAt(i, snr)
-						lat := st.Restore(cycle)
-						if clat := cols.RestoreAt(i, cycle); clat != lat {
-							t.Fatalf("policy %d cycle %d node %d: recovery latency %d vs %d", pi, cycle, i, lat, clat)
-						}
-					} else {
-						p.FoldProbeFailure(st, cycle)
-						p.FoldProbeFailureAt(cols, i, cycle)
-					}
-				default:
-					attempts := 1 + rng.Intn(1+p.MaxRetries)
-					st.Polls += attempts
-					cols.Polls[i] += int32(attempts)
-					if attempts > 1 {
-						st.Retries += attempts - 1
-						cols.Retries[i] += int32(attempts - 1)
-					}
-					if rng.Float64() < 0.5 { // delivered within budget
-						snr := rng.NormFloat64()*4 + 12
-						FoldDelivered(st, snr)
-						cols.FoldDeliveredAt(i, snr)
-					} else {
-						want := p.FoldPollFailure(st, cycle)
-						if got := p.FoldPollFailureAt(cols, i, cycle); got != want {
-							t.Fatalf("policy %d cycle %d node %d: liveness change %v vs %v", pi, cycle, i, want, got)
-						}
-					}
+		ok = sc[i]
+	}
+	if !ok {
+		return RoundResult{}, nil
+	}
+	return RoundResult{OK: true, Payload: []byte{addr}, SNRdB: 12}, nil
+}
+
+// TestFoldPrimitivesMatchScheduler drives a Scheduler through a
+// quarantine/restore trajectory and replays the same outcome sequence
+// through the exported column fold directly; the two node-state evolutions
+// must agree field for field, probe schedule included. This is the
+// contract the link-abstraction tier relies on: calling the column fold IS
+// running the MAC decision phase.
+func TestFoldPrimitivesMatchScheduler(t *testing.T) {
+	policy := PollPolicy{
+		MaxRetries: 0, BackoffSlots: 8, DropAfter: 2,
+		Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 8,
+	}
+	// Node 7: delivers twice, goes silent for 4 polls (2 cycles → quarantine,
+	// then probes fail twice), then answers its next probe and stays up.
+	script := []bool{true, true, false, false, false, false, true, true, true, true}
+	trx := &scriptTrx{outcomes: map[byte][]bool{7: script}, calls: map[byte]int{}}
+	sched, err := NewScheduler(trx, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.AddNode(7)
+
+	// Shadow state evolved through the column fold only.
+	shadow := NewNodeColumns(1)
+	shadow.Addr[0] = 7
+	si := 0 // script cursor for the shadow run
+
+	const cycles = 20
+	for c := 0; c < cycles; c++ {
+		if _, err := sched.RunCycle(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Shadow decision phase: same schedule the Scheduler computes.
+		if shadow.Live(0) || shadow.ProbeDueAt(0, c) {
+			probe := !shadow.Live(0)
+			shadow.Polls[0]++
+			ok := script[min(si, len(script)-1)]
+			si++
+			switch {
+			case ok:
+				shadow.FoldDeliveredAt(0, 12)
+				if probe {
+					shadow.RestoreAt(0, c)
 				}
-				if got, want := cols.State(i), *st; got != want {
-					t.Fatalf("policy %d cycle %d node %d: state diverged\ncolumns: %+v\nstruct:  %+v", pi, cycle, i, got, want)
-				}
+			case probe:
+				policy.FoldProbeFailureAt(shadow, 0, c)
+			default:
+				policy.FoldPollFailureAt(shadow, 0, c)
 			}
 		}
+
+		if got, want := sched.Nodes()[0], shadow.State(0); got != want {
+			t.Fatalf("cycle %d: scheduler state %+v != column-fold state %+v", c, got, want)
+		}
+		if got, want := sched.cols.NextProbeAt(7), shadow.NextProbeAt(0); got != want {
+			t.Fatalf("cycle %d: scheduler next probe %d != column-fold %d", c, got, want)
+		}
+	}
+	if st := shadow.State(0); st.QuarantineEntries != 1 || st.Quarantined {
+		t.Fatalf("trajectory did not exercise quarantine+restore: %+v", st)
 	}
 }
 
-// TestNodeColumnsInit pins the AddNode-equivalent initial state and the
+// TestFoldPollFailureTransitions pins the liveness transitions and the
+// probe backoff: base interval on entry, doubling per failed probe up to
+// the cap, and the recovery latency a restore reports.
+func TestFoldPollFailureTransitions(t *testing.T) {
+	p := PollPolicy{MaxRetries: 0, BackoffSlots: 8, DropAfter: 2, Probation: true, ProbeBackoffMax: 8}
+	c := NewNodeColumns(2)
+	if ch := p.FoldPollFailureAt(c, 0, 0); ch != LivenessNone {
+		t.Fatalf("first silent cycle: got %v, want LivenessNone", ch)
+	}
+	if ch := p.FoldPollFailureAt(c, 0, 1); ch != LivenessQuarantined || !c.Quarantined(0) {
+		t.Fatalf("second silent cycle: got %v, want LivenessQuarantined", ch)
+	}
+	if next := c.NextProbeAt(0); next != 3 || c.ProbeDueAt(0, 2) || !c.ProbeDueAt(0, 3) {
+		t.Fatalf("probe scheduled at %d, want due at 3 (base 2) and not before", next)
+	}
+	for _, step := range []struct{ cycle, next int }{{3, 7}, {7, 15}, {15, 23}} { // 4, 8, then capped at 8
+		if !c.ProbeDueAt(0, step.cycle) {
+			t.Fatalf("probe not due at cycle %d", step.cycle)
+		}
+		p.FoldProbeFailureAt(c, 0, step.cycle)
+		if next := c.NextProbeAt(0); next != step.next {
+			t.Fatalf("failed probe at %d: next probe %d, want %d", step.cycle, next, step.next)
+		}
+	}
+	c.FoldDeliveredAt(0, 12)
+	if lat := c.RestoreAt(0, 23); lat != 23 || !c.Live(0) {
+		t.Fatalf("restore at 23: latency %d live=%v, want 23 true", lat, c.Live(0))
+	}
+	if st := c.State(0); st.SilentCycles != 0 || st.QuarantineEntries != 1 || st.Successes != 1 {
+		t.Fatalf("restored state %+v", st)
+	}
+
+	drop := PollPolicy{MaxRetries: 0, BackoffSlots: 8, DropAfter: 1}
+	if ch := drop.FoldPollFailureAt(c, 1, 0); ch != LivenessDropped || !c.Dropped(1) || c.Live(1) {
+		t.Fatalf("drop policy: got %v dropped=%v", ch, c.Dropped(1))
+	}
+}
+
+// TestNodeColumnsInit pins the freshly-added initial state and the
 // probe-horizon export the calendar wheel sizes itself with.
 func TestNodeColumnsInit(t *testing.T) {
 	c := NewNodeColumns(3)

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -123,7 +124,8 @@ type WaveTransceiver interface {
 	PollAt(addr byte, chipRate float64) (RoundResult, error)
 }
 
-// NodeState tracks scheduler bookkeeping per node.
+// NodeState is one node's scheduler bookkeeping, as reports see it
+// (NodeColumns.State materializes it).
 type NodeState struct {
 	Addr         byte
 	Polls        int
@@ -141,10 +143,6 @@ type NodeState struct {
 	Quarantined bool
 	// QuarantineEntries counts how many times the node entered probation.
 	QuarantineEntries int
-
-	probeInterval int // current re-probe backoff, cycles
-	nextProbe     int // cycle index of the next re-probe
-	quarantinedAt int // cycle index of the latest quarantine entry
 }
 
 // Scheduler runs the polling MAC over a set of node addresses.
@@ -159,9 +157,9 @@ type NodeState struct {
 type Scheduler struct {
 	policy  PollPolicy
 	trx     Transceiver
-	nodes   map[byte]*NodeState
-	order   []byte
-	cycle   int // completed RunCycle count (the probation clock)
+	cols    *NodeColumns // fold state, indexed by node address
+	order   []byte       // registered addresses, ascending
+	cycle   int          // completed RunCycle count (the probation clock)
 	rate    *RateController
 	workers int // execution-phase pool width (0 or 1 = serial)
 	met     macMetrics
@@ -236,31 +234,12 @@ func (s *Scheduler) Instrument(reg *telemetry.Registry) {
 // (neither dropped nor quarantined).
 func (s *Scheduler) liveCount() int {
 	n := 0
-	for _, st := range s.nodes {
-		if !st.Dropped && !st.Quarantined {
+	for _, a := range s.order {
+		if s.cols.Live(int(a)) {
 			n++
 		}
 	}
 	return n
-}
-
-// healthAlpha is the EWMA coefficient of the per-node health score.
-const healthAlpha = 0.25
-
-// foldHealth is the scalar EWMA update both state representations share
-// (NodeState and the struct-of-arrays NodeColumns): one arithmetic
-// expression, so the two layouts stay bit-identical by construction.
-func foldHealth(h float64, delivered bool) float64 {
-	outcome := 0.0
-	if delivered {
-		outcome = 1
-	}
-	return (1-healthAlpha)*h + healthAlpha*outcome
-}
-
-// observeHealth folds one cycle outcome into the node's health score.
-func observeHealth(st *NodeState, delivered bool) {
-	st.Health = foldHealth(st.Health, delivered)
 }
 
 // SetRateController attaches a rate controller: every delivered cycle
@@ -282,18 +261,18 @@ func NewScheduler(trx Transceiver, policy PollPolicy) (*Scheduler, error) {
 	return &Scheduler{
 		policy: policy,
 		trx:    trx,
-		nodes:  make(map[byte]*NodeState),
+		cols:   NewNodeColumns(256),
 	}, nil
 }
 
 // AddNode registers a node address for polling. Duplicate adds are no-ops.
 func (s *Scheduler) AddNode(addr byte) {
-	if _, ok := s.nodes[addr]; ok {
+	i, ok := slices.BinarySearch(s.order, addr)
+	if ok {
 		return
 	}
-	s.nodes[addr] = &NodeState{Addr: addr, Health: 1}
-	s.order = append(s.order, addr)
-	sort.Slice(s.order, func(i, j int) bool { return s.order[i] < s.order[j] })
+	s.order = slices.Insert(s.order, i, addr)
+	s.cols.Addr[addr] = addr
 	s.met.liveNodes.Set(float64(s.liveCount()))
 }
 
@@ -302,7 +281,7 @@ func (s *Scheduler) AddNode(addr byte) {
 func (s *Scheduler) Nodes() []NodeState {
 	out := make([]NodeState, 0, len(s.order))
 	for _, a := range s.order {
-		out = append(out, *s.nodes[a])
+		out = append(out, s.cols.State(int(a)))
 	}
 	return out
 }
@@ -343,7 +322,7 @@ func (s *Scheduler) poolWidth() int {
 // waveSlot is one poll of an execution wave: the decision phase fills the
 // target, the execution phase fills the outcome.
 type waveSlot struct {
-	st    *NodeState
+	addr  byte
 	probe bool
 	res   RoundResult
 	err   error
@@ -373,15 +352,11 @@ func (s *Scheduler) RunCycle() (CycleReport, error) {
 	// backoff has elapsed.
 	wave := make([]waveSlot, 0, len(s.order))
 	for _, addr := range s.order {
-		st := s.nodes[addr]
-		switch {
-		case st.Dropped:
-		case st.Quarantined:
-			if cycle >= st.nextProbe {
-				wave = append(wave, waveSlot{st: st, probe: true})
-			}
-		default:
-			wave = append(wave, waveSlot{st: st})
+		switch i := int(addr); {
+		case s.cols.Live(i):
+			wave = append(wave, waveSlot{addr: addr})
+		case s.cols.ProbeDueAt(i, cycle):
+			wave = append(wave, waveSlot{addr: addr, probe: true})
 		}
 	}
 	rep.Polled = len(wave)
@@ -390,11 +365,11 @@ func (s *Scheduler) RunCycle() (CycleReport, error) {
 		// Pre-dispatch bookkeeping, in address order so the counters a
 		// serial run would produce are reproduced exactly.
 		for i := range wave {
-			st := wave[i].st
-			st.Polls++
+			a := wave[i].addr
+			s.cols.Polls[a]++
 			s.met.polls.Inc()
 			if attempt > 0 {
-				st.Retries++
+				s.cols.Retries[a]++
 				rep.Retries++
 				s.met.retries.Inc()
 			}
@@ -411,26 +386,25 @@ func (s *Scheduler) RunCycle() (CycleReport, error) {
 		retry := wave[:0:0]
 		for i := range wave {
 			slot := &wave[i]
-			st := slot.st
 			if slot.err != nil {
 				kind := "poll"
 				if slot.probe {
 					kind = "probe"
 				}
-				return rep, fmt.Errorf("mac: %s %d: %w", kind, st.Addr, slot.err)
+				return rep, fmt.Errorf("mac: %s %d: %w", kind, slot.addr, slot.err)
 			}
 			switch {
 			case slot.res.OK:
 				s.finishDelivered(slot, cycle, &rep)
 			case slot.probe:
 				s.met.timeouts.Inc()
-				s.finishFailedProbe(st, cycle)
+				s.policy.FoldProbeFailureAt(s.cols, int(slot.addr), cycle)
 			case attempt < s.policy.MaxRetries:
 				s.met.timeouts.Inc()
-				retry = append(retry, waveSlot{st: st})
+				retry = append(retry, waveSlot{addr: slot.addr})
 			default:
 				s.met.timeouts.Inc()
-				s.finishFailedPoll(st, cycle)
+				s.finishFailedPoll(slot.addr, cycle)
 			}
 		}
 		wave = retry
@@ -452,9 +426,9 @@ func (s *Scheduler) runWave(wave []waveSlot) {
 	poll := func(slot *waveSlot) {
 		start := time.Now()
 		if snapshot {
-			slot.res, slot.err = wt.PollAt(slot.st.Addr, cmdRate)
+			slot.res, slot.err = wt.PollAt(slot.addr, cmdRate)
 		} else {
-			slot.res, slot.err = s.trx.Poll(slot.st.Addr)
+			slot.res, slot.err = s.trx.Poll(slot.addr)
 		}
 		slot.dur = time.Since(start)
 	}
@@ -514,18 +488,17 @@ func (s *Scheduler) observeWave(wave []waveSlot, workers int, wall time.Duration
 
 // finishDelivered folds a delivered poll (or restoring probe) into the
 // node and cycle state. The node-state transition itself lives in the
-// exported decision-phase primitives (fold.go), shared with the
-// link-abstraction tier; this method adds the scheduler's report assembly,
-// metrics and rate-controller feeding.
+// exported column fold (columns.go), shared with the link-abstraction
+// tier; this method adds the scheduler's report assembly, metrics and
+// rate-controller feeding.
 func (s *Scheduler) finishDelivered(slot *waveSlot, cycle int, rep *CycleReport) {
-	st := slot.st
-	FoldDelivered(st, slot.res.SNRdB)
-	rep.Payloads[st.Addr] = slot.res.Payload
+	s.cols.FoldDeliveredAt(int(slot.addr), slot.res.SNRdB)
+	rep.Payloads[slot.addr] = slot.res.Payload
 	rep.Delivered++
 	s.met.delivered.Inc()
 	if slot.probe {
 		s.met.restored.Inc()
-		s.met.recoveryLat.Observe(float64(st.Restore(cycle)))
+		s.met.recoveryLat.Observe(float64(s.cols.RestoreAt(int(slot.addr), cycle)))
 		s.met.liveNodes.Set(float64(s.liveCount()))
 		return // probes are off-schedule and never feed the rate controller
 	}
@@ -534,20 +507,14 @@ func (s *Scheduler) finishDelivered(slot *waveSlot, cycle int, rep *CycleReport)
 	}
 }
 
-// finishFailedProbe folds a failed quarantine re-probe (fold.go owns the
-// backoff doubling).
-func (s *Scheduler) finishFailedProbe(st *NodeState, cycle int) {
-	s.policy.FoldProbeFailure(st, cycle)
-}
-
 // finishFailedPoll applies the liveness policy to a node whose retry
 // budget is exhausted, recording the transition's metrics and feeding the
 // rate controller's loss signal.
-func (s *Scheduler) finishFailedPoll(st *NodeState, cycle int) {
+func (s *Scheduler) finishFailedPoll(addr byte, cycle int) {
 	if s.rate != nil {
 		s.rate.ObserveLoss()
 	}
-	switch s.policy.FoldPollFailure(st, cycle) {
+	switch s.policy.FoldPollFailureAt(s.cols, int(addr), cycle) {
 	case LivenessQuarantined:
 		s.met.quarantined.Inc()
 		s.met.liveNodes.Set(float64(s.liveCount()))
@@ -560,8 +527,8 @@ func (s *Scheduler) finishFailedPoll(st *NodeState, cycle int) {
 // DeliveryRatio returns delivered/polled across all completed cycles for a
 // node, or 0 if it was never polled.
 func (s *Scheduler) DeliveryRatio(addr byte) float64 {
-	st, ok := s.nodes[addr]
-	if !ok || st.Polls == 0 {
+	st := s.cols.State(int(addr))
+	if st.Polls == 0 {
 		return 0
 	}
 	return float64(st.Successes) / float64(st.Polls)
