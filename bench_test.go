@@ -423,21 +423,6 @@ func BenchmarkGoertzelChip(b *testing.B) {
 	}
 }
 
-func BenchmarkFIRFilter(b *testing.B) {
-	lp, err := dsp.LowpassFIR(63, 2000, 16000, dsp.Hamming)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	x := dsp.GaussianNoise(make([]complex128, 4096), 1, rng)
-	out := make([]complex128, len(x))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lp.ProcessInto(out, x)
-	}
-	b.SetBytes(4096 * 16)
-}
-
 func BenchmarkFrameCodec(b *testing.B) {
 	c := link.DefaultCodec()
 	f := &link.Frame{Type: link.FrameData, Addr: 3, Seq: 1, Payload: make([]byte, 8)}

@@ -96,88 +96,6 @@ func TestArgMaxAbs(t *testing.T) {
 	}
 }
 
-func TestFractionalDelayInteger(t *testing.T) {
-	x := []complex128{1, 2, 3, 4, 5}
-	y := FractionalDelay(x, 2, 8)
-	want := []complex128{0, 0, 1, 2, 3}
-	for i := range want {
-		if !approxEqC(y[i], want[i], 1e-12) {
-			t.Errorf("y[%d] = %v, want %v", i, y[i], want[i])
-		}
-	}
-}
-
-func TestFractionalDelayHalfSampleTone(t *testing.T) {
-	// Delaying a complex exponential by d samples multiplies it by
-	// e^{-j2πfd/fs}; verify phase accuracy in the interior.
-	fs := 16000.0
-	f := 1200.0
-	n := 512
-	x := tone(f, fs, n, 1, 0)
-	d := 3.5
-	y := FractionalDelay(x, d, 16)
-	expected := cmplx.Rect(1, -Tau*f*d/fs)
-	for i := 50; i < n-50; i++ {
-		want := x[i] * expected
-		if !approxEqC(y[i], want, 0.01) {
-			t.Fatalf("sample %d: got %v want %v", i, y[i], want)
-		}
-	}
-}
-
-func TestFractionalDelayPanicsNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for negative delay")
-		}
-	}()
-	FractionalDelay([]complex128{1}, -1, 8)
-}
-
-func TestDecimateUpsampleRoundTrip(t *testing.T) {
-	fs := 16000.0
-	n := 1024
-	// Band-limited signal: 300 Hz tone, well inside fs/8.
-	x := tone(300, fs, n, 1, 0)
-	down, err := Decimate(x, 4, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(down) != n/4 {
-		t.Fatalf("decimated length %d", len(down))
-	}
-	up, err := Upsample(down, 4, fs/4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare against the original in the interior, allowing for the two
-	// filter group delays: the decimation filter contributes 31 samples at
-	// the original rate and the interpolation filter another 31, so the
-	// round trip lags by 62 samples.
-	delay := 31 + 31
-	var err2, sig float64
-	for i := 200; i < 700; i++ {
-		d := cmplx.Abs(up[i+delay] - x[i])
-		err2 += d * d
-		sig += sq(x[i])
-	}
-	if err2/sig > 0.05 {
-		t.Errorf("round-trip relative error %v too high", err2/sig)
-	}
-}
-
-func TestDecimateFactorOne(t *testing.T) {
-	x := []complex128{1, 2, 3}
-	y, err := Decimate(x, 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y[0] = 99
-	if x[0] == 99 {
-		t.Error("factor-1 decimate must copy")
-	}
-}
-
 // TestCorrelatorMatchesOneShot pins the cached-reference correlator against
 // the package-level functions bit-exactly, on both the direct (short ref)
 // and FFT (long ref) paths, including a capture-length change that forces a

@@ -1,7 +1,7 @@
 // Package dsp provides the digital signal processing primitives used by the
-// VAB simulation stack: FFTs, FIR filter design and application, Goertzel
-// tone detection, window functions, correlation, resampling, and basic
-// statistics over real and complex sequences.
+// VAB simulation stack: FFTs, complex-tap noise-shaping filters, Goertzel
+// tone detection, window functions, correlation, Welch PSD estimates, and
+// basic statistics over real and complex sequences.
 //
 // All routines are allocation-conscious: the hot paths (filtering, Goertzel,
 // correlation) operate on caller-provided slices and avoid per-sample
@@ -181,13 +181,4 @@ func WrapPhase(p float64) float64 {
 		w += Tau
 	}
 	return w - math.Pi
-}
-
-// Sinc computes the normalized sinc function sin(πx)/(πx).
-func Sinc(x float64) float64 {
-	if x == 0 {
-		return 1
-	}
-	px := math.Pi * x
-	return math.Sin(px) / px
 }

@@ -72,20 +72,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestSinc(t *testing.T) {
-	if Sinc(0) != 1 {
-		t.Error("Sinc(0) != 1")
-	}
-	for _, k := range []float64{1, 2, 3, -4} {
-		if !approxEq(Sinc(k), 0, 1e-12) {
-			t.Errorf("Sinc(%v) = %v, want 0", k, Sinc(k))
-		}
-	}
-	if !approxEq(Sinc(0.5), 2/math.Pi, 1e-12) {
-		t.Errorf("Sinc(0.5) = %v", Sinc(0.5))
-	}
-}
-
 func TestEnergyPowerScale(t *testing.T) {
 	x := []complex128{complex(3, 4), complex(0, 0)}
 	if !approxEq(Energy(x), 25, tol) {

@@ -8,7 +8,7 @@ import (
 // CFIR is a finite-impulse-response filter with complex taps, needed when a
 // complex-baseband response must differ between positive and negative
 // frequencies (a real-tap filter is always conjugate-symmetric). Streaming
-// state is kept like FIR's.
+// state carries the last len(taps)-1 inputs from one call to the next.
 type CFIR struct {
 	taps  []complex128
 	state []complex128 // previous len(taps)-1 inputs, oldest first

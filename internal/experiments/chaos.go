@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"vab/internal/core"
 	"vab/internal/faults"
@@ -11,6 +9,7 @@ import (
 	"vab/internal/ocean"
 	"vab/internal/reader"
 	"vab/internal/sim"
+	"vab/internal/workpool"
 )
 
 // chaosIntensities is the fault-intensity sweep E11 traces degradation
@@ -161,33 +160,18 @@ func E11Chaos(opts Options) (*Result, error) {
 		}
 	}
 	cells := make([]chaosCell, len(jobs))
-	errs := make([]error, len(jobs))
 	fleetWorkers := opts.workers() // per-cell fleet poll-pool width
-	workers := fleetWorkers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				j := jobs[i]
-				cells[i], errs[i] = runChaosCell(sc, j.intensity, j.recovery, cycles, j.seed, fleetWorkers)
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
+	err = workpool.Run(len(jobs), fleetWorkers, "e11_cell", func(i int) error {
+		j := jobs[i]
+		c, err := runChaosCell(sc, j.intensity, j.recovery, cycles, j.seed, fleetWorkers)
 		if err != nil {
-			return nil, fmt.Errorf("chaos cell %d: %w", i, err)
+			return fmt.Errorf("chaos cell %d: %w", i, err)
 		}
+		cells[i] = c
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	t := sim.NewTable(fmt.Sprintf("E11: Chaos campaign — scenario %q, %d cycles/cell, recovery off vs on", spec, cycles),

@@ -16,14 +16,13 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"vab/internal/baseline"
 	"vab/internal/core"
 	"vab/internal/ocean"
 	"vab/internal/sim"
 	"vab/internal/telemetry"
+	"vab/internal/workpool"
 )
 
 // Result is one regenerated artifact.
@@ -253,42 +252,17 @@ func RunMany(ids []string, opts Options) ([]*Result, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	workers := opts.workers()
-	if workers > len(ids) {
-		workers = len(ids)
-	}
 	out := make([]*Result, len(ids))
-	errs := make([]error, len(ids))
-	if workers == 1 {
-		for i, id := range ids {
-			res, err := Run(id, opts)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s: %w", id, err)
-			}
-			out[i] = res
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ids) {
-					return
-				}
-				out[i], errs[i] = Run(ids[i], opts)
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
+	err := workpool.Run(len(ids), opts.workers(), "experiment", func(i int) error {
+		res, err := Run(ids[i], opts)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", ids[i], err)
+			return fmt.Errorf("experiments: %s: %w", ids[i], err)
 		}
+		out[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

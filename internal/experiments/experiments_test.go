@@ -98,6 +98,27 @@ func TestWorkersBitIdentity(t *testing.T) {
 	}
 }
 
+// TestRunManyEarliestListedError pins RunMany's error contract: the error
+// of the earliest-listed failing experiment, at any width.
+func TestRunManyEarliestListedError(t *testing.T) {
+	ids := []string{"E2", "bogus1", "bogus2"}
+	var want string
+	for _, workers := range []int{1, 8} {
+		_, err := RunMany(ids, Options{Trials: 20, Seed: 3, Workers: workers})
+		if err == nil {
+			t.Fatalf("workers=%d: no error", workers)
+		}
+		if !strings.HasPrefix(err.Error(), `experiments: bogus1: experiments: unknown experiment "bogus1"`) {
+			t.Fatalf("workers=%d: error %q does not name bogus1", workers, err)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("workers=%d: error %q differs from the serial %q", workers, err, want)
+		}
+	}
+}
+
 // TestE1RangeClaim locks the abstract's headline: BER ≤ 1e-3 at 300 m
 // round trip in the river, across orientations.
 func TestE1RangeClaim(t *testing.T) {

@@ -2,13 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"vab/internal/faults/netfaults"
 	"vab/internal/gateway"
 	"vab/internal/sim"
+	"vab/internal/workpool"
 )
 
 // E14 models the shore-side delivery path under network chaos: a gateway
@@ -232,32 +231,17 @@ func E14NetChaos(opts Options) (*Result, error) {
 		}
 	}
 	cells := make([]netchaosCell, len(jobs))
-	errs := make([]error, len(jobs))
-	workers := opts.workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var nextJob atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(nextJob.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				j := jobs[i]
-				cells[i], errs[i] = runNetchaosCell(j.seed, j.intensity, j.resume, readings)
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
+	err := workpool.Run(len(jobs), opts.workers(), "e14_cell", func(i int) error {
+		j := jobs[i]
+		c, err := runNetchaosCell(j.seed, j.intensity, j.resume, readings)
 		if err != nil {
-			return nil, fmt.Errorf("netchaos cell %d: %w", i, err)
+			return fmt.Errorf("netchaos cell %d: %w", i, err)
 		}
+		cells[i] = c
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	t := sim.NewTable(fmt.Sprintf("E14: Network chaos — gateway delivery over %d readings/cell, resume off vs on (ring %d)",

@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"vab/internal/core"
 	"vab/internal/ocean"
 	"vab/internal/sim"
+	"vab/internal/workpool"
 )
 
 // x3Ranges is the river range axis X3 validates the budget tier over.
@@ -43,7 +42,6 @@ func X3WaveformValidation(opts Options) (*Result, error) {
 
 	type rangeOut struct{ wf, bud float64 }
 	outs := make([]rangeOut, len(x3Ranges))
-	errs := make([]error, len(x3Ranges))
 	runRange := func(i int) error {
 		rng := x3Ranges[i]
 		// Waveform tier. The design is shared read-only across jobs (no
@@ -78,38 +76,14 @@ func X3WaveformValidation(opts Options) (*Result, error) {
 		return nil
 	}
 
-	workers := opts.workers()
-	if workers > len(x3Ranges) {
-		workers = len(x3Ranges)
-	}
-	if workers <= 1 {
-		for i := range x3Ranges {
-			if err := runRange(i); err != nil {
-				return nil, err
-			}
+	err = workpool.Run(len(x3Ranges), opts.workers(), "x3_range", func(i int) error {
+		if err := runRange(i); err != nil {
+			return fmt.Errorf("x3 range %.0f m: %w", x3Ranges[i], err)
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(x3Ranges) {
-						return
-					}
-					errs[i] = runRange(i)
-				}
-			}()
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("x3 range %.0f m: %w", x3Ranges[i], err)
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	var worstGap float64

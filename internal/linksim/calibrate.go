@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"vab/internal/core"
 	"vab/internal/faults"
 	"vab/internal/ocean"
+	"vab/internal/workpool"
 )
 
 // Environments the calibrator (and the abstract tier) knows by name.
@@ -135,9 +134,9 @@ func Calibrate(cfg CalibrateConfig) (*Table, error) {
 		}
 	}
 
-	errs := make([]error, len(jobs))
 	meas := make([]cellMeasurement, len(t.Cells))
-	run := func(j job) error {
+	err := workpool.Run(len(jobs), cfg.Workers, "calibrate_cell", func(i int) error {
+		j := jobs[i]
 		m, err := calibrateCell(cfg, j.env, j.intensity, j.orientRad, j.rangeM, int64(j.idx))
 		if err != nil {
 			return fmt.Errorf("linksim: cell %s i=%.2g θ=%.2f r=%.0f: %w",
@@ -146,39 +145,9 @@ func Calibrate(cfg CalibrateConfig) (*Table, error) {
 		meas[j.idx] = m
 		t.Cells[j.idx] = m.cell
 		return nil
-	}
-	workers := cfg.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			if err := run(j); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					errs[i] = run(jobs[i])
-				}
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.ChipRate = meas[0].chipRate // identical across cells: the default PHY numerology
 	t.SourceLevelDB = core.DefaultSourceLevelDB

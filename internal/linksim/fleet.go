@@ -8,7 +8,6 @@ import (
 	"runtime/pprof"
 	"sync"
 
-	"vab/internal/core"
 	"vab/internal/faults"
 	"vab/internal/mac"
 	"vab/internal/telemetry"
@@ -641,32 +640,4 @@ func (f *Fleet) runSpan(lo, hi int) {
 		cell, p := m.resolve(f.coords[w.node])
 		f.outs[i] = m.pollCell(f.seedBase, w.node, cycle, w.probe, n, cell, p, 0)
 	}
-}
-
-// Tier implementation — the abstract counterpart of core.Fleet's.
-
-var _ core.Tier = (*Fleet)(nil)
-
-// TierName identifies the fidelity tier.
-func (f *Fleet) TierName() string { return "abstract" }
-
-// TierNodes returns the fleet size.
-func (f *Fleet) TierNodes() int { return f.cfg.Nodes }
-
-// RunTierCycle runs one cycle through the tier-polymorphic seam.
-func (f *Fleet) RunTierCycle() (core.TierStats, error) {
-	rep, err := f.RunCycle()
-	if err != nil {
-		return core.TierStats{}, err
-	}
-	return core.TierStats{
-		Polled:      rep.Polled,
-		Delivered:   rep.Delivered,
-		Retries:     rep.Retries,
-		Probes:      rep.Probes,
-		Live:        rep.Live,
-		Quarantined: rep.Quarantined,
-		Dropped:     rep.Dropped,
-		MeanSNRdB:   rep.MeanSNRdB,
-	}, nil
 }

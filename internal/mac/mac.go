@@ -11,18 +11,15 @@
 package mac
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
-	"runtime/pprof"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"vab/internal/telemetry"
+	"vab/internal/workpool"
 )
 
 // PollPolicy tunes the polling scheduler.
@@ -415,7 +412,10 @@ func (s *Scheduler) RunCycle() (CycleReport, error) {
 // runWave executes one wave of polls over the worker pool. The rate
 // controller's command is snapshotted once, before dispatch, and handed
 // to every poll through the WaveTransceiver extension; the controller is
-// never read or written while workers are in flight.
+// never read or written while workers are in flight. Poll errors land in
+// their slots for the address-order fold, and so does a panicking poll (as
+// a *workpool.PanicError), so the fold reports the lowest-address failure
+// whichever kind it is.
 func (s *Scheduler) runWave(wave []waveSlot) {
 	var cmdRate float64
 	wt, snapshot := s.trx.(WaveTransceiver)
@@ -423,46 +423,23 @@ func (s *Scheduler) runWave(wave []waveSlot) {
 	if snapshot {
 		cmdRate = s.rate.Rate()
 	}
-	poll := func(slot *waveSlot) {
-		start := time.Now()
+	workers := min(s.poolWidth(), len(wave))
+	start := time.Now()
+	err := workpool.Run(len(wave), workers, "mac_poll", func(i int) error {
+		slot := &wave[i]
+		pollStart := time.Now()
 		if snapshot {
 			slot.res, slot.err = wt.PollAt(slot.addr, cmdRate)
 		} else {
 			slot.res, slot.err = s.trx.Poll(slot.addr)
 		}
-		slot.dur = time.Since(start)
-	}
-
-	workers := s.poolWidth()
-	if workers > len(wave) {
-		workers = len(wave)
-	}
-	start := time.Now()
-	if workers == 1 {
-		for i := range wave {
-			poll(&wave[i])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				// One pprof label per worker, not per poll: CPU profiles
-				// attribute wave execution via `go tool pprof -tags`.
-				pprof.Do(context.Background(), pprof.Labels("vab_stage", "mac_poll"), func(context.Context) {
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(wave) {
-							return
-						}
-						poll(&wave[i])
-					}
-				})
-			}()
-		}
-		wg.Wait()
+		slot.dur = time.Since(pollStart)
+		return nil
+	})
+	if err != nil {
+		// fn never fails, so err is the lowest-index panic; any
+		// higher-index panic sits behind it in the fold.
+		wave[err.(*workpool.PanicError).Index].err = err
 	}
 	s.observeWave(wave, workers, time.Since(start))
 }

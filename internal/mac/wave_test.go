@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,6 +21,7 @@ type syncTrx struct {
 	calls    map[byte]int
 	rates    []polledAt // every PollAt in call order (serial runs only)
 	errFor   map[byte]error
+	panicFor map[byte]any
 }
 
 type polledAt struct {
@@ -33,6 +35,7 @@ func newSyncTrx() *syncTrx {
 		snr:      map[byte]float64{},
 		calls:    map[byte]int{},
 		errFor:   map[byte]error{},
+		panicFor: map[byte]any{},
 	}
 }
 
@@ -43,6 +46,9 @@ func (s *syncTrx) PollAt(addr byte, rate float64) (RoundResult, error) {
 	defer s.mu.Unlock()
 	if err := s.errFor[addr]; err != nil {
 		return RoundResult{}, err
+	}
+	if v := s.panicFor[addr]; v != nil {
+		panic(v)
 	}
 	i := s.calls[addr]
 	s.calls[addr]++
@@ -176,25 +182,48 @@ func TestWaveRateSnapshotBarrier(t *testing.T) {
 }
 
 // TestWaveLowestAddressError pins deterministic error selection: when
-// several polls of a wave fail, the lowest-address error is reported, no
-// matter how the pool interleaved them.
+// several polls of a wave fail — by error or by panic — the lowest-address
+// failure is reported, no matter how the pool interleaved them, and a
+// panicking transceiver fails the cycle instead of crashing it.
 func TestWaveLowestAddressError(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		trx := newSyncTrx()
-		trx.outcomes[2] = []bool{true}
-		trx.errFor[3] = errors.New("flooded")
-		trx.errFor[5] = errors.New("also flooded")
-		s, err := NewScheduler(trx, DefaultPollPolicy())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range []byte{2, 3, 5} {
-			s.AddNode(a)
-		}
-		s.SetWorkers(workers)
-		_, err = s.RunCycle()
-		if err == nil || err.Error() != "mac: poll 3: flooded" {
-			t.Errorf("workers=%d: error %v, want the lowest-address poll error", workers, err)
+	cases := []struct {
+		name   string
+		fail   func(trx *syncTrx)
+		prefix string // of the error's first line
+	}{
+		{"errors", func(trx *syncTrx) {
+			trx.errFor[3] = errors.New("flooded")
+			trx.errFor[5] = errors.New("also flooded")
+		}, "mac: poll 3: flooded"},
+		{"panic below error", func(trx *syncTrx) {
+			trx.panicFor[3] = "transceiver bug"
+			trx.errFor[5] = errors.New("flooded")
+		}, "mac: poll 3: mac_poll: index 1: panic: transceiver bug"},
+		{"error below panic", func(trx *syncTrx) {
+			trx.errFor[3] = errors.New("flooded")
+			trx.panicFor[5] = "transceiver bug"
+		}, "mac: poll 3: flooded"},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 8} {
+			trx := newSyncTrx()
+			trx.outcomes[2] = []bool{true}
+			tc.fail(trx)
+			s, err := NewScheduler(trx, DefaultPollPolicy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range []byte{2, 3, 5} {
+				s.AddNode(a)
+			}
+			s.SetWorkers(workers)
+			_, err = s.RunCycle()
+			if err == nil {
+				t.Fatalf("%s, workers=%d: no error", tc.name, workers)
+			}
+			if head, _, _ := strings.Cut(err.Error(), "\n"); head != tc.prefix {
+				t.Errorf("%s, workers=%d: error %q, want the lowest-address failure %q", tc.name, workers, head, tc.prefix)
+			}
 		}
 	}
 }

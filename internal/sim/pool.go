@@ -1,12 +1,10 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"runtime/pprof"
-	"sync"
-	"sync/atomic"
+
+	"vab/internal/workpool"
 )
 
 // RunCells executes a batch of independent Monte-Carlo cells on a bounded
@@ -17,7 +15,8 @@ import (
 // selects runtime.NumCPU(); workers == 1 runs inline with no goroutines.
 //
 // On error the lowest-index failure is returned (the same one a serial run
-// would hit first), so error behavior is deterministic too.
+// would hit first), so error behavior is deterministic too. A panicking
+// cell comes back as a *workpool.PanicError naming its index.
 func RunCells(cfgs []TrialConfig, workers int) ([]CellResult, error) {
 	if len(cfgs) == 0 {
 		return nil, nil
@@ -28,46 +27,23 @@ func RunCells(cfgs []TrialConfig, workers int) ([]CellResult, error) {
 	if workers > len(cfgs) {
 		workers = len(cfgs)
 	}
+	if workers > 1 {
+		metPoolWorkers.Set(float64(workers))
+	}
 	out := make([]CellResult, len(cfgs))
-	if workers == 1 {
-		for i := range cfgs {
-			r, err := RunCell(cfgs[i])
-			if err != nil {
-				return nil, fmt.Errorf("sim: cell %d: %w", i, err)
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-
-	metPoolWorkers.Set(float64(workers))
-	errs := make([]error, len(cfgs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			// Label the whole worker (once, not per cell — label sets
-			// allocate) so CPU profiles attribute Monte-Carlo work to the
-			// pool: `go tool pprof -tags` splits on vab_stage.
-			pprof.Do(context.Background(), pprof.Labels("vab_stage", "mc_cell"), func(context.Context) {
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(cfgs) {
-						return
-					}
-					out[i], errs[i] = RunCell(cfgs[i])
-				}
-			})
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
+	err := workpool.Run(len(cfgs), workers, "mc_cell", func(i int) error {
+		r, err := RunCell(cfgs[i])
 		if err != nil {
-			return nil, fmt.Errorf("sim: cell %d: %w", i, err)
+			return fmt.Errorf("sim: cell %d: %w", i, err)
 		}
+		out[i] = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	metPoolCells.Add(int64(len(cfgs)))
+	if workers > 1 {
+		metPoolCells.Add(int64(len(cfgs)))
+	}
 	return out, nil
 }
