@@ -368,7 +368,7 @@ func BenchmarkLinkNew(b *testing.B) {
 
 // benchTDL measures one TDL engine at a given tap count over a 16 k-sample
 // block — the data behind the time/frequency crossover documented on
-// channel.Config.FrequencyDomainTDL.
+// channel.TDL.
 func benchTDL(b *testing.B, nTaps int, freq bool) {
 	rng := rand.New(rand.NewSource(3))
 	taps := make([]channel.Tap, nTaps)

@@ -193,7 +193,7 @@ func main() {
 	fleet, err := linksim.NewFleet(linksim.Config{
 		Nodes: *nodes,
 		Policy: mac.PollPolicy{
-			MaxRetries: 2, BackoffSlots: 8, DropAfter: 3,
+			MaxRetries: 2, DropAfter: 3,
 			Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 8,
 		},
 		Env:  "river",

@@ -94,10 +94,6 @@ func (w *Writer) WriteVarint(v int64) { w.WriteUvarint(ZigZag(v)) }
 // BitLen returns the number of bits written since Reset.
 func (w *Writer) BitLen() int { return w.bits }
 
-// Len returns the encoded length in whole bytes, counting the pending
-// partial byte Finish would flush.
-func (w *Writer) Len() int { return len(w.buf) + int((w.ncur+7)/8) }
-
 // Finish flushes the trailing partial byte (zero-padded at the bottom)
 // and returns the encoded bytes. The Writer must be Reset before reuse.
 func (w *Writer) Finish() []byte {

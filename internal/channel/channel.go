@@ -48,11 +48,6 @@ type Config struct {
 	NodeDepth   float64 // m
 	Range       float64 // horizontal range, m
 
-	// MaxOrder and FloorDB tune multipath enumeration (see ocean package);
-	// zero values select defaults.
-	MaxOrder int
-	FloorDB  float64
-
 	// SelfInterferenceDB sets the direct projector→hydrophone leakage level
 	// relative to the source level at 1 m (negative number; typical reader
 	// assemblies achieve −20…−40 dB of acoustic isolation).
@@ -69,15 +64,6 @@ type Config struct {
 	ColoredNoise bool
 	// DisableFading freezes the channel in time.
 	DisableFading bool
-
-	// FrequencyDomainTDL switches Downlink/Uplink to the overlap-save
-	// block-convolution engine (see TDL). It is opt-in because FFT
-	// rounding differs from the reference time-domain arithmetic at the
-	// ~1e-13 relative level, which would perturb the seeded experiment
-	// transcripts; the default time-domain path is bit-identical to the
-	// historical implementation. Worth enabling only for dense delay
-	// lines (tens of taps) — see the TDL benchmarks for the crossover.
-	FrequencyDomainTDL bool
 
 	Seed int64
 }
@@ -135,16 +121,10 @@ func New(cfg Config) (*Link, error) {
 		return nil, err
 	}
 	mp := ocean.DefaultMultipathConfig(cfg.CarrierHz)
-	if cfg.MaxOrder > 0 {
-		mp.MaxOrder = cfg.MaxOrder
-	}
-	if cfg.FloorDB > 0 {
-		mp.MinRelAmpDB = cfg.FloorDB
-	}
 	src := rand.NewSource(cfg.Seed)
 	l := &Link{cfg: cfg, mp: mp, src: src, rng: rand.New(src)}
-	l.tdlDown = NewTDL(nil, cfg.FrequencyDomainTDL)
-	l.tdlUp = NewTDL(nil, cfg.FrequencyDomainTDL)
+	l.tdlDown = NewTDL(nil, false)
+	l.tdlUp = NewTDL(nil, false)
 	l.rebuildGeometry()
 
 	if !cfg.DisableNoise {

@@ -246,35 +246,6 @@ func TestTDLFrequencyMatchesTime(t *testing.T) {
 	}
 }
 
-// TestFrequencyDomainTDLConfig exercises the opt-in through the Link API.
-func TestFrequencyDomainTDLConfig(t *testing.T) {
-	cfg := testCfg()
-	timeL, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.FrequencyDomainTDL = true
-	freqL, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := make([]complex128, 2000)
-	for i := range tx {
-		tx[i] = complex(1e8, 0)
-	}
-	a := timeL.Downlink(tx)
-	b := freqL.Downlink(tx)
-	var errE, refE float64
-	for i := range a {
-		d := b[i] - a[i]
-		errE += real(d)*real(d) + imag(d)*imag(d)
-		refE += real(a[i])*real(a[i]) + imag(a[i])*imag(a[i])
-	}
-	if relDB := 10 * math.Log10(errE/refE); !(relDB < -120) {
-		t.Errorf("frequency-domain downlink differs by %.1f dB relative, want < -120 dB", relDB)
-	}
-}
-
 // TestWenzShaperCache verifies the cached design equals a direct design
 // and that per-link filters do not share mutable state.
 func TestWenzShaperCache(t *testing.T) {

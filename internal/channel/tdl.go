@@ -10,17 +10,17 @@ import (
 // relative-delay convolution Downlink and Uplink use). Two engines are
 // available:
 //
-//   - Time domain (the default): one dsp.MixInto pass per tap, in tap
-//     order. This is the reference arithmetic — seeded simulations are
-//     byte-identical to the historical applyTDL loop.
-//   - Frequency domain (opt-in): overlap-save block convolution against
-//     the FFT of the dense tap kernel, reusing the dsp plan cache. Cost is
-//     O(n log L) independent of tap count instead of O(n·taps), so it wins
-//     once the delay line carries more than a few dozen taps (see
+//   - Time domain: one dsp.MixInto pass per tap, in tap order. This is the
+//     reference arithmetic, and the engine every Link uses — seeded
+//     simulations are byte-identical to the historical applyTDL loop.
+//   - Frequency domain (NewTDL only): overlap-save block convolution
+//     against the FFT of the dense tap kernel, reusing the dsp plan cache.
+//     Cost is O(n log L) independent of tap count instead of O(n·taps), so
+//     it wins once the delay line carries more than a few dozen taps (see
 //     BenchmarkTDLTime/BenchmarkTDLFreq for the measured crossover), but
 //     FFT rounding means results match the time engine only to ~1e-13
-//     relative error, not bit-exactly — which is why channel.Config keeps
-//     it opt-in.
+//     relative error, not bit-exactly, and a Link's few multipath taps sit
+//     well below the crossover.
 //
 // A TDL is not safe for concurrent use (the frequency engine owns scratch
 // buffers). Rebuild reuses all storage, so steady-state rebuilds are

@@ -57,7 +57,7 @@ func (s *System) healFaults() {
 	s.shadowDB = 0
 	if s.appliedClockDelta != 0 {
 		s.appliedClockDelta = 0
-		s.Node.SetClockPPM(s.cfg.NodeClockPPM)
+		s.Node.SetClockPPM(0)
 	}
 }
 
@@ -104,7 +104,7 @@ func (s *System) applyFaultPlan(plan *faults.RoundPlan) error {
 		s.Node.InjectBrownout()
 	}
 	if plan.ClockPPMDelta != s.appliedClockDelta {
-		if err := s.Node.SetClockPPM(s.cfg.NodeClockPPM + plan.ClockPPMDelta); err != nil {
+		if err := s.Node.SetClockPPM(plan.ClockPPMDelta); err != nil {
 			return fmt.Errorf("core: fault clock step: %w", err)
 		}
 		s.appliedClockDelta = plan.ClockPPMDelta

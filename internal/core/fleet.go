@@ -27,7 +27,6 @@ type Fleet struct {
 	sched   *mac.Scheduler
 	systems map[byte]*System
 	order   []byte // ascending node addresses
-	rate    *mac.RateController
 
 	// Link-quality accumulators across every decoded frame: corrected FEC
 	// bits per delivered frame is the campaign's residual-BER proxy.
@@ -96,35 +95,16 @@ func NewFleet(base SystemConfig, placements []NodePlacement, policy mac.PollPoli
 // changes, from O(nodes) rounds per cycle to O(nodes/workers).
 func (f *Fleet) SetWorkers(n int) { f.sched.SetWorkers(n) }
 
-// fleetTrx adapts the per-node systems to the MAC scheduler. It
-// implements mac.WaveTransceiver: concurrent polls are safe because every
-// poll touches only its own node's System (plus the fleet's atomic
-// accumulators).
+// fleetTrx adapts the per-node systems to the MAC scheduler: concurrent
+// polls are safe because every poll touches only its own node's System
+// (plus the fleet's atomic accumulators).
 type fleetTrx struct{ f *Fleet }
 
-// Poll implements mac.Transceiver — the path taken when no rate
-// controller is attached (or by external callers driving the transceiver
-// directly): the controller's current command is applied inline.
-func (t fleetTrx) Poll(addr byte) (mac.RoundResult, error) {
-	s, ok := t.f.systems[addr]
-	if !ok {
-		return mac.RoundResult{}, fmt.Errorf("core: unknown node %d", addr)
-	}
-	if t.f.rate != nil {
-		if r := t.f.rate.Rate(); r != s.ChipRate() {
-			if err := s.SetChipRate(r); err != nil {
-				return mac.RoundResult{}, err
-			}
-		}
-	}
-	return t.poll(s)
-}
-
-// PollAt implements mac.WaveTransceiver: the scheduler snapshots the rate
+// Poll implements mac.Transceiver: the scheduler snapshots the rate
 // controller's command once per wave and the worker that owns the polled
 // system applies it here — rate stepdown actuation without any shared
 // read of the controller from inside a wave.
-func (t fleetTrx) PollAt(addr byte, chipRate float64) (mac.RoundResult, error) {
+func (t fleetTrx) Poll(addr byte, chipRate float64) (mac.RoundResult, error) {
 	s, ok := t.f.systems[addr]
 	if !ok {
 		return mac.RoundResult{}, fmt.Errorf("core: unknown node %d", addr)
@@ -186,12 +166,8 @@ func (f *Fleet) SetFaultEngine(e *faults.Engine) {
 // rebuilds the polled node's PHY chain whenever the commanded rate moved —
 // the closed loop behind SNR-triggered rate stepdown.
 func (f *Fleet) EnableRateAdaptation(rc *mac.RateController) {
-	f.rate = rc
 	f.sched.SetRateController(rc)
 }
-
-// Scheduler exposes the MAC scheduler for policy-level inspection.
-func (f *Fleet) Scheduler() *mac.Scheduler { return f.sched }
 
 // LinkQuality returns the running totals of delivered frames and FEC
 // corrections inside them — corrected/frames tracks how close delivered

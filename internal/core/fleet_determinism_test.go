@@ -35,7 +35,7 @@ func chaosFleet16(t *testing.T, workers int) *Fleet {
 		SystemConfig{Env: env, Design: d, Range: 1, Seed: 4242},
 		placements,
 		mac.PollPolicy{
-			MaxRetries: 2, BackoffSlots: 8, DropAfter: 3,
+			MaxRetries: 2, DropAfter: 3,
 			Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 8,
 		},
 	)

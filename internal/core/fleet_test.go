@@ -72,7 +72,7 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := NewFleet(base, []NodePlacement{{Addr: 1, Range: -4}}, mac.DefaultPollPolicy()); err == nil {
 		t.Error("negative range accepted")
 	}
-	bad := mac.PollPolicy{MaxRetries: -1, BackoffSlots: 1}
+	bad := mac.PollPolicy{MaxRetries: -1}
 	if _, err := NewFleet(base, []NodePlacement{{Addr: 1, Range: 40}}, bad); err == nil {
 		t.Error("bad policy accepted")
 	}

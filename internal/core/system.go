@@ -37,27 +37,11 @@ type SystemConfig struct {
 	DisableNoise  bool
 	DisableFading bool
 
-	// NodeClockPPM sets the node oscillator's frequency error in parts per
-	// million (see phy.Params.ClockPPM): the node's chip clock and
-	// subcarrier tones drift while the reader demodulates at nominal
-	// rates. Crystal-class errors (±100 ppm) decode cleanly; RC-oscillator
-	// errors (thousands of ppm) degrade — the phy package quantifies the
-	// budget.
-	NodeClockPPM float64
-
 	// RoundDeadline bounds the wall time RunRound may spend before the
 	// watchdog abandons the round (reported, not an error). Zero disables
 	// the watchdog — the default, and required for bit-reproducible seeded
 	// transcripts, since wall time is not deterministic.
 	RoundDeadline time.Duration
-
-	// SwayRMS is the RMS mooring sway in meters applied independently to
-	// the geometry before every round (0.05 m default; negative disables).
-	// At an 8 cm wavelength, centimeter-scale platform motion decorrelates
-	// multipath interference nulls between polls — a static geometry would
-	// freeze a deployment in whatever null it happened to land in, which
-	// no real float experiences.
-	SwayRMS float64
 
 	// SensorBatch selects the node's payload format: ≤1 (the default)
 	// keeps the v1 single-reading 8-byte payload and bit-identical seeded
@@ -68,6 +52,13 @@ type SystemConfig struct {
 
 	Seed int64
 }
+
+// swayRMS is the RMS mooring sway in meters applied independently to the
+// geometry before every round. At an 8 cm wavelength, centimeter-scale
+// platform motion decorrelates multipath interference nulls between polls
+// — a static geometry would freeze a deployment in whatever null it
+// happened to land in, which no real float experiences.
+const swayRMS = 0.05
 
 // System is a fully assembled waveform-level deployment: reader, channel
 // and a battery-free node. It exercises every block the paper's prototype
@@ -154,7 +145,7 @@ func (s *System) Instrument(reg *telemetry.Registry) {
 func (s *System) rebuildLink() error {
 	cfg := s.cfg
 	jitter := func(v, min, max float64) float64 {
-		j := v + s.sway.NormFloat64()*cfg.SwayRMS
+		j := v + s.sway.NormFloat64()*swayRMS
 		if j < min {
 			j = min
 		}
@@ -244,12 +235,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.SelfInterferenceDB == 0 {
 		cfg.SelfInterferenceDB = -30
 	}
-	switch {
-	case cfg.SwayRMS == 0:
-		cfg.SwayRMS = 0.05
-	case cfg.SwayRMS < 0:
-		cfg.SwayRMS = 0
-	}
 	r, err := reader.New(cfg.Reader)
 	if err != nil {
 		return nil, err
@@ -260,7 +245,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	harv := node.DefaultHarvester()
 	harv.BatteryBacked = true
 	nodePHY := cfg.Reader.PHY
-	nodePHY.ClockPPM = cfg.NodeClockPPM
+	nodePHY.ClockPPM = 0 // a nominal oscillator; fault clock steps retune it
 	// Payload format: the v1 single-reading sensor by default (keeping
 	// committed seeded transcripts bit-identical), the packed multi-reading
 	// sensor when a batch is requested. Both derive their sample stream
@@ -360,10 +345,8 @@ func (s *System) RunRound() (RoundReport, error) {
 	}
 
 	// Mooring sway between rounds: refresh the multipath geometry.
-	if s.cfg.SwayRMS > 0 {
-		if err := s.rebuildLink(); err != nil {
-			return rep, err
-		}
+	if err := s.rebuildLink(); err != nil {
+		return rep, err
 	}
 
 	// Downlink: query through the channel, node-side OOK decode.
@@ -444,10 +427,8 @@ func (s *System) RunRound() (RoundReport, error) {
 // (see dsp.WriteCapture and cmd/vabscan -capture).
 func (s *System) RecordRound() ([]complex128, error) {
 	cfg := s.cfg.Reader
-	if s.cfg.SwayRMS > 0 {
-		if err := s.rebuildLink(); err != nil {
-			return nil, err
-		}
+	if err := s.rebuildLink(); err != nil {
+		return nil, err
 	}
 	gammaBits, err := s.Node.HandleQuery(&link.Frame{Type: link.FrameQuery, Addr: s.cfg.NodeAddr})
 	if err != nil {
@@ -470,10 +451,8 @@ func (s *System) RecordRound() ([]complex128, error) {
 // or an error for transport problems.
 func (s *System) RunCommandRound(payload []byte) (acked bool, rep reader.RxReport, err error) {
 	cfg := s.cfg.Reader
-	if s.cfg.SwayRMS > 0 {
-		if err := s.rebuildLink(); err != nil {
-			return false, rep, err
-		}
+	if err := s.rebuildLink(); err != nil {
+		return false, rep, err
 	}
 	// Downlink command frame as OOK.
 	f := &link.Frame{Type: link.FrameCmd, Addr: s.cfg.NodeAddr, Seq: s.querySeq, Payload: payload}
@@ -541,10 +520,8 @@ type RangingReport struct {
 func (s *System) RunRangingRound() (RangingReport, error) {
 	var rep RangingReport
 	cfg := s.cfg.Reader
-	if s.cfg.SwayRMS > 0 {
-		if err := s.rebuildLink(); err != nil {
-			return rep, err
-		}
+	if err := s.rebuildLink(); err != nil {
+		return rep, err
 	}
 	// True (jittered) one-way range from the link's bulk delay.
 	rep.TrueRange = s.Link.BulkDelaySeconds() / 2 * s.cfg.Env.MeanSoundSpeed()

@@ -285,10 +285,12 @@ func TestNodeClockSkewAtSystemLevel(t *testing.T) {
 		ok := 0
 		for seed := int64(0); seed < 6; seed++ {
 			s, err := NewSystem(SystemConfig{
-				Env: env, Design: d, Range: 40, NodeAddr: 1,
-				NodeClockPPM: ppm, Seed: 70 + seed,
+				Env: env, Design: d, Range: 40, NodeAddr: 1, Seed: 70 + seed,
 			})
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Node.SetClockPPM(ppm); err != nil {
 				t.Fatal(err)
 			}
 			s.WakeNode(3600)

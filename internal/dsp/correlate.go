@@ -172,9 +172,6 @@ func NewCorrelator(ref []complex128) *Correlator {
 	return &Correlator{ref: r, refE: Energy(r)}
 }
 
-// RefLen returns the reference length.
-func (c *Correlator) RefLen() int { return len(c.ref) }
-
 // specFor returns the cached reference spectrum for fftLen, computing it on
 // first use (and whenever the capture length changes the transform size —
 // steady-state pipelines have one fixed size, so this is one FFT ever).
@@ -199,7 +196,7 @@ func (c *Correlator) specFor(fftLen int) []complex128 {
 }
 
 // XCorrInto computes the cross-correlation of x against the reference into
-// dst (length len(x)-RefLen()+1), allocation-free in steady state and
+// dst (length len(x)-len(ref)+1), allocation-free in steady state and
 // bit-identical to the package-level XCorrInto.
 func (c *Correlator) XCorrInto(dst, x []complex128) {
 	if len(c.ref) == 0 || len(x) < len(c.ref) {

@@ -101,17 +101,6 @@ func (f *CFIR) ProcessInto(dst, x []complex128) {
 	}
 }
 
-// FreqResponse evaluates the complex response at normalized frequency
-// fNorm = f/fs ∈ [−0.5, 0.5).
-func (f *CFIR) FreqResponse(fNorm float64) complex128 {
-	var acc complex128
-	for k, t := range f.taps {
-		ang := -Tau * fNorm * float64(k)
-		acc += t * complex(math.Cos(ang), math.Sin(ang))
-	}
-	return acc
-}
-
 // NoiseShapingFIR designs a linear-phase FIR whose squared magnitude
 // response approximates a target power spectral density, by frequency
 // sampling: the PSD is sampled on nBins uniform bins over the full sample

@@ -62,15 +62,6 @@ func (w Window) Coefficients(n int) []float64 {
 	return c
 }
 
-// Apply multiplies x element-wise by the window in place and returns x.
-func (w Window) Apply(x []complex128) []complex128 {
-	c := w.Coefficients(len(x))
-	for i := range x {
-		x[i] *= complex(c[i], 0)
-	}
-	return x
-}
-
 // CoherentGain returns the mean of the window coefficients: the amplitude
 // scaling a windowed sinusoid experiences, used to normalize spectral
 // estimates.

@@ -47,13 +47,12 @@ func E12AbstractFleet(opts Options) (*Result, error) {
 	fleet, err := linksim.NewFleet(linksim.Config{
 		Nodes: nodes,
 		Policy: mac.PollPolicy{
-			MaxRetries: 2, BackoffSlots: 8, DropAfter: 3,
+			MaxRetries: 2, DropAfter: 3,
 			Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 8,
 		},
-		Env:        "river",
-		Seed:       opts.Seed + 4200,
-		HeroLinks:  2,
-		HeroRounds: 4,
+		Env:       "river",
+		Seed:      opts.Seed + 4200,
+		HeroLinks: 2,
 	})
 	if err != nil {
 		return nil, err

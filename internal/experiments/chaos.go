@@ -50,7 +50,7 @@ func runChaosCell(sc faults.Scenario, intensity float64, recovery bool,
 		return cell, err
 	}
 	base := core.SystemConfig{Env: env, Design: design, Range: 1, Seed: seed}
-	policy := mac.PollPolicy{MaxRetries: 2, BackoffSlots: 8, DropAfter: 3}
+	policy := mac.PollPolicy{MaxRetries: 2, DropAfter: 3}
 	if recovery {
 		policy.Probation = true
 		policy.ProbeBackoffBase = 2

@@ -192,9 +192,6 @@ func NewEngine(sc Scenario) (*Engine, error) {
 	return &Engine{sc: sc}, nil
 }
 
-// Scenario returns the engine's schedule.
-func (e *Engine) Scenario() Scenario { return e.sc }
-
 // splitmix64 is the avalanche mixer behind the engine's determinism: every
 // random draw's seed is splitmix64(scenario seed, fault index, round),
 // making plans order- and history-independent.

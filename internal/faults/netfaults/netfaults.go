@@ -140,9 +140,6 @@ func NewEngine(seed int64, prof Profile) (*Engine, error) {
 	return &Engine{seed: seed, prof: prof, sleep: time.Sleep}, nil
 }
 
-// Profile returns the engine's profile.
-func (e *Engine) Profile() Profile { return e.prof }
-
 // Stats returns the injection counts so far.
 func (e *Engine) Stats() Stats {
 	return Stats{
@@ -242,12 +239,8 @@ type Op struct {
 	DelayMs float64 // stall + latency applied before the operation
 }
 
-// ReadOp returns the injection decision for read #op on connection #conn.
-// Pure: same engine seed, same answer, regardless of call order.
-func (e *Engine) ReadOp(conn, op uint64) Op { return e.exportPlan(conn, op, dirRead) }
-
 // WriteOp returns the injection decision for write #op on connection
-// #conn.
+// #conn. Pure: same engine seed, same answer, regardless of call order.
 func (e *Engine) WriteOp(conn, op uint64) Op { return e.exportPlan(conn, op, dirWrite) }
 
 func (e *Engine) exportPlan(conn, op uint64, dir uint64) Op {

@@ -46,7 +46,6 @@ type dialConfig struct {
 	handshakeTimeout time.Duration
 	resume           bool
 	resumeLast       uint64
-	localAddr        net.Addr
 }
 
 // WithHandshakeTimeout bounds the wait for the gateway's hello frame
@@ -71,21 +70,13 @@ func WithResume(lastSeq uint64) DialOption {
 	}
 }
 
-// WithLocalAddr pins the TCP source address for the dial. Load harnesses
-// fanning tens of thousands of sessions at one gateway use it to spread
-// connections across multiple loopback source IPs, sidestepping the
-// ~28k ephemeral-port ceiling per (srcIP, dstIP, dstPort) tuple.
-func WithLocalAddr(addr net.Addr) DialOption {
-	return func(c *dialConfig) { c.localAddr = addr }
-}
-
 // Dial connects to a gateway and verifies the protocol handshake.
 func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
 	cfg := dialConfig{handshakeTimeout: 5 * time.Second}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	d := net.Dialer{LocalAddr: cfg.localAddr}
+	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
@@ -183,6 +174,12 @@ func (c *Client) Next(deadline time.Time) (Reading, error) {
 			}
 			c.ackSeen = true
 			c.awaitingAck = false
+			if c.ackReplayFrom > 0 {
+				// The next reading carries replayFrom. Below the resume
+				// point it means a restarted gateway's fresh sequence
+				// space, which a later resume must start from.
+				c.lastSeq = c.ackReplayFrom - 1
+			}
 			continue
 		case MsgGoodbye:
 			return Reading{}, ErrServerClosing
@@ -193,8 +190,9 @@ func (c *Client) Next(deadline time.Time) (Reading, error) {
 }
 
 // LastSeq returns the stream sequence of the last reading Next returned
-// (0 before any, or the WithResume point) — the value to pass to
-// WithResume on the next dial.
+// (0 before any; on a resume session the WithResume point until the
+// gateway's ack, then the sequence just before the ack's replayFrom) —
+// the value to pass to WithResume on the next dial.
 func (c *Client) LastSeq() uint64 { return c.lastSeq }
 
 // ResumeWindow reports the MsgResumeAck bounds once the gateway has

@@ -205,7 +205,7 @@ func TestServerHeartbeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.SetHeartbeat(20 * time.Millisecond) // before any client connects
+	s.SetHeartbeatPolicy(20*time.Millisecond, 0) // before any client connects
 
 	conn, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {

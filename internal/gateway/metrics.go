@@ -84,45 +84,3 @@ func (s *Server) met() *gwMetrics {
 // metricsPtr is embedded in Server as an atomic handle so Instrument can
 // race connection goroutines safely.
 type metricsPtr = atomic.Pointer[gwMetrics]
-
-// clientMetrics bundles the subscriber-side instrumentation handles used
-// by Subscribe. Same nil-safe noop pattern as the server bundle.
-type clientMetrics struct {
-	dropped    *telemetry.Counter // readings dropped because out was full
-	reconnects *telemetry.Counter // re-dials after a session error
-	resumed    *telemetry.Counter // sessions that recovered via resume
-	gapLost    *telemetry.Counter // readings permanently lost to ring age-out
-}
-
-var noopClient clientMetrics
-
-// clientMet is the process-wide client metrics handle (Subscribe is a
-// package function, not a method, so the handle lives at package level).
-var clientMet atomic.Pointer[clientMetrics]
-
-// InstrumentClient registers subscriber-side metrics in reg: most
-// importantly vab_gateway_client_dropped_total, which counts readings
-// Subscribe silently discarded because the caller's channel was full —
-// previously invisible data loss. Safe with a nil registry (stays noop).
-func InstrumentClient(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	clientMet.Store(&clientMetrics{
-		dropped: reg.Counter("vab_gateway_client_dropped_total",
-			"Readings dropped by Subscribe because the output channel was full."),
-		reconnects: reg.Counter("vab_gateway_client_reconnects_total",
-			"Subscribe re-dials after a session error."),
-		resumed: reg.Counter("vab_gateway_client_resumes_total",
-			"Sessions that requested resume after a reconnect."),
-		gapLost: reg.Counter("vab_gateway_client_gap_lost_total",
-			"Readings permanently lost because they aged out of the replay ring."),
-	})
-}
-
-func cliMet() *clientMetrics {
-	if m := clientMet.Load(); m != nil {
-		return m
-	}
-	return &noopClient
-}

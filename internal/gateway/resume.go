@@ -91,9 +91,6 @@ func NewReplayRing(n int) *ReplayRing {
 	return &ReplayRing{buf: make([]Reading, n), next: 1}
 }
 
-// Cap returns the ring's window size.
-func (r *ReplayRing) Cap() int { return len(r.buf) }
-
 // Len returns the number of readings currently replayable.
 func (r *ReplayRing) Len() int { return r.n }
 

@@ -205,6 +205,39 @@ func TestResumeAgedOutGap(t *testing.T) {
 	}
 }
 
+// TestResumeAheadOfRestartedServer: a resume point beyond the server's
+// stream means the gateway restarted into a fresh sequence space. The
+// ack moves LastSeq to just before the server's next sequence, even with
+// no reading delivered yet, so the next resume replays what the new
+// server publishes from there.
+func TestResumeAheadOfRestartedServer(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv, err := NewServer(ctx, "127.0.0.1:0", t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i := uint64(1); i <= 3; i++ {
+		srv.Publish(seqReading(i))
+	}
+	srv.Flush()
+	c, err := Dial(ctx, addr(srv), WithResume(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Next(time.Now().Add(300 * time.Millisecond)); err == nil {
+		t.Fatal("a reading arrived, want none: 1..3 are below the resume point")
+	}
+	if _, _, ok := c.ResumeWindow(); !ok {
+		t.Fatal("no resume ack")
+	}
+	if got := c.LastSeq(); got != 3 {
+		t.Fatalf("LastSeq after the ack = %d, want 3", got)
+	}
+}
+
 // TestResumeIgnoresEarlyHeartbeat: heartbeats that reach a resuming
 // client before its ack must not lift the pre-ack suppression. The
 // client's resume request is held back while readings and heartbeats

@@ -601,17 +601,6 @@ func (s *Server) drop(sub *subscriber) {
 	sub.conn.Close()
 }
 
-// SetHeartbeat changes the idle heartbeat period for subscribers that
-// connect afterwards (existing subscribers keep their period).
-func (s *Server) SetHeartbeat(d time.Duration) {
-	s.seqMu.Lock()
-	if d > 0 {
-		s.hbPeriod = d
-		s.hbTimer.Reset(d)
-	}
-	s.seqMu.Unlock()
-}
-
 // SetHeartbeatPolicy sets both the heartbeat period and the number of
 // silent periods after which a subscriber is declared dead.
 // Applies to subscribers that connect afterwards.

@@ -7,51 +7,11 @@ import (
 	"time"
 )
 
-// SubscribeOption customizes Subscribe.
-type SubscribeOption func(*subscribeConfig)
-
-type subscribeConfig struct {
-	readTimeout time.Duration
-	blocking    bool
-	resume      bool
-	dialOpts    []DialOption
-}
-
-// WithReadTimeout sets the per-read deadline Subscribe applies while
-// waiting for the next frame (default 30s). It is the client-side
-// dead-peer detector: a gateway that stops sending frames — heartbeats
-// included — for this long is presumed gone and the session re-dials.
-// Set it comfortably above the gateway's heartbeat period.
-func WithReadTimeout(d time.Duration) SubscribeOption {
-	return func(c *subscribeConfig) {
-		if d > 0 {
-			c.readTimeout = d
-		}
-	}
-}
-
-// WithBlockingDelivery makes Subscribe block on a full out channel
-// instead of dropping the reading. The caller accepts backpressure in
-// exchange for completeness; a sufficiently slow caller will eventually
-// be evicted by the gateway instead (server-side slow-subscriber drop),
-// which resume then repairs.
-func WithBlockingDelivery() SubscribeOption {
-	return func(c *subscribeConfig) { c.blocking = true }
-}
-
-// WithSessionResume carries the stream sequence across reconnects: each
-// re-dial sends MsgResume with the last sequence seen, so the gateway
-// replays the disconnection gap from its ring (when still within the
-// window) instead of the session silently skipping it.
-func WithSessionResume() SubscribeOption {
-	return func(c *subscribeConfig) { c.resume = true }
-}
-
-// WithDialOptions appends options to every Dial attempt (e.g.
-// WithHandshakeTimeout, WithLocalAddr).
-func WithDialOptions(opts ...DialOption) SubscribeOption {
-	return func(c *subscribeConfig) { c.dialOpts = append(c.dialOpts, opts...) }
-}
+// subscribeReadTimeout is Subscribe's client-side dead-peer detector: a
+// gateway that sends no frame — heartbeats included — for this long is
+// presumed gone and the session re-dials. It sits well above the
+// gateway's default heartbeat period.
+const subscribeReadTimeout = 30 * time.Second
 
 // Subscribe maintains a resilient subscription to a gateway: it dials,
 // streams readings into out, and on any error re-dials with exponential
@@ -59,31 +19,23 @@ func WithDialOptions(opts ...DialOption) SubscribeOption {
 // deployment runs for months; transient gateway restarts and network blips
 // must not require operator attention.
 //
-// The out channel is closed when ctx ends. By default readings that
-// arrive while out is full are dropped (a telemetry feed prefers
-// freshness over completeness) — every such drop is now counted by the
-// vab_gateway_client_dropped_total metric (see InstrumentClient), and
-// WithBlockingDelivery switches to backpressure instead. WithSessionResume
-// additionally repairs reconnect gaps from the gateway's replay ring.
-func Subscribe(ctx context.Context, addr string, out chan<- Reading, opts ...SubscribeOption) {
+// Every dial resumes from the last sequence the previous session
+// delivered, so the gateway replays the disconnection gap from its ring,
+// and delivery blocks on a full out: the caller accepts backpressure in
+// exchange for completeness. A reading is therefore lost only when a
+// reconnect gap — after a network outage, or after the gateway evicted a
+// consumer too slow to drain, which the server counts — outlives the
+// gateway's replay ring. The out channel is closed when ctx ends.
+func Subscribe(ctx context.Context, addr string, out chan<- Reading) {
 	defer close(out)
-	cfg := subscribeConfig{readTimeout: 30 * time.Second}
-	for _, o := range opts {
-		o(&cfg)
-	}
 	backoff := baseBackoff
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	var lastSeq uint64
-	connected := false
 	for {
 		if ctx.Err() != nil {
 			return
 		}
-		dialOpts := cfg.dialOpts
-		if cfg.resume {
-			dialOpts = append(dialOpts[:len(dialOpts):len(dialOpts)], WithResume(lastSeq))
-		}
-		c, err := Dial(ctx, addr, dialOpts...)
+		c, err := Dial(ctx, addr, WithResume(lastSeq))
 		if err != nil {
 			sleep, next := nextBackoff(backoff, rng)
 			if !sleepCtx(ctx, sleep) {
@@ -92,19 +44,11 @@ func Subscribe(ctx context.Context, addr string, out chan<- Reading, opts ...Sub
 			backoff = next
 			continue
 		}
-		if connected {
-			cliMet().reconnects.Inc()
-			if cfg.resume {
-				cliMet().resumed.Inc()
-			}
-		}
-		connected = true
 		backoff = baseBackoff // connected: reset
 		// Close the connection when ctx ends so Next unblocks.
 		stop := context.AfterFunc(ctx, func() { c.Close() })
-		ackChecked := false
 		for {
-			rd, err := c.Next(time.Now().Add(cfg.readTimeout))
+			rd, err := c.Next(time.Now().Add(subscribeReadTimeout))
 			if err != nil {
 				if errors.Is(err, ErrServerClosing) {
 					// Graceful shutdown: the stream is complete; re-dial
@@ -113,39 +57,19 @@ func Subscribe(ctx context.Context, addr string, out chan<- Reading, opts ...Sub
 				}
 				break
 			}
-			if cfg.resume && !ackChecked {
-				if from, _, ok := c.ResumeWindow(); ok {
-					ackChecked = true
-					if lastSeq > 0 && from > lastSeq+1 {
-						// The ring aged out part of the gap: those readings
-						// are unrecoverable, record the loss.
-						cliMet().gapLost.Add(int64(from - lastSeq - 1))
-					}
-				}
-			}
-			if cfg.blocking {
-				select {
-				case out <- rd:
-				case <-ctx.Done():
-					stop()
-					c.Close()
-					return
-				}
-			} else {
-				select {
-				case out <- rd:
-				case <-ctx.Done():
-					stop()
-					c.Close()
-					return
-				default: // slow consumer: drop the reading
-					cliMet().dropped.Inc()
-				}
+			select {
+			case out <- rd:
+			case <-ctx.Done():
+				stop()
+				c.Close()
+				return
 			}
 		}
-		if s := c.LastSeq(); s > lastSeq {
-			lastSeq = s
-		}
+		// The session's own resume point, even when it is below the last
+		// one: a restarted gateway numbers its stream afresh, and keeping
+		// the old server's higher sequence would skip the new one's
+		// readings up to it on the next resume.
+		lastSeq = c.LastSeq()
 		stop()
 		c.Close()
 	}

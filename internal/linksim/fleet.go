@@ -29,15 +29,10 @@ type Config struct {
 	Table *Table
 	// Env names the environment column of the table ("river", "ocean").
 	Env string
-	// RangeMinM/RangeMaxM bound the uniform deployment annulus
-	// (0 → 25..300 m, the calibrated span).
-	RangeMinM, RangeMaxM float64
-	// MaxOrientRad bounds node rotation, drawn uniform in ±MaxOrientRad
-	// (0 → 60°, the calibrated span).
-	MaxOrientRad float64
 	// Placements, when non-empty, pins every node's geometry explicitly
-	// instead of drawing it from the seed; Nodes must be 0 or match its
-	// length. Surveyed deployments and parity tests use this.
+	// instead of drawing it from the seed (uniform over the calibrated
+	// rangeMinM..rangeMaxM annulus and ±maxOrientRad); Nodes must be 0 or
+	// match its length. Surveyed deployments and parity tests use this.
 	Placements []Placement
 	// Seed drives every placement and poll draw. Same seed, same
 	// transcript, at any worker count.
@@ -45,9 +40,14 @@ type Config struct {
 	// HeroLinks promotes this many scheduled polls per cycle to full
 	// waveform fidelity for online cross-checking (0 = off).
 	HeroLinks int
-	// HeroRounds is the waveform rounds each hero check runs (0 → 4).
-	HeroRounds int
 }
+
+// The calibrated span seeded placements draw from: the uniform deployment
+// annulus in metres and the node rotation bound in radians.
+const (
+	rangeMinM, rangeMaxM = 25, 300
+	maxOrientRad         = 60 * math.Pi / 180
+)
 
 // Placement pins one node's geometry.
 type Placement struct {
@@ -227,20 +227,8 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.RangeMinM == 0 && cfg.RangeMaxM == 0 {
-		cfg.RangeMinM, cfg.RangeMaxM = 25, 300
-	}
-	if cfg.RangeMinM <= 0 || cfg.RangeMaxM < cfg.RangeMinM {
-		return nil, fmt.Errorf("linksim: bad range annulus [%g, %g]", cfg.RangeMinM, cfg.RangeMaxM)
-	}
-	if cfg.MaxOrientRad == 0 {
-		cfg.MaxOrientRad = 60 * math.Pi / 180
-	}
-	if cfg.HeroLinks < 0 || cfg.HeroRounds < 0 {
+	if cfg.HeroLinks < 0 {
 		return nil, fmt.Errorf("linksim: negative hero configuration")
-	}
-	if cfg.HeroRounds == 0 {
-		cfg.HeroRounds = 4
 	}
 
 	f := &Fleet{
@@ -264,8 +252,8 @@ func NewFleet(cfg Config) (*Fleet, error) {
 			f.orients[i] = cfg.Placements[i].OrientRad
 		} else {
 			st := newStream(mix(f.seedBase, placeDomain, uint64(i)))
-			f.ranges[i] = cfg.RangeMinM + st.f64()*(cfg.RangeMaxM-cfg.RangeMinM)
-			f.orients[i] = (2*st.f64() - 1) * cfg.MaxOrientRad
+			f.ranges[i] = rangeMinM + st.f64()*(rangeMaxM-rangeMinM)
+			f.orients[i] = (2*st.f64() - 1) * maxOrientRad
 		}
 		f.coords[i] = t.Resolve(f.ranges[i], f.orients[i])
 		f.cols.Addr[i] = byte(i % 251)
@@ -279,12 +267,6 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	}
 	return f, nil
 }
-
-// NodeRange returns node i's deployed range in metres.
-func (f *Fleet) NodeRange(i int) float64 { return f.ranges[i] }
-
-// NodeOrientation returns node i's rotation in radians.
-func (f *Fleet) NodeOrientation(i int) float64 { return f.orients[i] }
 
 // NodeState returns a copy of node i's MAC bookkeeping, materialized from
 // the columnar layout.

@@ -63,7 +63,7 @@ func TestFleetRestoreAndDropSameCycle(t *testing.T) {
 	// is restored.
 	fleet, err := NewFleet(Config{
 		Placements: []Placement{{RangeM: 50}, {RangeM: 50}, {RangeM: 200}, {RangeM: 50}},
-		Policy:     mac.PollPolicy{MaxRetries: 0, BackoffSlots: 1, DropAfter: 2},
+		Policy:     mac.PollPolicy{MaxRetries: 0, DropAfter: 2},
 		Table:      hardTable(),
 		Seed:       23,
 	})

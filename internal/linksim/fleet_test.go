@@ -12,7 +12,7 @@ import (
 // probationPolicy is the recovery-stack policy the fleet tests share.
 func probationPolicy() mac.PollPolicy {
 	return mac.PollPolicy{
-		MaxRetries: 2, BackoffSlots: 8, DropAfter: 3,
+		MaxRetries: 2, DropAfter: 3,
 		Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 8,
 	}
 }
@@ -117,7 +117,7 @@ func hardTable() *Table {
 // channel: addresses in the ok set always deliver, the rest always fail.
 type scriptTrx struct{ ok map[byte]bool }
 
-func (s scriptTrx) Poll(addr byte) (mac.RoundResult, error) {
+func (s scriptTrx) Poll(addr byte, _ float64) (mac.RoundResult, error) {
 	if s.ok[addr] {
 		return mac.RoundResult{OK: true, SNRdB: 15, Payload: []byte{addr}}, nil
 	}
@@ -232,7 +232,7 @@ func TestFleetRateAdaptationEngages(t *testing.T) {
 	}
 	fleet, err := NewFleet(Config{
 		Placements: []Placement{{RangeM: 50}, {RangeM: 50}, {RangeM: 50}},
-		Policy:     mac.PollPolicy{MaxRetries: 1, BackoffSlots: 8}, // never drop
+		Policy:     mac.PollPolicy{MaxRetries: 1}, // never drop
 		Table:      strong,
 		Seed:       3,
 	})
@@ -264,7 +264,7 @@ func TestFleetRateAdaptationEngages(t *testing.T) {
 
 	weak, err := NewFleet(Config{
 		Placements: []Placement{{RangeM: 200}, {RangeM: 200}},
-		Policy:     mac.PollPolicy{MaxRetries: 1, BackoffSlots: 8},
+		Policy:     mac.PollPolicy{MaxRetries: 1},
 		Table:      hardTable(),
 		Seed:       3,
 	})

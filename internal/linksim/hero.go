@@ -21,6 +21,9 @@ import (
 // cell's calibrated mean (see DESIGN.md, "Fidelity tiers").
 const heroZBudget = 3.0
 
+// heroRounds is the waveform rounds each hero check runs.
+const heroRounds = 4
+
 // HeroReport summarizes one cycle's hero-link cross-checks.
 type HeroReport struct {
 	Checks   int     // hero links promoted this cycle
@@ -136,7 +139,7 @@ func (h *heroChecker) check(f *Fleet, model *cycleModel, cycle int, work []workI
 		sys.WakeNode(3600)
 		delivered := 0
 		var snrSum float64
-		for r := 0; r < f.cfg.HeroRounds; r++ {
+		for r := 0; r < heroRounds; r++ {
 			sys.WakeNode(30)
 			rr, err := sys.RunRound()
 			if err != nil {
@@ -153,7 +156,7 @@ func (h *heroChecker) check(f *Fleet, model *cycleModel, cycle int, work []workI
 
 		rep.Checks++
 		h.met.checks.Inc()
-		frac := float64(delivered) / float64(f.cfg.HeroRounds)
+		frac := float64(delivered) / float64(heroRounds)
 		h.met.pGap.Set(math.Abs(frac - p))
 
 		diverged := false

@@ -21,10 +21,9 @@ func TestHeroChecksRunAndStayInBudget(t *testing.T) {
 		Placements: []Placement{
 			{RangeM: 50}, {RangeM: 100}, {RangeM: 50}, {RangeM: 100},
 		},
-		Policy:     mac.DefaultPollPolicy(),
-		Seed:       21,
-		HeroLinks:  2,
-		HeroRounds: 4,
+		Policy:    mac.DefaultPollPolicy(),
+		Seed:      21,
+		HeroLinks: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -105,7 +105,7 @@ func TestProbeWheelOverflow(t *testing.T) {
 // sooner, none lost.
 func TestFleetProbeBeyondWheelHorizon(t *testing.T) {
 	policy := mac.PollPolicy{
-		MaxRetries: 0, BackoffSlots: 1, DropAfter: 2,
+		MaxRetries: 0, DropAfter: 2,
 		Probation: true, ProbeBackoffBase: 1500, ProbeBackoffMax: 2048,
 	}
 	fleet, err := NewFleet(Config{

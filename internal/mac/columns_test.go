@@ -12,7 +12,7 @@ type scriptTrx struct {
 	calls    map[byte]int
 }
 
-func (t *scriptTrx) Poll(addr byte) (RoundResult, error) {
+func (t *scriptTrx) Poll(addr byte, _ float64) (RoundResult, error) {
 	sc := t.outcomes[addr]
 	i := t.calls[addr]
 	t.calls[addr]++
@@ -37,7 +37,7 @@ func (t *scriptTrx) Poll(addr byte) (RoundResult, error) {
 // running the MAC decision phase.
 func TestFoldPrimitivesMatchScheduler(t *testing.T) {
 	policy := PollPolicy{
-		MaxRetries: 0, BackoffSlots: 8, DropAfter: 2,
+		MaxRetries: 0, DropAfter: 2,
 		Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 8,
 	}
 	// Node 7: delivers twice, goes silent for 4 polls (2 cycles → quarantine,
@@ -96,7 +96,7 @@ func TestFoldPrimitivesMatchScheduler(t *testing.T) {
 // probe backoff: base interval on entry, doubling per failed probe up to
 // the cap, and the recovery latency a restore reports.
 func TestFoldPollFailureTransitions(t *testing.T) {
-	p := PollPolicy{MaxRetries: 0, BackoffSlots: 8, DropAfter: 2, Probation: true, ProbeBackoffMax: 8}
+	p := PollPolicy{MaxRetries: 0, DropAfter: 2, Probation: true, ProbeBackoffMax: 8}
 	c := NewNodeColumns(2)
 	if ch := p.FoldPollFailureAt(c, 0, 0); ch != LivenessNone {
 		t.Fatalf("first silent cycle: got %v, want LivenessNone", ch)
@@ -124,7 +124,7 @@ func TestFoldPollFailureTransitions(t *testing.T) {
 		t.Fatalf("restored state %+v", st)
 	}
 
-	drop := PollPolicy{MaxRetries: 0, BackoffSlots: 8, DropAfter: 1}
+	drop := PollPolicy{MaxRetries: 0, DropAfter: 1}
 	if ch := drop.FoldPollFailureAt(c, 1, 0); ch != LivenessDropped || !c.Dropped(1) || c.Live(1) {
 		t.Fatalf("drop policy: got %v dropped=%v", ch, c.Dropped(1))
 	}

@@ -11,7 +11,7 @@ import (
 // node 3 is out of range.
 type staticTrx struct{}
 
-func (staticTrx) Poll(addr byte) (mac.RoundResult, error) {
+func (staticTrx) Poll(addr byte, _ float64) (mac.RoundResult, error) {
 	if addr == 3 {
 		return mac.RoundResult{}, nil
 	}

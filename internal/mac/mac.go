@@ -26,8 +26,6 @@ import (
 type PollPolicy struct {
 	// MaxRetries bounds per-node retransmissions within one cycle.
 	MaxRetries int
-	// BackoffSlots is the discovery window size in response slots.
-	BackoffSlots int
 	// DropAfter removes a node from the schedule after this many
 	// consecutive failed cycles (0 = never drop). With Probation set the
 	// node is quarantined instead of permanently removed.
@@ -49,10 +47,10 @@ type PollPolicy struct {
 	ProbeBackoffMax int
 }
 
-// DefaultPollPolicy matches the field campaign: two retries, eight
-// discovery slots, nodes dropped after five silent cycles.
+// DefaultPollPolicy matches the field campaign: two retries, nodes
+// dropped after five silent cycles.
 func DefaultPollPolicy() PollPolicy {
-	return PollPolicy{MaxRetries: 2, BackoffSlots: 8, DropAfter: 5}
+	return PollPolicy{MaxRetries: 2, DropAfter: 5}
 }
 
 // probeBase resolves the first re-probe interval.
@@ -75,9 +73,6 @@ func (p PollPolicy) probeMax() int {
 func (p PollPolicy) Validate() error {
 	if p.MaxRetries < 0 {
 		return fmt.Errorf("mac: negative retries")
-	}
-	if p.BackoffSlots < 1 {
-		return fmt.Errorf("mac: discovery needs at least one slot")
 	}
 	if p.DropAfter < 0 {
 		return fmt.Errorf("mac: negative drop threshold")
@@ -105,20 +100,15 @@ type RoundResult struct {
 // is widened past one (SetWorkers), Poll must tolerate concurrent calls
 // for *different* addresses — the pool never polls one address twice at
 // once.
-type Transceiver interface {
-	Poll(addr byte) (RoundResult, error)
-}
-
-// WaveTransceiver is an optional Transceiver extension for rate-adapted
-// fleets. The scheduler snapshots the rate controller's command once per
-// execution wave and hands the same chip rate to every poll of that wave,
-// so the worker that owns the polled node's PHY applies the stepdown
-// itself and no poll ever observes a half-stepped controller — the
-// property that keeps concurrent cycles bit-identical to serial ones.
+//
+// chipRate is the rate controller's command. The scheduler snapshots it
+// once per execution wave and hands the same value to every poll of that
+// wave, so the worker that owns the polled node's PHY applies the
+// stepdown itself and no poll ever observes a half-stepped controller —
+// the property that keeps concurrent cycles bit-identical to serial ones.
 // A chipRate of 0 means "no command" (no controller attached).
-type WaveTransceiver interface {
-	Transceiver
-	PollAt(addr byte, chipRate float64) (RoundResult, error)
+type Transceiver interface {
+	Poll(addr byte, chipRate float64) (RoundResult, error)
 }
 
 // NodeState is one node's scheduler bookkeeping, as reports see it
@@ -295,7 +285,7 @@ type CycleReport struct {
 // SetWorkers bounds the execution-phase worker pool: each wave's polls
 // run on up to n goroutines. n <= 0 selects runtime.NumCPU(); the default
 // (and n == 1) polls serially on the caller's goroutine. Widths above one
-// require the transceiver to tolerate concurrent Poll/PollAt calls for
+// require the transceiver to tolerate concurrent Poll calls for
 // distinct addresses (core.Fleet does: each node's System owns its
 // channel, RNG stream and scratch). Cycle outcomes — reports, payloads,
 // node state, rate decisions — are bit-identical at any width; only wall
@@ -411,16 +401,13 @@ func (s *Scheduler) RunCycle() (CycleReport, error) {
 
 // runWave executes one wave of polls over the worker pool. The rate
 // controller's command is snapshotted once, before dispatch, and handed
-// to every poll through the WaveTransceiver extension; the controller is
-// never read or written while workers are in flight. Poll errors land in
-// their slots for the address-order fold, and so does a panicking poll (as
-// a *workpool.PanicError), so the fold reports the lowest-address failure
-// whichever kind it is.
+// to every poll; the controller is never read or written while workers
+// are in flight. Poll errors land in their slots for the address-order
+// fold, and so does a panicking poll (as a *workpool.PanicError), so the
+// fold reports the lowest-address failure whichever kind it is.
 func (s *Scheduler) runWave(wave []waveSlot) {
 	var cmdRate float64
-	wt, snapshot := s.trx.(WaveTransceiver)
-	snapshot = snapshot && s.rate != nil
-	if snapshot {
+	if s.rate != nil {
 		cmdRate = s.rate.Rate()
 	}
 	workers := min(s.poolWidth(), len(wave))
@@ -428,11 +415,7 @@ func (s *Scheduler) runWave(wave []waveSlot) {
 	err := workpool.Run(len(wave), workers, "mac_poll", func(i int) error {
 		slot := &wave[i]
 		pollStart := time.Now()
-		if snapshot {
-			slot.res, slot.err = wt.PollAt(slot.addr, cmdRate)
-		} else {
-			slot.res, slot.err = s.trx.Poll(slot.addr)
-		}
+		slot.res, slot.err = s.trx.Poll(slot.addr, cmdRate)
 		slot.dur = time.Since(pollStart)
 		return nil
 	})

@@ -19,7 +19,7 @@ func newFakeTrx() *fakeTrx {
 	return &fakeTrx{outcomes: map[byte][]bool{}, calls: map[byte]int{}}
 }
 
-func (f *fakeTrx) Poll(addr byte) (RoundResult, error) {
+func (f *fakeTrx) Poll(addr byte, _ float64) (RoundResult, error) {
 	if f.err != nil {
 		return RoundResult{}, f.err
 	}
@@ -72,7 +72,7 @@ func TestSchedulerBasics(t *testing.T) {
 func TestSchedulerRetries(t *testing.T) {
 	trx := newFakeTrx()
 	trx.outcomes[5] = []bool{false, false, true} // succeeds on 3rd attempt
-	s, _ := NewScheduler(trx, PollPolicy{MaxRetries: 2, BackoffSlots: 4})
+	s, _ := NewScheduler(trx, PollPolicy{MaxRetries: 2})
 	s.AddNode(5)
 	rep, err := s.RunCycle()
 	if err != nil {
@@ -89,7 +89,7 @@ func TestSchedulerRetries(t *testing.T) {
 func TestSchedulerDropsDeadNodes(t *testing.T) {
 	trx := newFakeTrx()
 	trx.outcomes[9] = []bool{false}
-	s, _ := NewScheduler(trx, PollPolicy{MaxRetries: 0, BackoffSlots: 4, DropAfter: 2})
+	s, _ := NewScheduler(trx, PollPolicy{MaxRetries: 0, DropAfter: 2})
 	s.AddNode(9)
 	for i := 0; i < 3; i++ {
 		if _, err := s.RunCycle(); err != nil {
@@ -124,9 +124,8 @@ func TestSchedulerValidation(t *testing.T) {
 		t.Error("nil transceiver accepted")
 	}
 	bad := []PollPolicy{
-		{MaxRetries: -1, BackoffSlots: 4},
-		{MaxRetries: 0, BackoffSlots: 0},
-		{MaxRetries: 0, BackoffSlots: 4, DropAfter: -1},
+		{MaxRetries: -1},
+		{MaxRetries: 0, DropAfter: -1},
 	}
 	for i, p := range bad {
 		if _, err := NewScheduler(newFakeTrx(), p); err == nil {

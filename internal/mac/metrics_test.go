@@ -12,7 +12,7 @@ type flakyTrx struct {
 	failUntil int
 }
 
-func (f *flakyTrx) Poll(addr byte) (RoundResult, error) {
+func (f *flakyTrx) Poll(addr byte, _ float64) (RoundResult, error) {
 	f.calls++
 	if f.calls <= f.failUntil {
 		return RoundResult{}, nil
@@ -22,7 +22,7 @@ func (f *flakyTrx) Poll(addr byte) (RoundResult, error) {
 
 func TestSchedulerMetrics(t *testing.T) {
 	trx := &flakyTrx{failUntil: 2}
-	s, err := NewScheduler(trx, PollPolicy{MaxRetries: 2, BackoffSlots: 4})
+	s, err := NewScheduler(trx, PollPolicy{MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSchedulerMetrics(t *testing.T) {
 
 func TestSchedulerDropMetric(t *testing.T) {
 	trx := &flakyTrx{failUntil: 1 << 30} // never succeeds
-	s, err := NewScheduler(trx, PollPolicy{MaxRetries: 0, BackoffSlots: 4, DropAfter: 2})
+	s, err := NewScheduler(trx, PollPolicy{MaxRetries: 0, DropAfter: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

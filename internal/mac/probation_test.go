@@ -15,7 +15,7 @@ func TestProbationQuarantineAndRestore(t *testing.T) {
 	// doubles), probe at cycle 8 succeeds (→ restore).
 	trx.outcomes[7] = []bool{false, false, false, false, true}
 	s, err := NewScheduler(trx, PollPolicy{
-		MaxRetries: 0, BackoffSlots: 4, DropAfter: 3,
+		MaxRetries: 0, DropAfter: 3,
 		Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 8,
 	})
 	if err != nil {
@@ -89,7 +89,7 @@ func TestProbationBackoffCap(t *testing.T) {
 	trx := newFakeTrx()
 	trx.outcomes[4] = []bool{false} // permanently dead
 	s, _ := NewScheduler(trx, PollPolicy{
-		MaxRetries: 0, BackoffSlots: 4, DropAfter: 1,
+		MaxRetries: 0, DropAfter: 1,
 		Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 4,
 	})
 	s.AddNode(4)
@@ -117,7 +117,7 @@ func TestProbationBackoffCap(t *testing.T) {
 func TestHealthEWMA(t *testing.T) {
 	trx := newFakeTrx()
 	trx.outcomes[2] = []bool{false, false, true}
-	s, _ := NewScheduler(trx, PollPolicy{MaxRetries: 0, BackoffSlots: 4})
+	s, _ := NewScheduler(trx, PollPolicy{MaxRetries: 0})
 	s.AddNode(2)
 
 	want := 1.0
@@ -137,7 +137,7 @@ func TestHealthEWMA(t *testing.T) {
 func TestProbationOffStillDrops(t *testing.T) {
 	trx := newFakeTrx()
 	trx.outcomes[9] = []bool{false, false, false, true} // recovers too late
-	s, _ := NewScheduler(trx, PollPolicy{MaxRetries: 0, BackoffSlots: 4, DropAfter: 3})
+	s, _ := NewScheduler(trx, PollPolicy{MaxRetries: 0, DropAfter: 3})
 	s.AddNode(9)
 	for i := 0; i < 10; i++ {
 		if _, err := s.RunCycle(); err != nil {
@@ -155,16 +155,16 @@ func TestProbationOffStillDrops(t *testing.T) {
 
 func TestPollPolicyValidateProbation(t *testing.T) {
 	bad := []PollPolicy{
-		{BackoffSlots: 4, ProbeBackoffBase: -1},
-		{BackoffSlots: 4, ProbeBackoffMax: -2},
-		{BackoffSlots: 4, ProbeBackoffBase: 8, ProbeBackoffMax: 4},
+		{ProbeBackoffBase: -1},
+		{ProbeBackoffMax: -2},
+		{ProbeBackoffBase: 8, ProbeBackoffMax: 4},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: policy %+v accepted", i, p)
 		}
 	}
-	good := PollPolicy{BackoffSlots: 4, Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 16}
+	good := PollPolicy{Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 16}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid probation policy rejected: %v", err)
 	}

@@ -12,14 +12,14 @@ import (
 )
 
 // syncTrx scripts per-address outcomes like fakeTrx but tolerates
-// concurrent polls, and records the chip-rate command each PollAt
+// concurrent polls, and records the chip-rate command each Poll
 // received — the fixture for wave-execution tests.
 type syncTrx struct {
 	mu       sync.Mutex
 	outcomes map[byte][]bool
 	snr      map[byte]float64
 	calls    map[byte]int
-	rates    []polledAt // every PollAt in call order (serial runs only)
+	rates    []polledAt // every Poll in call order (serial runs only)
 	errFor   map[byte]error
 	panicFor map[byte]any
 }
@@ -39,9 +39,7 @@ func newSyncTrx() *syncTrx {
 	}
 }
 
-func (s *syncTrx) Poll(addr byte) (RoundResult, error) { return s.PollAt(addr, 0) }
-
-func (s *syncTrx) PollAt(addr byte, rate float64) (RoundResult, error) {
+func (s *syncTrx) Poll(addr byte, rate float64) (RoundResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.errFor[addr]; err != nil {
@@ -96,7 +94,7 @@ func runScripted(t *testing.T, workers, cycles int, withRate bool) ([]CycleRepor
 	}
 	scriptedOutcomes(trx, addrs)
 	s, err := NewScheduler(trx, PollPolicy{
-		MaxRetries: 2, BackoffSlots: 8, DropAfter: 2,
+		MaxRetries: 2, DropAfter: 2,
 		Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 8,
 	})
 	if err != nil {
@@ -151,7 +149,7 @@ func TestWaveRateSnapshotBarrier(t *testing.T) {
 	trx.outcomes[3] = []bool{false, false, true}  // delivers in wave 2
 	trx.snr[2] = 40                               // big SNR: steps the rate up at the wave-0 barrier
 
-	s, err := NewScheduler(trx, PollPolicy{MaxRetries: 2, BackoffSlots: 8})
+	s, err := NewScheduler(trx, PollPolicy{MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +232,7 @@ func TestWaveTelemetry(t *testing.T) {
 	trx := newSyncTrx()
 	trx.outcomes[1] = []bool{true}
 	trx.outcomes[2] = []bool{false, true} // forces a second (width-1) wave
-	s, err := NewScheduler(trx, PollPolicy{MaxRetries: 2, BackoffSlots: 8})
+	s, err := NewScheduler(trx, PollPolicy{MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +278,7 @@ func TestWaveCountersMatchSerialContract(t *testing.T) {
 	trx.outcomes[2] = []bool{false, true}        // 2 polls, 1 retry
 	trx.outcomes[3] = []bool{false, false, true} // 3 polls, 2 retries
 	trx.outcomes[4] = []bool{false}              // 3 polls, 2 retries, undelivered
-	s, err := NewScheduler(trx, PollPolicy{MaxRetries: 2, BackoffSlots: 8})
+	s, err := NewScheduler(trx, PollPolicy{MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

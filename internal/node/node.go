@@ -62,14 +62,13 @@ type Harvester struct {
 
 	// BatteryBacked floats the reservoir from a small primary cell: the
 	// rail never drops below turn-on, and the deficit is drawn from the
-	// battery (tracked in BatteryDrawn). Long-range deployments run
+	// battery. Long-range deployments run
 	// battery-backed — beyond roughly a hundred meters the harvested
 	// carrier no longer covers even the sleep current — while the
 	// harvesting experiments run without it.
 	BatteryBacked bool
 
-	voltage      float64
-	batteryDrawn float64 // J
+	voltage float64
 }
 
 // DefaultHarvester returns storage sized like the prototype nodes: a 100 µF
@@ -143,20 +142,14 @@ func (h *Harvester) Step(inputW, loadW, dt float64) float64 {
 		v = h.MaxVoltage // shunt regulator clamps overcharge
 	}
 	if h.BatteryBacked && v < h.TurnOnVoltage {
-		refill := 0.5*h.CapacitanceF*h.TurnOnVoltage*h.TurnOnVoltage - 0.5*h.CapacitanceF*v*v
-		h.batteryDrawn += refill
-		// The battery also covers any load the capacitor couldn't.
-		h.batteryDrawn += eLoad - spent
+		// The battery tops the rail up and covers any load the capacitor
+		// couldn't.
 		spent = eLoad
 		v = h.TurnOnVoltage
 	}
 	h.voltage = v
 	return spent
 }
-
-// BatteryDrawn returns the cumulative energy supplied by the backing
-// battery in joules (0 for harvest-only nodes).
-func (h *Harvester) BatteryDrawn() float64 { return h.batteryDrawn }
 
 // Deplete collapses the reservoir to 0 V immediately: the fault-injection
 // hook for supply brownouts (a shorted rail, a regulator latch-up, a cold

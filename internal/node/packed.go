@@ -211,9 +211,6 @@ func NewPackedEnvSensor(tempC, depthM float64, seed int64, batch int) (*PackedEn
 	}, nil
 }
 
-// Batch returns the readings carried per payload.
-func (s *PackedEnvSensor) Batch() int { return s.batch }
-
 // PayloadSize returns the fixed padded payload size Read produces.
 func (s *PackedEnvSensor) PayloadSize() int { return PackedPayloadSize(s.batch) }
 

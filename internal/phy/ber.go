@@ -48,13 +48,6 @@ func BERCoherentBPSK(ebn0 float64) float64 {
 	return dsp.Q(math.Sqrt(2 * ebn0))
 }
 
-// EbN0FromToneSNR converts the demodulator's per-chip tone SNR (linear,
-// signal-to-noise within one Goertzel bin over a chip) to Eb/N0 for the raw
-// chip stream. For the orthogonal-tone energy detector the per-chip tone
-// SNR *is* Es/N0 for the detection statistic; with one raw bit per chip,
-// Eb/N0 = tone SNR.
-func EbN0FromToneSNR(toneSNR float64) float64 { return toneSNR }
-
 // RequiredEbN0NoncoherentFSK inverts BERNoncoherentFSK: the Eb/N0 (linear)
 // needed to hit a target BER on AWGN.
 func RequiredEbN0NoncoherentFSK(ber float64) float64 {

@@ -19,9 +19,6 @@ func NewModulator(p Params) (*Modulator, error) {
 	return &Modulator{p: p}, nil
 }
 
-// Params returns the modulator's numerology.
-func (m *Modulator) Params() Params { return m.p }
-
 // GammaWaveform renders preamble + chips into the node's reflection toggle
 // waveform: values 0 and 1 (the two switch states), one sample per baseband
 // sample. During a chip of value b, the switch toggles as a square wave at

@@ -30,9 +30,6 @@ type Config struct {
 	// AcquireThreshold is the minimum normalized correlation for declaring
 	// a burst (0…1).
 	AcquireThreshold float64
-	// UseCanceller enables the adaptive LMS leakage canceller in front of
-	// the DC notch.
-	UseCanceller bool
 	// UseDiversity lets acquisition-reported multipath peaks contribute to
 	// chip decisions.
 	UseDiversity bool
@@ -81,7 +78,6 @@ func DefaultConfig() Config {
 		DownlinkCodec:    link.Codec{Code: link.Manchester},
 		SourceLevelDB:    180,
 		AcquireThreshold: 0.22,
-		UseCanceller:     true,
 		UseDiversity:     true,
 	}
 }
@@ -94,8 +90,8 @@ type Reader struct {
 	canc  *phy.AdaptiveCanceller
 	met   rdMetrics
 
-	// cancBuf holds Decode's working copy of the capture when the
-	// canceller is active (Decode must not mutate the caller's capture
+	// cancBuf holds Decode's working copy of the capture when there is a
+	// transmit reference to cancel (Decode must not mutate the caller's capture
 	// before cancellation). Reused across rounds.
 	cancBuf []complex128
 }
@@ -165,11 +161,7 @@ func New(cfg Config) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{cfg: cfg, mod: mod, demod: demod}
-	if cfg.UseCanceller {
-		r.canc = phy.NewAdaptiveCanceller(0.05)
-	}
-	return r, nil
+	return &Reader{cfg: cfg, mod: mod, demod: demod, canc: phy.NewAdaptiveCanceller(0.05)}, nil
 }
 
 // Config returns the reader configuration.
@@ -251,7 +243,7 @@ func (r *Reader) EstimateRange(acqStart, txStart int, soundSpeed float64) float6
 func (r *Reader) Decode(capture, txRef []complex128, payloadLen int) RxReport {
 	var rep RxReport
 	y := capture
-	if r.canc != nil && txRef != nil && len(txRef) == len(y) {
+	if txRef != nil && len(txRef) == len(y) {
 		sp := r.met.stages.Stage("cancel")
 		r.canc.Reset()
 		if cap(r.cancBuf) < len(y) {
