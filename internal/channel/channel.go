@@ -226,9 +226,13 @@ func (l *Link) Downlink(tx []complex128) []complex128 {
 }
 
 // DownlinkInto is Downlink writing into dst, which must have the same
-// length as tx and must not alias it. It allocates nothing.
+// length as tx and must not alias it. It allocates nothing. The reader's
+// carrier (every sample equal) takes a bit-identical shortcut, see
+// carrierTDLInto.
 func (l *Link) DownlinkInto(dst, tx []complex128) []complex128 {
-	l.tdlDown.Apply(dst, tx)
+	if !carrierTDLInto(dst, tx, l.down) {
+		l.tdlDown.Apply(dst, tx)
+	}
 	return dst
 }
 

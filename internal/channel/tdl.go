@@ -162,3 +162,38 @@ func applyTDLInto(dst, x []complex128, taps []Tap) {
 		dsp.MixInto(dst, x, off, t.Gain)
 	}
 }
+
+// carrierTDLInto is applyTDLInto for an input whose samples are all
+// bit-equal to x[0], the reader's unmodulated carrier. Output sample i is
+// then the tap-order sum of Gain·x[0] over the taps at offset ≤ i, so every
+// sample past the largest offset equals the one at it: the reference runs
+// on the head up to that offset, with the same operands in the same order,
+// and the last head sample is copied into the rest. It reports false,
+// leaving dst untouched, for any other input.
+func carrierTDLInto(dst, x []complex128, taps []Tap) bool {
+	if len(dst) != len(x) || len(x) == 0 {
+		return false
+	}
+	re, im := math.Float64bits(real(x[0])), math.Float64bits(imag(x[0]))
+	for _, v := range x[1:] {
+		if math.Float64bits(real(v)) != re || math.Float64bits(imag(v)) != im {
+			return false
+		}
+	}
+	base := math.Inf(1)
+	for _, t := range taps {
+		if t.DelaySamples < base {
+			base = t.DelaySamples
+		}
+	}
+	last := 0
+	for _, t := range taps {
+		last = max(last, int(math.Round(t.DelaySamples-base)))
+	}
+	last = min(last, len(x)-1)
+	applyTDLInto(dst[:last+1], x[:last+1], taps)
+	for i := last + 1; i < len(dst); i++ {
+		dst[i] = dst[last]
+	}
+	return true
+}

@@ -42,7 +42,7 @@ func (m *Modulator) GammaWaveform(chips []byte) ([]float64, error) {
 	for _, c := range all {
 		f := m.p.chipFreq(c)
 		for s := 0; s < spc; s++ {
-			if math.Sin(phase) >= 0 {
+			if sinNonNeg(phase) {
 				out[idx] = 1
 			}
 			idx++
@@ -71,12 +71,26 @@ func (m *Modulator) skewedGamma(all []byte) []float64 {
 			break
 		}
 		f := m.p.chipFreq(all[chip])
-		if math.Sin(phase) >= 0 {
+		if sinNonNeg(phase) {
 			out[i] = 1
 		}
 		phase += 2 * math.Pi * f * delta / fs
 	}
 	return out
+}
+
+// sinNonNeg reports math.Sin(phase) >= 0, evaluating the sine only near
+// its zeros. With phase = kπ + r and k = round(phase/π), sin(phase) has the
+// sign of (−1)^k·r. The reduction's rounding error (about 1e-12 at the
+// phases a burst reaches) is far inside the 1e-6 band where math.Sin still
+// decides, so the answer is the same bit for bit.
+func sinNonNeg(phase float64) bool {
+	k := math.Round(phase / math.Pi)
+	r := phase - k*math.Pi
+	if math.Abs(r) <= 1e-6 {
+		return math.Sin(phase) >= 0
+	}
+	return (r > 0) == (int64(k)&1 == 0)
 }
 
 // withPreamble maps the ±1 preamble sequence to chips and prepends it.
