@@ -259,12 +259,17 @@ func (r *Reader) Decode(capture, txRef []complex128, payloadLen int) RxReport {
 	y = r.demod.Suppress(y)
 	r.met.acquires.Inc()
 	sp := r.met.stages.Stage("acquire")
-	acq, err := r.demod.Acquire(y, r.cfg.AcquireThreshold)
+	acq, err := r.demod.Locate(y)
+	located := err == nil
+	if located {
+		err = acq.Detect(r.cfg.AcquireThreshold)
+	}
 	sp.End()
 	if err != nil && r.cfg.Reacquire {
 		// Recovery: step the threshold down and retry, bounded. A burst
 		// whose preamble correlation was dented by an impulse train or a
-		// shadowing fade often still peaks above a relaxed threshold.
+		// shadowing fade often still peaks above a relaxed threshold. The
+		// capture is located once; each attempt only re-tests its peak.
 		max, step, floor := r.cfg.reacquire()
 		thr := r.cfg.AcquireThreshold
 		for attempt := 0; attempt < max && err != nil; attempt++ {
@@ -274,7 +279,9 @@ func (r *Reader) Decode(capture, txRef []complex128, payloadLen int) RxReport {
 			}
 			r.met.reacquires.Inc()
 			sp = r.met.stages.Stage("reacquire")
-			acq, err = r.demod.Acquire(y, thr)
+			if located {
+				err = acq.Detect(thr)
+			}
 			sp.End()
 			if thr == floor {
 				break
