@@ -47,7 +47,7 @@ func main() {
 	faultSpec := flag.String("faults", "", "fault scenario for fault-injecting experiments (e.g. chaos, shrimp+shadowing:0.5); 'list' prints the inventory")
 	metricsAddr := flag.String("metrics", "", "ops endpoint address for /metrics, /healthz and pprof during the run (empty = telemetry off)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (seeded output is unaffected)")
-	calibrate := flag.String("calibrate", "", "measure a linksim calibration table against the waveform tier and write it to this path")
+	calibrate := flag.String("calibrate", "", "measure a linksim calibration table against the waveform tier, write it to this path and test it for equivalence with the embedded table")
 	flag.Parse()
 
 	if *calibrate != "" {
@@ -71,6 +71,13 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "vabsim: wrote %s (format v%d, chip rate %.0f cps, logistic k=%.2f snr50=%.2f dB)\n",
 			*calibrate, t.FormatVersion, t.ChipRate, t.LogisticK, t.LogisticSNR50)
+		// The statistical gate for a deliberate output change: the new
+		// table against the one this binary embeds.
+		eq, err := linksim.Equivalent(linksim.DefaultTable(), t)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "vabsim: equivalent to the embedded table: %v\n", eq)
 		return
 	}
 
