@@ -257,6 +257,29 @@ func (c *Correlator) NormXCorrInto(dst []float64, x []complex128) {
 	putScratch(sr)
 }
 
+// NormXCorrAt is one value of NormXCorrInto, the normalized correlation
+// at lag k, computed directly in O(len(ref)): for a caller that needs a
+// handful of lags around a known peak rather than the whole surface. It
+// agrees with NormXCorrInto to rounding, not bit for bit. k must satisfy
+// 0 ≤ k ≤ len(x)-len(ref).
+func (c *Correlator) NormXCorrAt(x []complex128, k int) float64 {
+	if c.refE == 0 {
+		return 0
+	}
+	var acc complex128
+	var winE float64
+	for n, r := range c.ref {
+		v := x[k+n]
+		acc += v * cmplx.Conj(r)
+		winE += sq(v)
+	}
+	den := winE * c.refE
+	if den <= 0 {
+		return 0
+	}
+	return sqrt64(sq(acc) / den)
+}
+
 func sq(c complex128) float64 { return real(c)*real(c) + imag(c)*imag(c) }
 
 func sqrt64(v float64) float64 {

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -144,6 +145,31 @@ func TestCorrelatorMatchesOneShot(t *testing.T) {
 		c.NormXCorrInto(dst, x)
 		if a := testing.AllocsPerRun(10, func() { c.NormXCorrInto(dst, x) }); a != 0 {
 			t.Errorf("m=%d: Correlator NormXCorrInto allocates %.1f per run in steady state", m, a)
+		}
+	}
+}
+
+// TestNormXCorrAtMatchesSurface checks the single-lag form against the
+// full normalized surface, on both of NormXCorrInto's paths and on a
+// window of zeros.
+func TestNormXCorrAtMatchesSurface(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, m := range []int{16, 200} {
+		ref := make([]complex128, m)
+		for i := range ref {
+			ref[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		c := NewCorrelator(ref)
+		x := make([]complex128, 3*m+40)
+		for i := m; i < len(x); i++ {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		want := make([]float64, len(x)-m+1)
+		c.NormXCorrInto(want, x)
+		for k, w := range want {
+			if got := c.NormXCorrAt(x, k); math.Abs(got-w) > 1e-12 {
+				t.Fatalf("m=%d lag %d: %v, surface has %v", m, k, got, w)
+			}
 		}
 	}
 }
