@@ -1,9 +1,13 @@
 package linksim
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
+	"vab/internal/faults"
 	"vab/internal/mac"
+	"vab/internal/workpool"
 )
 
 // TestFleetStaleCalendarEntry: a calendar entry whose node was restored or
@@ -180,5 +184,130 @@ func TestFleetCycleAllocs(t *testing.T) {
 	}
 	if allocs := run(4); allocs > 2 {
 		t.Fatalf("pooled steady-state cycle allocates %.1f/op, want ≤ 2", allocs)
+	}
+}
+
+// assertWorkUnique fails unless the last cycle's work list is strictly
+// ascending, so no node sits in two blocks of the parallel fold.
+func assertWorkUnique(t *testing.T, f *Fleet) {
+	t.Helper()
+	for i := 1; i < len(f.work); i++ {
+		if f.work[i].node <= f.work[i-1].node {
+			t.Fatalf("cycle %d: work list not strictly ascending at %d: node %d after %d",
+				f.cycle-1, i, f.work[i].node, f.work[i-1].node)
+		}
+	}
+}
+
+// TestFleetWorkListOneEntryPerNode: a node calendared more than once for
+// the same cycle — a duplicate in its bucket, or an overflow entry that
+// take() merges with a bucket entry — is probed once. Blocks fold node
+// columns concurrently, so a node listed twice could be folded by two
+// blocks at once.
+func TestFleetWorkListOneEntryPerNode(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		fleet, err := NewFleet(Config{
+			Placements: []Placement{{RangeM: 50}, {RangeM: 200}, {RangeM: 50}},
+			Policy:     probationPolicy(),
+			Table:      hardTable(),
+			Seed:       13,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet.SetWorkers(workers)
+		// Cycles 0-2: node 1 quarantines at cycle 2, its probe due at 4.
+		for c := 0; c < 3; c++ {
+			if _, err := fleet.RunCycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fleet.cols.NextProbeAt(1) != 4 {
+			t.Fatalf("setup drifted: next probe %d, want 4", fleet.cols.NextProbeAt(1))
+		}
+		fleet.wheel.schedule(1, 4, 2)               // stale duplicate in the same bucket
+		fleet.wheel.schedule(1, 4, -20)             // beyond the horizon: the overflow list
+		if _, err := fleet.RunCycle(); err != nil { // cycle 3
+			t.Fatal(err)
+		}
+		rep, err := fleet.RunCycle() // cycle 4: bucket + overflow merge
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertWorkUnique(t, fleet)
+		if rep.Probes != 1 || rep.Polled != 3 {
+			t.Fatalf("workers=%d cycle 4: polled %d probes %d, want 3 polls and 1 probe",
+				workers, rep.Polled, rep.Probes)
+		}
+		if st := fleet.NodeState(1); st.Polls != 3*3+1 {
+			t.Fatalf("workers=%d: node 1 polled %d times, want 10 (three full cycles, one probe)",
+				workers, st.Polls)
+		}
+		fleet.Close()
+	}
+
+	// A probation campaign under chaos keeps every work list unique.
+	fleet, err := NewFleet(Config{Nodes: 6000, Policy: probationPolicy(), Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	sc, err := faults.Parse("chaos", 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := faults.NewEngine(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet.SetFaultEngine(eng)
+	fleet.SetWorkers(3)
+	probes := 0
+	for c := 0; c < 24; c++ {
+		rep, err := fleet.RunCycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes += rep.Probes
+		assertWorkUnique(t, fleet)
+	}
+	if probes == 0 {
+		t.Fatal("campaign never probed — the check lost its teeth")
+	}
+}
+
+// TestFleetBlockPanicReturnsError: a panic inside a pool block comes back
+// from RunCycle as a *workpool.PanicError carrying the node index, at any
+// worker count, on the table-walk and the cached draw paths. The fault is
+// injected by planting node indices past the fleet's end in the live list.
+func TestFleetBlockPanicReturnsError(t *testing.T) {
+	const nodes = 10_000
+	for _, warm := range []int{0, 3} { // cycle 0 walks the table; cycle 3 hits the cache
+		for _, workers := range []int{1, 4} {
+			fleet, err := NewFleet(Config{Nodes: nodes, Policy: mac.DefaultPollPolicy(), Seed: 41})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet.SetWorkers(workers)
+			for c := 0; c < warm; c++ {
+				if _, err := fleet.RunCycle(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fleet.live = append(fleet.live, nodes+3, nodes+7)
+			_, err = fleet.RunCycle()
+			var pe *workpool.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("warm=%d workers=%d: error %v, want a *workpool.PanicError", warm, workers, err)
+			}
+			if pe.Index != nodes+3 || pe.Stage != poolStage {
+				t.Fatalf("warm=%d workers=%d: panic at %s index %d, want %s index %d",
+					warm, workers, pe.Stage, pe.Index, poolStage, nodes+3)
+			}
+			if _, ok := pe.Value.(runtime.Error); !ok {
+				t.Fatalf("warm=%d workers=%d: panic value %v, want the runtime error", warm, workers, pe.Value)
+			}
+			fleet.Close()
+		}
 	}
 }
