@@ -15,12 +15,12 @@ package linksim
 //     the overflow list, which take() drains as their cycles come up —
 //     far-future probes cost a scan only while any exist.
 //  2. Ascending buckets, no sort. schedule() insertion-sorts each node
-//     into its bucket from the tail. Within one fold phase nodes are
-//     scheduled in ascending order (the fold walks the work list
-//     ascending), so the common insert is a pure append; only an entry
-//     from a *later* cycle's fold landing below an earlier fold's run
-//     shifts, and buckets are small (the nodes of one future cycle's
-//     probe schedule).
+//     into its bucket from the tail. Within one cycle nodes are
+//     scheduled in ascending order (the cycle's tail replays the blocks'
+//     calendar records in work-list order), so the common insert is a
+//     pure append; only an entry from a *later* cycle landing below an
+//     earlier cycle's run shifts, and buckets are small (the nodes of
+//     one future cycle's probe schedule).
 //  3. Reused storage. take() hands the bucket back truncated to length
 //     zero, so steady-state scheduling never allocates; the slice a
 //     take() returns is valid until the next take().
