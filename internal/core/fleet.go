@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync/atomic"
 
@@ -120,8 +119,7 @@ func (t fleetTrx) Poll(addr byte, chipRate float64) (mac.RoundResult, error) {
 // poll runs one waveform round against a node system and maps the result
 // into MAC terms.
 func (t fleetTrx) poll(s *System) (mac.RoundResult, error) {
-	s.WakeNode(30)
-	rep, err := s.RunRound()
+	rep, err := s.Poll()
 	if err != nil {
 		return mac.RoundResult{}, err
 	}
@@ -130,15 +128,11 @@ func (t fleetTrx) poll(s *System) (mac.RoundResult, error) {
 	}
 	t.f.frames.Add(1)
 	t.f.corrected.Add(int64(rep.Rx.Corrected))
-	snr := 0.0
-	if rep.ToneSNREst > 0 {
-		snr = 10 * math.Log10(rep.ToneSNREst)
-	}
-	return mac.RoundResult{OK: true, Payload: rep.Rx.Frame.Payload, SNRdB: snr}, nil
+	return mac.RoundResult{OK: true, Payload: rep.Rx.Frame.Payload, SNRdB: rep.SNRdB()}, nil
 }
 
 // Instrument wires telemetry through every layer the fleet owns: the MAC
-// scheduler's polling counters and each per-node system's round tracer
+// scheduler's polling counters and each per-node system's round stage timers
 // and receive-chain metrics. All systems share one registry, so counters
 // aggregate fleet-wide. A nil registry is a no-op; call before RunCycle.
 func (f *Fleet) Instrument(reg *telemetry.Registry) {

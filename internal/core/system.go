@@ -98,11 +98,12 @@ type System struct {
 	captureBuf []complex128
 	dlBuf      []complex128
 
-	// trace times RunRound's pipeline stages; nil (the default) records
-	// nothing. Set via Instrument.
-	trace  *telemetry.Tracer
-	rounds *telemetry.Counter
-	reg    *telemetry.Registry
+	// Stage timers for RunRound's pipeline (vab_round_stage_seconds
+	// {stage=…}); nil (the default) records nothing. Resolved once by
+	// Instrument.
+	stModulate, stChannel, stNode, stDecode *telemetry.Histogram
+	rounds                                  *telemetry.Counter
+	reg                                     *telemetry.Registry
 
 	// Fault-injection state (see chaos.go). chaos nil means no engine is
 	// attached and the round pipeline behaves exactly as before this hook
@@ -125,8 +126,12 @@ func (s *System) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	s.trace = telemetry.NewTracer(reg, "vab_round_stage_seconds",
-		"Wall time of one system round's pipeline stages.", nil)
+	stage := func(name string) *telemetry.Histogram {
+		return reg.Histogram(telemetry.Label("vab_round_stage_seconds", "stage", name),
+			"Wall time of one system round's pipeline stages.", nil)
+	}
+	s.stModulate, s.stChannel = stage("modulate"), stage("channel")
+	s.stNode, s.stDecode = stage("node"), stage("decode")
 	s.rounds = reg.Counter("vab_round_total",
 		"Query-response rounds executed at waveform level.")
 	s.watchdogTrips = reg.Counter("vab_round_watchdog_trips_total",
@@ -192,11 +197,15 @@ func growRoundBuf(buf []complex128, n int) []complex128 {
 	return buf[:n]
 }
 
-// roundWaveforms fills the reused transmit-carrier and node-reflection
-// buffers for an uplink exchange of total samples whose response window
-// starts at pad. Callers must not retain the returned slices past the
-// round; RecordRound, whose capture escapes, still allocates that capture.
-func (s *System) roundWaveforms(total, pad int, gammaBits []float64) (tx, gamma []complex128) {
+// uplinkWaveforms assembles an uplink exchange for the node's reflection
+// sequence gammaBits: the reused transmit-carrier and node-reflection
+// buffers, with four chips of carrier on each side of the response, which
+// starts at sample pad. Callers must not retain the returned slices past
+// the round; RecordRound, whose capture escapes, still allocates that
+// capture.
+func (s *System) uplinkWaveforms(gammaBits []float64) (tx, gamma []complex128, pad int) {
+	pad = 4 * s.cfg.Reader.PHY.SamplesPerChip()
+	total := pad + len(gammaBits) + pad
 	s.txBuf = growRoundBuf(s.txBuf, total)
 	tx = s.txBuf
 	s.Reader.CarrierEnvelopeInto(tx)
@@ -208,7 +217,27 @@ func (s *System) roundWaveforms(total, pad int, gammaBits []float64) (tx, gamma 
 	for i, g := range gammaBits {
 		gamma[pad+i] = complex(s.deltaG*g, 0)
 	}
-	return tx, gamma
+	return tx, gamma, pad
+}
+
+// nodeReceive passes a downlink envelope through the channel and decodes
+// it as the node's receiver does: nChips OOK chips, then the frame. A nil
+// frame means the frame was corrupted in flight and the node never heard
+// it. stage times the channel pass (nil records nothing).
+func (s *System) nodeReceive(w []complex128, nChips int, stage *telemetry.Histogram) (*link.Frame, error) {
+	sp := telemetry.StartSpan(stage)
+	s.dlBuf = growRoundBuf(s.dlBuf, len(w))
+	atNode := s.Link.DownlinkInto(s.dlBuf, w)
+	sp.End()
+	chips, err := s.ook.DemodChips(atNode, 0, nChips)
+	if err != nil {
+		return nil, fmt.Errorf("core: node downlink demod: %w", err)
+	}
+	f, _, err := s.cfg.Reader.DownlinkCodec.DecodeFrame(chips)
+	if err != nil {
+		return nil, nil
+	}
+	return f, nil
 }
 
 // NewSystem validates and assembles a deployment.
@@ -297,6 +326,15 @@ func (s *System) WakeNode(seconds float64) {
 	s.Node.Harvest(pPa, rhoC, seconds)
 }
 
+// Poll is one waveform poll as every tier defines it: a 30 s carrier wake,
+// then RunRound. The fleet, the calibrator, the hero checker and X3 all
+// poll through it, so the calibration table and the tiers it feeds share
+// one definition of a poll.
+func (s *System) Poll() (RoundReport, error) {
+	s.WakeNode(30)
+	return s.RunRound()
+}
+
 // RoundReport describes one query-response round.
 type RoundReport struct {
 	Rx         reader.RxReport
@@ -310,11 +348,19 @@ type RoundReport struct {
 	WatchdogTripped bool
 }
 
+// SNRdB is the round's tone SNR estimate in dB, or 0 when the estimate is
+// not positive.
+func (r *RoundReport) SNRdB() float64 {
+	if r.ToneSNREst > 0 {
+		return 10 * math.Log10(r.ToneSNREst)
+	}
+	return 0
+}
+
 // RunRound executes a full query-response exchange at waveform level and
 // returns what happened at each stage.
 func (s *System) RunRound() (RoundReport, error) {
 	var rep RoundReport
-	cfg := s.cfg.Reader
 	s.rounds.Inc()
 
 	// Per-round watchdog: bound wall time when a deadline is configured.
@@ -350,34 +396,24 @@ func (s *System) RunRound() (RoundReport, error) {
 	}
 
 	// Downlink: query through the channel, node-side OOK decode.
-	sp := s.trace.Stage("modulate")
+	sp := telemetry.StartSpan(s.stModulate)
 	qw, _, err := s.Reader.QueryWaveform(s.cfg.NodeAddr, s.querySeq)
 	sp.End()
 	if err != nil {
 		return rep, err
 	}
 	s.querySeq++
-	sp = s.trace.Stage("channel")
-	s.dlBuf = growRoundBuf(s.dlBuf, len(qw))
-	atNode := s.Link.DownlinkInto(s.dlBuf, qw)
-	sp.End()
-	if tripped() {
-		return rep, nil
-	}
-	nChips := cfg.DownlinkCodec.ChipLength(0)
-	chips, err := s.ook.DemodChips(atNode, 0, nChips)
+	qf, err := s.nodeReceive(qw, s.cfg.Reader.DownlinkCodec.ChipLength(0), s.stChannel)
 	if err != nil {
-		return rep, fmt.Errorf("core: node downlink demod: %w", err)
+		return rep, err
 	}
-	qf, _, err := cfg.DownlinkCodec.DecodeFrame(chips)
-	if err != nil {
-		// Query corrupted in flight: the node never hears it.
+	if tripped() || qf == nil { // nil qf: the node never heard the query
 		return rep, nil
 	}
 	rep.QueryOK = true
 
 	// Node responds with its reflection waveform.
-	sp = s.trace.Stage("node")
+	sp = telemetry.StartSpan(s.stNode)
 	gammaBits, err := s.Node.HandleQuery(qf)
 	sp.End()
 	if err != nil {
@@ -391,14 +427,10 @@ func (s *System) RunRound() (RoundReport, error) {
 		return rep, nil
 	}
 
-	// Round trip. The transmitted chip sequence is reconstructed for raw
-	// chip-error accounting.
-	spc := cfg.PHY.SamplesPerChip()
-	pad := 4 * spc
-	total := pad + len(gammaBits) + 4*spc
-	tx, gamma := s.roundWaveforms(total, pad, gammaBits)
-	sp = s.trace.Stage("channel")
-	s.captureBuf = growRoundBuf(s.captureBuf, total)
+	// Round trip.
+	tx, gamma, _ := s.uplinkWaveforms(gammaBits)
+	sp = telemetry.StartSpan(s.stChannel)
+	s.captureBuf = growRoundBuf(s.captureBuf, len(tx))
 	capture, err := s.Link.RoundTripInto(s.captureBuf, tx, gamma, s.effectiveGain())
 	sp.End()
 	if err != nil {
@@ -410,7 +442,7 @@ func (s *System) RunRound() (RoundReport, error) {
 	if tripped() {
 		return rep, nil
 	}
-	sp = s.trace.Stage("decode")
+	sp = telemetry.StartSpan(s.stDecode)
 	rep.Rx = s.Reader.Decode(capture, tx, s.payloadLen)
 	sp.End()
 	rep.ToneSNREst = rep.Rx.SNREstimate
@@ -426,7 +458,6 @@ func (s *System) RunRound() (RoundReport, error) {
 // raw hydrophone capture — the export hook for external waveform analysis
 // (see dsp.WriteCapture and cmd/vabscan -capture).
 func (s *System) RecordRound() ([]complex128, error) {
-	cfg := s.cfg.Reader
 	if err := s.rebuildLink(); err != nil {
 		return nil, err
 	}
@@ -437,10 +468,7 @@ func (s *System) RecordRound() ([]complex128, error) {
 	if gammaBits == nil {
 		return nil, fmt.Errorf("core: node silent; WakeNode first")
 	}
-	spc := cfg.PHY.SamplesPerChip()
-	pad := 4 * spc
-	total := pad + len(gammaBits) + 4*spc
-	tx, gamma := s.roundWaveforms(total, pad, gammaBits)
+	tx, gamma, _ := s.uplinkWaveforms(gammaBits)
 	return s.Link.RoundTrip(tx, gamma, s.nodeGain)
 }
 
@@ -473,15 +501,9 @@ func (s *System) RunCommandRound(payload []byte) (acked bool, rep reader.RxRepor
 	for i := range w {
 		w[i] *= complex(amp, 0)
 	}
-	s.dlBuf = growRoundBuf(s.dlBuf, len(w))
-	atNode := s.Link.DownlinkInto(s.dlBuf, w)
-	gotChips, err := s.ook.DemodChips(atNode, 0, len(chips))
-	if err != nil {
-		return false, rep, err
-	}
-	qf, _, err := cfg.DownlinkCodec.DecodeFrame(gotChips)
-	if err != nil {
-		return false, rep, nil // command lost in flight
+	qf, err := s.nodeReceive(w, len(chips), nil)
+	if err != nil || qf == nil {
+		return false, rep, err // nil frame: command lost in flight
 	}
 	gammaBits, err := s.Node.HandleCommand(qf)
 	if err != nil {
@@ -491,11 +513,8 @@ func (s *System) RunCommandRound(payload []byte) (acked bool, rep reader.RxRepor
 		return false, rep, nil
 	}
 	// Uplink ack.
-	spc := cfg.PHY.SamplesPerChip()
-	pad := 4 * spc
-	total := pad + len(gammaBits) + 4*spc
-	tx, gamma := s.roundWaveforms(total, pad, gammaBits)
-	s.captureBuf = growRoundBuf(s.captureBuf, total)
+	tx, gamma, _ := s.uplinkWaveforms(gammaBits)
+	s.captureBuf = growRoundBuf(s.captureBuf, len(tx))
 	capture, err := s.Link.RoundTripInto(s.captureBuf, tx, gamma, s.nodeGain)
 	if err != nil {
 		return false, rep, err
@@ -519,7 +538,6 @@ type RangingReport struct {
 // the same frame, FEC and demodulation; only the capture timeline differs.
 func (s *System) RunRangingRound() (RangingReport, error) {
 	var rep RangingReport
-	cfg := s.cfg.Reader
 	if err := s.rebuildLink(); err != nil {
 		return rep, err
 	}
@@ -533,10 +551,7 @@ func (s *System) RunRangingRound() (RangingReport, error) {
 	if gammaBits == nil {
 		return rep, fmt.Errorf("core: node silent during ranging")
 	}
-	spc := cfg.PHY.SamplesPerChip()
-	pad := 4 * spc
-	total := pad + len(gammaBits) + 4*spc
-	tx, gamma := s.roundWaveforms(total, pad, gammaBits)
+	tx, gamma, pad := s.uplinkWaveforms(gammaBits)
 	capture, err := s.Link.RoundTripAbsolute(tx, gamma, s.nodeGain)
 	if err != nil {
 		return rep, err

@@ -2,12 +2,17 @@ package core
 
 import (
 	"math"
+	"runtime/debug"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"vab/internal/link"
 	"vab/internal/node"
 	"vab/internal/ocean"
 	"vab/internal/reader"
+	"vab/internal/telemetry"
 )
 
 func readerDefaultNoDiversity() reader.Config {
@@ -315,5 +320,94 @@ func TestNodeClockSkewAtSystemLevel(t *testing.T) {
 	// Grossly wrong oscillator: the link collapses.
 	if got := run(30000); got > 1 {
 		t.Errorf("30000 ppm: %d/6 deployments decoded; skew not modeled?", got)
+	}
+}
+
+// countAllocs is testing.AllocsPerRun with the collector off, so a GC
+// cannot empty dsp's scratch pool mid-count and skew a comparison.
+func countAllocs(runs int, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(runs, f)
+}
+
+// TestInstrumentedRoundAllocs pins stage tracing at zero allocations: two
+// identically seeded systems, one instrumented, allocate exactly as often
+// per RunRound, and an instrumented reader decodes a fixed seeded capture
+// with exactly the allocations of a bare one. Stage histograms are
+// resolved at Instrument, so a traced stage is two clock reads and an
+// Observe.
+func TestInstrumentedRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; allocation counts are not stable")
+	}
+	rounds := func(reg *telemetry.Registry) float64 {
+		s := riverSystem(t, 50, 3)
+		s.Instrument(reg)
+		s.WakeNode(3600)
+		if _, err := s.RunRound(); err != nil { // grow the reused buffers
+			t.Fatal(err)
+		}
+		return countAllocs(10, func() {
+			if _, err := s.RunRound(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	rounds(nil) // fill the process-wide caches this seeded sequence touches
+	if bare, traced := rounds(nil), rounds(telemetry.NewRegistry()); traced != bare {
+		t.Errorf("instrumented RunRound allocates %.1f/op, bare %.1f/op", traced, bare)
+	}
+
+	s := riverSystem(t, 50, 3)
+	s.WakeNode(3600)
+	capture, err := s.RecordRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := s.Reader.CarrierEnvelope(len(capture))
+	decodes := func(reg *telemetry.Registry) float64 {
+		r, err := reader.New(s.Reader.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Instrument(reg)
+		if rep := r.Decode(capture, tx, node.PayloadSize); !rep.OK() {
+			t.Fatalf("fixture capture does not decode: %v", rep.Err)
+		}
+		return countAllocs(20, func() { r.Decode(capture, tx, node.PayloadSize) })
+	}
+	if bare, traced := decodes(nil), decodes(telemetry.NewRegistry()); traced != bare {
+		t.Errorf("instrumented Decode allocates %.1f/op, bare %.1f/op", traced, bare)
+	}
+}
+
+// TestRoundStageSeries is the stage-series contract: after one
+// instrumented round the registry holds exactly the round's and the
+// reader's stage histograms. Instrument registers them all, so a stage the
+// round never reached (reacquire here) is present with a zero count.
+func TestRoundStageSeries(t *testing.T) {
+	s := riverSystem(t, 50, 3)
+	reg := telemetry.NewRegistry()
+	s.Instrument(reg)
+	s.WakeNode(3600)
+	if _, err := s.RunRound(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range reg.Snapshot() {
+		if strings.Contains(m.Name, "_stage_seconds") {
+			got = append(got, m.Name)
+		}
+	}
+	var want []string
+	for _, st := range []string{"modulate", "channel", "node", "decode"} {
+		want = append(want, telemetry.Label("vab_round_stage_seconds", "stage", st))
+	}
+	for _, st := range []string{"cancel", "acquire", "reacquire", "demod", "decode"} {
+		want = append(want, telemetry.Label("vab_reader_stage_seconds", "stage", st))
+	}
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("stage series:\n got %q\nwant %q", got, want)
 	}
 }

@@ -72,8 +72,8 @@ func TestE12OptIn(t *testing.T) {
 // order plus the opt-ins, one line each.
 func TestDescribe(t *testing.T) {
 	lines := Describe()
-	if len(lines) != len(IDs())+len(optIn) {
-		t.Fatalf("%d description lines for %d experiments + %d opt-ins", len(lines), len(IDs()), len(optIn))
+	if len(lines) != len(IDs())+len(ids(true)) {
+		t.Fatalf("%d description lines for %d experiments + %d opt-ins", len(lines), len(IDs()), len(ids(true)))
 	}
 	for i, id := range IDs() {
 		if !strings.HasPrefix(lines[i], id+" ") {

@@ -15,7 +15,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 
 	"vab/internal/baseline"
 	"vab/internal/core"
@@ -105,101 +106,67 @@ func pabBudget(env *ocean.Environment) *core.LinkBudget {
 	return b
 }
 
-// Registry lists every experiment by ID.
+// runner regenerates one artifact.
 type runner func(Options) (*Result, error)
 
-var registry = map[string]runner{
-	"E1":  E1RangeRiver,
-	"E2":  E2SNRComparison,
-	"E3":  E3HeadToHead,
-	"E4":  E4Orientation,
-	"E5":  E5ElementScaling,
-	"E6":  E6Ocean,
-	"E7":  E7Throughput,
-	"E8":  E8PowerBudget,
-	"E9":  E9Matching,
-	"E10": E10Campaign,
-	"X1":  X1Ranging,
-	"X2":  X2MaryThroughput,
-	"X3":  X3WaveformValidation,
-	"X4":  X4Sensitivity,
-	"X5":  X5Environment,
+// experiment is one inventory entry. optIn experiments run only when named
+// explicitly: they are excluded from IDs()/RunAll so that seeded `-exp all`
+// transcripts stay byte-identical as opt-in experiments are added. E11
+// additionally varies with Options.Faults, which would break the
+// fixed-flag reproducibility contract of the default set.
+type experiment struct {
+	id, desc string
+	run      runner
+	optIn    bool
 }
 
-// optIn experiments run only when named explicitly: they are deliberately
-// excluded from IDs()/RunAll so that seeded `-exp all` transcripts stay
-// byte-identical as opt-in experiments are added. E11 additionally varies
-// with Options.Faults, which would break the fixed-flag reproducibility
-// contract of the default set.
-var optIn = map[string]runner{
-	"E11": E11Chaos,
-	"E12": E12AbstractFleet,
-	"E13": E13PackedPayloads,
-	"E14": E14NetChaos,
+// inventory lists every experiment in `vabsim -exp list` order: the
+// paper's E-series, the X-series extensions, then the opt-ins.
+var inventory = []experiment{
+	{"E1", "range sweep in the river environment: BER and SNR vs distance", E1RangeRiver, false},
+	{"E2", "SNR comparison: Van Atta vs specular vs prior-art budgets", E2SNRComparison, false},
+	{"E3", "head-to-head range table at the paper's operating BER", E3HeadToHead, false},
+	{"E4", "orientation sweep: retrodirective gain across node rotation", E4Orientation, false},
+	{"E5", "element scaling: range vs Van Atta array size", E5ElementScaling, false},
+	{"E6", "ocean validation: coastal Atlantic environment", E6Ocean, false},
+	{"E7", "throughput vs range at fixed reliability", E7Throughput, false},
+	{"E8", "power budget: harvested vs consumed per uplink frame", E8PowerBudget, false},
+	{"E9", "matching-network sensitivity of the scattered field", E9Matching, false},
+	{"E10", "full campaign: the multi-cell Monte-Carlo summary table", E10Campaign, false},
+	{"X1", "extension: round-trip acoustic ranging accuracy", X1Ranging, false},
+	{"X2", "extension: M-ary orthogonal signaling throughput", X2MaryThroughput, false},
+	{"X3", "extension: waveform pipeline vs analytic budget cross-validation", X3WaveformValidation, false},
+	{"X4", "extension: sensitivity of headline claims to environment knobs", X4Sensitivity, false},
+	{"X5", "extension: environment-parameter sweeps (sound speed, spreading)", X5Environment, false},
+	{"E11", "opt-in: chaos campaign — delivery vs fault intensity, recovery off/on", E11Chaos, true},
+	{"E12", "opt-in: abstract-tier 100k-node fleet on the calibrated link model", E12AbstractFleet, true},
+	{"E13", "opt-in: packed payload batching — readings per frame and wire bytes per reading", E13PackedPayloads, true},
+	{"E14", "opt-in: network chaos — gateway delivery vs chaos intensity, session resume off/on", E14NetChaos, true},
 }
 
-// describe holds one-line descriptions for the whole inventory (default
-// and opt-in), so `vabsim -exp list` can print it without running anything.
-var describe = map[string]string{
-	"E1":  "range sweep in the river environment: BER and SNR vs distance",
-	"E2":  "SNR comparison: Van Atta vs specular vs prior-art budgets",
-	"E3":  "head-to-head range table at the paper's operating BER",
-	"E4":  "orientation sweep: retrodirective gain across node rotation",
-	"E5":  "element scaling: range vs Van Atta array size",
-	"E6":  "ocean validation: coastal Atlantic environment",
-	"E7":  "throughput vs range at fixed reliability",
-	"E8":  "power budget: harvested vs consumed per uplink frame",
-	"E9":  "matching-network sensitivity of the scattered field",
-	"E10": "full campaign: the multi-cell Monte-Carlo summary table",
-	"X1":  "extension: round-trip acoustic ranging accuracy",
-	"X2":  "extension: M-ary orthogonal signaling throughput",
-	"X3":  "extension: waveform pipeline vs analytic budget cross-validation",
-	"X4":  "extension: sensitivity of headline claims to environment knobs",
-	"X5":  "extension: environment-parameter sweeps (sound speed, spreading)",
-	"E11": "opt-in: chaos campaign — delivery vs fault intensity, recovery off/on",
-	"E12": "opt-in: abstract-tier 100k-node fleet on the calibrated link model",
-	"E13": "opt-in: packed payload batching — readings per frame and wire bytes per reading",
-	"E14": "opt-in: network chaos — gateway delivery vs chaos intensity, session resume off/on",
-}
-
-// Describe returns "ID  description" inventory lines: the default set in
-// ID order, then the opt-in experiments.
+// Describe returns "ID  description" inventory lines for every experiment,
+// the opt-ins last.
 func Describe() []string {
-	ids := IDs()
-	opt := make([]string, 0, len(optIn))
-	for id := range optIn {
-		opt = append(opt, id)
-	}
-	sort.Strings(opt)
-	ids = append(ids, opt...)
-	out := make([]string, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, fmt.Sprintf("%-4s %s", id, describe[id]))
+	out := make([]string, 0, len(inventory))
+	for _, e := range inventory {
+		out = append(out, fmt.Sprintf("%-4s %s", e.id, e.desc))
 	}
 	return out
 }
 
-// IDs returns the registered experiment IDs in order: the paper's E-series
+// IDs returns the default experiment IDs in order: the paper's E-series
 // numerically, then the X-series extensions.
-func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for id := range registry {
-		ids = append(ids, id)
-	}
-	rank := func(id string) (byte, int) {
-		var n int
-		fmt.Sscanf(id[1:], "%d", &n)
-		return id[0], n
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		pi, ni := rank(ids[i])
-		pj, nj := rank(ids[j])
-		if pi != pj {
-			return pi < pj
+func IDs() []string { return ids(false) }
+
+// ids lists, in inventory order, the IDs whose opt-in flag equals optIn.
+func ids(optIn bool) []string {
+	var out []string
+	for _, e := range inventory {
+		if e.optIn == optIn {
+			out = append(out, e.id)
 		}
-		return ni < nj
-	})
-	return ids
+	}
+	return out
 }
 
 // metReg holds the registry passed to Instrument; nil (the default) makes
@@ -213,12 +180,10 @@ func Instrument(reg *telemetry.Registry) { metReg = reg }
 // Run executes one experiment by ID (including opt-in experiments that
 // RunAll skips).
 func Run(id string, opts Options) (*Result, error) {
-	r, ok := registry[id]
-	if !ok {
-		r, ok = optIn[id]
-	}
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v plus opt-in E11, E12, E13, E14)", id, IDs())
+	i := slices.IndexFunc(inventory, func(e experiment) bool { return e.id == id })
+	if i < 0 {
+		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v plus opt-in %s)",
+			id, IDs(), strings.Join(ids(true), ", "))
 	}
 	var sp telemetry.Span
 	if metReg != nil {
@@ -226,7 +191,7 @@ func Run(id string, opts Options) (*Result, error) {
 			telemetry.Label("vab_experiment_seconds", "id", id),
 			"Wall time of one experiment run.", nil))
 	}
-	res, err := r(opts)
+	res, err := inventory[i].run(opts)
 	if err == nil {
 		sp.End()
 	}

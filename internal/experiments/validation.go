@@ -55,8 +55,7 @@ func X3WaveformValidation(opts Options) (*Result, error) {
 		s.WakeNode(3600)
 		ok := 0
 		for r := 0; r < rounds; r++ {
-			s.WakeNode(30)
-			rep, err := s.RunRound()
+			rep, err := s.Poll()
 			if err != nil {
 				return err
 			}

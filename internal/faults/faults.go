@@ -192,10 +192,12 @@ func NewEngine(sc Scenario) (*Engine, error) {
 	return &Engine{sc: sc}, nil
 }
 
-// splitmix64 is the avalanche mixer behind the engine's determinism: every
-// random draw's seed is splitmix64(scenario seed, fault index, round),
-// making plans order- and history-independent.
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the avalanche mixer behind every seeded draw in the stack:
+// the engine's plans (seeded from scenario seed, fault index and round),
+// netfaults' injection schedules and linksim's poll streams all chain it,
+// so each draw is a pure function of its indices, independent of order
+// and history.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -204,9 +206,9 @@ func splitmix64(x uint64) uint64 {
 
 // drawSeed derives the RNG seed for (fault index, round).
 func (e *Engine) drawSeed(fault, round int) int64 {
-	h := splitmix64(uint64(e.sc.Seed))
-	h = splitmix64(h ^ uint64(fault)*0x9e3779b97f4a7c15)
-	h = splitmix64(h ^ uint64(round))
+	h := SplitMix64(uint64(e.sc.Seed))
+	h = SplitMix64(h ^ uint64(fault)*0x9e3779b97f4a7c15)
+	h = SplitMix64(h ^ uint64(round))
 	return int64(h >> 1) // keep it non-negative for rand.NewSource
 }
 

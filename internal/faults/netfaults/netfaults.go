@@ -6,7 +6,7 @@
 // It extends the replay-exact philosophy of internal/faults from the
 // acoustic channel to the TCP fan-out: every injection decision is a pure
 // function of (engine seed, connection index, operation index), derived
-// through the same splitmix64 mixing the acoustic fault engine uses. Two
+// through the acoustic fault engine's mixer, faults.SplitMix64. Two
 // runs with the same seed corrupt the same byte of the same operation of
 // the same connection, no matter how goroutines interleave. Timing faults
 // (latency, stalls) perturb wall-clock only — they never change which
@@ -26,6 +26,8 @@ import (
 	"net"
 	"sync/atomic"
 	"time"
+
+	"vab/internal/faults"
 )
 
 // ErrInjected is returned (wrapped) by faulted operations, so harnesses
@@ -151,30 +153,21 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// splitmix64 is the same avalanche mixer internal/faults uses; the two
-// packages must not share unexported code, so the five lines repeat.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // stream is a deterministic draw sequence for one (conn, op, direction)
 // triple. Each fault class consumes draws in a fixed order, so adding a
 // class to a profile never shifts another class's draws.
 type stream struct{ state uint64 }
 
 func newStream(seed int64, conn, op uint64, dir uint64) stream {
-	h := splitmix64(uint64(seed))
-	h = splitmix64(h ^ conn*0x9e3779b97f4a7c15)
-	h = splitmix64(h ^ op*0xbf58476d1ce4e5b9)
-	h = splitmix64(h ^ dir)
+	h := faults.SplitMix64(uint64(seed))
+	h = faults.SplitMix64(h ^ conn*0x9e3779b97f4a7c15)
+	h = faults.SplitMix64(h ^ op*0xbf58476d1ce4e5b9)
+	h = faults.SplitMix64(h ^ dir)
 	return stream{state: h}
 }
 
 func (s *stream) next() uint64 {
-	s.state = splitmix64(s.state)
+	s.state = faults.SplitMix64(s.state)
 	return s.state
 }
 

@@ -5,9 +5,13 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"vab/internal/faults"
 )
 
 // heavy is a profile with every class hot, for schedule tests. Timing
@@ -285,9 +289,6 @@ func TestParseAndScale(t *testing.T) {
 	if full := Chaos(1); full.DropPerOp == 0 || full.CorruptPerOp == 0 {
 		t.Fatalf("Chaos(1) inert: %+v", full)
 	}
-	if len(Presets()) != 4 {
-		t.Fatalf("preset inventory: %v", Presets())
-	}
 }
 
 // TestValidate rejects impossible profiles at engine construction.
@@ -297,5 +298,69 @@ func TestValidate(t *testing.T) {
 	}
 	if _, err := NewEngine(1, Profile{StallMs: -1}); err == nil {
 		t.Fatal("negative stall accepted")
+	}
+}
+
+// TestSpecGrammarMatchesFaults runs faults.Parse and Parse over one table
+// of specs, written with {a}/{A}/{b} standing for a preset name of each
+// package (lower, upper case). Both parsers must accept or reject the same
+// specs, and an accepted spec must resolve to what its canonical form
+// resolves to in each package — the same preset names at the same
+// intensities, whatever the case and whitespace.
+func TestSpecGrammarMatchesFaults(t *testing.T) {
+	acoustic := strings.NewReplacer("{a}", "shrimp", "{A}", "SHRIMP", "{b}", "brownout")
+	network := strings.NewReplacer("{a}", "blips", "{A}", "BLIPS", "{b}", "lossy")
+	cases := []struct {
+		spec, canon string
+		ok          bool
+	}{
+		{"", "", true},
+		{"   ", "", true},
+		{"{a}", "{a}:1", true},
+		{"{A}", "{a}:1", true},
+		{" {a} ", "{a}:1", true},
+		{"{a} :0.5", "{a}:0.5", true},
+		{"{a}: 0.5", "{a}:0.5", true},
+		{"{a}:0.5 ", "{a}:0.5", true},
+		{"{A} : 0.5 + {b}", "{a}:0.5+{b}:1", true},
+		{"{a}:0+{b}:1", "{a}:0+{b}:1", true},
+		{"chaos", "chaos:1", true},
+		{"CHAOS:0.25", "chaos:0.25", true},
+		{"chaos:x", "", false},
+		{"{a}:-0.1", "", false},
+		{"{a}:1.5", "", false},
+		{"{a}:NaN", "", false},
+		{"{a}:", "", false},
+		{":0.5", "", false},
+		{"{a}+", "", false},
+		{"+{b}", "", false},
+		{"{a}++{b}", "", false},
+		{"krakens", "", false},
+	}
+	for _, c := range cases {
+		sc, ferr := faults.Parse(acoustic.Replace(c.spec), 1)
+		p, nerr := Parse(network.Replace(c.spec))
+		if (ferr == nil) != c.ok || (nerr == nil) != c.ok {
+			t.Errorf("%q: faults err %v, netfaults err %v; want accepted=%v", c.spec, ferr, nerr, c.ok)
+			continue
+		}
+		if !c.ok {
+			continue
+		}
+		wantSc, err := faults.Parse(acoustic.Replace(c.canon), 1)
+		if err != nil {
+			t.Fatalf("canonical %q: %v", c.canon, err)
+		}
+		wantP, err := Parse(network.Replace(c.canon))
+		if err != nil {
+			t.Fatalf("canonical %q: %v", c.canon, err)
+		}
+		if !reflect.DeepEqual(sc.Faults, wantSc.Faults) {
+			t.Errorf("%q: faults resolved %+v, want %+v", c.spec, sc.Faults, wantSc.Faults)
+		}
+		p.Name, wantP.Name = "", ""
+		if p != wantP {
+			t.Errorf("%q: netfaults resolved %+v, want %+v", c.spec, p, wantP)
+		}
 	}
 }

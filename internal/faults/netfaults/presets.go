@@ -2,9 +2,9 @@ package netfaults
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
+
+	"vab/internal/faults"
 )
 
 // Canonical profiles. Magnitudes are chosen so that intensity 1 visibly
@@ -37,18 +37,6 @@ var presets = []struct {
 // together.
 var chaosComponents = []string{"blips", "congested", "lossy"}
 
-// Presets returns "name — help" inventory lines, sorted by name.
-func Presets() []string {
-	out := make([]string, 0, len(presets)+1)
-	for _, p := range presets {
-		out = append(out, fmt.Sprintf("%-10s %s", p.name, p.help))
-	}
-	out = append(out, fmt.Sprintf("%-10s every network fault class layered together (%s)",
-		"chaos", strings.Join(chaosComponents, "+")))
-	sort.Strings(out)
-	return out
-}
-
 // merge layers b onto a: probabilities add (clamped at 1), magnitudes take
 // the max — layering two storms never calms either.
 func merge(a, b Profile) Profile {
@@ -76,9 +64,9 @@ func merge(a, b Profile) Profile {
 	}
 }
 
-// Parse builds a Profile from a spec string: preset names joined by '+',
-// each optionally scaled by ":<intensity>" in [0, 1] (default 1); the
-// composite "chaos" expands to every class. Mirrors faults.Parse:
+// Parse builds a Profile from a spec string in the faults.ParseTerms
+// grammar, the one faults.Parse reads; the composite "chaos" expands to
+// every class. Examples:
 //
 //	blips
 //	blips:0.5+lossy
@@ -86,26 +74,18 @@ func merge(a, b Profile) Profile {
 //
 // An empty spec returns the inject-nothing profile.
 func Parse(spec string) (Profile, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
+	terms, err := faults.ParseTerms(spec)
+	if err != nil {
+		return Profile{}, err
+	}
+	if len(terms) == 0 {
 		return Profile{Name: "none"}, nil
 	}
 	var out Profile
-	first := true
-	for _, tok := range strings.Split(spec, "+") {
-		name, intensity := tok, 1.0
-		if i := strings.IndexByte(tok, ':'); i >= 0 {
-			name = tok[:i]
-			v, err := strconv.ParseFloat(tok[i+1:], 64)
-			if err != nil || v < 0 || v > 1 {
-				return Profile{}, fmt.Errorf("netfaults: bad intensity %q in %q", tok[i+1:], spec)
-			}
-			intensity = v
-		}
-		name = strings.TrimSpace(strings.ToLower(name))
+	for i, t := range terms {
 		var prof Profile
 		switch {
-		case name == "chaos":
+		case t.Name == "chaos":
 			for _, comp := range chaosComponents {
 				p, _ := lookup(comp)
 				if prof.Name == "" {
@@ -116,22 +96,22 @@ func Parse(spec string) (Profile, error) {
 			}
 			prof.Name = "chaos"
 		default:
-			p, ok := lookup(name)
+			p, ok := lookup(t.Name)
 			if !ok {
-				return Profile{}, fmt.Errorf("netfaults: unknown preset %q (have blips, congested, lossy, chaos)", name)
+				return Profile{}, fmt.Errorf("netfaults: unknown preset %q (have blips, congested, lossy, chaos)", t.Name)
 			}
 			prof = p
 		}
-		if intensity != 1 {
-			prof = prof.Scale(intensity)
+		if t.Intensity != 1 {
+			prof = prof.Scale(t.Intensity)
 		}
-		if first {
-			out, first = prof, false
+		if i == 0 {
+			out = prof
 		} else {
 			out = merge(out, prof)
 		}
 	}
-	out.Name = spec
+	out.Name = strings.TrimSpace(spec)
 	return out, nil
 }
 

@@ -99,9 +99,8 @@ func findPreset(name string) (preset, bool) {
 	return preset{}, false
 }
 
-// Parse builds a Scenario from a spec string: preset names joined by '+',
-// each optionally scaled by ":<intensity>" in [0, 1] (default 1). The
-// composite name "chaos" expands to every class. Examples:
+// Parse builds a Scenario from a spec string in the ParseTerms grammar;
+// the composite name "chaos" expands to every class. Examples:
 //
 //	shrimp+shadowing
 //	shrimp:0.5+brownout
@@ -109,30 +108,28 @@ func findPreset(name string) (preset, bool) {
 //
 // An empty spec returns the empty (inject-nothing) scenario.
 func Parse(spec string, seed int64) (Scenario, error) {
-	sc := Scenario{Name: spec, Seed: seed}
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		sc.Name = "none"
-		return sc, nil
+	terms, err := ParseTerms(spec)
+	if err != nil {
+		return Scenario{}, err
 	}
-	for _, tok := range strings.Split(spec, "+") {
-		name, intensity, err := splitToken(tok)
-		if err != nil {
-			return Scenario{}, err
-		}
-		if name == "chaos" {
+	if len(terms) == 0 {
+		return Scenario{Name: "none", Seed: seed}, nil
+	}
+	sc := Scenario{Name: spec, Seed: seed}
+	for _, t := range terms {
+		if t.Name == "chaos" {
 			for _, c := range chaosComponents {
 				p, _ := findPreset(c)
-				sc.Faults = append(sc.Faults, p.mk(intensity))
+				sc.Faults = append(sc.Faults, p.mk(t.Intensity))
 			}
 			continue
 		}
-		p, ok := findPreset(name)
+		p, ok := findPreset(t.Name)
 		if !ok {
 			return Scenario{}, fmt.Errorf("faults: unknown preset %q (have %s and chaos)",
-				name, strings.Join(chaosComponents, ", "))
+				t.Name, strings.Join(chaosComponents, ", "))
 		}
-		sc.Faults = append(sc.Faults, p.mk(intensity))
+		sc.Faults = append(sc.Faults, p.mk(t.Intensity))
 	}
 	if err := sc.Validate(); err != nil {
 		return Scenario{}, err
@@ -140,24 +137,44 @@ func Parse(spec string, seed int64) (Scenario, error) {
 	return sc, nil
 }
 
-// splitToken parses "name[:intensity]".
-func splitToken(tok string) (string, float64, error) {
-	tok = strings.TrimSpace(strings.ToLower(tok))
-	name, rest, found := strings.Cut(tok, ":")
-	if name == "" {
-		return "", 0, fmt.Errorf("faults: empty preset name in spec")
+// Term is one preset reference in a fault spec.
+type Term struct {
+	Name      string  // preset name, lower-cased
+	Intensity float64 // in [0, 1]; 1 when the spec names none
+}
+
+// ParseTerms tokenizes a fault spec, the grammar this package's Parse and
+// the network-chaos presets (netfaults.Parse) share: preset names joined
+// by '+', each optionally scaled by ":<intensity>" in [0, 1] (default 1).
+// Names are case-insensitive, and whitespace around a name or an
+// intensity is ignored. A blank spec yields no terms. Resolving the names,
+// the "chaos" composite included, is left to each preset table.
+func ParseTerms(spec string) ([]Term, error) {
+	if strings.TrimSpace(spec) == "" {
+		return nil, nil
 	}
-	if !found {
-		return name, 1, nil
+	toks := strings.Split(spec, "+")
+	terms := make([]Term, 0, len(toks))
+	for _, tok := range toks {
+		name, rest, found := strings.Cut(tok, ":")
+		t := Term{Name: strings.ToLower(strings.TrimSpace(name)), Intensity: 1}
+		if t.Name == "" {
+			return nil, fmt.Errorf("faults: empty preset name in spec %q", spec)
+		}
+		if found {
+			rest = strings.TrimSpace(rest)
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				return nil, fmt.Errorf("faults: bad intensity %q for %q: %v", rest, t.Name, err)
+			}
+			if !(v >= 0 && v <= 1) { // NaN fails too
+				return nil, fmt.Errorf("faults: intensity %.3g for %q outside [0, 1]", v, t.Name)
+			}
+			t.Intensity = v
+		}
+		terms = append(terms, t)
 	}
-	v, err := strconv.ParseFloat(rest, 64)
-	if err != nil {
-		return "", 0, fmt.Errorf("faults: bad intensity %q for %q: %v", rest, name, err)
-	}
-	if v < 0 || v > 1 {
-		return "", 0, fmt.Errorf("faults: intensity %.3g for %q outside [0, 1]", v, name)
-	}
-	return name, v, nil
+	return terms, nil
 }
 
 // Scale returns a copy of the scenario with every fault's intensity

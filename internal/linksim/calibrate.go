@@ -259,32 +259,11 @@ func calibrateCell(cfg CalibrateConfig, envName string, intensity, orientRad, ra
 		sys.SetFaultEngine(eng)
 	}
 
-	// Pre-campaign soak, matching core.Fleet.Deploy(3600) in the fleet
-	// experiments: without it the node runs from an empty energy store and
-	// the measured delivery fraction reflects harvest duty-cycling at the
-	// cell's range rather than the channel.
-	sys.WakeNode(3600)
-
-	delivered := 0
-	var snrSum, snrSumSq, corrSum float64
-	for r := 0; r < cfg.RoundsPerCell; r++ {
-		sys.WakeNode(30)
-		rep, err := sys.RunRound()
-		if err != nil {
-			return m, err
-		}
-		if !rep.Rx.OK() {
-			continue
-		}
-		delivered++
-		snr := 0.0
-		if rep.ToneSNREst > 0 {
-			snr = 10 * math.Log10(rep.ToneSNREst)
-		}
-		snrSum += snr
-		snrSumSq += snr * snr
-		corrSum += float64(rep.Rx.Corrected)
+	tally, err := soakAndPoll(sys, cfg.RoundsPerCell)
+	if err != nil {
+		return m, err
 	}
+	delivered := tally.delivered
 
 	b := core.NewLinkBudget(env, design)
 	b.Orientation = orientRad
@@ -297,8 +276,8 @@ func calibrateCell(cfg CalibrateConfig, envName string, intensity, orientRad, ra
 	}
 	switch {
 	case delivered >= 3:
-		mean := snrSum / float64(delivered)
-		variance := snrSumSq/float64(delivered) - mean*mean
+		mean := tally.snrSum / float64(delivered)
+		variance := tally.snrSumSq/float64(delivered) - mean*mean
 		if variance < 0 {
 			variance = 0
 		}
@@ -307,7 +286,7 @@ func calibrateCell(cfg CalibrateConfig, envName string, intensity, orientRad, ra
 		if m.cell.SNRStdDB < 0.5 {
 			m.cell.SNRStdDB = 0.5 // floor: never degenerate to a point mass
 		}
-		m.cell.CorrMean = corrSum / float64(delivered)
+		m.cell.CorrMean = tally.corrSum / float64(delivered)
 	default:
 		// Too few deliveries to estimate a distribution: the analytic
 		// budget provides the SNR location (bias-corrected by Calibrate
@@ -316,12 +295,44 @@ func calibrateCell(cfg CalibrateConfig, envName string, intensity, orientRad, ra
 		m.cell.SNRMeanDB = m.analyticSNRdB
 		m.cell.SNRStdDB = 2
 		if delivered > 0 {
-			m.cell.CorrMean = corrSum / float64(delivered)
+			m.cell.CorrMean = tally.corrSum / float64(delivered)
 		} else {
 			m.cell.CorrMean = 8
 		}
 	}
 	return m, nil
+}
+
+// pollTally is the outcome of a run of waveform polls on one system.
+type pollTally struct {
+	delivered                 int
+	snrSum, snrSumSq, corrSum float64 // over delivered polls, SNR in dB
+}
+
+// soakAndPoll runs n waveform polls (core.System.Poll) on sys after the
+// pre-campaign soak core.Fleet.Deploy(3600) applies in the fleet
+// experiments: without it the node runs from an empty energy store and
+// the delivery fraction reflects harvest duty-cycling at the link's range
+// rather than the channel. The calibrator and the hero checker both
+// measure through it.
+func soakAndPoll(sys *core.System, n int) (pollTally, error) {
+	var t pollTally
+	sys.WakeNode(3600)
+	for r := 0; r < n; r++ {
+		rep, err := sys.Poll()
+		if err != nil {
+			return t, err
+		}
+		if !rep.Rx.OK() {
+			continue
+		}
+		snr := rep.SNRdB()
+		t.delivered++
+		t.snrSum += snr
+		t.snrSumSq += snr * snr
+		t.corrSum += float64(rep.Rx.Corrected)
+	}
+	return t, nil
 }
 
 func clamp01(v float64) float64 {

@@ -36,7 +36,7 @@
 //     a monitored quantity, not an assumption.
 //
 // Determinism contract: every draw is a pure function of (fleet seed,
-// node index, cycle, attempt) via splitmix64 — cycle outcomes are
+// node index, cycle, attempt) via faults.SplitMix64 — cycle outcomes are
 // bit-identical at any SetWorkers width, matching the repo-wide seeded
 // reproducibility contract.
 package linksim

@@ -238,7 +238,6 @@ type Fleet struct {
 	execMaxAttempts int
 	execKind        int
 	execCached      bool
-	execPopulate    bool
 }
 
 // NewFleet builds an abstract fleet. Placements (range, orientation) are

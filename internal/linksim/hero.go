@@ -134,25 +134,13 @@ func (h *heroChecker) check(f *Fleet, model *cycleModel, cycle int, work []workI
 				return rep, err
 			}
 		}
-		// Same pre-campaign soak the calibrator and the fleet experiments
-		// apply — the comparison targets the channel, not harvest ramp-up.
-		sys.WakeNode(3600)
-		delivered := 0
-		var snrSum float64
-		for r := 0; r < heroRounds; r++ {
-			sys.WakeNode(30)
-			rr, err := sys.RunRound()
-			if err != nil {
-				return rep, err
-			}
-			if !rr.Rx.OK() {
-				continue
-			}
-			delivered++
-			if rr.ToneSNREst > 0 {
-				snrSum += 10 * math.Log10(rr.ToneSNREst)
-			}
+		// The calibrator's soak and polls: the comparison targets the
+		// channel, not harvest ramp-up.
+		tally, err := soakAndPoll(sys, heroRounds)
+		if err != nil {
+			return rep, err
 		}
+		delivered := tally.delivered
 
 		rep.Checks++
 		h.met.checks.Inc()
@@ -168,7 +156,7 @@ func (h *heroChecker) check(f *Fleet, model *cycleModel, cycle int, work []workI
 		// SNR divergence: z-score of the waveform mean against the cell's
 		// distribution, with the standard error of the hero sample.
 		if delivered > 0 {
-			mean := snrSum / float64(delivered)
+			mean := tally.snrSum / float64(delivered)
 			se := cell.SNRStdDB / math.Sqrt(float64(delivered))
 			if se < 0.5 {
 				se = 0.5

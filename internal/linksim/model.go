@@ -1,27 +1,24 @@
 package linksim
 
-import "math"
+import (
+	"math"
+
+	"vab/internal/faults"
+)
 
 // Deterministic draw machinery. Every poll outcome is a pure function of
-// (fleet seed, node index, cycle, attempt): a splitmix64-seeded stream per
-// attempt, the same construction internal/faults uses for its plans. No
+// (fleet seed, node index, cycle, attempt): a faults.SplitMix64-seeded
+// stream per attempt, the same construction internal/faults uses for its
+// plans. No
 // shared RNG state exists, so outcomes are independent of evaluation
 // order, worker count and history — the property behind the tier's
 // bit-identical-at-any-width contract.
-
-// splitmix64 is the avalanche mixer (identical to internal/faults').
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // mix chains values through the mixer into one seed.
 func mix(vals ...uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, v := range vals {
-		h = splitmix64(h ^ v)
+		h = faults.SplitMix64(h ^ v)
 	}
 	return h
 }
@@ -119,17 +116,12 @@ func zigSigned(u uint64, x float64) float64 {
 	return x
 }
 
-// poisson draws k ~ Poisson(lambda) by Knuth's product method — the same
-// small-rate regime the faults engine uses it in.
-func (d *drawStream) poisson(lambda float64) int {
-	return d.poissonExp(lambda, 0)
-}
-
-// poissonExp is poisson with the loop constant e^{-lambda} optionally
-// precomputed (expNeg = 0 means "compute it here"). A cycle's hot path
-// resolves each node's cell once and caches the exponent alongside it, so
-// a million delivered polls skip a million math.Exp calls. lambda <= 0
-// short-circuits without consuming a draw, exactly as poisson always has —
+// poissonExp draws k ~ Poisson(lambda) by Knuth's product method — the
+// same small-rate regime the faults engine uses it in — with the loop
+// constant e^{-lambda} optionally precomputed (expNeg = 0 means "compute
+// it here"). A cycle's hot path resolves each node's cell once and caches
+// the exponent alongside it, so a million delivered polls skip a million
+// math.Exp calls. lambda <= 0 short-circuits without consuming a draw —
 // the draw-count contract is what keeps transcripts bit-identical.
 func (d *drawStream) poissonExp(lambda, expNeg float64) int {
 	if lambda <= 0 {
@@ -186,18 +178,18 @@ func (m *cycleModel) resolve(coord linkCoord) Cell {
 // (node, cycle). expNegCorr is e^{-cell.CorrMean} if precomputed, else 0.
 //
 // Attempt a's stream seed is mix(seedBase, domain|node, cycle, a). mix is
-// a chain h = splitmix64(h ^ v), so the chain through (domain|node, cycle)
+// a chain h = SplitMix64(h ^ v), so the chain through (domain|node, cycle)
 // is computed once per poll from head = mix(seedBase), leaving one
-// splitmix64 per attempt; the seeds are the same bits.
+// SplitMix64 per attempt; the seeds are the same bits.
 func (m *cycleModel) pollCell(head uint64, node int32, cycle int, probe bool, maxAttempts int, cell *Cell, expNegCorr float64) outcome {
 	domain := uint64(0)
 	if probe {
 		domain = 1 << 40
 	}
-	prefix := splitmix64(splitmix64(head^(domain|uint64(uint32(node)))) ^ uint64(cycle))
+	prefix := faults.SplitMix64(faults.SplitMix64(head^(domain|uint64(uint32(node)))) ^ uint64(cycle))
 	out := outcome{}
 	for a := 0; a < maxAttempts; a++ {
-		st := newStream(splitmix64(prefix ^ uint64(a)))
+		st := newStream(faults.SplitMix64(prefix ^ uint64(a)))
 		out.attempts = uint8(a + 1)
 		if st.f64() >= cell.PDeliver {
 			continue // this attempt timed out

@@ -97,7 +97,7 @@ func TestPoissonExpMatchesPoisson(t *testing.T) {
 		a, b := newStream(7), newStream(7)
 		exp := math.Exp(-lambda)
 		for i := 0; i < 500; i++ {
-			ka := a.poisson(lambda)
+			ka := a.poissonExp(lambda, 0)
 			kb := b.poissonExp(lambda, exp)
 			if ka != kb {
 				t.Fatalf("lambda %v draw %d: %d vs %d", lambda, i, ka, kb)

@@ -109,7 +109,9 @@ type rdMetrics struct {
 	reacquires   *telemetry.Counter
 	reacquireOK  *telemetry.Counter
 	snrDB        *telemetry.Histogram
-	stages       *telemetry.Tracer
+	// Stage timers (vab_reader_stage_seconds{stage=…}), resolved once by
+	// Instrument so a traced stage costs two clock reads and an Observe.
+	stCancel, stAcquire, stReacquire, stDemod, stDecode *telemetry.Histogram
 }
 
 // Instrument registers receive-chain metrics in reg and starts recording.
@@ -119,6 +121,10 @@ type rdMetrics struct {
 func (r *Reader) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
+	}
+	stage := func(name string) *telemetry.Histogram {
+		return reg.Histogram(telemetry.Label("vab_reader_stage_seconds", "stage", name),
+			"Receive-pipeline stage wall time in seconds.", nil)
 	}
 	r.met = rdMetrics{
 		acquires: reg.Counter("vab_reader_acquire_total",
@@ -140,8 +146,11 @@ func (r *Reader) Instrument(reg *telemetry.Registry) {
 		snrDB: reg.Histogram("vab_reader_snr_db",
 			"Per-frame tone SNR estimate in dB.",
 			telemetry.LinearBuckets(-10, 2, 25)),
-		stages: telemetry.NewTracer(reg, "vab_reader_stage_seconds",
-			"Receive-pipeline stage wall time in seconds.", nil),
+		stCancel:    stage("cancel"),
+		stAcquire:   stage("acquire"),
+		stReacquire: stage("reacquire"),
+		stDemod:     stage("demod"),
+		stDecode:    stage("decode"),
 	}
 }
 
@@ -244,7 +253,7 @@ func (r *Reader) Decode(capture, txRef []complex128, payloadLen int) RxReport {
 	var rep RxReport
 	y := capture
 	if txRef != nil && len(txRef) == len(y) {
-		sp := r.met.stages.Stage("cancel")
+		sp := telemetry.StartSpan(r.met.stCancel)
 		r.canc.Reset()
 		if cap(r.cancBuf) < len(y) {
 			r.cancBuf = make([]complex128, len(y))
@@ -258,7 +267,7 @@ func (r *Reader) Decode(capture, txRef []complex128, payloadLen int) RxReport {
 	}
 	y = r.demod.Suppress(y)
 	r.met.acquires.Inc()
-	sp := r.met.stages.Stage("acquire")
+	sp := telemetry.StartSpan(r.met.stAcquire)
 	acq, err := r.demod.Locate(y)
 	located := err == nil
 	if located {
@@ -278,7 +287,7 @@ func (r *Reader) Decode(capture, txRef []complex128, payloadLen int) RxReport {
 				thr = floor
 			}
 			r.met.reacquires.Inc()
-			sp = r.met.stages.Stage("reacquire")
+			sp = telemetry.StartSpan(r.met.stReacquire)
 			if located {
 				err = acq.Detect(thr)
 			}
@@ -308,7 +317,7 @@ func (r *Reader) Decode(capture, txRef []complex128, payloadLen int) RxReport {
 	}
 	acq = r.demod.RefineTiming(y, acq, probe)
 	var soft []phy.SoftChip
-	sp = r.met.stages.Stage("demod")
+	sp = telemetry.StartSpan(r.met.stDemod)
 	if r.cfg.UseEqualizer {
 		soft, _, err = r.demod.EqualizeAndDemod(y, acq, nChips, 8)
 	} else {
@@ -322,7 +331,7 @@ func (r *Reader) Decode(capture, txRef []complex128, payloadLen int) RxReport {
 	}
 	rep.SNREstimate = phy.EstimateSNR(soft)
 	rep.MeanMargin = phy.MeanMargin(soft)
-	sp = r.met.stages.Stage("decode")
+	sp = telemetry.StartSpan(r.met.stDecode)
 	frame, stats, err := r.cfg.UplinkCodec.DecodeFrame(phy.HardChips(soft))
 	sp.End()
 	rep.Corrected = stats.CorrectedBits

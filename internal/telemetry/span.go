@@ -32,30 +32,3 @@ func (s Span) End() {
 	}
 	s.h.Observe(time.Since(s.start).Seconds())
 }
-
-// Tracer labels spans by pipeline stage: each stage gets its own
-// `<name>{stage="<stage>"}` histogram so a scrape shows where a system
-// round spends its time (modulate → channel → acquire → demod → decode).
-// A nil *Tracer (from a nil registry) yields inert spans.
-type Tracer struct {
-	reg    *Registry
-	name   string
-	help   string
-	bounds []float64
-}
-
-// NewTracer builds a stage tracer over reg. Returns nil when reg is nil.
-func NewTracer(reg *Registry, name, help string, bounds []float64) *Tracer {
-	if reg == nil {
-		return nil
-	}
-	return &Tracer{reg: reg, name: name, help: help, bounds: bounds}
-}
-
-// Stage starts a span for one named pipeline stage.
-func (t *Tracer) Stage(stage string) Span {
-	if t == nil {
-		return Span{}
-	}
-	return StartSpan(t.reg.Histogram(Label(t.name, "stage", stage), t.help, t.bounds))
-}

@@ -196,10 +196,13 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return h
 }
 
+// labelEscaper escapes label values per the Prometheus text format.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // Label renders name{k="v"}, merging into an existing label set when name
 // already carries one. Values are escaped per the Prometheus text format.
 func Label(name, k, v string) string {
-	esc := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(v)
+	esc := labelEscaper.Replace(v)
 	if i := strings.IndexByte(name, '{'); i >= 0 && strings.HasSuffix(name, "}") {
 		return fmt.Sprintf(`%s,%s="%s"}`, name[:len(name)-1], k, esc)
 	}
