@@ -38,15 +38,33 @@ func transcript(reps []CycleReport) string {
 // the full transcript.
 func runCampaign(t *testing.T, workers, cycles int) string {
 	t.Helper()
+	fleet := campaignFleet(t, workers, 0)
+	defer fleet.Close()
+
+	reps := make([]CycleReport, 0, cycles)
+	for c := 0; c < cycles; c++ {
+		rep, err := fleet.RunCycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+	}
+	return transcript(reps)
+}
+
+// campaignFleet builds the 20,000-node chaos, rate-adaptation and
+// probation campaign the determinism and golden tests share.
+func campaignFleet(t *testing.T, workers, heroLinks int) *Fleet {
+	t.Helper()
 	fleet, err := NewFleet(Config{
-		Nodes:  20_000,
-		Policy: probationPolicy(),
-		Seed:   17,
+		Nodes:     20_000,
+		Policy:    probationPolicy(),
+		Seed:      17,
+		HeroLinks: heroLinks,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fleet.Close()
 	rc, err := mac.NewRateController([]float64{125, 250, 500}, 12)
 	if err != nil {
 		t.Fatal(err)
@@ -62,16 +80,7 @@ func runCampaign(t *testing.T, workers, cycles int) string {
 	}
 	fleet.SetFaultEngine(eng)
 	fleet.SetWorkers(workers)
-
-	reps := make([]CycleReport, 0, cycles)
-	for c := 0; c < cycles; c++ {
-		rep, err := fleet.RunCycle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps = append(reps, rep)
-	}
-	return transcript(reps)
+	return fleet
 }
 
 // TestFleetDeterminismAcrossWorkers: the full campaign transcript — every
@@ -130,8 +139,8 @@ func fleetGolden(t *testing.T, workers int) []byte {
 }
 
 // TestFleetTranscriptGolden compares the abstract tier's cycle reports,
-// every float at full bit width, against a committed transcript at 1 and
-// 8 workers. TestFleetDeterminismAcrossWorkers only compares worker
+// every float at full bit width, against a committed transcript at 1, 3
+// and 8 workers. TestFleetDeterminismAcrossWorkers only compares worker
 // counts with each other, so a change shared by every width passes it;
 // this test fails on that change too.
 func TestFleetTranscriptGolden(t *testing.T) {
@@ -145,7 +154,7 @@ func TestFleetTranscriptGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 8} {
+	for _, workers := range []int{1, 3, 8} {
 		if got := fleetGolden(t, workers); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d: transcript drifted from %s:\n%s", workers, path, got)
 		}
