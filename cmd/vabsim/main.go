@@ -50,59 +50,8 @@ func main() {
 	calibrate := flag.String("calibrate", "", "measure a linksim calibration table against the waveform tier, write it to this path and test it for equivalence with the embedded table")
 	flag.Parse()
 
-	if *calibrate != "" {
-		cfg := linksim.DefaultCalibrateConfig()
-		cfg.Seed = *seed
-		if *seed == 1 {
-			cfg.Seed = 7 // the committed artifact's provenance seed
-		}
-		if *trials > 0 {
-			cfg.RoundsPerCell = *trials
-		}
-		cfg.Workers = *workers
-		fmt.Fprintf(os.Stderr, "vabsim: calibrating %d cells × %d rounds (seed %d)...\n",
-			len(cfg.Envs)*len(cfg.Intensities)*len(cfg.OrientsRad)*len(cfg.RangesM), cfg.RoundsPerCell, cfg.Seed)
-		t, err := linksim.Calibrate(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		if err := t.Write(*calibrate); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "vabsim: wrote %s (format v%d, chip rate %.0f cps, logistic k=%.2f snr50=%.2f dB)\n",
-			*calibrate, t.FormatVersion, t.ChipRate, t.LogisticK, t.LogisticSNR50)
-		// The statistical gate for a deliberate output change: the new
-		// table against the one this binary embeds.
-		eq, err := linksim.Equivalent(linksim.DefaultTable(), t)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "vabsim: equivalent to the embedded table: %v\n", eq)
-		return
-	}
-
-	if strings.EqualFold(*exp, "list") {
-		// Mirrors `-faults list`: the inventory with one-line descriptions,
-		// without running anything.
-		for _, line := range experiments.Describe() {
-			fmt.Println(line)
-		}
-		fmt.Println("\nopt-in experiments (E11, E12, E13, E14) run only when named: vabsim -exp e14")
-		return
-	}
-
-	if strings.EqualFold(*faultSpec, "list") {
-		for _, line := range faults.Presets() {
-			fmt.Println(line)
-		}
-		fmt.Println("\ncompose with '+', scale with ':<intensity>' — e.g. -faults shrimp:0.5+brownout")
-		return
-	}
-	if *faultSpec != "" {
-		// Validate the spec up front so typos fail before a long campaign.
-		if _, err := faults.Parse(*faultSpec, *seed); err != nil {
-			fatal(err)
-		}
+	if *calibrate != "" && *faultSpec != "" {
+		fatal(fmt.Errorf("-faults does not apply to -calibrate: the table is measured across its own intensity axis"))
 	}
 
 	if *cpuprofile != "" {
@@ -133,6 +82,37 @@ func main() {
 		sim.Instrument(reg)
 		experiments.Instrument(reg)
 		fmt.Fprintf(os.Stderr, "vabsim: metrics on http://%s/metrics\n", ops.Addr())
+	}
+
+	if *calibrate != "" {
+		if err := runCalibrate(*calibrate, *seed, *trials, *workers); err != nil {
+			fatal(err)
+		}
+		return
+	}
+
+	if strings.EqualFold(*exp, "list") {
+		// Mirrors `-faults list`: the inventory with one-line descriptions,
+		// without running anything.
+		for _, line := range experiments.Describe() {
+			fmt.Println(line)
+		}
+		fmt.Println("\nopt-in experiments (E11, E12, E13, E14) run only when named: vabsim -exp e14")
+		return
+	}
+
+	if strings.EqualFold(*faultSpec, "list") {
+		for _, line := range faults.Presets() {
+			fmt.Println(line)
+		}
+		fmt.Println("\ncompose with '+', scale with ':<intensity>' — e.g. -faults shrimp:0.5+brownout")
+		return
+	}
+	if *faultSpec != "" {
+		// Validate the spec up front so typos fail before a long campaign.
+		if _, err := faults.Parse(*faultSpec, *seed); err != nil {
+			fatal(err)
+		}
 	}
 
 	if *list {
@@ -176,6 +156,39 @@ func main() {
 			fmt.Printf("  » %s\n", n)
 		}
 	}
+}
+
+// runCalibrate measures a calibration table against the waveform tier,
+// writes it to path and reports its equivalence with the embedded table.
+func runCalibrate(path string, seed int64, trials, workers int) error {
+	cfg := linksim.DefaultCalibrateConfig()
+	cfg.Seed = seed
+	if seed == 1 {
+		cfg.Seed = 7 // the committed artifact's provenance seed
+	}
+	if trials > 0 {
+		cfg.RoundsPerCell = trials
+	}
+	cfg.Workers = workers
+	fmt.Fprintf(os.Stderr, "vabsim: calibrating %d cells × %d rounds (seed %d)...\n",
+		len(cfg.Envs)*len(cfg.Intensities)*len(cfg.OrientsRad)*len(cfg.RangesM), cfg.RoundsPerCell, cfg.Seed)
+	t, err := linksim.Calibrate(cfg)
+	if err != nil {
+		return err
+	}
+	if err := t.Write(path); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "vabsim: wrote %s (format v%d, chip rate %.0f cps, logistic k=%.2f snr50=%.2f dB)\n",
+		path, t.FormatVersion, t.ChipRate, t.LogisticK, t.LogisticSNR50)
+	// The statistical gate for a deliberate output change: the new table
+	// against the one this binary embeds.
+	eq, err := linksim.Equivalent(linksim.DefaultTable(), t)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "vabsim: equivalent to the embedded table: %v\n", eq)
+	return nil
 }
 
 func fatal(err error) {
