@@ -2,6 +2,7 @@ package linksim
 
 import (
 	"math"
+	"slices"
 
 	"vab/internal/core"
 	"vab/internal/telemetry"
@@ -46,6 +47,7 @@ type heroChecker struct {
 	design *core.VanAttaDesign
 	envCfg core.SystemConfig
 	met    heroMetrics
+	picked []int32 // the last pick, reused across cycles
 }
 
 func newHeroChecker(f *Fleet) (*heroChecker, error) {
@@ -81,33 +83,32 @@ func (h *heroChecker) instrument(reg *telemetry.Registry) {
 }
 
 // pick selects which scheduled polls this cycle promotes: a seeded draw
-// over the work list with rejection on duplicates — a pure function of
-// (fleet seed, cycle), independent of worker count.
-func (h *heroChecker) pick(f *Fleet, cycle int, work []workItem) []int32 {
-	want := f.cfg.HeroLinks
-	if want > len(work) {
-		want = len(work)
-	}
+// of positions in the cycle's schedule with rejection on duplicates — a
+// pure function of (fleet seed, cycle) and the schedule, independent of
+// worker count. It reads the schedule in place, so it runs before the
+// execution phase compacts the live list. The picks are valid until the
+// next pick.
+func (h *heroChecker) pick(f *Fleet, cycle int) []int32 {
+	n := len(f.live) + len(f.due)
+	want := min(f.cfg.HeroLinks, n)
 	const heroDomain = 0x4865726f // hero draws, distinct from poll/placement streams
 	st := newStream(mix(f.seedBase, heroDomain, uint64(cycle)))
-	picked := make([]int32, 0, want)
-	seen := make(map[int32]bool, want)
-	for tries := 0; len(picked) < want && tries < 16*want; tries++ {
-		w := work[int(st.next()%uint64(len(work)))]
-		if w.probe || seen[w.node] {
+	h.picked = h.picked[:0]
+	for tries := 0; len(h.picked) < want && tries < 16*want; tries++ {
+		node, probe := f.scheduled(int(st.next() % uint64(n)))
+		if probe || slices.Contains(h.picked, node) {
 			continue // probes are single-attempt oddballs; compare regular polls
 		}
-		seen[w.node] = true
-		picked = append(picked, w.node)
+		h.picked = append(h.picked, node)
 	}
-	return picked
+	return h.picked
 }
 
 // check runs the promoted links at waveform fidelity and scores them.
-func (h *heroChecker) check(f *Fleet, model *cycleModel, cycle int, work []workItem) (HeroReport, error) {
+func (h *heroChecker) check(f *Fleet, model *cycleModel, cycle int, picks []int32) (HeroReport, error) {
 	rep := HeroReport{}
 	var absZSum float64
-	for _, node := range h.pick(f, cycle, work) {
+	for _, node := range picks {
 		cell := model.table.Lookup(model.env, f.coords[node], model.severity)
 		p := model.table.ShiftDelivery(cell.PDeliver, model.snrDelta)
 

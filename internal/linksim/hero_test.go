@@ -1,6 +1,7 @@
 package linksim
 
 import (
+	"slices"
 	"testing"
 
 	"vab/internal/mac"
@@ -76,7 +77,7 @@ func TestHeroChecksRunAndStayInBudget(t *testing.T) {
 }
 
 // TestHeroPickDeterministic: promotion is a pure function of (seed, cycle)
-// — same fleet state, same picks — and skips probe work items.
+// — same fleet state, same picks — and skips due probes.
 func TestHeroPickDeterministic(t *testing.T) {
 	fleet, err := NewFleet(Config{
 		Nodes:     32,
@@ -88,12 +89,17 @@ func TestHeroPickDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	work := make([]workItem, 0, 32)
+	// The schedule: every fourth node a due probe, the rest live.
+	fleet.live, fleet.due = fleet.live[:0], nil
 	for i := int32(0); i < 32; i++ {
-		work = append(work, workItem{node: i, probe: i%4 == 0})
+		if i%4 == 0 {
+			fleet.due = append(fleet.due, i)
+		} else {
+			fleet.live = append(fleet.live, i)
+		}
 	}
-	a := fleet.hero.pick(fleet, 5, work)
-	b := fleet.hero.pick(fleet, 5, work)
+	a := slices.Clone(fleet.hero.pick(fleet, 5))
+	b := fleet.hero.pick(fleet, 5)
 	if len(a) != 3 {
 		t.Fatalf("picked %d links, want 3", len(a))
 	}
@@ -105,7 +111,7 @@ func TestHeroPickDeterministic(t *testing.T) {
 			t.Fatalf("picked a probe item: %v", a)
 		}
 	}
-	c := fleet.hero.pick(fleet, 6, work)
+	c := fleet.hero.pick(fleet, 6)
 	same := len(c) == len(a)
 	if same {
 		for i := range a {

@@ -16,14 +16,16 @@ package linksim
 //     far-future probes cost a scan only while any exist.
 //  2. Ascending buckets, no sort. schedule() insertion-sorts each node
 //     into its bucket from the tail. Within one cycle nodes are
-//     scheduled in ascending order (the cycle's tail replays the blocks'
-//     calendar records in work-list order), so the common insert is a
+//     scheduled in ascending order (the cycle's fold replays the blocks'
+//     calendar records in schedule order), so the common insert is a
 //     pure append; only an entry from a *later* cycle landing below an
 //     earlier cycle's run shifts, and buckets are small (the nodes of
 //     one future cycle's probe schedule).
 //  3. Reused storage. take() hands the bucket back truncated to length
 //     zero, so steady-state scheduling never allocates; the slice a
-//     take() returns is valid until the next take().
+//     take() returns is valid until the next take(), including while the
+//     cycle's fold schedules other buckets: a due is always in the
+//     future, so schedule() never targets the bucket just taken.
 //
 // Stale entries are the caller's concern, as with the map: an entry
 // whose node was restored or re-scheduled since insertion is skipped by
