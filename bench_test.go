@@ -413,14 +413,43 @@ func BenchmarkRFFT1024(b *testing.B) {
 	b.SetBytes(1024 * 8)
 }
 
+// BenchmarkGoertzelChip times the demodulator's per-chip tone detection:
+// ToneBank.Energies over one chip of the default numerology (both
+// subcarriers, one pass).
 func BenchmarkGoertzelChip(b *testing.B) {
-	g := dsp.NewGoertzel(500, 16000)
+	p := phy.DefaultParams()
+	spc := p.SamplesPerChip()
+	bank := dsp.NewToneBank([]float64{p.F0, p.F1}, p.SampleRate, spc)
 	rng := rand.New(rand.NewSource(1))
-	x := dsp.GaussianNoise(make([]complex128, 32), 1, rng)
+	x := dsp.GaussianNoise(make([]complex128, spc), 1, rng)
+	e := make([]float64, 2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Energy(x)
+		bank.Energies(e, x)
 	}
+}
+
+// BenchmarkCancellerProcess times the reader's leakage canceller over one
+// 13,792-sample capture, the uplink length of a default round.
+func BenchmarkCancellerProcess(b *testing.B) {
+	const n = 13792
+	rng := rand.New(rand.NewSource(2))
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(1+0.1*rng.NormFloat64(), 0)
+	}
+	y := dsp.GaussianNoise(make([]complex128, n), 1, rng)
+	buf := make([]complex128, n)
+	c := phy.NewAdaptiveCanceller(0.05)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, y)
+		c.Reset()
+		c.Process(buf, x)
+	}
+	b.SetBytes(n * 16)
 }
 
 func BenchmarkFrameCodec(b *testing.B) {

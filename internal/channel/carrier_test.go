@@ -46,16 +46,16 @@ func TestCarrierTDLMatchesReference(t *testing.T) {
 			x[i] = amp
 		}
 		want := make([]complex128, n)
-		applyTDLInto(want, x, taps)
+		refApplyTDL(want, x, taps)
 		got := make([]complex128, n)
 		for i := range got {
 			got[i] = complex(math.NaN(), 7) // stale contents must not leak through
 		}
-		if !carrierTDLInto(got, x, taps) {
+		if !NewTDL(taps, false).carrierInto(got, x) {
 			t.Fatalf("trial %d: constant input refused", trial)
 		}
 		if !sameBits(got, want) {
-			t.Fatalf("trial %d (n=%d, %d taps): carrier path differs from applyTDLInto", trial, n, len(taps))
+			t.Fatalf("trial %d (n=%d, %d taps): carrier path differs from refApplyTDL", trial, n, len(taps))
 		}
 	}
 }
@@ -70,21 +70,21 @@ func TestCarrierTDLFallsBack(t *testing.T) {
 		x[37] = odd
 		dst := make([]complex128, len(x))
 		dst[0] = 9
-		if carrierTDLInto(dst, x, taps) {
+		if NewTDL(taps, false).carrierInto(dst, x) {
 			t.Fatalf("input with x[37]=%v taken as a carrier", odd)
 		}
 		if dst[0] != 9 {
 			t.Fatal("refused input still wrote dst")
 		}
 	}
-	if carrierTDLInto(make([]complex128, 3), make([]complex128, 4), taps) {
+	if NewTDL(taps, false).carrierInto(make([]complex128, 3), make([]complex128, 4)) {
 		t.Fatal("length mismatch taken as a carrier")
 	}
 }
 
 // TestDownlinkCarrierMatchesReference runs both inputs through a real
 // link: the carrier goes through the shortcut, a modulated envelope through
-// the reference engine, and each equals applyTDLInto on the link's taps.
+// the time engine, and each equals refApplyTDL on the link's taps.
 func TestDownlinkCarrierMatchesReference(t *testing.T) {
 	l, err := New(testCfg())
 	if err != nil {
@@ -99,10 +99,10 @@ func TestDownlinkCarrierMatchesReference(t *testing.T) {
 			tx[2000] = 0
 		}
 		want := make([]complex128, len(tx))
-		applyTDLInto(want, tx, l.down)
+		refApplyTDL(want, tx, l.down)
 		got := l.DownlinkInto(make([]complex128, len(tx)), tx)
 		if !sameBits(got, want) {
-			t.Fatalf("modulated=%v: downlink differs from applyTDLInto", modulated)
+			t.Fatalf("modulated=%v: downlink differs from refApplyTDL", modulated)
 		}
 	}
 }

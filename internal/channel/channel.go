@@ -228,9 +228,9 @@ func (l *Link) Downlink(tx []complex128) []complex128 {
 // DownlinkInto is Downlink writing into dst, which must have the same
 // length as tx and must not alias it. It allocates nothing. The reader's
 // carrier (every sample equal) takes a bit-identical shortcut, see
-// carrierTDLInto.
+// TDL.carrierInto.
 func (l *Link) DownlinkInto(dst, tx []complex128) []complex128 {
-	if !carrierTDLInto(dst, tx, l.down) {
+	if !l.tdlDown.carrierInto(dst, tx) {
 		l.tdlDown.Apply(dst, tx)
 	}
 	return dst

@@ -299,10 +299,10 @@ func TestApplyTDLRemovesBulkDelay(t *testing.T) {
 }
 
 // applyTDL is the historical allocating helper, kept in the tests as a
-// thin shim over the in-place engine the package now uses.
+// thin shim over the time engine the package now uses.
 func applyTDL(x []complex128, taps []Tap) []complex128 {
 	out := make([]complex128, len(x))
-	applyTDLInto(out, x, taps)
+	NewTDL(taps, false).Apply(out, x)
 	return out
 }
 

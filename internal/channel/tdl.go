@@ -10,15 +10,18 @@ import (
 // relative-delay convolution Downlink and Uplink use). Two engines are
 // available:
 //
-//   - Time domain: one dsp.MixInto pass per tap, in tap order. This is the
-//     reference arithmetic, and the engine every Link uses — seeded
-//     simulations are byte-identical to the historical applyTDL loop.
+//   - Time domain (mixTaps): every tap in tap order over L1-sized output
+//     tiles. This is the reference arithmetic, and the engine every Link
+//     uses — seeded simulations are byte-identical to the historical
+//     one-pass-per-tap applyTDL loop. On a 16,384-sample block it costs
+//     about 10 µs per tap on a 2-vCPU AMD EPYC (BenchmarkTDLTime4/16/64:
+//     about 42, 165 and 670 µs; the untiled loop took 54, 211 and 851).
 //   - Frequency domain (NewTDL only): overlap-save block convolution
 //     against the FFT of the dense tap kernel, reusing the dsp plan cache.
-//     Cost is O(n log L) independent of tap count instead of O(n·taps), so
-//     it wins once the delay line carries more than a few dozen taps (see
-//     BenchmarkTDLTime/BenchmarkTDLFreq for the measured crossover), but
-//     FFT rounding means results match the time engine only to ~1e-13
+//     Cost is O(n log L) independent of tap count instead of O(n·taps):
+//     about 340 µs on the same block at 4 to 64 taps (BenchmarkTDLFreq*),
+//     so it wins past roughly 33 taps and is 1.9× faster at 64. FFT
+//     rounding means results match the time engine only to ~1e-13
 //     relative error, not bit-exactly, and a Link's few multipath taps sit
 //     well below the crossover.
 //
@@ -27,6 +30,7 @@ import (
 // allocation-free.
 type TDL struct {
 	taps []Tap
+	offs []int // each tap's delay in whole samples after the earliest tap
 	freq bool
 
 	// Overlap-save state (frequency engine only).
@@ -51,6 +55,7 @@ func NewTDL(taps []Tap, frequencyDomain bool) *TDL {
 // nothing here once buffers have grown to their working size.
 func (t *TDL) Rebuild(taps []Tap) {
 	t.taps = taps
+	t.offs = appendTapOffsets(t.offs[:0], taps)
 	if !t.freq {
 		return
 	}
@@ -58,17 +63,9 @@ func (t *TDL) Rebuild(taps []Tap) {
 		t.kernelLen = 0
 		return
 	}
-	base := math.Inf(1)
-	for _, tp := range taps {
-		if tp.DelaySamples < base {
-			base = tp.DelaySamples
-		}
-	}
 	maxOff := 0
-	for _, tp := range taps {
-		if off := int(math.Round(tp.DelaySamples - base)); off > maxOff {
-			maxOff = off
-		}
+	for _, off := range t.offs {
+		maxOff = max(maxOff, off)
 	}
 	t.kernelLen = maxOff + 1
 	// Block size: a few kernel lengths per transform amortizes the L-1
@@ -82,8 +79,8 @@ func (t *TDL) Rebuild(taps []Tap) {
 	for i := range t.spec {
 		t.spec[i] = 0
 	}
-	for _, tp := range taps {
-		t.spec[int(math.Round(tp.DelaySamples-base))] += tp.Gain
+	for k, tp := range taps {
+		t.spec[t.offs[k]] += tp.Gain
 	}
 	dsp.FFTInto(t.spec, t.spec)
 }
@@ -95,7 +92,7 @@ func (t *TDL) Apply(dst, x []complex128) {
 		panic("channel: TDL Apply length mismatch")
 	}
 	if !t.freq {
-		applyTDLInto(dst, x, t.taps)
+		mixTaps(dst, x, t.taps, t.offs)
 		return
 	}
 	if t.kernelLen == 0 {
@@ -137,40 +134,54 @@ func (t *TDL) Apply(dst, x []complex128) {
 	}
 }
 
-// applyTDLInto is the reference time-domain engine: zero dst, then one
-// mix-accumulate pass per tap in tap order, delays rounded to whole samples
-// relative to the earliest tap. This is the arithmetic seeded experiments
-// pin bit-exactly; any alternative engine must be validated against it.
-func applyTDLInto(dst, x []complex128, taps []Tap) {
-	if len(dst) != len(x) {
-		panic("channel: applyTDLInto length mismatch")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	if len(taps) == 0 {
-		return
-	}
+// appendTapOffsets appends each tap's delay, rounded to whole samples
+// relative to the earliest tap, to dst and returns it.
+func appendTapOffsets(dst []int, taps []Tap) []int {
 	base := math.Inf(1)
-	for _, t := range taps {
-		if t.DelaySamples < base {
-			base = t.DelaySamples
+	for _, tp := range taps {
+		if tp.DelaySamples < base {
+			base = tp.DelaySamples
 		}
 	}
-	for _, t := range taps {
-		off := int(math.Round(t.DelaySamples - base))
-		dsp.MixInto(dst, x, off, t.Gain)
+	for _, tp := range taps {
+		dst = append(dst, int(math.Round(tp.DelaySamples-base)))
+	}
+	return dst
+}
+
+// tdlTile is the time engine's output tile in samples: 4 KB of partial
+// sums, which stay in L1 while every tap adds into them. Tiles of 128 to
+// 1,024 samples timed alike on BenchmarkTDLTime4/16/64 (all about 20%
+// under the untiled loop); 256 sits in the middle of that range.
+const tdlTile = 256
+
+// mixTaps is the time engine and the reference arithmetic seeded
+// experiments pin bit-exactly: output sample i is the sum, from zero and in
+// tap order, of Gain·x[i-off] over the taps whose offset off is at most i.
+// It walks dst in tiles of tdlTile samples and runs every tap over each
+// tile before the next, instead of streaming the whole capture once per
+// tap; each sample sees the same operands in the same order either way.
+// dst and x must have equal length and must not alias.
+func mixTaps(dst, x []complex128, taps []Tap, offs []int) {
+	for lo := 0; lo < len(dst); lo += tdlTile {
+		hi := min(lo+tdlTile, len(dst))
+		clear(dst[lo:hi])
+		for k, off := range offs {
+			if from := max(lo, off); from < hi {
+				dsp.MixInto(dst[from:hi], x[from-off:hi-off], 0, taps[k].Gain)
+			}
+		}
 	}
 }
 
-// carrierTDLInto is applyTDLInto for an input whose samples are all
+// carrierInto is the time engine for an input whose samples are all
 // bit-equal to x[0], the reader's unmodulated carrier. Output sample i is
 // then the tap-order sum of Gain·x[0] over the taps at offset ≤ i, so every
-// sample past the largest offset equals the one at it: the reference runs
-// on the head up to that offset, with the same operands in the same order,
+// sample past the largest offset equals the one at it: the engine runs on
+// the head up to that offset, with the same operands in the same order,
 // and the last head sample is copied into the rest. It reports false,
 // leaving dst untouched, for any other input.
-func carrierTDLInto(dst, x []complex128, taps []Tap) bool {
+func (t *TDL) carrierInto(dst, x []complex128) bool {
 	if len(dst) != len(x) || len(x) == 0 {
 		return false
 	}
@@ -180,18 +191,12 @@ func carrierTDLInto(dst, x []complex128, taps []Tap) bool {
 			return false
 		}
 	}
-	base := math.Inf(1)
-	for _, t := range taps {
-		if t.DelaySamples < base {
-			base = t.DelaySamples
-		}
-	}
 	last := 0
-	for _, t := range taps {
-		last = max(last, int(math.Round(t.DelaySamples-base)))
+	for _, off := range t.offs {
+		last = max(last, off)
 	}
 	last = min(last, len(x)-1)
-	applyTDLInto(dst[:last+1], x[:last+1], taps)
+	mixTaps(dst[:last+1], x[:last+1], t.taps, t.offs)
 	for i := last + 1; i < len(dst); i++ {
 		dst[i] = dst[last]
 	}

@@ -97,6 +97,7 @@ type System struct {
 	gammaBuf   []complex128
 	captureBuf []complex128
 	dlBuf      []complex128
+	queryBuf   []complex128
 
 	// Stage timers for RunRound's pipeline (vab_round_stage_seconds
 	// {stage=…}); nil (the default) records nothing. Resolved once by
@@ -397,11 +398,12 @@ func (s *System) RunRound() (RoundReport, error) {
 
 	// Downlink: query through the channel, node-side OOK decode.
 	sp := telemetry.StartSpan(s.stModulate)
-	qw, _, err := s.Reader.QueryWaveform(s.cfg.NodeAddr, s.querySeq)
+	qw, _, err := s.Reader.QueryWaveformInto(s.queryBuf, s.cfg.NodeAddr, s.querySeq)
 	sp.End()
 	if err != nil {
 		return rep, err
 	}
+	s.queryBuf = qw
 	s.querySeq++
 	qf, err := s.nodeReceive(qw, s.cfg.Reader.DownlinkCodec.ChipLength(0), s.stChannel)
 	if err != nil {

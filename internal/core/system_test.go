@@ -381,6 +381,38 @@ func TestInstrumentedRoundAllocs(t *testing.T) {
 	}
 }
 
+// TestSystemRoundAllocs pins the steady-state RunRound allocation count.
+// The waveform-sized buffers (query envelope, γ waveform, captures, soft
+// chips) are all reused, so what remains is the link codec's per-frame
+// slices, the node's chip decisions and the frames themselves: 22 per
+// round, about 4 KB in all.
+func TestSystemRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; allocation counts are not stable")
+	}
+	s := riverSystem(t, 50, 3)
+	s.WakeNode(3600)
+	if _, err := s.RunRound(); err != nil { // grow the reused buffers
+		t.Fatal(err)
+	}
+	var delivered int
+	allocs := countAllocs(20, func() {
+		rep, err := s.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Rx.OK() {
+			delivered++
+		}
+	})
+	if delivered == 0 {
+		t.Fatal("no round decoded; the count covers only a partial round")
+	}
+	if allocs > 22 {
+		t.Errorf("RunRound allocates %.1f times per round, want at most 22", allocs)
+	}
+}
+
 // TestRoundStageSeries is the stage-series contract: after one
 // instrumented round the registry holds exactly the round's and the
 // reader's stage histograms. Instrument registers them all, so a stage the

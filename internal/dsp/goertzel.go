@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"math/cmplx"
-)
+import "math/cmplx"
 
 // Goertzel evaluates a single DFT bin over fixed-length blocks, the
 // work-horse of the noncoherent FSK demodulator: per bit interval the
@@ -37,63 +34,74 @@ func (g *Goertzel) Correlate(x []complex128) complex128 {
 
 // Energy returns |Correlate(x)|², the tone energy in the block.
 func (g *Goertzel) Energy(x []complex128) float64 {
-	c := g.Correlate(x)
-	return real(c)*real(c) + imag(c)*imag(c)
+	return sq(g.Correlate(x))
 }
 
 // ToneBank correlates blocks against a fixed set of tones, returning the
 // per-tone energies. Used for M-ary FSK detection.
+//
+// Each tone's heterodyne sequence w₀ = 1, wₖ₊₁ = wₖ·conj(coeff) is built
+// once, with the repeated multiply Goertzel.Correlate runs per sample, and
+// stored for blocks of up to the length given at construction. Energies
+// then reads the table instead of carrying that multiply chain from sample
+// to sample, and accumulates two tones per pass over the block, so the
+// binary receiver's pair of tones costs one pass. Every accumulator sees
+// the same operands in the same order as Correlate, so the energies are
+// bit-identical to Goertzel.Energy. The bank is immutable after
+// construction and safe to share.
 type ToneBank struct {
-	dets  []*Goertzel
-	freqs []float64
+	tones int
+	block int
+	tw    []complex128 // tone t's sequence at tw[t*block : (t+1)*block]
 }
 
-// NewToneBank builds detectors for each frequency in freqsHz.
-func NewToneBank(freqsHz []float64, fsHz float64) *ToneBank {
+// NewToneBank builds the twiddle tables for each frequency in freqsHz, for
+// blocks of up to blockLen samples.
+func NewToneBank(freqsHz []float64, fsHz float64, blockLen int) *ToneBank {
 	tb := &ToneBank{
-		dets:  make([]*Goertzel, len(freqsHz)),
-		freqs: append([]float64(nil), freqsHz...),
+		tones: len(freqsHz),
+		block: blockLen,
+		tw:    make([]complex128, len(freqsHz)*blockLen),
 	}
-	for i, f := range freqsHz {
-		tb.dets[i] = NewGoertzel(f, fsHz)
+	for t, f := range freqsHz {
+		conjStep := cmplx.Conj(NewGoertzel(f, fsHz).coeff)
+		w := complex(1, 0)
+		for i := range tb.tw[t*blockLen : (t+1)*blockLen] {
+			tb.tw[t*blockLen+i] = w
+			w *= conjStep
+		}
 	}
 	return tb
 }
 
-// Freqs returns the tone frequencies in Hz.
-func (tb *ToneBank) Freqs() []float64 {
-	return append([]float64(nil), tb.freqs...)
-}
-
 // Energies fills dst (which must have one entry per tone) with the tone
-// energies of block x and returns dst.
+// energies of block x and returns dst. x may be shorter than the bank's
+// block length, not longer.
 func (tb *ToneBank) Energies(dst []float64, x []complex128) []float64 {
-	if len(dst) != len(tb.dets) {
+	if len(dst) != tb.tones {
 		panic("dsp: ToneBank.Energies dst length mismatch")
 	}
-	for i, d := range tb.dets {
-		dst[i] = d.Energy(x)
+	if len(x) > tb.block {
+		panic("dsp: ToneBank.Energies block longer than the bank's tables")
+	}
+	t := 0
+	for ; t+1 < tb.tones; t += 2 {
+		w0 := tb.tw[t*tb.block:][:len(x)]
+		w1 := tb.tw[(t+1)*tb.block:][:len(x)]
+		var a0, a1 complex128
+		for i, v := range x {
+			a0 += v * w0[i]
+			a1 += v * w1[i]
+		}
+		dst[t], dst[t+1] = sq(a0), sq(a1)
+	}
+	if t < tb.tones {
+		w := tb.tw[t*tb.block:][:len(x)]
+		var a complex128
+		for i, v := range x {
+			a += v * w[i]
+		}
+		dst[t] = sq(a)
 	}
 	return dst
-}
-
-// Best returns the index of the tone with maximum energy in x along with
-// the winning and runner-up energies. It panics if the bank is empty.
-func (tb *ToneBank) Best(x []complex128) (idx int, best, second float64) {
-	if len(tb.dets) == 0 {
-		panic("dsp: Best on empty ToneBank")
-	}
-	best = math.Inf(-1)
-	second = math.Inf(-1)
-	for i, d := range tb.dets {
-		e := d.Energy(x)
-		if e > best {
-			second = best
-			best = e
-			idx = i
-		} else if e > second {
-			second = e
-		}
-	}
-	return idx, best, second
 }

@@ -49,28 +49,12 @@ func TestGoertzelNegativeFrequency(t *testing.T) {
 	}
 }
 
-func TestToneBankBest(t *testing.T) {
-	fs := 16000.0
-	tb := NewToneBank([]float64{500, 1000, 2000}, fs)
-	n := 320 // 20 ms: integer cycles of all three tones
-	for want, f := range []float64{500, 1000, 2000} {
-		x := tone(f, fs, n, 1, 1.0)
-		idx, best, second := tb.Best(x)
-		if idx != want {
-			t.Errorf("tone %v Hz detected as index %d", f, idx)
-		}
-		if best < 1000*second+1e-12 && second > 1e-9 {
-			t.Errorf("tone %v Hz: weak separation best=%v second=%v", f, best, second)
-		}
-	}
-}
-
 func TestToneBankEnergiesProperty(t *testing.T) {
 	// Energies must be non-negative and sum-consistent with Correlate.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		x := randComplex(r, 64)
-		tb := NewToneBank([]float64{250, 750}, 8000)
+		tb := NewToneBank([]float64{250, 750}, 8000, len(x))
 		e := tb.Energies(make([]float64, 2), x)
 		for _, v := range e {
 			if v < 0 || math.IsNaN(v) {
@@ -84,13 +68,46 @@ func TestToneBankEnergiesProperty(t *testing.T) {
 	}
 }
 
-func TestToneBankFreqs(t *testing.T) {
-	tb := NewToneBank([]float64{100, 200}, 8000)
-	f := tb.Freqs()
-	f[0] = 999 // mutation must not leak into the bank
-	if tb.Freqs()[0] != 100 {
-		t.Error("Freqs returned internal slice")
+// serialToneEnergy is the tone bank's energy as Goertzel.Correlate
+// computes it, with the heterodyne carried by a repeated multiply from
+// sample to sample: the reference the bank's twiddle tables must match.
+func serialToneEnergy(fHz, fsHz float64, x []complex128) float64 {
+	w := complex(1, 0)
+	conjStep := cmplx.Conj(cmplx.Rect(1, Tau*fHz/fsHz))
+	var acc complex128
+	for _, v := range x {
+		acc += v * w
+		w *= conjStep
 	}
+	return real(acc)*real(acc) + imag(acc)*imag(acc)
+}
+
+// TestToneBankMatchesSerialCorrelate pins the table-driven bank to the
+// serial heterodyne bit for bit, for one, two and three tones (the odd
+// tone runs its own pass) and for blocks shorter than the table.
+func TestToneBankMatchesSerialCorrelate(t *testing.T) {
+	const fs, block = 16000.0, 64
+	rng := rand.New(rand.NewSource(5))
+	for _, freqs := range [][]float64{{-1000}, {1000, -1000}, {500, -1500, 2750.5}} {
+		tb := NewToneBank(freqs, fs, block)
+		for _, n := range []int{0, 1, 17, block - 1, block} {
+			for trial := 0; trial < 20; trial++ {
+				x := randComplex(rng, n)
+				got := tb.Energies(make([]float64, len(freqs)), x)
+				for k, f := range freqs {
+					if want := serialToneEnergy(f, fs, x); math.Float64bits(got[k]) != math.Float64bits(want) {
+						t.Fatalf("tones %v, n=%d: tone %d energy %v, serial %v", freqs, n, k, got[k], want)
+					}
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a block longer than the table did not panic")
+		}
+	}()
+	NewToneBank([]float64{1000}, fs, 8).Energies(make([]float64, 1), make([]complex128, 9))
 }
 
 func TestGoertzelOrthogonalBitInterval(t *testing.T) {

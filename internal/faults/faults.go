@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Type enumerates the fault classes the engine injects.
@@ -212,6 +213,22 @@ func (e *Engine) drawSeed(fault, round int) int64 {
 	return int64(h >> 1) // keep it non-negative for rand.NewSource
 }
 
+// drawRNGs recycles the RNGs Plan seeds for its draw streams: a
+// rand.NewSource holds 4.9 KB of state, allocated afresh every round
+// otherwise. Rand.Seed leaves a pooled RNG in exactly the state
+// rand.New(rand.NewSource(seed)) starts in (the source state and the
+// Rand's read position both reset). A sync.Pool because Plan runs
+// concurrently.
+var drawRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seededRNG returns a pooled RNG seeded with seed; hand it back with
+// drawRNGs.Put once its draws are done.
+func seededRNG(seed int64) *rand.Rand {
+	rng := drawRNGs.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
+
 // poisson draws k ~ Poisson(lambda) by Knuth's product method; fine for the
 // single-digit rates the impulse faults use.
 func poisson(lambda float64, rng *rand.Rand) int {
@@ -243,7 +260,7 @@ func (e *Engine) Plan(round int) RoundPlan {
 		}
 		switch f.Type {
 		case Impulse:
-			rng := rand.New(rand.NewSource(e.drawSeed(i, round)))
+			rng := seededRNG(e.drawSeed(i, round))
 			n := poisson(f.RatePerRound*f.Intensity, rng)
 			for b := 0; b < n; b++ {
 				plan.Bursts = append(plan.Bursts, Burst{
@@ -252,6 +269,7 @@ func (e *Engine) Plan(round int) RoundPlan {
 					PowerDB:   f.PowerDB + 6*(rng.Float64()-0.5),
 				})
 			}
+			drawRNGs.Put(rng)
 			if n > 0 {
 				e.met.injections[Impulse].Add(int64(n))
 			}
@@ -273,8 +291,10 @@ func (e *Engine) Plan(round int) RoundPlan {
 			}
 			e.met.injections[ElementFailure].Inc()
 		case Brownout:
-			rng := rand.New(rand.NewSource(e.drawSeed(i, round)))
-			if rng.Float64() < f.OutageProb*f.Intensity {
+			rng := seededRNG(e.drawSeed(i, round))
+			collapsed := rng.Float64() < f.OutageProb*f.Intensity
+			drawRNGs.Put(rng)
+			if collapsed {
 				plan.Brownout = true
 				e.met.injections[Brownout].Inc()
 			}
@@ -304,13 +324,15 @@ func (e *Engine) shadowDB(idx int, f *Fault, round int) float64 {
 		}
 		// One draw stream per (fault, period): presence, center and width
 		// of that period's cloud.
-		rng := rand.New(rand.NewSource(e.drawSeed(idx, -1000000-kk)))
+		rng := seededRNG(e.drawSeed(idx, -1000000-kk))
 		if rng.Float64() > 0.35+0.45*f.Intensity {
+			drawRNGs.Put(rng)
 			continue // no cloud crossed the path this period
 		}
 		center := float64(kk*period) + rng.Float64()*float64(period)
 		width := (0.1 + 0.2*rng.Float64()) * float64(period)
 		peak := f.AttenDB * f.Intensity * (0.6 + 0.4*rng.Float64())
+		drawRNGs.Put(rng)
 		d := (float64(round) - center) / width
 		db += peak * math.Exp(-0.5*d*d)
 	}

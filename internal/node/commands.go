@@ -58,7 +58,8 @@ func (n *Node) Clock() float64 { return n.clock }
 // nil when the command is for someone else, the node lacks energy, or the
 // command mutes the node (mute is deliberately unacknowledged: the point is
 // radio silence). Malformed commands addressed to this node return an
-// error.
+// error. Like HandleQuery's, the waveform is valid until the node's next
+// response.
 func (n *Node) HandleCommand(f *link.Frame) ([]float64, error) {
 	if f == nil || f.Type != link.FrameCmd {
 		return nil, fmt.Errorf("node: not a command frame")
@@ -117,9 +118,10 @@ func (n *Node) HandleCommand(f *link.Frame) ([]float64, error) {
 		return nil, nil
 	}
 	n.stats.EnergySpent += n.cfg.Harvest.Step(0, needed/burstSec, burstSec)
-	gamma, err := n.mod.GammaWaveform(chips)
+	gamma, err := n.mod.GammaWaveformInto(n.gammaBuf, chips)
 	if err != nil {
 		return nil, fmt.Errorf("node: modulate ack: %w", err)
 	}
+	n.gammaBuf = gamma
 	return gamma, nil
 }

@@ -216,6 +216,10 @@ type Node struct {
 	seq   byte
 	stats Stats
 
+	// gammaBuf holds the last response's reflection waveform, reused by
+	// the next: a returned waveform is valid until the node responds again.
+	gammaBuf []float64
+
 	clock          float64 // elapsed seconds, advanced by Harvest
 	reportInterval float64 // minimum seconds between responses (0 = every poll)
 	muteUntil      float64 // node stays silent until this clock value
@@ -338,7 +342,8 @@ func (n *Node) Harvest(pressurePa, rhoC, dt float64) {
 // this node (or broadcast) and the reservoir holds enough energy for a full
 // response, it returns the reflection waveform γ(t) of the response burst.
 // A nil waveform with nil error means the query was for someone else or the
-// node stayed silent.
+// node stayed silent. The waveform is the node's reused buffer, valid until
+// its next response.
 func (n *Node) HandleQuery(f *link.Frame) ([]float64, error) {
 	if f == nil {
 		return nil, fmt.Errorf("node: nil frame")
@@ -385,10 +390,11 @@ func (n *Node) HandleQuery(f *link.Frame) ([]float64, error) {
 		n.state = StateListen
 		return nil, nil
 	}
-	gamma, err := n.mod.GammaWaveform(chips)
+	gamma, err := n.mod.GammaWaveformInto(n.gammaBuf, chips)
 	if err != nil {
 		return nil, fmt.Errorf("node: modulate response: %w", err)
 	}
+	n.gammaBuf = gamma
 	n.state = StateBackscatter
 	n.stats.EnergySpent += n.cfg.Harvest.Step(0, needed/burstSec, burstSec)
 	n.stats.FramesReturned++

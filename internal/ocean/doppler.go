@@ -67,21 +67,25 @@ func NewFadingProcess(spreadHz, fsHz, depth float64, rng *rand.Rand) *FadingProc
 // with — building a fresh process on the same RNG.
 func (fp *FadingProcess) Reset() { fp.state = 0 }
 
-// Gain returns the next multiplicative channel gain sample (nominally near
-// 1+0j, wandering with the configured statistics).
-func (fp *FadingProcess) Gain() complex128 {
-	if fp.sigma == 0 {
-		return 1
-	}
-	fp.state = complex(fp.rho, 0)*fp.state +
-		complex(fp.rng.NormFloat64()*fp.sigma, fp.rng.NormFloat64()*fp.sigma)
-	return 1 + fp.state
-}
-
 // Apply multiplies x in place by the evolving channel gain and returns x.
+// Each sample advances the AR(1) state by one step, drawing the in-phase
+// then the quadrature innovation (seeded outputs depend on that order),
+// and is multiplied by 1 + state. A static process multiplies every
+// sample by exactly 1.
 func (fp *FadingProcess) Apply(x []complex128) []complex128 {
-	for i := range x {
-		x[i] *= fp.Gain()
+	if fp.sigma == 0 {
+		for i := range x {
+			x[i] *= 1
+		}
+		return x
 	}
+	rho, sigma, st := fp.rho, fp.sigma, fp.state
+	for i := range x {
+		n1 := fp.rng.NormFloat64()
+		n2 := fp.rng.NormFloat64()
+		st = complex(rho, 0)*st + complex(n1*sigma, n2*sigma)
+		x[i] *= 1 + st
+	}
+	fp.state = st
 	return x
 }

@@ -48,21 +48,25 @@ func (c *AdaptiveCanceller) Prime(y, x []complex128) {
 
 // Process subtracts the estimated leakage from y in place, adapting the
 // estimate sample by sample against the transmit reference x. Slices must
-// have equal length. Returns y.
+// have equal length. Returns y. The estimate is held in a local for the
+// loop and stored once at the end, so no sample waits on a store and
+// reload of c.w.
 func (c *AdaptiveCanceller) Process(y, x []complex128) []complex128 {
 	if len(y) != len(x) {
 		panic("phy: canceller length mismatch")
 	}
+	w, mu := c.w, c.mu
 	for i := range y {
 		xi := x[i]
-		e := y[i] - c.w*xi
+		e := y[i] - w*xi
 		y[i] = e
 		// Normalized LMS update: w += µ·e·conj(x)/|x|².
 		p := real(xi)*real(xi) + imag(xi)*imag(xi)
 		if p > 0 {
-			c.w += complex(c.mu/p, 0) * e * complex(real(xi), -imag(xi))
+			w += complex(mu/p, 0) * e * complex(real(xi), -imag(xi))
 		}
 	}
+	c.w = w
 	return y
 }
 

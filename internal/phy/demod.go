@@ -29,15 +29,17 @@ type Demodulator struct {
 	// Reused scratch: the demodulator runs once per round for thousands of
 	// rounds, so per-call buffers (the decimated capture, the correlation
 	// surface and secondary-peak values, the peak list, the notch history
-	// ring, the diversity branch table, the tone-energy pair) are owned by
-	// the instance instead of allocated per capture. This is part of why a
-	// Demodulator is not safe for concurrent use.
+	// ring, the diversity branch table, the tone-energy pair, RefineTiming's
+	// probe chips) are owned by the instance instead of allocated per
+	// capture. This is part of why a Demodulator is not safe for concurrent
+	// use.
 	coarseBuf    []complex128
 	ncBuf        []float64
 	peakNC       []float64
 	peakBuf      []PathPeak
 	suppressHist []complex128
 	branchBuf    []demodBranch
+	probeBuf     []SoftChip
 	eBuf         [2]float64
 }
 
@@ -55,7 +57,7 @@ func NewDemodulator(p Params) (*Demodulator, error) {
 	}
 	d := &Demodulator{
 		p:    p,
-		bank: dsp.NewToneBank([]float64{p.F0, p.F1}, p.SampleRate),
+		bank: dsp.NewToneBank([]float64{p.F0, p.F1}, p.SampleRate, p.SamplesPerChip()),
 	}
 	d.preamble = d.referenceWaveform()
 	d.corr = dsp.NewCorrelator(d.preamble)
@@ -95,11 +97,7 @@ func coarseFactor(p Params) int {
 // sum integrates the signal coherently, where keeping every nth sample
 // would throw away all but 1/n of the signal energy.
 func integrateDump(dst, x []complex128, n int) []complex128 {
-	m := len(x) / n
-	if cap(dst) < m {
-		dst = make([]complex128, m)
-	}
-	dst = dst[:m]
+	dst = resize(dst, len(x)/n)
 	for i := range dst {
 		var s complex128
 		for _, v := range x[i*n : (i+1)*n] {
@@ -108,6 +106,15 @@ func integrateDump(dst, x []complex128, n int) []complex128 {
 		dst[i] = s
 	}
 	return dst
+}
+
+// resize returns buf resliced to n elements, reallocating only when its
+// capacity is short. The contents are not cleared.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // referenceWaveform builds the complex upper-sideband template of the
@@ -150,13 +157,9 @@ func (d *Demodulator) referenceWaveform() []complex128 {
 func (d *Demodulator) Suppress(y []complex128) []complex128 {
 	l := d.p.SamplesPerChip()
 	var sum complex128
-	if cap(d.suppressHist) < l {
-		d.suppressHist = make([]complex128, l)
-	}
-	hist := d.suppressHist[:l]
-	for i := range hist {
-		hist[i] = 0
-	}
+	d.suppressHist = resize(d.suppressHist, l)
+	hist := d.suppressHist
+	clear(hist)
 	for i, v := range y {
 		sum += v
 		idx := i % l
@@ -234,10 +237,8 @@ func (d *Demodulator) Locate(y []complex128) (Acquisition, error) {
 	nOut := len(y) - m + 1
 	d.coarseBuf = integrateDump(d.coarseBuf, y, d.decim)
 	nCoarse := len(d.coarseBuf) - m/d.decim + 1
-	if cap(d.ncBuf) < nCoarse {
-		d.ncBuf = make([]float64, nCoarse)
-	}
-	nc := d.ncBuf[:nCoarse]
+	d.ncBuf = resize(d.ncBuf, nCoarse)
+	nc := d.ncBuf
 	d.coarse.NormXCorrInto(nc, d.coarseBuf)
 	k, _ := dsp.ArgMax(nc)
 	acq := Acquisition{Start: -1, Peaks: d.peakBuf[:0]}
@@ -292,10 +293,11 @@ func (d *Demodulator) RefineTiming(y []complex128, acq Acquisition, probeChips i
 		if cand.Start < 0 {
 			continue
 		}
-		soft, err := d.DemodChips(y, cand, probeChips)
+		soft, err := d.DemodChipsInto(d.probeBuf, y, cand, probeChips)
 		if err != nil {
 			continue
 		}
+		d.probeBuf = soft
 		if m := MeanMargin(soft); m > bestMetric {
 			bestMetric = m
 			best = cand
@@ -329,6 +331,12 @@ func (s SoftChip) Margin() float64 {
 // weak echo contributes its information without importing a full branch of
 // noise).
 func (d *Demodulator) DemodChips(y []complex128, acq Acquisition, n int) ([]SoftChip, error) {
+	return d.DemodChipsInto(nil, y, acq, n)
+}
+
+// DemodChipsInto is DemodChips writing the soft chips into dst, which it
+// grows as needed and returns resliced to n.
+func (d *Demodulator) DemodChipsInto(dst []SoftChip, y []complex128, acq Acquisition, n int) ([]SoftChip, error) {
 	spc := d.p.SamplesPerChip()
 	start := acq.Start + len(d.preamble)
 	need := start + n*spc
@@ -343,7 +351,7 @@ func (d *Demodulator) DemodChips(y []complex128, acq Acquisition, n int) ([]Soft
 		branches = append(branches, demodBranch{p.Offset, p.Gain * p.Gain})
 	}
 	d.branchBuf = branches
-	out := make([]SoftChip, n)
+	out := resize(dst, n)
 	e := d.eBuf[:]
 	for i := 0; i < n; i++ {
 		var e0, e1 float64

@@ -160,7 +160,7 @@ func NewMFSKDemodulator(p MFSKParams) (*MFSKDemodulator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	d := &MFSKDemodulator{p: p, bank: dsp.NewToneBank(p.Tones, p.SampleRate)}
+	d := &MFSKDemodulator{p: p, bank: dsp.NewToneBank(p.Tones, p.SampleRate, p.SamplesPerChip())}
 	// Reference waveform: upper-sideband exponentials of the preamble.
 	spc := p.SamplesPerChip()
 	ref := make([]complex128, 0, len(p.PreambleSeq)*spc)

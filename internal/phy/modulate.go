@@ -25,23 +25,32 @@ func NewModulator(p Params) (*Modulator, error) {
 // subcarrier frequency f_b. Phase is continuous across chips so the
 // mechanical switch never sees a fractional cycle discontinuity.
 func (m *Modulator) GammaWaveform(chips []byte) ([]float64, error) {
+	return m.GammaWaveformInto(nil, chips)
+}
+
+// GammaWaveformInto is GammaWaveform writing into dst, which it grows as
+// needed and returns resliced to the burst length. A caller that keeps
+// the returned buffer for its next burst of the same length allocates
+// nothing.
+func (m *Modulator) GammaWaveformInto(dst []float64, chips []byte) ([]float64, error) {
 	for i, c := range chips {
 		if c > 1 {
 			return nil, fmt.Errorf("phy: chip %d has non-binary value %d", i, c)
 		}
 	}
-	all := m.withPreamble(chips)
 	if m.p.ClockPPM != 0 {
-		return m.skewedGamma(all), nil
+		return m.skewedGamma(dst, chips), nil
 	}
 	spc := m.p.SamplesPerChip()
-	out := make([]float64, len(all)*spc)
+	nChips := len(m.p.PreambleSeq) + len(chips)
+	out := resize(dst, nChips*spc)
 	fs := m.p.SampleRate
 	phase := 0.0
 	idx := 0
-	for _, c := range all {
-		f := m.p.chipFreq(c)
+	for j := 0; j < nChips; j++ {
+		f := m.p.chipFreq(m.burstChip(chips, j))
 		for s := 0; s < spc; s++ {
+			out[idx] = 0
 			if sinNonNeg(phase) {
 				out[idx] = 1
 			}
@@ -52,25 +61,28 @@ func (m *Modulator) GammaWaveform(chips []byte) ([]float64, error) {
 	return out, nil
 }
 
-// skewedGamma renders the burst as produced by a node whose oscillator runs
-// fast or slow by ClockPPM: node time advances (1+δ) per receiver sample,
-// so chip boundaries drift and the subcarrier tones shift by the same
-// relative amount. The output length shrinks (fast clock) or grows (slow).
-func (m *Modulator) skewedGamma(all []byte) []float64 {
+// skewedGamma renders the burst into dst (grown as needed) as produced by
+// a node whose oscillator runs fast or slow by ClockPPM: node time advances
+// (1+δ) per receiver sample, so chip boundaries drift and the subcarrier
+// tones shift by the same relative amount. The output length shrinks (fast
+// clock) or grows (slow).
+func (m *Modulator) skewedGamma(dst []float64, chips []byte) []float64 {
 	delta := 1 + m.p.ClockPPM*1e-6
 	fs := m.p.SampleRate
 	chipDur := 1 / m.p.ChipRate // in node time
-	totalNode := float64(len(all)) * chipDur
+	nChips := len(m.p.PreambleSeq) + len(chips)
+	totalNode := float64(nChips) * chipDur
 	n := int(math.Ceil(totalNode / delta * fs))
-	out := make([]float64, n)
+	out := resize(dst, n)
+	clear(out)
 	phase := 0.0
 	for i := 0; i < n; i++ {
 		tau := float64(i) / fs * delta // node time
 		chip := int(tau / chipDur)
-		if chip >= len(all) {
+		if chip >= nChips {
 			break
 		}
-		f := m.p.chipFreq(all[chip])
+		f := m.p.chipFreq(m.burstChip(chips, chip))
 		if sinNonNeg(phase) {
 			out[i] = 1
 		}
@@ -93,17 +105,16 @@ func sinNonNeg(phase float64) bool {
 	return (r > 0) == (int64(k)&1 == 0)
 }
 
-// withPreamble maps the ±1 preamble sequence to chips and prepends it.
-func (m *Modulator) withPreamble(chips []byte) []byte {
-	all := make([]byte, 0, len(m.p.PreambleSeq)+len(chips))
-	for _, v := range m.p.PreambleSeq {
-		if v > 0 {
-			all = append(all, 1)
-		} else {
-			all = append(all, 0)
-		}
+// burstChip returns chip j of the burst: the ±1 preamble sequence mapped
+// to chips, then the payload chips.
+func (m *Modulator) burstChip(chips []byte, j int) byte {
+	if p := len(m.p.PreambleSeq); j >= p {
+		return chips[j-p]
 	}
-	return append(all, chips...)
+	if m.p.PreambleSeq[j] > 0 {
+		return 1
+	}
+	return 0
 }
 
 // BurstSamples returns the waveform length in samples of a burst carrying n
@@ -127,6 +138,12 @@ func CarrierEnvelope(n int) []complex128 {
 // (1 = full on/off); partial depth lets the node keep harvesting energy
 // during "off" chips.
 func (m *Modulator) OOKModulate(chips []byte, depth float64) ([]complex128, error) {
+	return m.OOKModulateInto(nil, chips, depth)
+}
+
+// OOKModulateInto is OOKModulate writing into dst, which it grows as
+// needed and returns resliced to the envelope length.
+func (m *Modulator) OOKModulateInto(dst []complex128, chips []byte, depth float64) ([]complex128, error) {
 	if depth <= 0 || depth > 1 {
 		return nil, fmt.Errorf("phy: OOK depth %.3g outside (0, 1]", depth)
 	}
@@ -136,7 +153,7 @@ func (m *Modulator) OOKModulate(chips []byte, depth float64) ([]complex128, erro
 		}
 	}
 	spc := m.p.SamplesPerChip()
-	out := make([]complex128, len(chips)*spc)
+	out := resize(dst, len(chips)*spc)
 	lo := complex(1-depth, 0)
 	for i, c := range chips {
 		v := lo

@@ -94,6 +94,8 @@ type Reader struct {
 	// transmit reference to cancel (Decode must not mutate the caller's capture
 	// before cancellation). Reused across rounds.
 	cancBuf []complex128
+	// softBuf holds Decode's soft chips, which never leave Decode.
+	softBuf []phy.SoftChip
 }
 
 // rdMetrics carries the receive-chain instrumentation. The zero value is
@@ -202,12 +204,19 @@ func (r *Reader) CarrierEnvelopeInto(dst []complex128) {
 // QueryWaveform encodes a query for addr as a downlink OOK envelope at
 // source amplitude, returning the waveform and the frame it carries.
 func (r *Reader) QueryWaveform(addr byte, seq byte) ([]complex128, *link.Frame, error) {
+	return r.QueryWaveformInto(nil, addr, seq)
+}
+
+// QueryWaveformInto is QueryWaveform writing the envelope into dst, which
+// it grows as needed and returns resliced to the envelope length: the
+// round pipeline's reused query buffer.
+func (r *Reader) QueryWaveformInto(dst []complex128, addr byte, seq byte) ([]complex128, *link.Frame, error) {
 	f := &link.Frame{Type: link.FrameQuery, Addr: addr, Seq: seq}
 	chips, err := r.cfg.DownlinkCodec.EncodeFrame(f)
 	if err != nil {
 		return nil, nil, fmt.Errorf("reader: encode query: %w", err)
 	}
-	w, err := r.mod.OOKModulate(chips, 1.0)
+	w, err := r.mod.OOKModulateInto(dst, chips, 1.0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("reader: modulate query: %w", err)
 	}
@@ -321,7 +330,10 @@ func (r *Reader) Decode(capture, txRef []complex128, payloadLen int) RxReport {
 	if r.cfg.UseEqualizer {
 		soft, _, err = r.demod.EqualizeAndDemod(y, acq, nChips, 8)
 	} else {
-		soft, err = r.demod.DemodChips(y, acq, nChips)
+		soft, err = r.demod.DemodChipsInto(r.softBuf, y, acq, nChips)
+		if err == nil {
+			r.softBuf = soft
+		}
 	}
 	sp.End()
 	if err != nil {
