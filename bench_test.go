@@ -251,7 +251,7 @@ func BenchmarkSystemRound(b *testing.B) {
 
 // benchFleetCycle measures one full polling cycle of a 64-node deployment
 // at the given poll-pool width. The Serial/Parallel pair quantifies the
-// wave scheduler's speedup on whatever machine runs the suite — seeded
+// scheduler pool's speedup on whatever machine runs the suite — seeded
 // cycle output is bit-identical at every width, so the pair measures pure
 // scheduling, not behavioral drift.
 func benchFleetCycle(b *testing.B, workers int) {
@@ -264,7 +264,7 @@ func benchFleetCycle(b *testing.B, workers int) {
 	for i := range placements {
 		placements[i] = core.NodePlacement{
 			Addr:        byte(i + 1),
-			Range:       40 + float64(i), // 40 m … 103 m: deliverable, so wave width stays 64
+			Range:       40 + float64(i), // 40 m … 103 m: deliverable, so every cycle polls 64
 			Orientation: 0.1 * float64(i%7),
 		}
 	}
@@ -275,6 +275,7 @@ func benchFleetCycle(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer f.Close()
 	f.SetWorkers(workers)
 	f.Deploy(3600)
 	if _, _, err := f.RunCycle(); err != nil { // warm plans and scratch

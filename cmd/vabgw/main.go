@@ -35,7 +35,7 @@ func main() {
 	interval := flag.Duration("interval", 2*time.Second, "polling cycle interval")
 	duration := flag.Duration("duration", 0, "exit after this long (0 = run until signal)")
 	envName := flag.String("env", "river", "environment: river or ocean")
-	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines per polling cycle (waves of node rounds run concurrently; cycle output is bit-identical at any count)")
+	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines per polling cycle (node rounds run concurrently; cycle output is bit-identical at any count)")
 	metricsAddr := flag.String("metrics", "", "ops endpoint address for /metrics, /healthz and pprof (empty = telemetry off)")
 	packed := flag.Int("packed", 0, "node payload batch: ≤1 = v1 single-reading payloads, 2..8 = packed multi-reading payloads (readings per response frame)")
 	batch := flag.Int("batch", 1, "gateway broadcast coalescing: readings per flush (1 = publish immediately, one reading per batch frame)")
@@ -86,6 +86,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("vabgw: %v", err)
 	}
+	defer fleet.Close()
 	fleet.SetWorkers(*workers)
 	fleet.Deploy(3600)
 

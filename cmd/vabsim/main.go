@@ -40,7 +40,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment ID (E1..E10, X1..), or 'all'")
 	trials := flag.Int("trials", 0, "Monte-Carlo trials per cell (0 = experiment default)")
 	seed := flag.Int64("seed", 1, "base RNG seed")
-	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines for Monte-Carlo cells, concurrent experiments and fleet poll waves (seeded output is bit-identical at any count)")
+	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines for Monte-Carlo cells, concurrent experiments and fleet polls (seeded output is bit-identical at any count)")
 	nodes := flag.Int("nodes", 0, "fleet size for abstract-fleet experiments (e12; 0 = experiment default of 100000)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	list := flag.Bool("list", false, "list the experiment inventory and exit")

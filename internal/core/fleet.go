@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"sync/atomic"
+	"slices"
 
 	"vab/internal/faults"
 	"vab/internal/mac"
@@ -16,22 +16,26 @@ import (
 // retry/liveness policy. It is the object a monitoring application holds —
 // cmd/vabgw and examples/coastal are thin wrappers around it.
 //
-// Cycles execute as waves (see mac.Scheduler): SetWorkers widens the poll
-// pool so a cycle's waveform rounds run concurrently, one worker per
-// node. Every System owns its channel, RNG stream, scratch buffers and —
-// via design cloning in NewFleet — its Van Atta array, so concurrent
-// rounds share no mutable state and cycle output is bit-identical at any
-// worker count.
+// The cycle is mac.Scheduler's; the Fleet is its waveform backend, one
+// System per node, polled in blocks of one. SetWorkers widens the pool so
+// a cycle's waveform rounds run concurrently, each node's retries inline
+// in the worker that owns it. Every System owns its channel, RNG stream,
+// scratch buffers and — via design cloning in NewFleet — its Van Atta
+// array, so concurrent rounds share no mutable state and cycle output is
+// bit-identical at any worker count.
 type Fleet struct {
 	sched   *mac.Scheduler
-	systems map[byte]*System
-	order   []byte // ascending node addresses
+	cols    *mac.NodeColumns // indexed like systems
+	systems []*System        // by node index: ascending address
 
-	// Link-quality accumulators across every decoded frame: corrected FEC
-	// bits per delivered frame is the campaign's residual-BER proxy.
-	// Atomic because concurrent wave polls all report through fleetTrx.
-	frames    atomic.Int64
-	corrected atomic.Int64
+	// Per node, the payload the running cycle delivered (nil if none):
+	// written by the worker that polls the node, read after the cycle.
+	payloads [][]byte
+	chipRate float64 // the running cycle's rate command (0 = none)
+
+	// Link-quality totals across every decoded frame: corrected FEC bits
+	// per delivered frame is the campaign's residual-BER proxy.
+	frames, corrected int64
 }
 
 // NodePlacement positions one node of a fleet.
@@ -49,16 +53,12 @@ func NewFleet(base SystemConfig, placements []NodePlacement, policy mac.PollPoli
 	if len(placements) == 0 {
 		return nil, fmt.Errorf("core: fleet needs at least one node")
 	}
-	f := &Fleet{systems: make(map[byte]*System)}
-	var err error
-	f.sched, err = mac.NewScheduler(fleetTrx{f}, policy)
-	if err != nil {
-		return nil, err
+	f := &Fleet{
+		cols:     mac.NewNodeColumns(len(placements)),
+		systems:  make([]*System, 0, len(placements)),
+		payloads: make([][]byte, len(placements)),
 	}
 	for i, p := range placements {
-		if _, dup := f.systems[p.Addr]; dup {
-			return nil, fmt.Errorf("core: duplicate node address %d", p.Addr)
-		}
 		cfg := base
 		cfg.NodeAddr = p.Addr
 		cfg.Range = p.Range
@@ -67,7 +67,7 @@ func NewFleet(base SystemConfig, placements []NodePlacement, policy mac.PollPoli
 		cfg.Seed = base.Seed + int64(i+1)*1009
 		// Give each node its own design instance when the design supports
 		// it: element-fault injection mutates the design's array, so a
-		// shared instance would race under concurrent waves (and bleed one
+		// shared instance would race under concurrent polls (and bleed one
 		// node's dead elements into a neighbour's cached gain even
 		// serially).
 		if cd, ok := base.Design.(CloneableDesign); ok {
@@ -77,58 +77,74 @@ func NewFleet(base SystemConfig, placements []NodePlacement, policy mac.PollPoli
 		if err != nil {
 			return nil, fmt.Errorf("core: node %d: %w", p.Addr, err)
 		}
-		f.systems[p.Addr] = s
-		f.order = append(f.order, p.Addr)
-		f.sched.AddNode(p.Addr)
+		f.systems = append(f.systems, s)
 	}
-	// Reports and readings are assembled in ascending address order — the
-	// determinism contract's fixed output order — regardless of how the
-	// placements were listed.
-	sort.Slice(f.order, func(i, j int) bool { return f.order[i] < f.order[j] })
+	// Node indices follow ascending address — the determinism contract's
+	// fixed output order — regardless of how the placements were listed.
+	slices.SortFunc(f.systems, func(a, b *System) int { return cmp.Compare(a.cfg.NodeAddr, b.cfg.NodeAddr) })
+	for i, s := range f.systems {
+		f.cols.Addr[i] = s.cfg.NodeAddr
+		if i > 0 && f.cols.Addr[i-1] == s.cfg.NodeAddr {
+			return nil, fmt.Errorf("core: duplicate node address %d", s.cfg.NodeAddr)
+		}
+	}
+	var err error
+	f.sched, err = mac.NewScheduler(fleetBackend{f}, f.cols, 1, policy)
+	if err != nil {
+		return nil, err
+	}
 	return f, nil
 }
 
-// SetWorkers bounds the concurrent poll pool RunCycle fans each wave
-// over: n <= 0 selects runtime.NumCPU(), 1 (the default) polls serially.
-// Seeded cycle output is bit-identical at any width — only wall clock
-// changes, from O(nodes) rounds per cycle to O(nodes/workers).
+// SetWorkers bounds the concurrent poll pool RunCycle fans each cycle's
+// polls over: n <= 0 selects runtime.NumCPU(), 1 (the default) polls
+// serially. Seeded cycle output is bit-identical at any width — only wall
+// clock changes, from O(nodes) rounds per cycle to O(nodes/workers).
 func (f *Fleet) SetWorkers(n int) { f.sched.SetWorkers(n) }
 
-// fleetTrx adapts the per-node systems to the MAC scheduler: concurrent
-// polls are safe because every poll touches only its own node's System
-// (plus the fleet's atomic accumulators).
-type fleetTrx struct{ f *Fleet }
+// Close releases the persistent poll pool a parallel cycle starts. The
+// fleet remains usable, so Close is safe to defer as soon as it is built.
+func (f *Fleet) Close() { f.sched.Close() }
 
-// Poll implements mac.Transceiver: the scheduler snapshots the rate
-// controller's command once per wave and the worker that owns the polled
-// system applies it here — rate stepdown actuation without any shared
-// read of the controller from inside a wave.
-func (t fleetTrx) Poll(addr byte, chipRate float64) (mac.RoundResult, error) {
-	s, ok := t.f.systems[addr]
-	if !ok {
-		return mac.RoundResult{}, fmt.Errorf("core: unknown node %d", addr)
-	}
-	if chipRate > 0 && chipRate != s.ChipRate() {
-		if err := s.SetChipRate(chipRate); err != nil {
-			return mac.RoundResult{}, err
-		}
-	}
-	return t.poll(s)
+// fleetBackend adapts the per-node systems to the MAC scheduler:
+// concurrent draws are safe because every poll touches only its own node's
+// System and payload slot.
+type fleetBackend struct{ f *Fleet }
+
+// BeginCycle records the cycle's rate command for the workers.
+func (b fleetBackend) BeginCycle(_ int, chipRate float64, _ mac.Schedule) error {
+	b.f.chipRate = chipRate
+	return nil
 }
 
-// poll runs one waveform round against a node system and maps the result
-// into MAC terms.
-func (t fleetTrx) poll(s *System) (mac.RoundResult, error) {
-	rep, err := s.Poll()
-	if err != nil {
-		return mac.RoundResult{}, err
+// Draw runs each poll's waveform rounds, up to its attempt budget, in the
+// worker that owns the node. The worker applies the cycle's rate command
+// to its system first, so every attempt runs at the snapshot and no poll
+// reads the controller.
+func (b fleetBackend) Draw(polls []mac.Poll, out []mac.Outcome) error {
+	f := b.f
+	for k, p := range polls {
+		s := f.systems[p.Node]
+		if f.chipRate > 0 && f.chipRate != s.ChipRate() {
+			if err := s.SetChipRate(f.chipRate); err != nil {
+				return fmt.Errorf("core: node %d: %w", s.cfg.NodeAddr, err)
+			}
+		}
+		var o mac.Outcome
+		for o.Attempts < p.Attempts && !o.Delivered {
+			rep, err := s.Poll()
+			if err != nil {
+				return fmt.Errorf("core: node %d: %w", s.cfg.NodeAddr, err)
+			}
+			o.Attempts++
+			if rep.Rx.OK() {
+				o.Delivered, o.SNRdB, o.Corrected = true, rep.SNRdB(), int32(rep.Rx.Corrected)
+				f.payloads[p.Node] = rep.Rx.Frame.Payload
+			}
+		}
+		out[k] = o
 	}
-	if !rep.Rx.OK() {
-		return mac.RoundResult{}, nil
-	}
-	t.f.frames.Add(1)
-	t.f.corrected.Add(int64(rep.Rx.Corrected))
-	return mac.RoundResult{OK: true, Payload: rep.Rx.Frame.Payload, SNRdB: rep.SNRdB()}, nil
+	return nil
 }
 
 // Instrument wires telemetry through every layer the fleet owns: the MAC
@@ -140,8 +156,8 @@ func (f *Fleet) Instrument(reg *telemetry.Registry) {
 		return
 	}
 	f.sched.Instrument(reg)
-	for _, addr := range f.order {
-		f.systems[addr].Instrument(reg)
+	for _, s := range f.systems {
+		s.Instrument(reg)
 	}
 }
 
@@ -150,8 +166,8 @@ func (f *Fleet) Instrument(reg *telemetry.Registry) {
 // Plan is a pure function of the round index, so sharing is safe and keeps
 // the whole fleet on one scenario clock.
 func (f *Fleet) SetFaultEngine(e *faults.Engine) {
-	for _, addr := range f.order {
-		f.systems[addr].SetFaultEngine(e)
+	for _, s := range f.systems {
+		s.SetFaultEngine(e)
 	}
 }
 
@@ -167,14 +183,14 @@ func (f *Fleet) EnableRateAdaptation(rc *mac.RateController) {
 // corrections inside them — corrected/frames tracks how close delivered
 // traffic sat to the FEC cliff.
 func (f *Fleet) LinkQuality() (frames, corrected int64) {
-	return f.frames.Load(), f.corrected.Load()
+	return f.frames, f.corrected
 }
 
 // Deploy charges every node for the given duration (the pre-campaign
 // soak).
 func (f *Fleet) Deploy(seconds float64) {
-	for _, addr := range f.order {
-		f.systems[addr].WakeNode(seconds)
+	for _, s := range f.systems {
+		s.WakeNode(seconds)
 	}
 }
 
@@ -191,37 +207,46 @@ type FleetReading struct {
 // every reading its frame carried, oldest first, so one delivered frame
 // can yield several FleetReadings.
 func (f *Fleet) RunCycle() ([]FleetReading, mac.CycleReport, error) {
+	clear(f.payloads)
 	rep, err := f.sched.RunCycle()
 	if err != nil {
 		return nil, rep, err
 	}
-	// One address→SNR pass up front: rescanning sched.Nodes() per
-	// delivered payload made reading assembly O(N²) in fleet size.
-	snr := make(map[byte]float64, len(f.order))
-	for _, st := range f.sched.Nodes() {
-		snr[st.Addr] = st.LastSNRdB
-	}
-	out := make([]FleetReading, 0, len(rep.Payloads))
+	f.frames += int64(rep.Delivered)
+	f.corrected += int64(rep.Corrected)
+	out := make([]FleetReading, 0, rep.Delivered)
 	var scratch []node.Reading
-	for _, addr := range f.order {
-		payload, ok := rep.Payloads[addr]
-		if !ok {
+	for i, payload := range f.payloads {
+		if payload == nil {
 			continue
 		}
+		var ok bool
 		scratch, ok = node.AppendDecodedReadings(scratch[:0], payload)
 		if !ok {
 			continue
 		}
 		for _, rd := range scratch {
-			out = append(out, FleetReading{Addr: addr, Reading: rd, SNRdB: snr[addr]})
+			out = append(out, FleetReading{Addr: f.cols.Addr[i], Reading: rd, SNRdB: f.cols.LastSNRdB[i]})
 		}
 	}
 	return out, rep, nil
 }
 
-// Nodes returns the MAC-layer bookkeeping per node.
-func (f *Fleet) Nodes() []mac.NodeState { return f.sched.Nodes() }
+// Nodes returns the MAC-layer bookkeeping per node, in ascending address
+// order.
+func (f *Fleet) Nodes() []mac.NodeState {
+	out := make([]mac.NodeState, f.cols.Len())
+	for i := range out {
+		out[i] = f.cols.State(i)
+	}
+	return out
+}
 
 // System returns the per-node system (nil for unknown addresses), for
 // advanced access such as ranging rounds or commands.
-func (f *Fleet) System(addr byte) *System { return f.systems[addr] }
+func (f *Fleet) System(addr byte) *System {
+	if i, ok := slices.BinarySearch(f.cols.Addr, addr); ok {
+		return f.systems[i]
+	}
+	return nil
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"testing"
 
@@ -14,7 +13,7 @@ import (
 
 // chaosFleet16 builds the determinism fixture: a 16-node river fleet with
 // the full recovery stack (probation, rate adaptation) and a chaos fault
-// engine — every subsystem whose ordering the wave scheduler could
+// engine — every subsystem whose ordering a parallel cycle could
 // plausibly perturb.
 func chaosFleet16(t *testing.T, workers int) *Fleet {
 	t.Helper()
@@ -71,8 +70,8 @@ func mustScenario(t *testing.T, spec string, seed int64) faults.Scenario {
 func hexF(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 
 // cycleSignature runs cycles polling cycles and serializes everything a
-// caller can observe: readings, reports (payloads in sorted order), final
-// node states and the link-quality accumulators.
+// caller can observe: readings, reports, each cycle's delivered payloads
+// in address order, final node states and the link-quality accumulators.
 func cycleSignature(t *testing.T, f *Fleet, cycles int) string {
 	t.Helper()
 	var b strings.Builder
@@ -83,13 +82,10 @@ func cycleSignature(t *testing.T, f *Fleet, cycles int) string {
 		}
 		fmt.Fprintf(&b, "cycle %d: polled=%d delivered=%d retries=%d probes=%d\n",
 			c, rep.Polled, rep.Delivered, rep.Retries, rep.Probes)
-		addrs := make([]byte, 0, len(rep.Payloads))
-		for a := range rep.Payloads {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		for _, a := range addrs {
-			fmt.Fprintf(&b, "  payload %d: %x\n", a, rep.Payloads[a])
+		for i, p := range f.payloads {
+			if p != nil {
+				fmt.Fprintf(&b, "  payload %d: %x\n", f.cols.Addr[i], p)
+			}
 		}
 		for _, r := range readings {
 			fmt.Fprintf(&b, "  reading %d: count=%d temp=%s pressure=%s snr=%s\n",
@@ -108,7 +104,7 @@ func cycleSignature(t *testing.T, f *Fleet, cycles int) string {
 }
 
 // TestFleetCycleDeterministicAcrossWorkers is the fleet-level determinism
-// contract (and, under -race, the data-race proof for concurrent waves):
+// contract (and, under -race, the data-race proof for concurrent polls):
 // seeded 16-node cycles with a fault engine attached and rate adaptation
 // enabled produce byte-identical reports and readings at workers 1 and 8.
 func TestFleetCycleDeterministicAcrossWorkers(t *testing.T) {
@@ -125,9 +121,9 @@ func TestFleetCycleDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestFleetCycleSteadyStateAllocs pins the per-cycle allocation budget so
-// the wave refactor (and future changes) cannot quietly re-grow it. The
-// bound covers the whole cycle: wave assembly, three waveform rounds, MAC
-// bookkeeping and reading decode.
+// future changes cannot quietly re-grow it. The bound covers the whole
+// cycle: scheduling, three waveform rounds, MAC bookkeeping and reading
+// decode.
 func TestFleetCycleSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool (dsp scratch) drops items under the race detector")

@@ -44,11 +44,11 @@ func TestPackedFleetDeliversBatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames += len(rep.Payloads)
+		frames += rep.Delivered
 		// Delivered frames must expand to exactly batch readings each.
-		if len(readings) != batch*len(rep.Payloads) {
+		if len(readings) != batch*rep.Delivered {
 			t.Fatalf("cycle %d: %d readings from %d frames, want %d per frame",
-				cycle, len(readings), len(rep.Payloads), batch)
+				cycle, len(readings), rep.Delivered, batch)
 		}
 		for _, r := range readings {
 			perNode[r.Addr]++

@@ -67,6 +67,7 @@ func runChaosCell(sc faults.Scenario, intensity float64, recovery bool,
 	if err != nil {
 		return cell, err
 	}
+	defer fleet.Close()
 	if recovery {
 		rc, err := mac.NewRateController([]float64{125, 250, 500}, 12)
 		if err != nil {

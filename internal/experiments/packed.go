@@ -64,6 +64,7 @@ func runE13Cell(batch, cycles int, seed int64, workers int) (e13Cell, error) {
 	if err != nil {
 		return cell, err
 	}
+	defer fleet.Close()
 	fleet.SetWorkers(workers)
 	fleet.Deploy(3600)
 

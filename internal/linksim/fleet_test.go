@@ -163,7 +163,7 @@ func TestFleetTranscriptGolden(t *testing.T) {
 
 // hardTable builds a table whose delivery is exactly 0 or 1 by range —
 // 50 m always delivers, 200 m never does — turning the statistical model
-// into a deterministic oracle the mac.Scheduler can be replayed against.
+// into a deterministic oracle.
 func hardTable() *Table {
 	mk := func(p float64) Cell {
 		return Cell{PDeliver: p, SNRMeanDB: 15, SNRStdDB: 1, CorrMean: 0, DelayMs: 50}
@@ -182,82 +182,6 @@ func hardTable() *Table {
 		LogisticK:     0.5,
 		LogisticSNR50: 10,
 		Cells:         []Cell{mk(1), mk(0)},
-	}
-}
-
-// scriptTrx makes the waveform scheduler reproduce the hard table's
-// channel: addresses in the ok set always deliver, the rest always fail.
-type scriptTrx struct{ ok map[byte]bool }
-
-func (s scriptTrx) Poll(addr byte, _ float64) (mac.RoundResult, error) {
-	if s.ok[addr] {
-		return mac.RoundResult{OK: true, SNRdB: 15, Payload: []byte{addr}}, nil
-	}
-	return mac.RoundResult{}, nil
-}
-
-// TestFleetMatchesMacScheduler replays the same deterministic channel
-// through the abstract fleet and through a real mac.Scheduler and checks
-// the MAC-semantic state — polls, successes, retries, silent cycles,
-// health, quarantine trajectory, drops — matches field-for-field every
-// cycle. This is the "reuses the mac decision phase" guarantee: identical
-// outcomes must produce identical decisions.
-func TestFleetMatchesMacScheduler(t *testing.T) {
-	policy := probationPolicy()
-	placements := []Placement{
-		{RangeM: 50}, {RangeM: 200}, {RangeM: 50}, {RangeM: 200}, {RangeM: 50}, {RangeM: 200},
-	}
-	fleet, err := NewFleet(Config{
-		Placements: placements,
-		Policy:     policy,
-		Table:      hardTable(),
-		Seed:       5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sched, err := mac.NewScheduler(scriptTrx{ok: map[byte]bool{1: true, 3: true, 5: true}}, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for addr := byte(1); addr <= 6; addr++ {
-		sched.AddNode(addr)
-	}
-
-	const cycles = 16
-	for c := 0; c < cycles; c++ {
-		frep, err := fleet.RunCycle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		srep, err := sched.RunCycle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if frep.Polled != srep.Polled || frep.Delivered != srep.Delivered ||
-			frep.Retries != srep.Retries || frep.Probes != srep.Probes {
-			t.Fatalf("cycle %d: report mismatch: fleet {p%d d%d r%d pr%d} vs sched {p%d d%d r%d pr%d}",
-				c, frep.Polled, frep.Delivered, frep.Retries, frep.Probes,
-				srep.Polled, srep.Delivered, srep.Retries, srep.Probes)
-		}
-		want := sched.Nodes() // ascending address = ascending node index here
-		for i := range placements {
-			got, w := fleet.NodeState(i), want[i]
-			if got.Polls != w.Polls || got.Successes != w.Successes ||
-				got.Retries != w.Retries || got.SilentCycles != w.SilentCycles ||
-				got.Health != w.Health || got.Quarantined != w.Quarantined ||
-				got.QuarantineEntries != w.QuarantineEntries || got.Dropped != w.Dropped {
-				t.Fatalf("cycle %d node %d: state diverged:\nabstract: %+v\nwaveform: %+v", c, i, got, w)
-			}
-		}
-	}
-	// The trajectory must have exercised the interesting transitions.
-	if st := fleet.NodeState(1); st.QuarantineEntries == 0 {
-		t.Fatal("failing node never quarantined — the parity test lost its teeth")
-	}
-	if st := fleet.NodeState(0); st.Successes != cycles {
-		t.Fatalf("delivering node succeeded %d/%d cycles", fleet.NodeState(0).Successes, cycles)
 	}
 }
 
@@ -290,6 +214,52 @@ func TestFleetEventDrivenProbeCalendar(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("cycle %d: polled/probes %+v, want %+v (full: %+v)", i, got[i], want[i], got)
 		}
+	}
+}
+
+// TestFleetProbeBeyondWheelHorizon drives the overflow path end-to-end: a
+// policy whose re-probe backoff (1500 cycles, cap 2048) exceeds the
+// probe wheel's 1024-bucket ceiling quarantines a dead node, and the
+// re-probe fires exactly 1500 cycles later via the overflow list — no
+// probe sooner — and the failed probe's next one 2048 cycles after that,
+// so nothing is lost.
+func TestFleetProbeBeyondWheelHorizon(t *testing.T) {
+	policy := mac.PollPolicy{
+		MaxRetries: 0, DropAfter: 2,
+		Probation: true, ProbeBackoffBase: 1500, ProbeBackoffMax: 2048,
+	}
+	fleet, err := NewFleet(Config{
+		Placements: []Placement{{RangeM: 50}, {RangeM: 200}},
+		Policy:     policy,
+		Table:      hardTable(),
+		Seed:       11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 1 (200 m, never delivers) fails cycles 0 and 1, quarantines at
+	// cycle 1, probe due at 1+1500; that probe fails, the next is due
+	// 2048 cycles later.
+	const quarantineCycle = 1
+	probeCycle := quarantineCycle + 1500
+	for c := 0; c <= probeCycle+2048; c++ {
+		rep, err := fleet.RunCycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantProbes := 0
+		if c == probeCycle || c == probeCycle+2048 {
+			wantProbes = 1
+		}
+		if rep.Probes != wantProbes {
+			t.Fatalf("cycle %d: probes %d, want %d", c, rep.Probes, wantProbes)
+		}
+		if c > quarantineCycle && wantProbes == 0 && rep.Polled != 1 {
+			t.Fatalf("cycle %d: polled %d while node 1 awaits its far probe, want 1", c, rep.Polled)
+		}
+	}
+	if st := fleet.NodeState(1); !st.Quarantined || st.Polls != 4 {
+		t.Fatalf("node 1 state %+v, want quarantined after 2 polls and 2 probes", st)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"vab/internal/core"
+	"vab/internal/mac"
 	"vab/internal/telemetry"
 )
 
@@ -86,16 +87,16 @@ func (h *heroChecker) instrument(reg *telemetry.Registry) {
 // of positions in the cycle's schedule with rejection on duplicates — a
 // pure function of (fleet seed, cycle) and the schedule, independent of
 // worker count. It reads the schedule in place, so it runs before the
-// execution phase compacts the live list. The picks are valid until the
+// scheduler's blocks compact the live list. The picks are valid until the
 // next pick.
-func (h *heroChecker) pick(f *Fleet, cycle int) []int32 {
-	n := len(f.live) + len(f.due)
+func (h *heroChecker) pick(f *Fleet, sched mac.Schedule, cycle int) []int32 {
+	n := sched.Len()
 	want := min(f.cfg.HeroLinks, n)
 	const heroDomain = 0x4865726f // hero draws, distinct from poll/placement streams
 	st := newStream(mix(f.seedBase, heroDomain, uint64(cycle)))
 	h.picked = h.picked[:0]
 	for tries := 0; len(h.picked) < want && tries < 16*want; tries++ {
-		node, probe := f.scheduled(int(st.next() % uint64(n)))
+		node, probe := sched.At(int(st.next() % uint64(n)))
 		if probe || slices.Contains(h.picked, node) {
 			continue // probes are single-attempt oddballs; compare regular polls
 		}

@@ -90,16 +90,16 @@ func TestHeroPickDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The schedule: every fourth node a due probe, the rest live.
-	fleet.live, fleet.due = fleet.live[:0], nil
+	var sched mac.Schedule
 	for i := int32(0); i < 32; i++ {
 		if i%4 == 0 {
-			fleet.due = append(fleet.due, i)
+			sched.Due = append(sched.Due, i)
 		} else {
-			fleet.live = append(fleet.live, i)
+			sched.Live = append(sched.Live, i)
 		}
 	}
-	a := slices.Clone(fleet.hero.pick(fleet, 5))
-	b := fleet.hero.pick(fleet, 5)
+	a := slices.Clone(fleet.hero.pick(fleet, sched, 5))
+	b := fleet.hero.pick(fleet, sched, 5)
 	if len(a) != 3 {
 		t.Fatalf("picked %d links, want 3", len(a))
 	}
@@ -111,7 +111,7 @@ func TestHeroPickDeterministic(t *testing.T) {
 			t.Fatalf("picked a probe item: %v", a)
 		}
 	}
-	c := fleet.hero.pick(fleet, 6)
+	c := fleet.hero.pick(fleet, sched, 6)
 	same := len(c) == len(a)
 	if same {
 		for i := range a {

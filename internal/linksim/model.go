@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"vab/internal/faults"
+	"vab/internal/mac"
 )
 
 // Deterministic draw machinery. Every poll outcome is a pure function of
@@ -140,19 +141,10 @@ func (d *drawStream) poissonExp(lambda, expNeg float64) int {
 	}
 }
 
-// outcome is one poll's drawn result (the abstract tier's RoundResult).
-type outcome struct {
-	delivered bool
-	attempts  uint8 // attempts consumed (1 = first poll delivered)
-	snrDB     float64
-	corrected uint16
-	delayMs   float64
-}
-
 // cycleModel snapshots everything a cycle's draws depend on: the per-cycle
 // fault severity, the rate-controller command translated into an SNR
 // delta, and the resolved calibration slice. Built once per cycle on the
-// caller's goroutine, then read-only across the execution shards.
+// caller's goroutine, then read-only across the scheduler's blocks.
 type cycleModel struct {
 	table    *Table
 	env      int
@@ -210,27 +202,27 @@ func seedPoll(head uint64, node int32, cycle int, probe bool) pollSeed {
 // The outcome goes through a pointer because it is too wide for
 // registers: returned by value, it is built field by field on the stack
 // and then copied in wider moves, which stall on store forwarding.
-func (m *cycleModel) pollCell(s *pollSeed, maxAttempts int, cell *Cell, expNegCorr float64, out *outcome) {
-	*out = outcome{}
+func (m *cycleModel) pollCell(s *pollSeed, maxAttempts int, cell *Cell, expNegCorr float64, out *mac.Outcome) {
+	*out = mac.Outcome{}
 	st, u := s.st, s.u
 	for a := 0; a < maxAttempts; a++ {
 		if a > 0 {
 			st = newStream(faults.SplitMix64(s.prefix ^ uint64(a)))
 			u = st.f64()
 		}
-		out.attempts = uint8(a + 1)
+		out.Attempts = int32(a + 1)
 		if u >= cell.PDeliver {
 			continue // this attempt timed out
 		}
-		out.delivered = true
-		out.snrDB = cell.SNRMeanDB + cell.SNRStdDB*st.norm() + m.snrDelta
-		out.corrected = uint16(st.poissonExp(cell.CorrMean, expNegCorr))
+		out.Delivered = true
+		out.SNRdB = cell.SNRMeanDB + cell.SNRStdDB*st.norm() + m.snrDelta
+		out.Corrected = int32(st.poissonExp(cell.CorrMean, expNegCorr))
 		// Delay: propagation plus a small sway-scale jitter (±0.1 ms RMS).
 		d := cell.DelayMs + 0.1*st.norm()
 		if d < 0 {
 			d = 0
 		}
-		out.delayMs = d
+		out.DelayMs = d
 		return
 	}
 }

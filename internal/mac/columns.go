@@ -4,14 +4,10 @@ package mac
 //
 // RunCycle folds poll outcomes into per-node bookkeeping — health EWMA,
 // silent-cycle counting, probation entry/exit with backed-off re-probes,
-// permanent drops. Those transitions are the MAC layer's *semantics*; the
-// waveform transceiver underneath is incidental. The link-abstraction tier
-// (internal/linksim) runs the same polling protocol over a statistical
-// channel model at 10⁵–10⁶ nodes and must make exactly the decisions a
-// waveform fleet would make for the same outcome sequence. Rather than
-// fork the policy, the transitions live here once, over NodeColumns, and
-// both schedulers call them: Scheduler indexes the columns by node address
-// (256 entries), the abstract tier by fleet node index.
+// permanent drops. Those transitions are the MAC layer's *semantics*,
+// whichever Backend produced the outcome, so they live here once, over
+// NodeColumns indexed by dense node index. They are exported because
+// reports and the benchmark ladder read and drive them directly.
 //
 // The columns are struct-of-arrays because of the abstract tier's scale:
 // folding through one ~100-byte struct per node would drag two cache lines
@@ -20,8 +16,6 @@ package mac
 // count, liveness flags, probe schedule) and the *cold* columns only
 // reports materialize (cumulative counters, last SNR, quarantine
 // provenance). State materializes one node as a NodeState for reports.
-// The link-abstraction tier's TestFleetMatchesMacScheduler pins the two
-// schedulers against each other end to end.
 //
 // Counters are int32: a single node would need 2³¹ polls to overflow —
 // about 68 years of one-second cycles — while the narrower columns keep a

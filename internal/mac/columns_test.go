@@ -1,58 +1,25 @@
 package mac
 
-import (
-	"testing"
-)
-
-// scriptTrx replays a fixed per-address outcome schedule: outcomes[addr][i]
-// is the result of the i-th poll of addr (false = timeout). Exhausted
-// scripts keep returning the last entry.
-type scriptTrx struct {
-	outcomes map[byte][]bool
-	calls    map[byte]int
-}
-
-func (t *scriptTrx) Poll(addr byte, _ float64) (RoundResult, error) {
-	sc := t.outcomes[addr]
-	i := t.calls[addr]
-	t.calls[addr]++
-	ok := false
-	if len(sc) > 0 {
-		if i >= len(sc) {
-			i = len(sc) - 1
-		}
-		ok = sc[i]
-	}
-	if !ok {
-		return RoundResult{}, nil
-	}
-	return RoundResult{OK: true, Payload: []byte{addr}, SNRdB: 12}, nil
-}
+import "testing"
 
 // TestFoldPrimitivesMatchScheduler drives a Scheduler through a
 // quarantine/restore trajectory and replays the same outcome sequence
 // through the exported column fold directly; the two node-state evolutions
-// must agree field for field, probe schedule included. This is the
-// contract the link-abstraction tier relies on: calling the column fold IS
-// running the MAC decision phase.
+// must agree field for field, probe schedule included: the scheduler's
+// fold IS the column fold, whichever backend drew the outcomes.
 func TestFoldPrimitivesMatchScheduler(t *testing.T) {
 	policy := PollPolicy{
 		MaxRetries: 0, DropAfter: 2,
 		Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 8,
 	}
-	// Node 7: delivers twice, goes silent for 4 polls (2 cycles → quarantine,
+	// The node delivers twice, goes silent for 4 polls (2 cycles → quarantine,
 	// then probes fail twice), then answers its next probe and stays up.
 	script := []bool{true, true, false, false, false, false, true, true, true, true}
-	trx := &scriptTrx{outcomes: map[byte][]bool{7: script}, calls: map[byte]int{}}
-	sched, err := NewScheduler(trx, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.AddNode(7)
+	sched, b := newScripted(t, 1, policy)
+	b.tapes[0] = script
 
 	// Shadow state evolved through the column fold only.
 	shadow := NewNodeColumns(1)
-	shadow.Addr[0] = 7
 	si := 0 // script cursor for the shadow run
 
 	const cycles = 20
@@ -80,10 +47,10 @@ func TestFoldPrimitivesMatchScheduler(t *testing.T) {
 			}
 		}
 
-		if got, want := sched.Nodes()[0], shadow.State(0); got != want {
+		if got, want := sched.cols.State(0), shadow.State(0); got != want {
 			t.Fatalf("cycle %d: scheduler state %+v != column-fold state %+v", c, got, want)
 		}
-		if got, want := sched.cols.NextProbeAt(7), shadow.NextProbeAt(0); got != want {
+		if got, want := sched.cols.NextProbeAt(0), shadow.NextProbeAt(0); got != want {
 			t.Fatalf("cycle %d: scheduler next probe %d != column-fold %d", c, got, want)
 		}
 	}

@@ -7,27 +7,30 @@ import (
 	"vab/internal/mac"
 )
 
-// staticTrx answers queries deterministically: nodes 1 and 2 are healthy,
-// node 3 is out of range.
-type staticTrx struct{}
+// staticBackend answers polls deterministically: nodes 0 and 1 are
+// healthy, node 2 is out of range.
+type staticBackend struct{}
 
-func (staticTrx) Poll(addr byte, _ float64) (mac.RoundResult, error) {
-	if addr == 3 {
-		return mac.RoundResult{}, nil
+func (staticBackend) BeginCycle(int, float64, mac.Schedule) error { return nil }
+
+func (staticBackend) Draw(polls []mac.Poll, out []mac.Outcome) error {
+	for k, p := range polls {
+		if p.Node == 2 {
+			out[k] = mac.Outcome{Attempts: p.Attempts} // every attempt timed out
+			continue
+		}
+		out[k] = mac.Outcome{Attempts: 1, Delivered: true, SNRdB: 15}
 	}
-	return mac.RoundResult{OK: true, Payload: []byte{addr}, SNRdB: 15}, nil
+	return nil
 }
 
 // Example runs one polling cycle over a three-node deployment: the
 // reader-initiated MAC retries the silent node and reports per-node
 // delivery.
 func Example() {
-	sched, err := mac.NewScheduler(staticTrx{}, mac.DefaultPollPolicy())
+	sched, err := mac.NewScheduler(staticBackend{}, mac.NewNodeColumns(3), 1, mac.DefaultPollPolicy())
 	if err != nil {
 		panic(err)
-	}
-	for _, a := range []byte{1, 2, 3} {
-		sched.AddNode(a)
 	}
 	rep, err := sched.RunCycle()
 	if err != nil {

@@ -6,32 +6,12 @@ import (
 	"vab/internal/telemetry"
 )
 
-// flakyTrx fails every poll until attempt n, then succeeds.
-type flakyTrx struct {
-	calls     int
-	failUntil int
-}
-
-func (f *flakyTrx) Poll(addr byte, _ float64) (RoundResult, error) {
-	f.calls++
-	if f.calls <= f.failUntil {
-		return RoundResult{}, nil
-	}
-	return RoundResult{OK: true, Payload: []byte{addr}, SNRdB: 12}, nil
-}
-
 func TestSchedulerMetrics(t *testing.T) {
-	trx := &flakyTrx{failUntil: 2}
-	s, err := NewScheduler(trx, PollPolicy{MaxRetries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, b := newScripted(t, 1, PollPolicy{MaxRetries: 2})
+	b.tapes[0] = []bool{false, false, true}
 	reg := telemetry.NewRegistry()
 	s.Instrument(reg)
-	s.AddNode(1)
-	if _, err := s.RunCycle(); err != nil {
-		t.Fatal(err)
-	}
+	runCycles(t, s, 1)
 	got := map[string]float64{}
 	for _, snap := range reg.Snapshot() {
 		got[snap.Name] = snap.Value
@@ -51,19 +31,10 @@ func TestSchedulerMetrics(t *testing.T) {
 }
 
 func TestSchedulerDropMetric(t *testing.T) {
-	trx := &flakyTrx{failUntil: 1 << 30} // never succeeds
-	s, err := NewScheduler(trx, PollPolicy{MaxRetries: 0, DropAfter: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := newScripted(t, 1, PollPolicy{MaxRetries: 0, DropAfter: 2}) // never succeeds
 	reg := telemetry.NewRegistry()
 	s.Instrument(reg)
-	s.AddNode(1)
-	for i := 0; i < 3; i++ {
-		if _, err := s.RunCycle(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	runCycles(t, s, 3)
 	got := map[string]float64{}
 	for _, snap := range reg.Snapshot() {
 		got[snap.Name] = snap.Value
@@ -104,14 +75,8 @@ func TestRateControllerMetrics(t *testing.T) {
 // TestUninstrumentedSchedulerIsNoop pins the default-off contract at the
 // MAC layer.
 func TestUninstrumentedSchedulerIsNoop(t *testing.T) {
-	trx := &flakyTrx{}
-	s, err := NewScheduler(trx, DefaultPollPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, b := newScripted(t, 1, DefaultPollPolicy())
+	b.tapes[0] = []bool{true}
 	s.Instrument(nil) // explicit nil must stay noop
-	s.AddNode(9)
-	if _, err := s.RunCycle(); err != nil {
-		t.Fatal(err)
-	}
+	runCycles(t, s, 1)
 }

@@ -10,25 +10,16 @@ import (
 // single-attempt at exponentially backed-off intervals, and a successful
 // probe restores the node to the regular schedule.
 func TestProbationQuarantineAndRestore(t *testing.T) {
-	trx := newFakeTrx()
-	// Cycles 0-2 fail (→ quarantine), probe at cycle 4 fails (→ backoff
-	// doubles), probe at cycle 8 succeeds (→ restore).
-	trx.outcomes[7] = []bool{false, false, false, false, true}
-	s, err := NewScheduler(trx, PollPolicy{
+	s, b := newScripted(t, 1, PollPolicy{
 		MaxRetries: 0, DropAfter: 3,
 		Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 8,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AddNode(7)
+	// Cycles 0-2 fail (→ quarantine), probe at cycle 4 fails (→ backoff
+	// doubles), probe at cycle 8 succeeds (→ restore).
+	b.tapes[0] = []bool{false, false, false, false, true}
 
-	for i := 0; i < 3; i++ {
-		if _, err := s.RunCycle(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Nodes()[0]
+	runCycles(t, s, 3)
+	st := s.cols.State(0)
 	if !st.Quarantined || st.Dropped {
 		t.Fatalf("after %d silent cycles: quarantined=%v dropped=%v", 3, st.Quarantined, st.Dropped)
 	}
@@ -47,7 +38,7 @@ func TestProbationQuarantineAndRestore(t *testing.T) {
 	if rep.Probes != 1 || rep.Delivered != 0 {
 		t.Fatalf("cycle 4 report %+v, want one failed probe", rep)
 	}
-	if !s.Nodes()[0].Quarantined {
+	if !s.cols.Quarantined(0) {
 		t.Fatal("failed probe released the node")
 	}
 
@@ -60,15 +51,15 @@ func TestProbationQuarantineAndRestore(t *testing.T) {
 
 	// Cycle 8: probe succeeds → node restored and delivering.
 	rep, _ = s.RunCycle()
-	if rep.Probes != 1 || rep.Delivered != 1 {
+	if rep.Probes != 1 || rep.Delivered != 1 || rep.Restored != 1 {
 		t.Fatalf("cycle 8 report %+v, want a restoring probe", rep)
 	}
-	st = s.Nodes()[0]
+	st = s.cols.State(0)
 	if st.Quarantined || st.Dropped || st.SilentCycles != 0 {
 		t.Fatalf("restored state %+v", st)
 	}
-	if string(rep.Payloads[7]) != "\x07" {
-		t.Fatal("restoring probe dropped the payload")
+	if b.last[0] != 4 {
+		t.Fatal("restoring probe's delivery not the one folded")
 	}
 
 	// Back on the regular schedule.
@@ -78,21 +69,18 @@ func TestProbationQuarantineAndRestore(t *testing.T) {
 	}
 
 	// Airtime audit: 3 scheduled polls + 2 probes + 1 post-restore poll.
-	if trx.calls[7] != 6 {
-		t.Fatalf("transceiver saw %d polls, want 6", trx.calls[7])
+	if b.calls[0] != 6 {
+		t.Fatalf("backend drew %d polls, want 6", b.calls[0])
 	}
 }
 
 // TestProbationBackoffCap verifies the re-probe interval doubles and then
 // saturates at ProbeBackoffMax, never going unbounded and never busy-polling.
 func TestProbationBackoffCap(t *testing.T) {
-	trx := newFakeTrx()
-	trx.outcomes[4] = []bool{false} // permanently dead
-	s, _ := NewScheduler(trx, PollPolicy{
+	s, _ := newScripted(t, 1, PollPolicy{ // no tape: permanently dead
 		MaxRetries: 0, DropAfter: 1,
 		Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 4,
 	})
-	s.AddNode(4)
 
 	// Cycle 0 quarantines (interval 2, next probe at 2). Then probes land
 	// at 2 (→ interval 4), 6 (→ capped at 4), 10, 14, ...
@@ -107,7 +95,7 @@ func TestProbationBackoffCap(t *testing.T) {
 			t.Fatalf("cycle %d: probed=%v, want %v", cycle, probed, want[cycle])
 		}
 	}
-	if st := s.Nodes()[0]; !st.Quarantined || st.Dropped {
+	if st := s.cols.State(0); !st.Quarantined || st.Dropped {
 		t.Fatalf("dead node state %+v, want still quarantined", st)
 	}
 }
@@ -115,10 +103,8 @@ func TestProbationBackoffCap(t *testing.T) {
 // TestHealthEWMA checks the per-node health score tracks delivery with the
 // documented smoothing: failures bleed it toward 0, successes pull it back.
 func TestHealthEWMA(t *testing.T) {
-	trx := newFakeTrx()
-	trx.outcomes[2] = []bool{false, false, true}
-	s, _ := NewScheduler(trx, PollPolicy{MaxRetries: 0})
-	s.AddNode(2)
+	s, b := newScripted(t, 1, PollPolicy{MaxRetries: 0})
+	b.tapes[0] = []bool{false, false, true}
 
 	want := 1.0
 	for _, outcome := range []float64{0, 0, 1, 1} {
@@ -126,7 +112,7 @@ func TestHealthEWMA(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = (1-healthAlpha)*want + healthAlpha*outcome
-		if got := s.Nodes()[0].Health; math.Abs(got-want) > 1e-12 {
+		if got := s.cols.Health[0]; math.Abs(got-want) > 1e-12 {
 			t.Fatalf("health %.6f, want %.6f", got, want)
 		}
 	}
@@ -135,21 +121,15 @@ func TestHealthEWMA(t *testing.T) {
 // Without probation, the same silent streak removes the node for good —
 // the legacy one-way behavior the probation flag exists to replace.
 func TestProbationOffStillDrops(t *testing.T) {
-	trx := newFakeTrx()
-	trx.outcomes[9] = []bool{false, false, false, true} // recovers too late
-	s, _ := NewScheduler(trx, PollPolicy{MaxRetries: 0, DropAfter: 3})
-	s.AddNode(9)
-	for i := 0; i < 10; i++ {
-		if _, err := s.RunCycle(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Nodes()[0]
+	s, b := newScripted(t, 1, PollPolicy{MaxRetries: 0, DropAfter: 3})
+	b.tapes[0] = []bool{false, false, false, true} // recovers too late
+	runCycles(t, s, 10)
+	st := s.cols.State(0)
 	if !st.Dropped || st.Quarantined {
 		t.Fatalf("state %+v, want permanently dropped", st)
 	}
-	if trx.calls[9] != 3 {
-		t.Fatalf("dropped node polled %d times, want 3", trx.calls[9])
+	if b.calls[0] != 3 {
+		t.Fatalf("dropped node polled %d times, want 3", b.calls[0])
 	}
 }
 
@@ -158,6 +138,9 @@ func TestPollPolicyValidateProbation(t *testing.T) {
 		{ProbeBackoffBase: -1},
 		{ProbeBackoffMax: -2},
 		{ProbeBackoffBase: 8, ProbeBackoffMax: 4},
+		// A base past the default cap (16) would calendar the first
+		// re-probe beyond ProbeHorizon, and the backoff would then fall.
+		{DropAfter: 1, Probation: true, ProbeBackoffBase: 20},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

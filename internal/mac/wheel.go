@@ -1,6 +1,6 @@
-package linksim
+package mac
 
-// probeWheel is the fleet's probe calendar: cycle → quarantined nodes
+// probeWheel is the scheduler's probe calendar: cycle → quarantined nodes
 // whose re-probe is due then. The previous implementation was a
 // map[int][]int32 with a per-cycle sort.Slice — two allocations and a
 // closure-driven sort on every cycle that touched probation. The wheel

@@ -1,10 +1,6 @@
-package linksim
+package mac
 
-import (
-	"testing"
-
-	"vab/internal/mac"
-)
+import "testing"
 
 // TestProbeWheelBasics pins the wheel's scheduling semantics: ascending
 // take order regardless of insertion order, bucket recycling, past-due
@@ -95,57 +91,5 @@ func TestProbeWheelOverflow(t *testing.T) {
 	}
 	if got := w.pending(); got != 0 {
 		t.Fatalf("pending after overflow drain = %d, want 0", got)
-	}
-}
-
-// TestFleetProbeBeyondWheelHorizon drives the overflow path end-to-end: a
-// policy whose re-probe backoff (1500 cycles, cap 2048) exceeds the
-// wheel's 1024-bucket ceiling quarantines a dead node, and the re-probe
-// fires exactly 1500 cycles later via the overflow list — no probe
-// sooner, none lost.
-func TestFleetProbeBeyondWheelHorizon(t *testing.T) {
-	policy := mac.PollPolicy{
-		MaxRetries: 0, DropAfter: 2,
-		Probation: true, ProbeBackoffBase: 1500, ProbeBackoffMax: 2048,
-	}
-	fleet, err := NewFleet(Config{
-		Placements: []Placement{{RangeM: 50}, {RangeM: 200}},
-		Policy:     policy,
-		Table:      hardTable(),
-		Seed:       11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fleet.wheel.mask >= policy.ProbeHorizon() {
-		t.Fatalf("wheel span %d covers horizon %d — test no longer exercises overflow", fleet.wheel.mask, policy.ProbeHorizon())
-	}
-	// Node 1 (200 m, never delivers) fails cycles 0 and 1, quarantines at
-	// cycle 1, probe due at 1+1500.
-	const quarantineCycle = 1
-	probeCycle := quarantineCycle + 1500
-	for c := 0; c <= probeCycle; c++ {
-		rep, err := fleet.RunCycle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantProbes := 0
-		if c == probeCycle {
-			wantProbes = 1
-		}
-		if rep.Probes != wantProbes {
-			t.Fatalf("cycle %d: probes %d, want %d", c, rep.Probes, wantProbes)
-		}
-		if c > quarantineCycle && c < probeCycle && rep.Polled != 1 {
-			t.Fatalf("cycle %d: polled %d while node 1 awaits its far probe, want 1", c, rep.Polled)
-		}
-	}
-	// The failed probe doubles the interval to 2048 (in-wheel would alias;
-	// overflow holds it) — still pending, nothing lost.
-	if got := fleet.wheel.pending(); got != 1 {
-		t.Fatalf("pending after failed far probe = %d, want 1", got)
-	}
-	if next := fleet.cols.NextProbeAt(1); next != probeCycle+2048 {
-		t.Fatalf("next probe at %d, want %d", next, probeCycle+2048)
 	}
 }
