@@ -1,7 +1,7 @@
 // Package linksim is the link-abstraction fidelity tier: a statistical
 // per-link model of the Van Atta backscatter channel, calibrated against
-// the waveform tier, and an event-driven cycle scheduler that runs
-// 10⁵–10⁶ abstract nodes per polling cycle on it.
+// the waveform tier, and the mac.Scheduler backend that runs 10⁵–10⁶
+// abstract nodes per polling cycle on it.
 //
 // The waveform tier (core.System/core.Fleet) is physics-exact but costs
 // milliseconds per node per round — city-scale deployments are out of
@@ -23,12 +23,11 @@
 //     regression, and a logistic SNR→delivery transfer is fitted across
 //     cells so chip-rate changes and severity shifts translate into
 //     principled probability adjustments.
-//   - Shared MAC semantics. The abstract scheduler does not reimplement
-//     the polling protocol: it folds outcomes through the same
-//     mac.NodeColumns transitions (FoldDeliveredAt, PollPolicy.FoldPollFailureAt,
-//     …) the waveform scheduler folds through, and feeds the same
-//     mac.RateController, so probation, health and rate stepdown behave
-//     identically by construction.
+//   - Shared MAC semantics. The tier does not reimplement the polling
+//     protocol: Fleet is a mac.Backend, as the waveform core.Fleet is, so
+//     one mac.Scheduler cycle — schedule, retries, the NodeColumns fold,
+//     the mac.RateController feed — runs both, and probation, health and
+//     rate stepdown behave identically by construction.
 //   - Hero links. Every cycle a configurable subset of links is promoted
 //     to full waveform fidelity and cross-checked against the model
 //     online; divergence counters and an SNR z-score histogram are

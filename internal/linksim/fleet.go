@@ -266,7 +266,7 @@ func (f *Fleet) RunCycle() (CycleReport, error) {
 		rep.CorrectedPerFrame = float64(rep.Corrected) / float64(rep.Delivered)
 	}
 	if f.hero != nil {
-		hr, err := f.hero.check(f, &f.model, rep.Cycle, f.hero.picked)
+		hr, err := f.hero.check(f, &f.model, rep.Cycle)
 		if err != nil {
 			return rep, err
 		}

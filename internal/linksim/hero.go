@@ -105,11 +105,11 @@ func (h *heroChecker) pick(f *Fleet, sched mac.Schedule, cycle int) []int32 {
 	return h.picked
 }
 
-// check runs the promoted links at waveform fidelity and scores them.
-func (h *heroChecker) check(f *Fleet, model *cycleModel, cycle int, picks []int32) (HeroReport, error) {
+// check runs the last pick's links at waveform fidelity and scores them.
+func (h *heroChecker) check(f *Fleet, model *cycleModel, cycle int) (HeroReport, error) {
 	rep := HeroReport{}
 	var absZSum float64
-	for _, node := range picks {
+	for _, node := range h.picked {
 		cell := model.table.Lookup(model.env, f.coords[node], model.severity)
 		p := model.table.ShiftDelivery(cell.PDeliver, model.snrDelta)
 

@@ -1,8 +1,8 @@
 // Package workpool runs batches of independent, index-addressed tasks on a
 // bounded worker pool. It is the one pool behind every deterministic batch
-// runner in the repo — Monte-Carlo cells, MAC poll waves, calibration
-// cells and experiment batches — so each of them gives the same output and
-// the same error at any worker count.
+// runner in the repo — Monte-Carlo cells, calibration cells, the
+// abstract tier's cell-cache population and experiment batches — so each
+// of them gives the same output and the same error at any worker count.
 package workpool
 
 import (

@@ -111,7 +111,7 @@ func TestRunLowestIndexError(t *testing.T) {
 
 // TestNoOtherIndexClaimLoops keeps this package the only index-claiming
 // worker pool: it fails if the claim idiom appears in any other non-test
-// Go file of the main module. linksim.Fleet's block pool hands out spans
+// Go file of the main module. mac.Scheduler's block pool hands out spans
 // over a channel and does not match.
 func TestNoOtherIndexClaimLoops(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
