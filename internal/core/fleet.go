@@ -121,9 +121,9 @@ func (b fleetBackend) BeginCycle(_ int, chipRate float64, _ mac.Schedule) error 
 // worker that owns the node. The worker applies the cycle's rate command
 // to its system first, so every attempt runs at the snapshot and no poll
 // reads the controller.
-func (b fleetBackend) Draw(polls []mac.Poll, out []mac.Outcome) error {
+func (b fleetBackend) Draw(c *mac.Chunk) error {
 	f := b.f
-	for k, p := range polls {
+	for _, p := range c.Polls {
 		s := f.systems[p.Node]
 		if f.chipRate > 0 && f.chipRate != s.ChipRate() {
 			if err := s.SetChipRate(f.chipRate); err != nil {
@@ -142,7 +142,7 @@ func (b fleetBackend) Draw(polls []mac.Poll, out []mac.Outcome) error {
 				f.payloads[p.Node] = rep.Rx.Frame.Payload
 			}
 		}
-		out[k] = o
+		c.Fold(&o)
 	}
 	return nil
 }

@@ -331,22 +331,25 @@ func (b backend) BeginCycle(cycle int, chipRate float64, sched mac.Schedule) err
 
 // Draw draws a chunk of polls in two passes: pass 1 computes every poll's
 // seed chain and first delivery uniform, independent across polls so the
-// chains pipeline; pass 2 finishes each draw from the node's cell.
-func (b backend) Draw(polls []mac.Poll, out []mac.Outcome) error {
+// chains pipeline; pass 2 finishes each draw from the node's cell and
+// folds it.
+func (b backend) Draw(c *mac.Chunk) error {
 	f := b.f
 	var seeds [mac.ChunkLen]pollSeed
-	for k, p := range polls {
+	for k, p := range c.Polls {
 		seeds[k] = seedPoll(f.seedHead, p.Node, f.cycle, p.Probe)
 	}
 	m := &f.model
-	for k, p := range polls {
+	var out mac.Outcome
+	for k, p := range c.Polls {
 		if f.cached {
 			cc := &f.cellCache[p.Node]
-			m.pollCell(&seeds[k], int(p.Attempts), &cc.cell, cc.expNegCorr, &out[k])
+			m.pollCell(&seeds[k], int(p.Attempts), &cc.cell, cc.expNegCorr, &out)
 		} else {
 			cell := m.resolve(f.coords[p.Node])
-			m.pollCell(&seeds[k], int(p.Attempts), &cell, 0, &out[k])
+			m.pollCell(&seeds[k], int(p.Attempts), &cell, 0, &out)
 		}
+		c.Fold(&out)
 	}
 	return nil
 }

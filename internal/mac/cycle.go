@@ -44,13 +44,33 @@ type Backend interface {
 	// at (0 when no controller is attached). sched is the cycle's
 	// schedule; it is read-only and valid only until the first Draw.
 	BeginCycle(cycle int, chipRate float64, sched Schedule) error
-	// Draw runs polls[k] into out[k], in order, for at most ChunkLen
-	// polls. Calls for disjoint polls run concurrently, and a node is
-	// never drawn twice in one cycle. Draw sets each outcome's Attempts
-	// to at least 1; on an error it stops at the failing poll, and the
-	// scheduler names that poll as the first whose Attempts is still 0.
-	Draw(polls []Poll, out []Outcome) error
+	// Draw draws c.Polls, at most ChunkLen of them, and hands each
+	// outcome to c.Fold as soon as the poll is drawn, in order. Calls
+	// for disjoint chunks run concurrently, and a node is never drawn
+	// twice in one cycle. On an error Draw returns at once; the scheduler
+	// names the poll it had reached.
+	Draw(c *Chunk) error
 }
+
+// Chunk is the polls of one Draw call and the fold their outcomes go to.
+// Folding each poll as soon as it is drawn, rather than a drawn chunk
+// afterwards, lets the fold's stores overlap the next draw's
+// latency-bound arithmetic: at 10⁶ abstract nodes the split form measured
+// about 8% slower per cycle.
+type Chunk struct {
+	Polls []Poll // in schedule order; read-only for the backend
+
+	s      *Scheduler
+	rec    *blockRecord
+	cycle  int
+	folded int // polls folded so far
+	kept   int // the block's next live-list slot
+	buf    [ChunkLen]Poll
+}
+
+// at returns the poll the chunk had reached: the one being drawn or
+// folded.
+func (c *Chunk) at() Poll { return c.Polls[min(c.folded, len(c.Polls)-1)] }
 
 // Schedule is one cycle's polls: the ascending merge of the live list and
 // the due-probe list, two disjoint ascending lists of node indices.
@@ -140,8 +160,12 @@ type blockRecord struct {
 	feed     []rateObs  // rate-controller feed (only with a controller)
 	err      error      // the block's first failure
 
-	chunk [ChunkLen]Poll    // the polls being drawn
-	out   [ChunkLen]Outcome // their outcomes; Attempts 0 = not drawn yet
+	chunk Chunk // the polls being drawn
+
+	// Keeps the next ring record's counts, which its worker writes every
+	// poll, off the cache lines holding this record's polls: sharing them
+	// cost about 10% of a pooled 10⁶-node cycle on a 2-vCPU host.
+	_ [128]byte
 }
 
 // reset clears the record for a new block, keeping its storage.
@@ -150,7 +174,6 @@ func (r *blockRecord) reset() {
 	r.quarantined, r.dropped, r.corr, r.kept = 0, 0, 0, 0
 	r.pairs, r.calendar, r.restored, r.feed = r.pairs[:0], r.calendar[:0], r.restored[:0], r.feed[:0]
 	r.err = nil
-	clear(r.out[:])
 }
 
 // cycleTally accumulates the folded block records of one cycle.
@@ -342,10 +365,11 @@ func (s *Scheduler) Close() {
 //     Backend sees it in BeginCycle.
 //  2. Execution (parallel): the schedule is cut into blocks of `block`
 //     polls — a contiguous live range plus the due probes between its
-//     ends — and run on the worker pool. A block has the Backend draw a
-//     chunk of polls, folds each into its node's columns, and compacts its
-//     own live range in place, dropping leavers. Only the block that owns
-//     a node writes its columns, so blocks share no state.
+//     ends — and run on the worker pool. A block has the Backend draw
+//     chunks of polls, folds each poll into its node's columns as soon as
+//     it is drawn, and compacts its own live range in place, dropping
+//     leavers. Only the block that owns a node writes its columns, so
+//     blocks share no state.
 //  3. Fold (in block order, overlapping execution): the dispatching
 //     goroutine folds block b's record as soon as blocks 0…b have
 //     finished — counts, the float sums of the cycle means, calendar
@@ -520,68 +544,51 @@ func (s *Scheduler) ensurePool(width int) {
 func (s *Scheduler) runBlock(b int) {
 	rec := &s.ring[b%len(s.ring)]
 	rec.reset()
-	n, folding := 0, -1 // polls in the chunk; the node being folded, -1 while drawing
+	c := &rec.chunk
+	*c = Chunk{Polls: c.buf[:0], s: s, rec: rec, cycle: s.running}
 	defer func() {
 		if v := recover(); v != nil {
-			node := folding
-			if node < 0 {
-				node = int(rec.chunk[undrawn(rec.out[:n])].Node)
-			}
-			rec.err = &workpool.PanicError{Stage: poolStage, Index: node, Value: v, Stack: debug.Stack()}
+			rec.err = &workpool.PanicError{Stage: poolStage, Index: int(c.at().Node), Value: v, Stack: debug.Stack()}
 		}
 	}()
 	from, to := s.bounds[b], s.bounds[b+1]
 	i, j := int(from.live), int(from.due)
-	kept := i // the block's live range compacts in place; kept never passes i
-	cycle := s.running
+	c.kept = i // the block's live range compacts in place; kept never passes i
 	budget := int32(1 + s.policy.MaxRetries)
 	for i < int(to.live) || j < int(to.due) {
-		for n = 0; n < ChunkLen && (i < int(to.live) || j < int(to.due)); n++ {
+		n := 0
+		for ; n < ChunkLen && (i < int(to.live) || j < int(to.due)); n++ {
 			if j < int(to.due) && (i == int(to.live) || s.due[j] < s.live[i]) {
-				rec.chunk[n] = Poll{Node: s.due[j], Attempts: 1, Probe: true} // probes are single-attempt
+				c.buf[n] = Poll{Node: s.due[j], Attempts: 1, Probe: true} // probes are single-attempt
 				j++
 			} else {
-				rec.chunk[n] = Poll{Node: s.live[i], Attempts: budget}
+				c.buf[n] = Poll{Node: s.live[i], Attempts: budget}
 				i++
 			}
 		}
-		folding = -1
-		if err := s.backend.Draw(rec.chunk[:n], rec.out[:n]); err != nil {
-			p := rec.chunk[undrawn(rec.out[:n])]
-			kind := "poll"
+		c.Polls, c.folded = c.buf[:n], 0
+		err := s.backend.Draw(c)
+		if err == nil && c.folded != n {
+			err = fmt.Errorf("backend folded %d of %d polls", c.folded, n)
+		}
+		if err != nil {
+			kind, p := "poll", c.at()
 			if p.Probe {
 				kind = "probe"
 			}
 			rec.err = fmt.Errorf("mac: %s %d: %w", kind, p.Node, err)
 			return
 		}
-		for k := 0; k < n; k++ {
-			p, out := rec.chunk[k], &rec.out[k]
-			folding = int(p.Node)
-			if s.fold(rec, p, out, cycle) {
-				s.live[kept] = p.Node
-				kept++
-			}
-			out.Attempts = 0 // undrawn again for the next chunk
-		}
 	}
-	rec.kept = kept - int(from.live)
+	rec.kept = c.kept - int(from.live)
 }
 
-// undrawn returns the index of the first outcome a Draw did not finish
-// (len(out)-1 if it finished them all).
-func undrawn(out []Outcome) int {
-	k := 0
-	for k < len(out)-1 && out[k].Attempts > 0 {
-		k++
-	}
-	return k
-}
-
-// fold applies one drawn poll to its node's columns, notes in rec what the
-// in-order fold must see, and reports whether a live node stays on the
-// regular schedule.
-func (s *Scheduler) fold(rec *blockRecord, p Poll, out *Outcome, cycle int) (stays bool) {
+// Fold folds the outcome of the chunk's next poll — Polls[k], k the
+// number folded before — into the node's columns, notes in the block's
+// record what the in-order fold must see, and compacts the block's live
+// range. A backend calls it once per poll, in order.
+func (c *Chunk) Fold(out *Outcome) {
+	s, rec, p := c.s, c.rec, c.Polls[c.folded]
 	ni := int(p.Node)
 	attempts := int(out.Attempts)
 	s.cols.Polls[ni] += int32(attempts)
@@ -592,39 +599,43 @@ func (s *Scheduler) fold(rec *blockRecord, p Poll, out *Outcome, cycle int) (sta
 		s.cols.Retries[ni] += int32(attempts - 1)
 		rec.retries += attempts - 1
 	}
+	stays := false
 	switch {
 	case out.Delivered:
 		s.cols.FoldDeliveredAt(ni, out.SNRdB)
 		rec.pairs = append(rec.pairs, drawPair{out.SNRdB, out.DelayMs})
 		rec.corr += int64(out.Corrected)
 		if p.Probe {
-			s.cols.RestoreAt(ni, cycle)
+			s.cols.RestoreAt(ni, c.cycle)
 			rec.restored = append(rec.restored, p.Node)
-			return false // probes are off-schedule and never feed the rate controller
+			break // probes are off-schedule and never feed the rate controller
 		}
 		if s.rate != nil {
 			rec.feed = append(rec.feed, rateObs{snrDB: out.SNRdB})
 		}
-		return true
+		stays = true
 	case p.Probe:
-		s.policy.FoldProbeFailureAt(s.cols, ni, cycle)
+		s.policy.FoldProbeFailureAt(s.cols, ni, c.cycle)
 		rec.calendar = append(rec.calendar, p.Node)
-		return false
 	default:
 		if s.rate != nil {
 			rec.feed = append(rec.feed, rateObs{loss: true})
 		}
-		switch s.policy.FoldPollFailureAt(s.cols, ni, cycle) {
+		switch s.policy.FoldPollFailureAt(s.cols, ni, c.cycle) {
 		case LivenessQuarantined:
 			rec.quarantined++
 			rec.calendar = append(rec.calendar, p.Node)
-			return false
 		case LivenessDropped:
 			rec.dropped++
-			return false
+		default:
+			stays = true
 		}
-		return true
 	}
+	if stays {
+		s.live[c.kept] = p.Node
+		c.kept++
+	}
+	c.folded++
 }
 
 // foldBlock folds block b's finished record into the cycle: counts, the

@@ -13,13 +13,13 @@ type staticBackend struct{}
 
 func (staticBackend) BeginCycle(int, float64, mac.Schedule) error { return nil }
 
-func (staticBackend) Draw(polls []mac.Poll, out []mac.Outcome) error {
-	for k, p := range polls {
+func (staticBackend) Draw(c *mac.Chunk) error {
+	for _, p := range c.Polls {
 		if p.Node == 2 {
-			out[k] = mac.Outcome{Attempts: p.Attempts} // every attempt timed out
+			c.Fold(&mac.Outcome{Attempts: p.Attempts}) // every attempt timed out
 			continue
 		}
-		out[k] = mac.Outcome{Attempts: 1, Delivered: true, SNRdB: 15}
+		c.Fold(&mac.Outcome{Attempts: 1, Delivered: true, SNRdB: 15})
 	}
 	return nil
 }

@@ -49,8 +49,8 @@ func (b *scriptBackend) BeginCycle(_ int, chipRate float64, _ Schedule) error {
 	return nil
 }
 
-func (b *scriptBackend) Draw(polls []Poll, out []Outcome) error {
-	for k, p := range polls {
+func (b *scriptBackend) Draw(c *Chunk) error {
+	for _, p := range c.Polls {
 		if err := b.errFor[p.Node]; err != nil {
 			return err
 		}
@@ -70,7 +70,7 @@ func (b *scriptBackend) Draw(polls []Poll, out []Outcome) error {
 				b.last[p.Node] = call
 			}
 		}
-		out[k] = o
+		c.Fold(&o)
 	}
 	return nil
 }
