@@ -98,11 +98,7 @@ func (b *scriptBackend) snrOf(node int32) float64 {
 func newScripted(t *testing.T, n int, policy PollPolicy) (*Scheduler, *scriptBackend) {
 	t.Helper()
 	b := newScriptBackend(n)
-	s, err := NewScheduler(b, NewNodeColumns(n), 1, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, b
+	return newSched(t, b, 1, policy), b
 }
 
 // runCycles runs cycles cycles and fails the test on an error.
