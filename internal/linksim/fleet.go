@@ -3,7 +3,6 @@ package linksim
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"vab/internal/faults"
 	"vab/internal/mac"
@@ -105,7 +104,6 @@ type Fleet struct {
 
 	seedBase uint64
 	seedHead uint64 // mix(seedBase): the link every poll seed chains from
-	workers  int    // cache-population width, the scheduler's pool width
 
 	chaos    *faults.Engine
 	hero     *heroChecker
@@ -172,7 +170,6 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		orients:  make([]float64, cfg.Nodes),
 		seedBase: uint64(cfg.Seed),
 		seedHead: mix(uint64(cfg.Seed)),
-		workers:  1,
 	}
 	const placeDomain = 0x506c6163 // placement draws, distinct from poll streams
 	for i := 0; i < cfg.Nodes; i++ {
@@ -209,13 +206,7 @@ func (f *Fleet) NodeState(i int) mac.NodeState { return f.cols.State(i) }
 // outcomes are bit-identical at any width: every draw is a pure function
 // of (seed, node, cycle, attempt), and mac.Scheduler folds in schedule
 // order.
-func (f *Fleet) SetWorkers(n int) {
-	if n <= 0 {
-		n = runtime.NumCPU()
-	}
-	f.workers = n
-	f.sched.SetWorkers(n)
-}
+func (f *Fleet) SetWorkers(n int) { f.sched.SetWorkers(n) }
 
 // Close releases the scheduler's persistent worker pool (if any). The
 // fleet remains usable, so Close is safe to defer as soon as the fleet is
@@ -309,7 +300,7 @@ func (b backend) BeginCycle(cycle int, chipRate float64, sched mac.Schedule) err
 		}
 		f.cacheOK = false
 		blocks := (f.cfg.Nodes + pollBlock - 1) / pollBlock
-		if err := workpool.Run(blocks, f.workers, "linksim_cache", func(b int) error {
+		if err := workpool.Run(blocks, f.sched.Workers(), "linksim_cache", func(b int) error {
 			for n := b * pollBlock; n < min((b+1)*pollBlock, f.cfg.Nodes); n++ {
 				cell := f.model.resolve(f.coords[n])
 				f.cellCache[n] = cachedCell{cell: cell, expNegCorr: math.Exp(-cell.CorrMean)}

@@ -342,6 +342,9 @@ func (s *Scheduler) SetWorkers(n int) {
 	s.workers = n
 }
 
+// Workers returns the pool width SetWorkers resolved (1 by default).
+func (s *Scheduler) Workers() int { return s.workers }
+
 // Close releases the persistent worker pool (if any). The scheduler
 // remains usable — the next parallel cycle restarts the pool — so Close is
 // safe to defer as soon as the scheduler is built.
@@ -383,9 +386,10 @@ func (s *Scheduler) Close() {
 //
 // A poll error comes back naming the node; a panic inside a block comes
 // back as a *workpool.PanicError whose Index is the node being drawn or
-// folded. Either is the lowest failing block's, at any worker count; the
-// scheduler's state is then undefined. RunCycle returns only after every
-// block it dispatched has finished.
+// folded. Either is the lowest failing block's, at any worker count.
+// RunCycle returns only after every block it dispatched has finished, and
+// a failed cycle leaves the scheduler ready for the next one (see resync),
+// so a caller may log the error and keep polling.
 func (s *Scheduler) RunCycle() (CycleReport, error) {
 	cycle := s.cycle
 	s.cycle++
@@ -411,6 +415,7 @@ func (s *Scheduler) RunCycle() (CycleReport, error) {
 	sched := Schedule{Live: s.live, Due: s.due}
 	rep.Polled = sched.Len()
 	if err := s.backend.BeginCycle(cycle, rep.ChipRate, sched); err != nil {
+		s.resync(cycle)
 		return rep, err
 	}
 
@@ -425,6 +430,7 @@ func (s *Scheduler) RunCycle() (CycleReport, error) {
 	s.running = cycle
 	var t cycleTally
 	if err := s.dispatch(blocks, &t); err != nil {
+		s.resync(cycle)
 		return rep, err
 	}
 	s.live = s.live[:t.kept]
@@ -462,6 +468,36 @@ func (s *Scheduler) RunCycle() (CycleReport, error) {
 	rep.Quarantined = s.nQuar
 	rep.Dropped = s.nDrop
 	return rep, nil
+}
+
+// resync rebuilds the live list, the probe calendar and the quarantine
+// and drop counts from the columns after failed cycle `cycle`. The failed
+// cycle's in-order fold stopped short of the failing block, so the live
+// list may hold stale or duplicate entries, and blocks that ran past it
+// quarantined, dropped or restored nodes the fold never calendared or
+// merged. Every poll a block folded wrote its node's columns, though, so
+// they are the one consistent record: live nodes rejoin the regular
+// schedule, and every quarantined node is calendared at its next
+// re-probe, a due one (such as a probe the failed cycle took from the
+// wheel but never ran) at the next cycle. The failed cycle's counters are
+// not flushed, and its rate-controller feed stops at the failing block.
+// O(nodes), on the error path only.
+func (s *Scheduler) resync(cycle int) {
+	s.live = s.live[:0]
+	s.wheel.clear()
+	s.nQuar, s.nDrop = 0, 0
+	for i := 0; i < s.cols.Len(); i++ {
+		switch {
+		case s.cols.Live(i):
+			s.live = append(s.live, int32(i))
+		case s.cols.Quarantined(i):
+			s.nQuar++
+			s.wheel.schedule(int32(i), s.cols.NextProbeAt(i), cycle)
+		default:
+			s.nDrop++
+		}
+	}
+	s.met.liveNodes.Set(float64(len(s.live)))
 }
 
 // dispatch runs blocks 0…blocks-1 and folds each block's record, in block

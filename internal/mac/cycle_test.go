@@ -423,6 +423,69 @@ func TestBlockPanicReturnsError(t *testing.T) {
 	}
 }
 
+// TestFailedCycleResyncs: a failed cycle leaves the scheduler consistent,
+// so a caller that logs the error and keeps polling gets unique schedules
+// and loses no probe. Cycle 0 quarantines node 0 in the block before the
+// failing poll of node 2 and, when the pool ran blocks past the failure,
+// node 5 in a block the in-order fold never reached; cycle 2's BeginCycle
+// fails after the due probes left the wheel. Both nodes must still be
+// probed, at cycle 3.
+func TestFailedCycleResyncs(t *testing.T) {
+	// consistent checks the live list and the report's counts against the
+	// columns.
+	consistent := func(t *testing.T, s *Scheduler, rep CycleReport) {
+		t.Helper()
+		var live []int32
+		quar := 0
+		for i := range s.cols.Len() {
+			if s.cols.Live(i) {
+				live = append(live, int32(i))
+			} else if s.cols.Quarantined(i) {
+				quar++
+			}
+		}
+		assertLive(t, s, live)
+		if rep.Live != len(live) || rep.Quarantined != quar || rep.Dropped != 0 {
+			t.Fatalf("cycle %d: report live %d quarantined %d dropped %d, columns say %d, %d and 0",
+				rep.Cycle, rep.Live, rep.Quarantined, rep.Dropped, len(live), quar)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		b := fixedBackend(false, true, true, true, true, false, true, true, true, true, true, true)
+		s := newSched(t, b, 1, PollPolicy{DropAfter: 1, Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 8})
+		s.SetWorkers(workers)
+		b.errFor[2] = errors.New("flooded")
+		if _, err := s.RunCycle(); err == nil {
+			t.Fatalf("workers=%d: cycle 0 did not fail", workers)
+		}
+		delete(b.errFor, 2)
+		consistent(t, s, CycleReport{Live: len(s.live), Quarantined: s.nQuar, Dropped: s.nDrop})
+		consistent(t, s, runScheduled(t, s)) // cycle 1: node 5 quarantines if cycle 0 never reached it
+
+		b.beginErr = errors.New("no model")
+		if _, err := s.RunCycle(); err == nil { // cycle 2: node 0's probe is due
+			t.Fatalf("workers=%d: cycle 2 did not fail", workers)
+		}
+		b.beginErr = nil
+		calls := slices.Clone(b.calls)
+		rep := runScheduled(t, s) // cycle 3
+		consistent(t, s, rep)
+		if rep.Probes != 2 || rep.Polled != 12 {
+			t.Errorf("workers=%d cycle 3: polled %d probes %d, want 12 and 2", workers, rep.Polled, rep.Probes)
+		}
+		for _, n := range []int{0, 5} {
+			if b.calls[n] != calls[n]+1 {
+				t.Errorf("workers=%d cycle 3: quarantined node %d drew %d attempts, want its probe",
+					workers, n, b.calls[n]-calls[n])
+			}
+		}
+		for range 12 {
+			consistent(t, s, runScheduled(t, s))
+		}
+		s.Close()
+	}
+}
+
 // TestRecordStorageBounded: block records live in a ring that blocks
 // reuse, so the delivered-pair storage a cycle keeps is bounded by ring
 // size × block length — the same at 20k and at 200k nodes — rather than

@@ -24,6 +24,7 @@ type scriptBackend struct {
 	panicFor map[int32]any
 	rate     float64 // the cycle's command, from BeginCycle
 	begun    int     // BeginCycle calls
+	beginErr error   // BeginCycle's result
 }
 
 func newScriptBackend(n int) *scriptBackend {
@@ -46,7 +47,7 @@ func newScriptBackend(n int) *scriptBackend {
 func (b *scriptBackend) BeginCycle(_ int, chipRate float64, _ Schedule) error {
 	b.rate = chipRate
 	b.begun++
-	return nil
+	return b.beginErr
 }
 
 func (b *scriptBackend) Draw(c *Chunk) error {

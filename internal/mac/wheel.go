@@ -108,6 +108,14 @@ func (w *probeWheel) take(cycle int) []int32 {
 	return w.merged
 }
 
+// clear empties the calendar, keeping its storage.
+func (w *probeWheel) clear() {
+	for i := range w.buckets {
+		w.buckets[i] = w.buckets[i][:0]
+	}
+	w.overflow = w.overflow[:0]
+}
+
 // pending counts calendared entries across the wheel and overflow —
 // test and debugging instrumentation, not a hot path.
 func (w *probeWheel) pending() int {
