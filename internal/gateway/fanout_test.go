@@ -3,10 +3,12 @@ package gateway
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,7 @@ import (
 
 	"vab/internal/netmem"
 	"vab/internal/telemetry"
+	"vab/internal/workpool"
 )
 
 // nullConn is a fake subscriber socket: writes are discarded, reads
@@ -203,6 +206,185 @@ func TestSlowSubscriberEvictedAtLogBound(t *testing.T) {
 				t.Fatalf("stuck subscriber left with %d slow drops, want 1", drops.Value())
 			}
 		}
+	}
+}
+
+// shardWriters reads a shard's writer-goroutine count.
+func shardWriters(sh *shard) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.writers
+}
+
+// TestBlockedWritesHoldBackNoOne: on one shard, more conns whose writes
+// block forever than the shard keeps writers, next to a real client.
+// Every reading reaches the client within a second while those writes
+// stay blocked; the stuck subscribers are evicted at the log bound, and
+// once their writes unwind the shard is back to its two base writers.
+func TestBlockedWritesHoldBackNoOne(t *testing.T) {
+	ln := netmem.Listen("blocked", 0)
+	s := NewServerListener(context.Background(), ln, t.Logf)
+	defer s.Close()
+	s.SetShards(1)
+	s.SetHeartbeatPolicy(time.Hour, 3)
+	sh := s.shards[0]
+
+	const stuck = 4
+	conns := make([]*stuckConn, stuck)
+	defer func() { // unblock the writes even when the test fails early
+		for _, c := range conns {
+			if c != nil {
+				c.Close()
+			}
+		}
+	}()
+	for i := range conns {
+		conns[i] = &stuckConn{nullConn: newNullConn()}
+		if !s.register(conns[i]) {
+			t.Fatal("register refused")
+		}
+	}
+	conn, err := ln.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClientConn(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitSubscribers(t, s, stuck+1)
+
+	for i := uint64(1); i <= 2*logSlots; i++ {
+		s.Publish(seqReading(i))
+		rd, err := c.Next(time.Now().Add(time.Second))
+		if err != nil {
+			t.Fatalf("reading %d with %d writes blocked: %v", i, stuck, err)
+		}
+		if c.LastSeq() != i || uint64(rd.Count) != i {
+			t.Fatalf("got seq %d (count %d), want %d", c.LastSeq(), rd.Count, i)
+		}
+		if i == logSlots {
+			if n := s.Subscribers(); n != stuck+1 {
+				t.Fatalf("%d subscribers at the log bound, want %d", n, stuck+1)
+			}
+			if w := shardWriters(sh); w <= stuck {
+				t.Fatalf("%d writers with %d writes blocked", w, stuck)
+			}
+		}
+	}
+	waitForSubscribers(t, s, 1)
+	deadline := time.Now().Add(5 * time.Second)
+	for shardWriters(sh) != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d writers after the blocked writes unwound, want 2", shardWriters(sh))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCaughtUpSubscribersHaveNoWriterGoroutine: caught-up subscribers
+// cost their readLoop and nothing else, so after a run of flushes the
+// process holds N readLoops plus a few goroutines per shard, not 2N.
+func TestCaughtUpSubscribersHaveNoWriterGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ln := netmem.Listen("count", 0)
+	s := NewServerListener(context.Background(), ln, func(string, ...interface{}) {})
+	defer s.Close()
+	const shards, subs = 4, 400
+	s.SetShards(shards)
+	s.SetHeartbeatPolicy(time.Hour, 3)
+	reg := telemetry.NewRegistry()
+	s.Instrument(reg)
+	frames := reg.Counter("vab_gateway_frames_sent_total", "")
+	for i := 0; i < subs; i++ {
+		if !s.register(newNullConn()) {
+			t.Fatal("register refused")
+		}
+	}
+	const flushes = 50
+	deadline := time.Now().Add(10 * time.Second)
+	for i := uint64(1); i <= flushes; i++ {
+		s.Publish(seqReading(i))
+	}
+	for frames.Value() < subs*(flushes+1) { // the hellos, then every flush
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d frames written", frames.Value(), subs*(flushes+1))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// accept and heartbeat loops, and at most a few writers per shard
+	limit := subs + 2 + 4*shards
+	for {
+		got := runtime.NumGoroutine() - before
+		if got <= limit {
+			t.Logf("%d goroutines for %d caught-up subscribers on %d shards", got, subs, shards)
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines for %d caught-up subscribers on %d shards, want at most %d", got, subs, shards, limit)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// panicConn takes the hello, then panics on every later write.
+type panicConn struct {
+	*nullConn
+	writes atomic.Int32
+}
+
+func (c *panicConn) Write(b []byte) (int, error) {
+	if c.writes.Add(1) > 1 {
+		panic("conn write exploded")
+	}
+	return c.nullConn.Write(b)
+}
+
+// TestShardWritePanicDropsOnlyItsSubscriber: a conn write that panics
+// drops its own subscriber; a client on the same shard keeps receiving,
+// and Close returns the panic as a *workpool.PanicError naming the shard.
+func TestShardWritePanicDropsOnlyItsSubscriber(t *testing.T) {
+	ln := netmem.Listen("panic", 0)
+	var logged atomic.Int32
+	s := NewServerListener(context.Background(), ln, func(format string, args ...interface{}) {
+		if strings.Contains(fmt.Sprintf(format, args...), "conn write exploded") {
+			logged.Add(1)
+		}
+	})
+	s.SetShards(1)
+	s.SetHeartbeatPolicy(time.Hour, 3)
+	if !s.register(&panicConn{nullConn: newNullConn()}) {
+		t.Fatal("register refused")
+	}
+	conn, err := ln.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClientConn(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitSubscribers(t, s, 2)
+	for i := uint64(1); i <= 8; i++ {
+		s.Publish(seqReading(i))
+		rd, err := c.Next(time.Now().Add(5 * time.Second))
+		if err != nil {
+			t.Fatalf("reading %d: %v", i, err)
+		}
+		if c.LastSeq() != i || uint64(rd.Count) != i {
+			t.Fatalf("got seq %d (count %d), want %d", c.LastSeq(), rd.Count, i)
+		}
+	}
+	waitForSubscribers(t, s, 1)
+	if logged.Load() != 1 {
+		t.Fatalf("panic logged %d times, want 1", logged.Load())
+	}
+	err = s.Close()
+	var pe *workpool.PanicError
+	if !errors.As(err, &pe) || pe.Stage != panicStage || pe.Index != 0 || pe.Value != "conn write exploded" {
+		t.Fatalf("Close returned %v, want the shard 0 write panic", err)
 	}
 }
 

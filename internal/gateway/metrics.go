@@ -70,7 +70,7 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 			lagBuckets),
 	}
 	s.metrics.Store(m)
-	m.subscribers.Set(float64(s.Subscribers()))
+	s.addSubscribers(0)
 }
 
 // met returns the live metrics handle or the noop bundle.
