@@ -101,12 +101,12 @@ func runScripted(t *testing.T, workers, cycles int, withRate bool) ([]CycleRepor
 	return reps, nodes, b.rates
 }
 
-// TestWaveDeterministicAcrossWorkers pins the determinism contract at the
+// TestCycleDeterministicAcrossWorkers pins the determinism contract at the
 // MAC layer: identical scripted fleets produce identical reports, node
 // state and rate commands at any pool width, with and without rate
 // adaptation. Run with -race this also proves the blocks share nothing
 // they should not.
-func TestWaveDeterministicAcrossWorkers(t *testing.T) {
+func TestCycleDeterministicAcrossWorkers(t *testing.T) {
 	for _, withRate := range []bool{false, true} {
 		reps1, nodes1, rates1 := runScripted(t, 1, 10, withRate)
 		reps8, nodes8, rates8 := runScripted(t, 8, 10, withRate)
@@ -160,11 +160,11 @@ func TestCycleRateSnapshot(t *testing.T) {
 	}
 }
 
-// TestWaveLowestAddressError pins deterministic error selection: when
+// TestLowestIndexError pins deterministic error selection: when
 // several polls of a cycle fail — by error or by panic — the lowest-index
 // failure is reported, no matter how the pool interleaved them, and a
 // panicking backend fails the cycle instead of crashing it.
-func TestWaveLowestAddressError(t *testing.T) {
+func TestLowestIndexError(t *testing.T) {
 	cases := []struct {
 		name   string
 		fail   func(b *scriptBackend)
@@ -204,10 +204,10 @@ func TestWaveLowestAddressError(t *testing.T) {
 	}
 }
 
-// TestWaveCountersMatchSerialContract re-checks the serial bookkeeping
+// TestCycleCountersMatchSerialWalk re-checks the serial bookkeeping
 // invariants on a mixed cycle: counters must be what a serial walk of the
 // schedule produces for the same tapes.
-func TestWaveCountersMatchSerialContract(t *testing.T) {
+func TestCycleCountersMatchSerialWalk(t *testing.T) {
 	b := newScriptBackend(4)
 	b.tapes[0] = []bool{true}               // 1 poll
 	b.tapes[1] = []bool{false, true}        // 2 polls, 1 retry
