@@ -307,9 +307,10 @@ func BenchmarkChannelRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := 16384
-	tx := phy.CarrierEnvelope(n)
+	tx := make([]complex128, n) // the reader's unit carrier envelope
 	gamma := make([]complex128, n)
 	for i := range gamma {
+		tx[i] = 1
 		gamma[i] = complex(float64(i%2), 0)
 	}
 	b.ResetTimer()
@@ -334,9 +335,10 @@ func BenchmarkChannelRoundTripInto(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := 16384
-	tx := phy.CarrierEnvelope(n)
+	tx := make([]complex128, n) // the reader's unit carrier envelope
 	gamma := make([]complex128, n)
 	for i := range gamma {
+		tx[i] = 1
 		gamma[i] = complex(float64(i%2), 0)
 	}
 	dst := make([]complex128, n)
@@ -400,16 +402,19 @@ func BenchmarkTDLFreq64(b *testing.B) { benchTDL(b, 64, true) }
 
 // --- DSP micro-benches. ---
 
+// BenchmarkRFFT1024 times RFFTInto into a reused dst, the form the
+// ladder's dsp.rfft1024_ns rung measures.
 func BenchmarkRFFT1024(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := make([]float64, 1024)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
+	dst := make([]complex128, len(x))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dsp.RFFT(x)
+		dsp.RFFTInto(dst, x)
 	}
 	b.SetBytes(1024 * 8)
 }
@@ -568,38 +573,6 @@ func BenchmarkX1Ranging(b *testing.B) {
 
 func BenchmarkX2MaryThroughput(b *testing.B) {
 	benchExperiment(b, "X2", []string{"range_2fsk_m", "range_4fsk_m"})
-}
-
-func BenchmarkMFSKDemod(b *testing.B) {
-	p := phy.DefaultMFSKParams()
-	m, err := phy.NewMFSKModulator(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := phy.NewMFSKDemodulator(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	syms := make([]byte, 256)
-	rng := rand.New(rand.NewSource(1))
-	for i := range syms {
-		syms[i] = byte(rng.Intn(4))
-	}
-	g, err := m.GammaWaveform(syms)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y := make([]complex128, len(g))
-	for i, v := range g {
-		y[i] = complex(0.1*v, 0)
-	}
-	acq := phy.Acquisition{Start: 0}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.DemodSymbols(y, acq, len(syms)); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkAblationEqualizer measures the decision-feedback equalizer's

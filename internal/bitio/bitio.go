@@ -91,9 +91,6 @@ func (w *Writer) WriteUvarint(v uint64) {
 // WriteVarint appends v zigzag-mapped as an unsigned varint.
 func (w *Writer) WriteVarint(v int64) { w.WriteUvarint(ZigZag(v)) }
 
-// BitLen returns the number of bits written since Reset.
-func (w *Writer) BitLen() int { return w.bits }
-
 // Finish flushes the trailing partial byte (zero-padded at the bottom)
 // and returns the encoded bytes. The Writer must be Reset before reuse.
 func (w *Writer) Finish() []byte {

@@ -35,8 +35,8 @@ func TestRoundTripFixedWidths(t *testing.T) {
 		w.WriteBits(p.v, p.w)
 		total += int(p.w)
 	}
-	if w.BitLen() != total {
-		t.Fatalf("BitLen = %d, want %d", w.BitLen(), total)
+	if w.bits != total {
+		t.Fatalf("bits written = %d, want %d", w.bits, total)
 	}
 	buf := w.Finish()
 	if want := (total + 7) / 8; len(buf) != want {

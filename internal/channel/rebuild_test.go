@@ -55,7 +55,7 @@ func TestRebuildMatchesFreshLink(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		rd, fd := reused.DownTaps(), fresh.DownTaps()
+		rd, fd := reused.down, fresh.down
 		if len(rd) != len(fd) {
 			t.Fatalf("round %d: tap count %d != fresh %d", round, len(rd), len(fd))
 		}
@@ -121,14 +121,14 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	}
 
 	a, b := mk(), mk()
-	da := a.Downlink(tx)
+	da := downlink(a, tx)
 	db := b.DownlinkInto(make([]complex128, len(tx)), tx)
 	for i := range da {
 		if da[i] != db[i] {
 			t.Fatalf("Downlink mismatch at %d", i)
 		}
 	}
-	ua := a.Uplink(da, tx)
+	ua := uplink(a, da, tx)
 	ub := b.UplinkInto(make([]complex128, len(db)), db, tx)
 	for i := range ua {
 		if ua[i] != ub[i] {
@@ -282,8 +282,8 @@ func TestWenzShaperCache(t *testing.T) {
 	if a.shaper == b.shaper {
 		t.Fatal("links share one CFIR instance (mutable state aliasing)")
 	}
-	ya := a.Uplink(make([]complex128, 256), nil)
-	yb := b.Uplink(make([]complex128, 256), nil)
+	ya := uplink(a, make([]complex128, 256), nil)
+	yb := uplink(b, make([]complex128, 256), nil)
 	for i := range ya {
 		if ya[i] != yb[i] {
 			t.Fatalf("equal-seed links diverged at %d: %v != %v", i, ya[i], yb[i])

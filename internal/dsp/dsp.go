@@ -28,33 +28,6 @@ func NextPow2(n int) int {
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// ToComplex copies a real sequence into a freshly allocated complex slice.
-func ToComplex(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	return c
-}
-
-// Real extracts the real parts of a complex sequence.
-func Real(x []complex128) []float64 {
-	r := make([]float64, len(x))
-	for i, v := range x {
-		r[i] = real(v)
-	}
-	return r
-}
-
-// Imag extracts the imaginary parts of a complex sequence.
-func Imag(x []complex128) []float64 {
-	r := make([]float64, len(x))
-	for i, v := range x {
-		r[i] = imag(v)
-	}
-	return r
-}
-
 // Abs returns the element-wise magnitudes of a complex sequence.
 func Abs(x []complex128) []float64 {
 	r := make([]float64, len(x))
@@ -71,23 +44,6 @@ func Energy(x []complex128) float64 {
 		e += real(v)*real(v) + imag(v)*imag(v)
 	}
 	return e
-}
-
-// EnergyReal returns the sum of squares of a real sequence.
-func EnergyReal(x []float64) float64 {
-	var e float64
-	for _, v := range x {
-		e += v * v
-	}
-	return e
-}
-
-// Power returns the mean squared magnitude of x (0 for empty input).
-func Power(x []complex128) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Energy(x) / float64(len(x))
 }
 
 // Scale multiplies x by a real gain in place and returns x.
@@ -139,46 +95,4 @@ func Conj(x []complex128) []complex128 {
 		x[i] = cmplx.Conj(x[i])
 	}
 	return x
-}
-
-// DB converts a power ratio to decibels. Non-positive ratios map to -Inf.
-func DB(ratio float64) float64 {
-	if ratio <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(ratio)
-}
-
-// FromDB converts decibels to a power ratio.
-func FromDB(db float64) float64 { return math.Pow(10, db/10) }
-
-// AmpDB converts an amplitude ratio to decibels.
-func AmpDB(ratio float64) float64 {
-	if ratio <= 0 {
-		return math.Inf(-1)
-	}
-	return 20 * math.Log10(ratio)
-}
-
-// FromAmpDB converts decibels to an amplitude ratio.
-func FromAmpDB(db float64) float64 { return math.Pow(10, db/20) }
-
-// Clamp limits v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// WrapPhase wraps an angle in radians to [-π, π).
-func WrapPhase(p float64) float64 {
-	w := math.Mod(p+math.Pi, Tau)
-	if w < 0 {
-		w += Tau
-	}
-	return w - math.Pi
 }

@@ -21,7 +21,7 @@ func TestGoertzelMatchesFFTBin(t *testing.T) {
 	n := 128
 	fs := 16000.0
 	x := randComplex(rng, n)
-	s := FFT(x)
+	s := fft(x)
 	for _, bin := range []int{0, 1, 5, 64, 127} {
 		f := float64(bin) * fs / float64(n)
 		g := NewGoertzel(f, fs)

@@ -18,7 +18,11 @@ func TestRFFTIntoMatchesRFFT(t *testing.T) {
 	// Even fast path, the odd/small Bluestein fallback, and power-of-two.
 	for _, n := range []int{1, 2, 3, 4, 7, 100, 255, 256, 1024} {
 		x := randReal(rng, n)
-		want := RFFT(x)
+		xc := make([]complex128, n)
+		for i, v := range x {
+			xc[i] = complex(v, 0)
+		}
+		want := fft(xc)
 		dst := make([]complex128, n)
 		for i := range dst {
 			dst[i] = complex(42, 42) // stale garbage must be overwritten
@@ -26,7 +30,7 @@ func TestRFFTIntoMatchesRFFT(t *testing.T) {
 		RFFTInto(dst, x)
 		for i := range dst {
 			if !approxEqC(dst[i], want[i], 1e-9*float64(n)) {
-				t.Fatalf("n=%d bin %d: RFFTInto %v, RFFT %v", n, i, dst[i], want[i])
+				t.Fatalf("n=%d bin %d: RFFTInto %v, FFTInto %v", n, i, dst[i], want[i])
 			}
 		}
 	}
@@ -46,12 +50,12 @@ func TestConvolveIntoMatchesConvolve(t *testing.T) {
 	for _, tc := range [][2]int{{1, 1}, {4, 4}, {64, 16}, {100, 33}, {1024, 64}} {
 		a := randComplex(rng, tc[0])
 		b := randComplex(rng, tc[1])
-		want := Convolve(a, b)
+		want := directConv(a, b)
 		dst := make([]complex128, len(a)+len(b)-1)
 		ConvolveInto(dst, a, b)
 		for i := range dst {
 			if !approxEqC(dst[i], want[i], 1e-8*float64(len(dst))) {
-				t.Fatalf("%dx%d tap %d: ConvolveInto %v, Convolve %v", tc[0], tc[1], i, dst[i], want[i])
+				t.Fatalf("%dx%d tap %d: ConvolveInto %v, direct %v", tc[0], tc[1], i, dst[i], want[i])
 			}
 		}
 	}
@@ -64,7 +68,7 @@ func TestConvolveIntoAliasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := randComplex(rng, 64)
 	b := randComplex(rng, 16)
-	want := Convolve(a, b)
+	want := convolve(a, b)
 	buf := make([]complex128, len(a)+len(b)-1)
 	copy(buf, a)
 	ConvolveInto(buf, buf[:len(a)], b)

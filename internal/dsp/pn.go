@@ -57,18 +57,3 @@ func MSequence(degree int) ([]float64, error) {
 // Barker13 is the length-13 Barker code, the classic short sync word with
 // peak sidelobe 1.
 var Barker13 = []float64{1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1, 1}
-
-// CircularAutocorr returns the circular autocorrelation of a ±1 sequence at
-// every lag, used to validate PN properties.
-func CircularAutocorr(seq []float64) []float64 {
-	n := len(seq)
-	out := make([]float64, n)
-	for lag := 0; lag < n; lag++ {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += seq[i] * seq[(i+lag)%n]
-		}
-		out[lag] = s
-	}
-	return out
-}

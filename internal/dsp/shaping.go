@@ -41,13 +41,6 @@ func (f *CFIR) Taps() []complex128 {
 	return t
 }
 
-// Process filters x into a fresh slice.
-func (f *CFIR) Process(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	f.ProcessInto(out, x)
-	return out
-}
-
 // ProcessInto filters x into dst (equal length).
 //
 // Aliasing contract: dst and x may be the SAME slice (in-place filtering,

@@ -6,35 +6,6 @@ import (
 	"sort"
 )
 
-// Mean returns the arithmetic mean of x (0 for empty input).
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s / float64(len(x))
-}
-
-// Variance returns the population variance of x.
-func Variance(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(x))
-}
-
-// StdDev returns the population standard deviation of x.
-func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
-
 // Median returns the median of x without modifying it.
 func Median(x []float64) float64 {
 	if len(x) == 0 {
@@ -73,66 +44,6 @@ func Percentile(x []float64, p float64) float64 {
 	return c[lo]*(1-frac) + c[hi]*frac
 }
 
-// Q is the Gaussian tail probability Q(x) = P(N(0,1) > x).
-func Q(x float64) float64 { return 0.5 * math.Erfc(x/math.Sqrt2) }
-
-// QInv inverts the Q function via bisection on [-40, 40]. Accuracy is
-// better than 1e-10, ample for link-budget math.
-func QInv(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	if p >= 1 {
-		return math.Inf(-1)
-	}
-	lo, hi := -40.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if Q(mid) > p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// Marcum1 computes the first-order Marcum Q-function Q1(a, b) by series
-// summation, used for noncoherent detection over Rician channels.
-func Marcum1(a, b float64) float64 {
-	if b == 0 {
-		return 1
-	}
-	// Q1(a,b) = exp(-(a²+b²)/2) Σ_{k=0..∞} (a/b)^k I_k(ab)
-	// Series in terms of the modified Bessel functions; sum until terms are
-	// negligible. Use the canonical series with Poisson weights instead,
-	// which is numerically friendlier:
-	//   Q1(a,b) = Σ_{n=0..∞} e^{-a²/2}(a²/2)^n/n! · P(n+1, b²/2 upper)
-	// where the inner term is the regularized upper incomplete gamma
-	// Γ(n+1, b²/2)/n! = e^{-b²/2} Σ_{m=0..n} (b²/2)^m/m!.
-	x := a * a / 2
-	y := b * b / 2
-	// pw: Poisson weight e^{-x}x^n/n!; cg: cumulative e^{-y}Σ y^m/m!.
-	pw := math.Exp(-x)
-	term := math.Exp(-y)
-	cg := term
-	var q float64
-	const maxIter = 10000
-	for n := 0; n < maxIter; n++ {
-		q += pw * cg
-		if pw < 1e-18 && n > int(x) {
-			break
-		}
-		pw *= x / float64(n+1)
-		term *= y / float64(n+1)
-		cg += term
-	}
-	if q > 1 {
-		q = 1
-	}
-	return q
-}
-
 // WilsonCI returns the Wilson score confidence interval for a binomial
 // proportion with k successes out of n trials at confidence level implied by
 // z (e.g. z = 1.96 for 95%).
@@ -168,35 +79,4 @@ func GaussianNoiseInto(dst []complex128, np float64, rng *rand.Rand) {
 	for i := range dst {
 		dst[i] = complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
 	}
-}
-
-// Linspace returns n evenly spaced values from lo to hi inclusive.
-// n must be >= 2.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		panic("dsp: Linspace needs n >= 2")
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	out[n-1] = hi
-	return out
-}
-
-// Logspace returns n logarithmically spaced values from lo to hi inclusive.
-// lo and hi must be positive.
-func Logspace(lo, hi float64, n int) []float64 {
-	if lo <= 0 || hi <= 0 {
-		panic("dsp: Logspace needs positive endpoints")
-	}
-	ll, lh := math.Log10(lo), math.Log10(hi)
-	pts := Linspace(ll, lh, n)
-	for i, v := range pts {
-		pts[i] = math.Pow(10, v)
-	}
-	_ = pts[n-1]
-	pts[n-1] = hi
-	return pts
 }

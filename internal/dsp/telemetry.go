@@ -4,7 +4,7 @@ import "vab/internal/telemetry"
 
 // Stage-timing handles for the two hot transform kernels. They stay nil
 // (free no-ops, no clock reads) until Instrument is called, so the DSP
-// hot path is untouched by default — BenchmarkFFT and the system round
+// hot path is untouched by default — the FFT kernel and system round
 // benchmarks measure the same code either way.
 var (
 	metFFTTime   *telemetry.Histogram

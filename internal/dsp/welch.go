@@ -6,8 +6,8 @@ import "fmt"
 // the signal is split into windowed segments of length nfft with 50%
 // overlap, each segment's periodogram is computed, and the periodograms are
 // averaged. The result has nfft bins following the DFT frequency
-// convention (use FFTFreqs for the axis) and is normalized so that the sum
-// over bins equals the mean signal power — consistent with PowerSpectrum.
+// convention (bins above nfft/2 are negative frequencies) and is
+// normalized so that the sum over bins equals the mean signal power.
 //
 // Welch averaging trades frequency resolution for variance: single
 // periodograms of noise have 100% relative variance per bin, useless for

@@ -61,15 +61,3 @@ func (w Window) Coefficients(n int) []float64 {
 	}
 	return c
 }
-
-// CoherentGain returns the mean of the window coefficients: the amplitude
-// scaling a windowed sinusoid experiences, used to normalize spectral
-// estimates.
-func (w Window) CoherentGain(n int) float64 {
-	c := w.Coefficients(n)
-	var s float64
-	for _, v := range c {
-		s += v
-	}
-	return s / float64(n)
-}

@@ -14,8 +14,8 @@ func TestE12AbstractFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Table == nil || res.Table.Rows() != 4 {
-		t.Fatalf("table rows = %d, want 4", res.Table.Rows())
+	if res.Table == nil || tableRows(res.Table) != 4 {
+		t.Fatalf("table rows = %d, want 4", tableRows(res.Table))
 	}
 	ratio := res.Metrics["delivery_ratio"]
 	if ratio < 0.3 || ratio > 1 {

@@ -24,8 +24,8 @@ func TestE11DegradationAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Table == nil || res.Table.Rows() != 2*len(chaosIntensities) {
-		t.Fatalf("table rows = %d, want %d", res.Table.Rows(), 2*len(chaosIntensities))
+	if res.Table == nil || tableRows(res.Table) != 2*len(chaosIntensities) {
+		t.Fatalf("table rows = %d, want %d", tableRows(res.Table), 2*len(chaosIntensities))
 	}
 
 	for _, arm := range []string{"off", "on"} {

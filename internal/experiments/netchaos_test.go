@@ -23,8 +23,8 @@ func TestE14ResumeBeatsLiveOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Table == nil || res.Table.Rows() != 2*len(e14Intensities) {
-		t.Fatalf("table rows = %d, want %d", res.Table.Rows(), 2*len(e14Intensities))
+	if res.Table == nil || tableRows(res.Table) != 2*len(e14Intensities) {
+		t.Fatalf("table rows = %d, want %d", tableRows(res.Table), 2*len(e14Intensities))
 	}
 	for _, arm := range []string{"off", "on"} {
 		curve := e14Curve(res, arm)

@@ -70,19 +70,3 @@ func ModelSeverity(p RoundPlan) float64 {
 	}
 	return s
 }
-
-// MeanModelSeverity averages ModelSeverity over the engine's plans for
-// rounds [start, start+n): the per-cycle severity estimate the abstract
-// tier uses when one cycle spans several waveform rounds. A nil engine or
-// non-positive n maps to 0.
-func (e *Engine) MeanModelSeverity(start, n int) float64 {
-	if e == nil || n <= 0 {
-		return 0
-	}
-	var sum float64
-	for r := start; r < start+n; r++ {
-		plan := e.Plan(r)
-		sum += ModelSeverity(plan)
-	}
-	return sum / float64(n)
-}

@@ -39,18 +39,3 @@ func BitsToBytes(bits []byte) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// HammingDistance returns the number of differing positions between two
-// equal-length bit slices.
-func HammingDistance(a, b []byte) (int, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("link: length mismatch %d vs %d", len(a), len(b))
-	}
-	var d int
-	for i := range a {
-		if a[i] != b[i] {
-			d++
-		}
-	}
-	return d, nil
-}

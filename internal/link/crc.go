@@ -1,23 +1,5 @@
 package link
 
-// CRC8 computes the CRC-8/ATM checksum (polynomial x⁸+x²+x+1, 0x07, zero
-// init, no reflection). Used on the short downlink command words where every
-// byte counts.
-func CRC8(data []byte) byte {
-	var crc byte
-	for _, b := range data {
-		crc ^= b
-		for i := 0; i < 8; i++ {
-			if crc&0x80 != 0 {
-				crc = crc<<1 ^ 0x07
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	return crc
-}
-
 // CRC16 computes the CRC-16/CCITT-FALSE checksum (polynomial 0x1021, init
 // 0xFFFF), the frame-level integrity check on uplink payloads.
 func CRC16(data []byte) uint16 {

@@ -41,26 +41,6 @@ func TestBytesToBitsMSBFirst(t *testing.T) {
 	}
 }
 
-func TestHammingDistanceBasics(t *testing.T) {
-	d, err := HammingDistance([]byte{1, 0, 1}, []byte{1, 1, 1})
-	if err != nil || d != 1 {
-		t.Errorf("d=%d err=%v", d, err)
-	}
-	if _, err := HammingDistance([]byte{1}, []byte{1, 0}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-func TestCRC8KnownValue(t *testing.T) {
-	// CRC-8/ATM ("123456789") = 0xF4.
-	if got := CRC8([]byte("123456789")); got != 0xF4 {
-		t.Errorf("CRC8 check value = 0x%02X, want 0xF4", got)
-	}
-	if CRC8(nil) != 0 {
-		t.Error("CRC8 of empty should be 0")
-	}
-}
-
 func TestCRC16KnownValue(t *testing.T) {
 	// CRC-16/CCITT-FALSE ("123456789") = 0x29B1.
 	if got := CRC16([]byte("123456789")); got != 0x29B1 {

@@ -109,9 +109,6 @@ func (c *NodeColumns) Live(i int) bool { return c.Flags[i] == 0 }
 // Quarantined reports whether node i is in probation.
 func (c *NodeColumns) Quarantined(i int) bool { return c.Flags[i]&FlagQuarantined != 0 }
 
-// Dropped reports whether node i was permanently removed.
-func (c *NodeColumns) Dropped(i int) bool { return c.Flags[i]&FlagDropped != 0 }
-
 // FoldDeliveredAt folds a delivered poll (or a restoring probe's
 // successful round) into node i: success and SNR accounting plus the
 // health EWMA. Quarantine exit for probes is a separate step — see

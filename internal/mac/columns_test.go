@@ -92,8 +92,8 @@ func TestFoldPollFailureTransitions(t *testing.T) {
 	}
 
 	drop := PollPolicy{MaxRetries: 0, DropAfter: 1}
-	if ch := drop.FoldPollFailureAt(c, 1, 0); ch != LivenessDropped || !c.Dropped(1) || c.Live(1) {
-		t.Fatalf("drop policy: got %v dropped=%v", ch, c.Dropped(1))
+	if ch := drop.FoldPollFailureAt(c, 1, 0); ch != LivenessDropped || c.Flags[1]&FlagDropped == 0 || c.Live(1) {
+		t.Fatalf("drop policy: got %v dropped=%v", ch, c.Flags[1]&FlagDropped != 0)
 	}
 }
 

@@ -2,7 +2,6 @@ package mac_test
 
 import (
 	"fmt"
-	"math/rand"
 
 	"vab/internal/mac"
 )
@@ -39,14 +38,4 @@ func Example() {
 	fmt.Printf("delivered %d/%d (retries %d)\n", rep.Delivered, rep.Polled, rep.Retries)
 	// Output:
 	// delivered 2/3 (retries 2)
-}
-
-// ExampleDiscoverAll resolves ten unknown nodes with framed-slotted
-// discovery: colliding responses cancel, so repeated rounds with fresh nonces are needed.
-func ExampleDiscoverAll() {
-	addrs := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	rounds, found := mac.DiscoverAll(addrs, 8, 0, rand.New(rand.NewSource(2)), 100)
-	fmt.Printf("discovered %d/%d nodes in %d rounds\n", len(found), len(addrs), rounds)
-	// Output:
-	// discovered 10/10 nodes in 19 rounds
 }

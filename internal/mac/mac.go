@@ -4,10 +4,7 @@
 // Backscatter nodes cannot hear each other (their receivers only detect the
 // strong reader downlink), so all coordination flows through the reader: it
 // polls nodes one at a time, addressing each by its link-layer address, and
-// retries lost rounds with bounded attempts. Broadcast queries elicit
-// responses from every powered node and are used for discovery, with a
-// framed-slotted backoff resolving collisions (nodes answer in a
-// pseudo-random slot derived from their address).
+// retries lost rounds with bounded attempts.
 //
 // Scheduler is the one polling cycle of both fidelity tiers: the live
 // list, the probe calendar, parallel blocks folded in schedule order and
@@ -19,8 +16,6 @@ package mac
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 )
 
 // PollPolicy tunes the polling scheduler.
@@ -108,65 +103,4 @@ type NodeState struct {
 	Quarantined bool
 	// QuarantineEntries counts how many times the node entered probation.
 	QuarantineEntries int
-}
-
-// DiscoverySlot returns the response slot a node picks inside a discovery
-// window: a hash of its address and the round nonce, uniform over the
-// window. Nodes compute this with one multiply — cheap enough for
-// microwatt logic.
-func DiscoverySlot(addr byte, nonce uint16, slots int) int {
-	h := uint32(addr)*2654435761 + uint32(nonce)*40503
-	h ^= h >> 13
-	return int(h % uint32(slots))
-}
-
-// SimulateDiscovery models one framed-slotted discovery round: nodes pick
-// slots via DiscoverySlot; slots with exactly one respondent succeed (the
-// reader cannot separate colliding backscatter bursts). It returns the
-// discovered addresses. capture, in [0,1), is the probability that a
-// two-way collision still decodes (power capture effect), evaluated with
-// rng.
-func SimulateDiscovery(addrs []byte, nonce uint16, slots int, capture float64, rng *rand.Rand) []byte {
-	bySlot := make(map[int][]byte)
-	for _, a := range addrs {
-		s := DiscoverySlot(a, nonce, slots)
-		bySlot[s] = append(bySlot[s], a)
-	}
-	var found []byte
-	for _, group := range bySlot {
-		switch {
-		case len(group) == 1:
-			found = append(found, group[0])
-		case len(group) == 2 && rng != nil && rng.Float64() < capture:
-			found = append(found, group[rng.Intn(2)])
-		}
-	}
-	sort.Slice(found, func(i, j int) bool { return found[i] < found[j] })
-	return found
-}
-
-// DiscoverAll runs discovery rounds until every address is found or
-// maxRounds is exhausted, returning the rounds used and the found set.
-func DiscoverAll(addrs []byte, slots int, capture float64, rng *rand.Rand, maxRounds int) (int, []byte) {
-	found := make(map[byte]bool)
-	var nonce uint16
-	rounds := 0
-	for ; rounds < maxRounds && len(found) < len(addrs); rounds++ {
-		var missing []byte
-		for _, a := range addrs {
-			if !found[a] {
-				missing = append(missing, a)
-			}
-		}
-		nonce++
-		for _, a := range SimulateDiscovery(missing, nonce, slots, capture, rng) {
-			found[a] = true
-		}
-	}
-	out := make([]byte, 0, len(found))
-	for a := range found {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return rounds, out
 }

@@ -2,9 +2,7 @@ package mac
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // scriptBackend replays scripted outcomes: tapes[i][k] is the result of
@@ -191,93 +189,5 @@ func TestSchedulerValidation(t *testing.T) {
 		if _, err := NewScheduler(newScriptBackend(1), NewNodeColumns(1), 1, p); err == nil {
 			t.Errorf("policy %d accepted", i)
 		}
-	}
-}
-
-func TestDiscoverySlotRangeProperty(t *testing.T) {
-	f := func(addr byte, nonce uint16, s uint8) bool {
-		slots := int(s)%16 + 1
-		got := DiscoverySlot(addr, nonce, slots)
-		return got >= 0 && got < slots
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDiscoverySlotVariesWithNonce(t *testing.T) {
-	// A node must not be stuck in the same slot forever, or two colliding
-	// nodes would never separate.
-	seen := map[int]bool{}
-	for nonce := uint16(0); nonce < 32; nonce++ {
-		seen[DiscoverySlot(7, nonce, 8)] = true
-	}
-	if len(seen) < 4 {
-		t.Errorf("address 7 only ever used %d slots", len(seen))
-	}
-}
-
-func TestSimulateDiscoverySingleton(t *testing.T) {
-	got := SimulateDiscovery([]byte{42}, 1, 8, 0, nil)
-	if len(got) != 1 || got[0] != 42 {
-		t.Errorf("lone node not discovered: %v", got)
-	}
-}
-
-func TestSimulateDiscoveryCollisions(t *testing.T) {
-	// Find two addresses that collide in a known window, then check
-	// neither is returned without capture.
-	slots := 4
-	nonce := uint16(3)
-	var a, b byte
-	found := false
-	for x := byte(1); x < 100 && !found; x++ {
-		for y := x + 1; y < 100; y++ {
-			if DiscoverySlot(x, nonce, slots) == DiscoverySlot(y, nonce, slots) {
-				a, b = x, y
-				found = true
-				break
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no colliding pair found (hash degenerate?)")
-	}
-	got := SimulateDiscovery([]byte{a, b}, nonce, slots, 0, rand.New(rand.NewSource(1)))
-	if len(got) != 0 {
-		t.Errorf("collision should erase both: %v", got)
-	}
-	// With certain capture, exactly one survives.
-	got = SimulateDiscovery([]byte{a, b}, nonce, slots, 1.0, rand.New(rand.NewSource(1)))
-	if len(got) != 1 {
-		t.Errorf("full capture should yield one winner: %v", got)
-	}
-}
-
-func TestDiscoverAllConverges(t *testing.T) {
-	addrs := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	rng := rand.New(rand.NewSource(2))
-	rounds, found := DiscoverAll(addrs, 8, 0, rng, 100)
-	if len(found) != len(addrs) {
-		t.Fatalf("discovered %d/%d nodes in %d rounds", len(found), len(addrs), rounds)
-	}
-	if rounds > 20 {
-		t.Errorf("discovery took %d rounds for 10 nodes in 8 slots", rounds)
-	}
-	for i, a := range found {
-		if a != addrs[i] {
-			t.Errorf("found[%d] = %d", i, a)
-		}
-	}
-}
-
-func TestDiscoverAllRespectsBudget(t *testing.T) {
-	addrs := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	rounds, found := DiscoverAll(addrs, 2, 0, rand.New(rand.NewSource(3)), 1)
-	if rounds != 1 {
-		t.Errorf("rounds = %d", rounds)
-	}
-	if len(found) >= len(addrs) {
-		t.Error("8 nodes in 2 slots cannot all resolve in one round")
 	}
 }

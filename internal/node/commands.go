@@ -49,10 +49,6 @@ func (n *Node) ReportInterval() float64 { return n.reportInterval }
 // Muted reports whether the node is currently muted.
 func (n *Node) Muted() bool { return n.clock < n.muteUntil }
 
-// Clock returns the node's elapsed-time counter in seconds (advanced by
-// Harvest — the node has no other notion of time).
-func (n *Node) Clock() float64 { return n.clock }
-
 // HandleCommand processes a downlink command frame addressed to this node
 // (or broadcast) and returns the acknowledgement reflection waveform, or
 // nil when the command is for someone else, the node lacks energy, or the

@@ -38,8 +38,8 @@ func TestInjectBrownout(t *testing.T) {
 	if n.State() != StateSleep {
 		t.Fatalf("state after brownout = %v, want sleep", n.State())
 	}
-	if n.Harvester().Voltage() != 0 {
-		t.Fatalf("rail at %.3g V after forced depletion", n.Harvester().Voltage())
+	if n.Harvester().voltage != 0 {
+		t.Fatalf("rail at %.3g V after forced depletion", n.Harvester().voltage)
 	}
 	if bits, err := n.HandleQuery(&link.Frame{Type: link.FrameQuery, Addr: 3}); err != nil || bits != nil {
 		t.Fatalf("browned-out node answered (bits=%v err=%v)", bits != nil, err)

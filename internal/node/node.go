@@ -40,12 +40,6 @@ func DefaultPowerBudget() PowerBudget {
 	}
 }
 
-// Total returns the sum of all component draws (the "everything on" upper
-// bound used for sizing the storage capacitor).
-func (b PowerBudget) Total() float64 {
-	return b.Sleep + b.Listen + b.Decode + b.Backscatter
-}
-
 // Harvester models the node's energy storage: incident acoustic power is
 // rectified into a storage capacitor; node activity drains it.
 type Harvester struct {
@@ -97,9 +91,6 @@ func (h *Harvester) Validate() error {
 	}
 	return nil
 }
-
-// Voltage returns the current storage voltage.
-func (h *Harvester) Voltage() float64 { return h.voltage }
 
 // StoredEnergy returns the energy in the reservoir, ½CV².
 func (h *Harvester) StoredEnergy() float64 {

@@ -82,8 +82,8 @@ func TestHarvesterChargeDischarge(t *testing.T) {
 	// Charge at 1 mW for 10 s: E = 10 mJ → V = sqrt(2·0.01/1e-4) > 5 →
 	// clamps at MaxVoltage.
 	h.Step(1e-3, 0, 10)
-	if math.Abs(h.Voltage()-h.MaxVoltage) > 1e-9 {
-		t.Errorf("voltage %v, want clamp at %v", h.Voltage(), h.MaxVoltage)
+	if math.Abs(h.voltage-h.MaxVoltage) > 1e-9 {
+		t.Errorf("voltage %v, want clamp at %v", h.voltage, h.MaxVoltage)
 	}
 	if !h.Operational() {
 		t.Error("charged harvester should be operational")
@@ -103,7 +103,7 @@ func TestHarvesterChargeDischarge(t *testing.T) {
 	if math.Abs(spent-avail) > 1e-12 {
 		t.Errorf("overdraw spent %v, want %v", spent, avail)
 	}
-	if h.Voltage() != 0 {
+	if h.voltage != 0 {
 		t.Error("collapsed rail should read 0")
 	}
 }
@@ -146,7 +146,7 @@ func TestNodeWakesAndResponds(t *testing.T) {
 	// Strong carrier for long enough to charge: 100 Pa for 300 s.
 	n.Harvest(100, rhoC, 300)
 	if n.State() != StateListen {
-		t.Fatalf("node should be listening, is %v (V=%v)", n.State(), n.cfg.Harvest.Voltage())
+		t.Fatalf("node should be listening, is %v (V=%v)", n.State(), n.cfg.Harvest.voltage)
 	}
 	q := &link.Frame{Type: link.FrameQuery, Addr: 7}
 	gamma, err := n.HandleQuery(q)
@@ -226,8 +226,8 @@ func TestNodeSeqIncrements(t *testing.T) {
 
 func TestPowerBudgetTotals(t *testing.T) {
 	b := DefaultPowerBudget()
-	if b.Total() <= 0 || b.Total() > 1e-3 {
-		t.Errorf("total %v W should be µW-scale", b.Total())
+	if (b.Sleep+b.Listen+b.Decode+b.Backscatter) <= 0 || (b.Sleep+b.Listen+b.Decode+b.Backscatter) > 1e-3 {
+		t.Errorf("total %v W should be µW-scale", (b.Sleep + b.Listen + b.Decode + b.Backscatter))
 	}
 	if b.Backscatter <= b.Sleep {
 		t.Error("active power should exceed sleep power")
@@ -357,12 +357,12 @@ func TestCommandErrors(t *testing.T) {
 
 func TestClockAdvancesWithHarvest(t *testing.T) {
 	n := testNode(t)
-	if n.Clock() != 0 {
+	if n.clock != 0 {
 		t.Fatal("clock should start at zero")
 	}
 	n.Harvest(10, rhoC, 25)
-	if n.Clock() != 25 {
-		t.Errorf("clock %v, want 25", n.Clock())
+	if n.clock != 25 {
+		t.Errorf("clock %v, want 25", n.clock)
 	}
 }
 

@@ -2,16 +2,6 @@ package ocean
 
 import "math"
 
-// ThorpAbsorption returns the seawater absorption coefficient in dB/km at
-// frequency fHz using Thorp's empirical formula (valid roughly 100 Hz –
-// 50 kHz, 4 °C, 35 ppt). It is the standard first-order model in underwater
-// networking papers.
-func ThorpAbsorption(fHz float64) float64 {
-	f := fHz / 1000 // kHz
-	f2 := f * f
-	return 0.11*f2/(1+f2) + 44*f2/(4100+f2) + 2.75e-4*f2 + 0.003
-}
-
 // Absorption returns the absorption coefficient in dB/km at frequency fHz
 // for this environment using the Francois–Garrison (1982) model, which
 // accounts for temperature, salinity, pH and depth. For fresh water the

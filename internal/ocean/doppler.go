@@ -19,16 +19,6 @@ func (e *Environment) DopplerSpread(fHz, vRel float64) float64 {
 	return fHz * (e.SurfaceSpeed + math.Abs(vRel)) / c
 }
 
-// CoherenceTime returns the approximate channel coherence time in seconds,
-// using the usual T_c ≈ 0.423/B_d rule. Infinite for a static channel.
-func (e *Environment) CoherenceTime(fHz, vRel float64) float64 {
-	bd := e.DopplerSpread(fHz, vRel)
-	if bd <= 0 {
-		return math.Inf(1)
-	}
-	return 0.423 / bd
-}
-
 // FadingProcess generates a slowly varying random complex gain sequence with
 // the given Doppler spread, modeling the channel's time variation across a
 // packet. It is a first-order Gauss–Markov (AR(1)) process around 1+0j whose

@@ -189,24 +189,3 @@ func RicianK(arrivals []Arrival) float64 {
 	}
 	return 10 * math.Log10(best/rest)
 }
-
-// CoherentGain returns the magnitude of the phasor sum of all arrivals —
-// the flat-fading channel gain a narrowband signal experiences.
-func CoherentGain(arrivals []Arrival) float64 {
-	var s complex128
-	for _, a := range arrivals {
-		s += a.Gain
-	}
-	return cmplx.Abs(s)
-}
-
-// TotalPower returns the incoherent power sum of all arrivals, the upper
-// bound a diversity receiver can collect.
-func TotalPower(arrivals []Arrival) float64 {
-	var p float64
-	for _, a := range arrivals {
-		m := cmplx.Abs(a.Gain)
-		p += m * m
-	}
-	return p
-}

@@ -4,7 +4,7 @@
 // shallow-water waveguides.
 //
 // The models are the standard ones used by the underwater acoustic
-// networking community (Mackenzie sound speed, Thorp and Francois–Garrison
+// networking community (Mackenzie sound speed, Francois–Garrison
 // absorption, Wenz ambient noise curves, Rayleigh boundary reflection), so
 // link budgets computed here are directly comparable to the paper's field
 // settings: a shallow river (Charles River trials) and a coastal ocean

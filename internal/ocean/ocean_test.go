@@ -52,18 +52,18 @@ func TestMeanSoundSpeed(t *testing.T) {
 
 func TestThorpKnownValues(t *testing.T) {
 	// At 10 kHz Thorp gives roughly 1 dB/km; at 50 kHz roughly 15 dB/km.
-	a10 := ThorpAbsorption(10e3)
+	a10 := thorpAbsorption(10e3)
 	if a10 < 0.5 || a10 > 1.5 {
 		t.Errorf("Thorp(10 kHz) = %v dB/km, want ~1", a10)
 	}
-	a50 := ThorpAbsorption(50e3)
+	a50 := thorpAbsorption(50e3)
 	if a50 < 10 || a50 > 20 {
 		t.Errorf("Thorp(50 kHz) = %v dB/km, want ~15", a50)
 	}
 	// Monotone increasing in frequency.
 	prev := 0.0
 	for f := 100.0; f < 100e3; f *= 1.3 {
-		a := ThorpAbsorption(f)
+		a := thorpAbsorption(f)
 		if a < prev {
 			t.Fatalf("Thorp not monotone at %v Hz", f)
 		}
@@ -77,7 +77,7 @@ func TestFrancoisGarrisonVsThorp(t *testing.T) {
 	e := &Environment{Temperature: 4, Salinity: 35, PH: 8}
 	for _, f := range []float64{1e3, 5e3, 18.5e3, 50e3} {
 		fg := e.Absorption(f, 10)
-		th := ThorpAbsorption(f)
+		th := thorpAbsorption(f)
 		if fg < th/2.5 || fg > th*2.5 {
 			t.Errorf("f=%v: FG %v vs Thorp %v disagree wildly", f, fg, th)
 		}
@@ -197,4 +197,13 @@ func TestValidateCatchesBadFields(t *testing.T) {
 			t.Errorf("mutation %d not caught", i)
 		}
 	}
+}
+
+// thorpAbsorption is Thorp's empirical seawater absorption in dB/km at fHz
+// (valid roughly 100 Hz – 50 kHz, 4 °C, 35 ppt), the standard first-order
+// model the Francois–Garrison implementation is checked against.
+func thorpAbsorption(fHz float64) float64 {
+	f := fHz / 1000 // kHz
+	f2 := f * f
+	return 0.11*f2/(1+f2) + 44*f2/(4100+f2) + 2.75e-4*f2 + 0.003
 }

@@ -52,14 +52,3 @@ func (e *Environment) SurfaceReflection(theta, fHz float64) complex128 {
 	loss := math.Exp(-2 * g * g)
 	return complex(-loss, 0)
 }
-
-// CriticalAngle returns the bottom critical grazing angle in radians, below
-// which bottom bounces are near-lossless. If the bottom is slower than the
-// water there is no critical angle and 0 is returned.
-func (e *Environment) CriticalAngle() float64 {
-	c1 := e.MeanSoundSpeed()
-	if e.BottomSoundSpeed <= c1 {
-		return 0
-	}
-	return math.Acos(c1 / e.BottomSoundSpeed)
-}

@@ -1,10 +1,6 @@
 package phy
 
-import (
-	"math"
-
-	"vab/internal/dsp"
-)
+import "math"
 
 // Analytic bit-error-rate models for the link-level fidelity tier. The
 // waveform simulator and these closed forms are cross-validated by tests;
@@ -39,53 +35,33 @@ func BERNoncoherentFSKRician(ebn0, k float64) float64 {
 	return (1 + k) / den * math.Exp(-k*ebn0/den)
 }
 
-// BERCoherentBPSK returns Q(√(2·Eb/N0)), the coherent matched-filter bound
-// used as the "what a powered modem could do" reference curve.
-func BERCoherentBPSK(ebn0 float64) float64 {
-	if ebn0 < 0 {
-		return 0.5
-	}
-	return dsp.Q(math.Sqrt(2 * ebn0))
-}
-
-// RequiredEbN0NoncoherentFSK inverts BERNoncoherentFSK: the Eb/N0 (linear)
-// needed to hit a target BER on AWGN.
-func RequiredEbN0NoncoherentFSK(ber float64) float64 {
-	if ber >= 0.5 {
+// BERNoncoherentMFSK returns the symbol-error-derived bit error probability
+// of noncoherent M-ary orthogonal FSK on AWGN at Es/N0 (linear), using the
+// union-bound-exact sum
+//
+//	Ps = Σ_{i=1..M−1} (−1)^{i+1} C(M−1,i)/(i+1) · exp(−i·Es/((i+1)N0))
+//
+// and the orthogonal-signaling bit-error relation Pb = Ps·M/(2(M−1)).
+func BERNoncoherentMFSK(esn0 float64, m int) float64 {
+	if m < 2 {
 		return 0
 	}
-	return -2 * math.Log(2*ber)
-}
-
-// RequiredEbN0Rician inverts BERNoncoherentFSKRician numerically (bisection
-// over dB) for a target BER under Rician fading with factor k (linear).
-func RequiredEbN0Rician(ber, k float64) float64 {
-	if ber >= 0.5 {
-		return 0
+	if esn0 < 0 {
+		esn0 = 0
 	}
-	lo, hi := -10.0, 80.0 // dB search bracket
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if BERNoncoherentFSKRician(dsp.FromDB(mid), k) > ber {
-			lo = mid
-		} else {
-			hi = mid
-		}
+	var ps float64
+	sign := 1.0
+	c := float64(m - 1) // running binomial C(M-1, i)
+	for i := 1; i <= m-1; i++ {
+		ps += sign * c / float64(i+1) * math.Exp(-float64(i)*esn0/float64(i+1))
+		sign = -sign
+		c = c * float64(m-1-i) / float64(i+1)
 	}
-	return dsp.FromDB((lo + hi) / 2)
-}
-
-// CountChipErrors compares detected chips against the transmitted reference
-// and returns the number of mismatches. Slices must have equal length.
-func CountChipErrors(got, want []byte) int {
-	if len(got) != len(want) {
-		panic("phy: chip slice length mismatch")
+	if ps < 0 {
+		ps = 0
 	}
-	n := 0
-	for i := range got {
-		if got[i] != want[i] {
-			n++
-		}
+	if ps > 1 {
+		ps = 1
 	}
-	return n
+	return ps * float64(m) / (2 * float64(m-1))
 }

@@ -20,9 +20,6 @@ func NewAdaptiveCanceller(mu float64) *AdaptiveCanceller {
 	return &AdaptiveCanceller{mu: mu}
 }
 
-// Weight returns the current complex leakage estimate.
-func (c *AdaptiveCanceller) Weight() complex128 { return c.w }
-
 // Prime seeds the leakage estimate with the block least-squares solution
 // w = Σy·conj(x)/Σ|x|² over the given capture. A cold-started LMS tap
 // otherwise produces a large error transient during its first dozens of

@@ -51,7 +51,7 @@ func TestCancellerProcessMatchesReference(t *testing.T) {
 					t.Fatalf("prime=%v pass %d: sample %d is %v, reference %v", prime, pass, i, yg[i], yw[i])
 				}
 			}
-			if g, w := got.Weight(), want.w; math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
+			if g, w := got.w, want.w; math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
 				math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
 				t.Fatalf("prime=%v pass %d: weight %v, reference %v", prime, pass, g, w)
 			}

@@ -123,16 +123,6 @@ func (m *Modulator) BurstSamples(n int) int {
 	return (len(m.p.PreambleSeq) + n) * m.p.SamplesPerChip()
 }
 
-// CarrierEnvelope returns a constant unit envelope of n samples: the
-// reader's continuous-wave interrogation signal at complex baseband.
-func CarrierEnvelope(n int) []complex128 {
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = 1
-	}
-	return x
-}
-
 // OOKModulate on-off-keys a unit carrier envelope with downlink chips at
 // the modulator's chip rate. depth in (0, 1] sets the modulation depth
 // (1 = full on/off); partial depth lets the node keep harvesting energy

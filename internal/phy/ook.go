@@ -22,32 +22,6 @@ func NewOOKDemodulator(p Params) (*OOKDemodulator, error) {
 	return &OOKDemodulator{p: p}, nil
 }
 
-// DetectStart scans the capture for the first chip-length window whose
-// envelope exceeds factor times the capture's median envelope, returning
-// the sample index where energy begins. It models the node's wake-up
-// comparator. An error is returned when the capture never rises.
-func (d *OOKDemodulator) DetectStart(y []complex128, factor float64) (int, error) {
-	spc := d.p.SamplesPerChip()
-	if len(y) < spc {
-		return 0, fmt.Errorf("phy: capture shorter than one chip")
-	}
-	// Robust floor: median of per-window envelope means.
-	var floor float64
-	n := 0
-	for i := 0; i+spc <= len(y); i += spc {
-		floor += envMean(y[i : i+spc])
-		n++
-	}
-	floor /= float64(n)
-	thresh := floor * factor
-	for i := 0; i+spc <= len(y); i++ {
-		if envMean(y[i:i+spc]) > thresh {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("phy: no downlink energy rise found")
-}
-
 func envMean(y []complex128) float64 {
 	var s float64
 	for _, v := range y {

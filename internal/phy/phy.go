@@ -95,10 +95,6 @@ func (p *Params) Validate() error {
 // SamplesPerChip returns the integer oversampling factor.
 func (p *Params) SamplesPerChip() int { return int(p.SampleRate / p.ChipRate) }
 
-// BitRate returns the raw chip-level bit rate (before line coding and FEC):
-// one chip carries one raw bit in backscatter FSK.
-func (p *Params) BitRate() float64 { return p.ChipRate }
-
 // chipFreq maps a chip value to its subcarrier.
 func (p *Params) chipFreq(chip byte) float64 {
 	if chip == 0 {

@@ -119,14 +119,6 @@ func (t *Transducer) SeriesResonance() float64 {
 	return 1 / (2 * math.Pi * math.Sqrt(t.L1*t.C1))
 }
 
-// ParallelResonance returns the anti-resonance frequency f_p in Hz, where
-// the impedance magnitude peaks:
-//
-//	f_p = f_s·√(1 + C1/C0)
-func (t *Transducer) ParallelResonance() float64 {
-	return t.SeriesResonance() * math.Sqrt(1+t.C1/t.C0)
-}
-
 // Qm returns the mechanical quality factor ω_s·L1/R1.
 func (t *Transducer) Qm() float64 {
 	return 2 * math.Pi * t.SeriesResonance() * t.L1 / t.R1
@@ -137,12 +129,6 @@ func (t *Transducer) Qm() float64 {
 // electrical and mechanical domains.
 func (t *Transducer) CouplingK2() float64 {
 	return t.C1 / (t.C0 + t.C1)
-}
-
-// Bandwidth returns the -3 dB fractional bandwidth of the motional branch,
-// f_s/Q_m in Hz. Backscatter subcarriers must fit inside it.
-func (t *Transducer) Bandwidth() float64 {
-	return t.SeriesResonance() / t.Qm()
 }
 
 // Response returns the normalized second-order band-pass transduction
@@ -157,18 +143,6 @@ func (t *Transducer) Response(fHz float64) complex128 {
 	den := complex(1-u*u, u/q)
 	num := complex(0, u/q)
 	return num / den
-}
-
-// ReceiveVoltage returns the open-circuit voltage phasor produced by an
-// incident pressure of amplitude pPa at frequency fHz.
-func (t *Transducer) ReceiveVoltage(pPa, fHz float64) complex128 {
-	return complex(pPa*t.RxSensitivity, 0) * t.Response(fHz)
-}
-
-// TransmitPressure returns the radiated pressure amplitude at 1 m (Pa)
-// driven by a voltage of amplitude v at frequency fHz.
-func (t *Transducer) TransmitPressure(v complex128, fHz float64) complex128 {
-	return v * complex(t.TxResponse, 0) * t.Response(fHz)
 }
 
 // ReflectionCoefficient returns the power-wave reflection coefficient seen

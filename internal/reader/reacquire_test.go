@@ -2,10 +2,10 @@ package reader
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"vab/internal/channel"
-	"vab/internal/dsp"
 	"vab/internal/link"
 	"vab/internal/node"
 	"vab/internal/ocean"
@@ -41,7 +41,7 @@ func buildCleanCapture(t *testing.T, cfg Config, r *Reader) ([]complex128, []com
 		t.Fatal(err)
 	}
 	tl := env.TransmissionLoss(18.5e3, 30)
-	pAtNode := dsp.FromAmpDB(cfg.SourceLevelDB-tl) * 1e-6 // µPa → Pa
+	pAtNode := math.Pow(10, (cfg.SourceLevelDB-tl)/20) * 1e-6 // µPa → Pa
 	n.Harvest(pAtNode, 1025*env.MeanSoundSpeed(), 3600)
 	gammaBits, err := n.HandleQuery(&link.Frame{Type: link.FrameQuery, Addr: 7})
 	if err != nil || gammaBits == nil {

@@ -3,6 +3,7 @@ package reader
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -131,7 +132,7 @@ func TestEndToEndQueryResponse(t *testing.T) {
 
 	// Phase 1: carrier on, node harvests. Pressure at node from SL − TL.
 	tl := env.TransmissionLoss(18.5e3, rng)
-	pAtNode := dsp.FromAmpDB(cfg.SourceLevelDB-tl) * 1e-6 // µPa → Pa
+	pAtNode := math.Pow(10, (cfg.SourceLevelDB-tl)/20) * 1e-6 // µPa → Pa
 	n.Harvest(pAtNode, 1025*env.MeanSoundSpeed(), 3600)
 	if n.State() != node.StateListen {
 		t.Fatalf("node failed to wake: %v", n.State())
@@ -142,7 +143,7 @@ func TestEndToEndQueryResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atNode := ch.Downlink(qw)
+	atNode := ch.DownlinkInto(make([]complex128, len(qw)), qw)
 	ook, _ := phy.NewOOKDemodulator(cfg.PHY)
 	nChips := cfg.DownlinkCodec.ChipLength(0)
 	chips, err := ook.DemodChips(atNode, 0, nChips)

@@ -273,7 +273,7 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(out, "1.50e-07") {
 		t.Errorf("scientific formatting missing:\n%s", out)
 	}
-	if tb.Rows() != 3 {
+	if len(tb.rows) != 3 {
 		t.Error("row count")
 	}
 	csv := tb.CSV()

@@ -66,9 +66,6 @@ func FormatFloat(v float64) string {
 	}
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // String renders the aligned text table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.headers))

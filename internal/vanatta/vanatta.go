@@ -178,68 +178,11 @@ func NewUniformLinear(n int, spacing float64, tr *piezo.Transducer, soundSpeed f
 	return a, nil
 }
 
-// NewStaggeredPlanar builds the paper-style two-row staggered configuration:
-// rows*cols elements on a planar lattice in the x-y plane with pairs mirrored
-// through the array center. The stagger offsets alternate rows by half a
-// column spacing, improving response uniformity across azimuth.
-func NewStaggeredPlanar(rows, cols int, spacing float64, tr *piezo.Transducer, soundSpeed float64) (*Array, error) {
-	if rows < 1 || cols < 1 {
-		return nil, fmt.Errorf("vanatta: rows=%d cols=%d must be positive", rows, cols)
-	}
-	if rows*cols%2 != 0 {
-		return nil, fmt.Errorf("vanatta: staggered array needs an even element count, got %d", rows*cols)
-	}
-	if spacing <= 0 {
-		return nil, fmt.Errorf("vanatta: spacing %.3g m must be positive", spacing)
-	}
-	if tr == nil {
-		return nil, fmt.Errorf("vanatta: transducer model required")
-	}
-	a := &Array{
-		Trans:        tr,
-		SoundSpeed:   soundSpeed,
-		LineLossDB:   0.5,
-		LineDelaySec: 5e-9,
-	}
-	cmid := float64(cols-1) / 2
-	rmid := float64(rows-1) / 2
-	for r := 0; r < rows; r++ {
-		off := 0.0
-		if r%2 == 1 {
-			off = spacing / 2
-		}
-		for c := 0; c < cols; c++ {
-			a.Positions = append(a.Positions, Vec3{
-				X: (float64(c)-cmid)*spacing + off,
-				Y: (float64(r) - rmid) * spacing,
-			})
-		}
-	}
-	// Center the staggered lattice so mirrored pairing is exact: pair k
-	// with n-1-k after sorting by (y, x); for the centro-symmetric lattice
-	// built above, index i mirrors n-1-i directly.
-	n := rows * cols
-	// Recenter X so the centroid is at the origin (stagger shifts it).
-	var cx float64
-	for _, p := range a.Positions {
-		cx += p.X
-	}
-	cx /= float64(n)
-	for i := range a.Positions {
-		a.Positions[i].X -= cx
-	}
-	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
-		a.Pairs = append(a.Pairs, Pair{A: i, B: j})
-	}
-	return a, nil
-}
-
 // N returns the number of elements.
 func (a *Array) N() int { return len(a.Positions) }
 
 // Validate checks structural consistency: every element belongs to exactly
-// one pair (or is self-paired), and mirrored pairs are geometrically
-// centro-symmetric within tolerance.
+// one pair (or is self-paired).
 func (a *Array) Validate() error {
 	used := make([]int, len(a.Positions))
 	for _, p := range a.Pairs {
@@ -264,23 +207,6 @@ func (a *Array) Validate() error {
 		}
 	}
 	return nil
-}
-
-// IsCentroSymmetric reports whether every pair satisfies r_B ≈ −r_A within
-// tol meters, the geometric condition for perfect retrodirectivity.
-func (a *Array) IsCentroSymmetric(tol float64) bool {
-	for _, p := range a.Pairs {
-		d := a.Positions[p.A].Add(a.Positions[p.B])
-		if d.Norm() > tol {
-			return false
-		}
-	}
-	for _, s := range a.SelfPaired {
-		if a.Positions[s].Norm() > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // lineGain returns the complex one-way interconnect gain at fHz for a pair.
@@ -393,43 +319,6 @@ func (a *Array) MinMonostaticGainDB(fHz, sector float64, steps int) float64 {
 		th := -sector/2 + sector*float64(i)/float64(steps)
 		if g := a.MonostaticGainDB(fHz, th); g < min {
 			min = g
-		}
-	}
-	return min
-}
-
-// Direction3D returns the unit direction at azimuth az (rotation in the
-// x-z plane) and elevation el (tilt toward y), both in radians: the node
-// rotated arbitrarily in two axes as a drifting mooring would be.
-func Direction3D(az, el float64) Vec3 {
-	return Vec3{
-		X: math.Sin(az) * math.Cos(el),
-		Y: math.Sin(el),
-		Z: math.Cos(az) * math.Cos(el),
-	}
-}
-
-// MinMonostaticGainDB2D returns the worst-case monostatic gain over a full
-// two-axis orientation sector: azimuth and elevation each swept across
-// ±sector/2 in the given number of steps. A linear Van Atta array is only
-// retrodirective in the plane containing its axis; the staggered planar
-// configuration extends the property to both axes — this is the figure of
-// merit that comparison turns on.
-func (a *Array) MinMonostaticGainDB2D(fHz, sector float64, steps int) float64 {
-	min := math.Inf(1)
-	for i := 0; i <= steps; i++ {
-		az := -sector/2 + sector*float64(i)/float64(steps)
-		for j := 0; j <= steps; j++ {
-			el := -sector/2 + sector*float64(j)/float64(steps)
-			d := Direction3D(az, el)
-			g := cmplx.Abs(a.Scatter(fHz, d, d))
-			db := math.Inf(-1)
-			if g > 0 {
-				db = 20 * math.Log10(g)
-			}
-			if db < min {
-				min = db
-			}
 		}
 	}
 	return min
