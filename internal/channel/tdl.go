@@ -7,8 +7,8 @@ import (
 )
 
 // TDL applies a tapped delay line with the common bulk delay removed (the
-// relative-delay convolution Downlink and Uplink use). Two engines are
-// available:
+// relative-delay convolution DownlinkInto and UplinkInto use). Two
+// engines are available:
 //
 //   - Time domain (mixTaps): every tap in tap order over L1-sized output
 //     tiles. This is the reference arithmetic, and the engine every Link
