@@ -1,6 +1,7 @@
 package linksim
 
 import (
+	"os"
 	"testing"
 )
 
@@ -59,7 +60,11 @@ func TestEquivalentAcceptsReseededSubGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waveform calibration campaign")
 	}
-	golden, err := Load("testdata/calibration_subgrid.json")
+	data, err := os.ReadFile("testdata/calibration_subgrid.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}

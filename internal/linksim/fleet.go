@@ -3,6 +3,7 @@ package linksim
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"vab/internal/faults"
 	"vab/internal/mac"
@@ -82,9 +83,13 @@ type cachedCell struct {
 
 // pollBlock is the scheduler's block length for this backend: a block is
 // pollBlock scheduled polls whatever the worker count, long enough that a
-// block amortizes its dispatch. Cache population runs in blocks of as many
-// nodes.
+// block amortizes its dispatch. Placement and cache population run in
+// blocks of as many nodes.
 const pollBlock = 16384
+
+// placeDomain separates the placement draws, mix(seed, placeDomain, i),
+// from the poll streams.
+const placeDomain = 0x506c6163
 
 // Fleet is the link-abstraction tier: up to ~10⁶ nodes polled per cycle
 // through the calibrated statistical model, with the MAC layer's exact
@@ -110,9 +115,10 @@ type Fleet struct {
 	cellHits *telemetry.Counter // cycles served from the resolved-cell cache
 
 	// Resolved-cell cache: valid for cycles whose modelKey matches
-	// cacheKey. Populated lazily once the key has been stable for two
-	// cycles, so chaos campaigns (a new severity every cycle) never pay
-	// for it and calm campaigns skip the per-poll table walk.
+	// cacheKey. A fleet with neither a fault engine nor a rate controller
+	// has one key for life and fills the cache in its first cycle; any
+	// other fleet fills it once a key repeats in consecutive cycles, so
+	// chaos campaigns (a new severity every cycle) never pay for it.
 	cellCache []cachedCell
 	cacheKey  modelKey
 	cacheOK   bool
@@ -128,7 +134,10 @@ type Fleet struct {
 
 // NewFleet builds an abstract fleet. Placements (range, orientation) are
 // drawn deterministically from the seed, uniform over the configured
-// annulus, and resolved against the table once.
+// annulus, and resolved against the table once. Construction runs in
+// blocks of nodes on runtime.GOMAXPROCS(0) goroutines (it precedes
+// SetWorkers); each node is a pure function of (seed, node), so the fleet
+// is the same at any GOMAXPROCS.
 func NewFleet(cfg Config) (*Fleet, error) {
 	if n := len(cfg.Placements); n > 0 {
 		if cfg.Nodes != 0 && cfg.Nodes != n {
@@ -171,18 +180,27 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		seedBase: uint64(cfg.Seed),
 		seedHead: mix(uint64(cfg.Seed)),
 	}
-	const placeDomain = 0x506c6163 // placement draws, distinct from poll streams
-	for i := 0; i < cfg.Nodes; i++ {
-		if len(cfg.Placements) > 0 {
-			f.ranges[i] = cfg.Placements[i].RangeM
-			f.orients[i] = cfg.Placements[i].OrientRad
-		} else {
-			st := newStream(mix(f.seedBase, placeDomain, uint64(i)))
-			f.ranges[i] = rangeMinM + st.f64()*(rangeMaxM-rangeMinM)
-			f.orients[i] = (2*st.f64() - 1) * maxOrientRad
+	// Node i draws from mix(seedBase, placeDomain, i). The chain up to
+	// placeDomain is the same for every node, so it is computed once,
+	// leaving one SplitMix64 per node.
+	placeHead := faults.SplitMix64(f.seedHead ^ placeDomain)
+	blocks := (cfg.Nodes + pollBlock - 1) / pollBlock
+	if err := workpool.Run(blocks, runtime.GOMAXPROCS(0), "linksim_place", func(b int) error {
+		for i := b * pollBlock; i < min((b+1)*pollBlock, cfg.Nodes); i++ {
+			if len(cfg.Placements) > 0 {
+				f.ranges[i] = cfg.Placements[i].RangeM
+				f.orients[i] = cfg.Placements[i].OrientRad
+			} else {
+				st := newStream(faults.SplitMix64(placeHead ^ uint64(i)))
+				f.ranges[i] = rangeMinM + st.f64()*(rangeMaxM-rangeMinM)
+				f.orients[i] = (2*st.f64() - 1) * maxOrientRad
+			}
+			f.coords[i] = t.Resolve(f.ranges[i], f.orients[i])
+			f.cols.Addr[i] = byte(i % 251)
 		}
-		f.coords[i] = t.Resolve(f.ranges[i], f.orients[i])
-		f.cols.Addr[i] = byte(i % 251)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	f.sched, err = mac.NewScheduler(backend{f}, f.cols, pollBlock, cfg.Policy)
 	if err != nil {
@@ -196,10 +214,6 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	}
 	return f, nil
 }
-
-// NodeState returns a copy of node i's MAC bookkeeping, materialized from
-// the columnar layout.
-func (f *Fleet) NodeState(i int) mac.NodeState { return f.cols.State(i) }
 
 // SetWorkers bounds the worker pool that runs the scheduler's blocks and
 // populates the cell cache (n <= 0 selects runtime.NumCPU()). Cycle
@@ -271,28 +285,27 @@ type backend struct{ f *Fleet }
 
 // BeginCycle snapshots everything the cycle's draws depend on, once,
 // before fan-out: the fault severity, the rate command as an SNR shift,
-// and whether the draws read the resolved-cell cache. It populates the
-// cache when the model key repeats, and picks the hero links from the
-// schedule before the blocks compact it.
+// the lookup constants, and whether the draws read the resolved-cell
+// cache. It populates the cache (see the Fleet's cache fields), and picks
+// the hero links from the schedule before the blocks compact it.
 func (b backend) BeginCycle(cycle int, chipRate float64, sched mac.Schedule) error {
 	f := b.f
 	f.cycle = cycle
-	f.model = cycleModel{table: f.table, env: f.env, chipRate: f.table.ChipRate}
+	severity := 0.0
 	if f.chaos != nil {
-		f.model.severity = faults.ModelSeverity(f.chaos.Plan(cycle))
+		severity = faults.ModelSeverity(f.chaos.Plan(cycle))
 	}
-	if chipRate > 0 {
-		f.model.chipRate = chipRate
-		f.model.snrDelta = 10 * math.Log10(f.table.ChipRate/chipRate)
-	}
+	f.model = newCycleModel(f.table, f.env, severity, chipRate)
 
 	// Cell-cache policy for this cycle. A hit requires the cache to have
-	// been populated under this exact (severity, snrDelta); population
-	// itself waits for the key to repeat once, so a key seen only once
-	// (chaos redraws severity every cycle) costs nothing.
+	// been populated under this exact (severity, snrDelta). With no fault
+	// engine and no rate command the key cannot change, so population
+	// runs at once; otherwise it waits for the key to repeat, so a key
+	// seen only once (chaos redraws severity every cycle) costs nothing.
 	key := modelKey{severity: f.model.severity, snrDelta: f.model.snrDelta}
 	f.cached = f.cacheOK && key == f.cacheKey
-	populate := !f.cached && f.lastOK && key == f.lastKey
+	fixed := f.chaos == nil && chipRate == 0
+	populate := !f.cached && (fixed || f.lastOK && key == f.lastKey)
 	f.lastKey, f.lastOK = key, true
 	if populate {
 		if f.cellCache == nil {
@@ -302,8 +315,9 @@ func (b backend) BeginCycle(cycle int, chipRate float64, sched mac.Schedule) err
 		blocks := (f.cfg.Nodes + pollBlock - 1) / pollBlock
 		if err := workpool.Run(blocks, f.sched.Workers(), "linksim_cache", func(b int) error {
 			for n := b * pollBlock; n < min((b+1)*pollBlock, f.cfg.Nodes); n++ {
-				cell := f.model.resolve(f.coords[n])
-				f.cellCache[n] = cachedCell{cell: cell, expNegCorr: math.Exp(-cell.CorrMean)}
+				cc := &f.cellCache[n]
+				f.model.resolve(&cc.cell, f.coords[n])
+				cc.expNegCorr = math.Exp(-cc.cell.CorrMean)
 			}
 			return nil
 		}); err != nil {
@@ -337,7 +351,8 @@ func (b backend) Draw(c *mac.Chunk) error {
 			cc := &f.cellCache[p.Node]
 			m.pollCell(&seeds[k], int(p.Attempts), &cc.cell, cc.expNegCorr, &out)
 		} else {
-			cell := m.resolve(f.coords[p.Node])
+			var cell Cell
+			m.resolve(&cell, f.coords[p.Node])
 			m.pollCell(&seeds[k], int(p.Attempts), &cell, 0, &out)
 		}
 		c.Fold(&out)

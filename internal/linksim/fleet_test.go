@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
 	"vab/internal/faults"
 	"vab/internal/mac"
+	"vab/internal/telemetry"
 )
 
 // probationPolicy is the recovery-stack policy the fleet tests share.
@@ -108,8 +111,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/fleet_transcript
 
 // runDefaultPolicy runs a fleet with no fault engine and no rate
 // controller under mac.DefaultPollPolicy: the model key never changes, so
-// every cycle after the second draws from the resolved-cell cache, and
-// far nodes reach the permanent-drop path.
+// every cycle, the first included, draws from the resolved-cell cache,
+// and far nodes reach the permanent-drop path.
 func runDefaultPolicy(t *testing.T, workers, cycles int) string {
 	t.Helper()
 	fleet, err := NewFleet(Config{Nodes: 20_000, Policy: mac.DefaultPollPolicy(), Seed: 29})
@@ -258,7 +261,7 @@ func TestFleetProbeBeyondWheelHorizon(t *testing.T) {
 			t.Fatalf("cycle %d: polled %d while node 1 awaits its far probe, want 1", c, rep.Polled)
 		}
 	}
-	if st := fleet.NodeState(1); !st.Quarantined || st.Polls != 4 {
+	if st := fleet.cols.State(1); !st.Quarantined || st.Polls != 4 {
 		t.Fatalf("node 1 state %+v, want quarantined after 2 polls and 2 probes", st)
 	}
 }
@@ -343,4 +346,139 @@ func TestNewFleetValidation(t *testing.T) {
 	if _, err := NewFleet(Config{Nodes: 2, Policy: mac.PollPolicy{MaxRetries: -1}}); err == nil {
 		t.Fatal("invalid policy accepted")
 	}
+}
+
+// TestPlacementsMatchSeedChain: NewFleet draws placements in parallel
+// blocks, but every node keeps the geometry of a serial loop over
+// mix(seed, placeDomain, i), at any GOMAXPROCS. 40,000 nodes span three
+// blocks, the last one partial.
+func TestPlacementsMatchSeedChain(t *testing.T) {
+	const nodes, seed = 40_000, 23
+	if nodes <= 2*pollBlock {
+		t.Fatalf("%d nodes fit in two blocks of %d", nodes, pollBlock)
+	}
+	tab := DefaultTable()
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		fleet, err := NewFleet(Config{Nodes: nodes, Policy: mac.DefaultPollPolicy(), Seed: seed})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < nodes; i++ {
+			st := newStream(mix(uint64(seed), placeDomain, uint64(i)))
+			r := rangeMinM + st.f64()*(rangeMaxM-rangeMinM)
+			o := (2*st.f64() - 1) * maxOrientRad
+			if math.Float64bits(fleet.ranges[i]) != math.Float64bits(r) ||
+				math.Float64bits(fleet.orients[i]) != math.Float64bits(o) ||
+				fleet.coords[i] != tab.Resolve(r, o) || fleet.cols.Addr[i] != byte(i%251) {
+				t.Fatalf("GOMAXPROCS=%d node %d: range %v orient %v coord %+v, serial chain gives %v, %v, %+v",
+					procs, i, fleet.ranges[i], fleet.orients[i], fleet.coords[i], r, o, tab.Resolve(r, o))
+			}
+		}
+		fleet.Close()
+	}
+}
+
+// TestCellCachePolicy pins when cycles are served from the resolved-cell
+// cache, read from vab_linksim_cell_cache_cycles_total after every cycle:
+//   - a calm fleet (no fault engine, no rate controller) has one model key
+//     for life and is served from its first cycle on;
+//   - a chaos fleet whose severity changes every cycle never is;
+//   - a rate-controlled calm fleet is served once its key repeats in
+//     consecutive cycles, and then while the key stays the cached one.
+func TestCellCachePolicy(t *testing.T) {
+	const cycles = 12
+	hits := func(fleet *Fleet) *telemetry.Counter {
+		reg := telemetry.NewRegistry()
+		fleet.Instrument(reg)
+		return reg.Counter("vab_linksim_cell_cache_cycles_total", "")
+	}
+	build := func() *Fleet {
+		fleet, err := NewFleet(Config{Nodes: 2000, Policy: probationPolicy(), Seed: 31})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet.SetWorkers(2)
+		return fleet
+	}
+
+	t.Run("calm", func(t *testing.T) {
+		fleet := build()
+		defer fleet.Close()
+		n := hits(fleet)
+		for c := 1; c <= cycles; c++ {
+			if _, err := fleet.RunCycle(); err != nil {
+				t.Fatal(err)
+			}
+			if n.Value() != int64(c) {
+				t.Fatalf("after %d cycles: %d served from the cache, want all", c, n.Value())
+			}
+		}
+	})
+
+	t.Run("chaos", func(t *testing.T) {
+		fleet := build()
+		defer fleet.Close()
+		sc, err := faults.Parse("chaos", 31)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := faults.NewEngine(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet.SetFaultEngine(eng)
+		n := hits(fleet)
+		prev := math.NaN()
+		for c := 0; c < cycles; c++ {
+			rep, err := fleet.RunCycle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Severity == prev {
+				t.Fatalf("cycle %d repeats severity %v: the scenario no longer changes every cycle", c, prev)
+			}
+			prev = rep.Severity
+		}
+		if n.Value() != 0 {
+			t.Fatalf("%d chaos cycles served from the cache, want 0", n.Value())
+		}
+	})
+
+	t.Run("rate", func(t *testing.T) {
+		fleet := build()
+		defer fleet.Close()
+		rc, err := mac.NewRateController([]float64{125, 250, 500}, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet.EnableRateAdaptation(rc)
+		n := hits(fleet)
+		// The key is the commanded rate: a cycle is served when its rate
+		// repeats the previous cycle's (which fills the cache) or the
+		// rate the cache was last filled at.
+		prev, filled := 0.0, 0.0
+		want, steps := int64(0), 0
+		for c := 0; c < cycles; c++ {
+			rep, err := fleet.RunCycle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.ChipRate == prev || rep.ChipRate == filled {
+				want++
+				filled = rep.ChipRate
+			}
+			if c > 0 && rep.ChipRate != prev {
+				steps++
+			}
+			prev = rep.ChipRate
+			if n.Value() != want {
+				t.Fatalf("cycle %d at %.0f cps: %d served from the cache, want %d", c, rep.ChipRate, n.Value(), want)
+			}
+		}
+		if steps == 0 || want == 0 {
+			t.Fatalf("rate steps %d, cached cycles %d: the check needs both", steps, want)
+		}
+	})
 }

@@ -151,16 +151,37 @@ type cycleModel struct {
 	severity float64 // fault severity on the table's intensity axis
 	snrDelta float64 // dB shift from the commanded chip rate vs calibration
 	chipRate float64 // the commanded rate itself (hero systems retune to it)
+
+	// Lookup constants, computed once so resolve needs neither a binary
+	// search nor an exponential per node: the severity's bracket on the
+	// intensity axis, and ShiftDelivery's odds gain e^{LogisticK·snrDelta}.
+	span     intensitySpan
+	oddsGain float64
 }
 
-// resolve interpolates a node's calibration cell under this cycle's model
-// parameters, with PDeliver replaced by its rate-command shift: the cell
-// this cycle's draws see. Pure in the model and coordinate, so resolved
-// cells are cacheable across cycles whose (severity, snrDelta) match.
-func (m *cycleModel) resolve(coord linkCoord) Cell {
-	cell := m.table.Lookup(m.env, coord, m.severity)
-	cell.PDeliver = m.table.ShiftDelivery(cell.PDeliver, m.snrDelta)
-	return cell
+// newCycleModel builds the model of a cycle at the given fault severity
+// and commanded chip rate (0 = the table's calibrated rate).
+func newCycleModel(t *Table, env int, severity, chipRate float64) cycleModel {
+	m := cycleModel{table: t, env: env, severity: severity, chipRate: t.ChipRate}
+	if chipRate > 0 {
+		m.chipRate = chipRate
+		m.snrDelta = 10 * math.Log10(t.ChipRate/chipRate)
+	}
+	m.span = t.bracketIntensity(env, severity)
+	m.oddsGain = math.Exp(t.LogisticK * m.snrDelta)
+	return m
+}
+
+// resolve interpolates a node's calibration cell into cell under this
+// cycle's model parameters, with PDeliver replaced by its rate-command
+// shift: the cell this cycle's draws see, bit for bit Table.Lookup then
+// ShiftDelivery. Pure in the model and coordinate, so resolved cells are
+// cacheable across cycles whose (severity, snrDelta) match.
+func (m *cycleModel) resolve(cell *Cell, coord linkCoord) {
+	m.table.lookupAt(cell, coord, &m.span)
+	if m.snrDelta != 0 {
+		cell.PDeliver = shiftOdds(cell.PDeliver, m.oddsGain)
+	}
 }
 
 // pollSeed is a poll's draw state up to its first delivery uniform: the

@@ -2,6 +2,7 @@ package linksim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -106,5 +107,63 @@ func TestPoissonExpMatchesPoisson(t *testing.T) {
 		if a.s != b.s {
 			t.Fatalf("lambda %v: stream positions diverged", lambda)
 		}
+	}
+}
+
+// sameCellBits reports whether two cells agree in every field, bit for bit.
+func sameCellBits(a, b Cell) bool {
+	return math.Float64bits(a.PDeliver) == math.Float64bits(b.PDeliver) &&
+		math.Float64bits(a.SNRMeanDB) == math.Float64bits(b.SNRMeanDB) &&
+		math.Float64bits(a.SNRStdDB) == math.Float64bits(b.SNRStdDB) &&
+		math.Float64bits(a.CorrMean) == math.Float64bits(b.CorrMean) &&
+		math.Float64bits(a.DelayMs) == math.Float64bits(b.DelayMs)
+}
+
+// TestResolveMatchesLookup: resolve, which reads the intensity bracket and
+// the odds gain the cycle model computed once, equals the public path —
+// Table.Lookup, then ShiftDelivery — bit for bit. Severities cover grid
+// points, interior points and a clamped one past the axis; Δ covers the
+// calibrated rate and a quarter of it; coordinates cover the deployment
+// annulus, the grid's edges and beyond.
+func TestResolveMatchesLookup(t *testing.T) {
+	tab := DefaultTable()
+	rng := rand.New(rand.NewSource(41))
+	coords := make([]linkCoord, 0, 1200)
+	for i := 0; i < 1000; i++ {
+		coords = append(coords, tab.Resolve(rng.Float64()*1.5*rangeMaxM, (2*rng.Float64()-1)*1.5*maxOrientRad))
+	}
+	for _, r := range tab.RangesM {
+		for _, o := range tab.OrientsRad {
+			coords = append(coords, tab.Resolve(r, o), tab.Resolve(r, -o))
+		}
+	}
+	checked := 0
+	for env := range tab.Envs {
+		for _, sev := range []float64{0, 0.3, 0.5, 0.8, 1, 1.4} {
+			for _, chipRate := range []float64{0, tab.ChipRate / 4} {
+				m := newCycleModel(tab, env, sev, chipRate)
+				wantDelta := 0.0
+				if chipRate > 0 {
+					wantDelta = 10 * math.Log10(4)
+				}
+				if m.snrDelta != wantDelta {
+					t.Fatalf("chip rate %g: Δ = %v dB, want %v", chipRate, m.snrDelta, wantDelta)
+				}
+				for _, c := range coords {
+					want := tab.Lookup(env, c, sev)
+					want.PDeliver = tab.ShiftDelivery(want.PDeliver, m.snrDelta)
+					var got Cell
+					m.resolve(&got, c)
+					if !sameCellBits(got, want) {
+						t.Fatalf("env %d severity %g Δ %g coord %+v: resolve %+v, Lookup+ShiftDelivery %+v",
+							env, sev, m.snrDelta, c, got, want)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if checked < 1000*12 {
+		t.Fatalf("only %d comparisons", checked)
 	}
 }

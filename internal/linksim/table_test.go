@@ -3,11 +3,17 @@ package linksim
 import (
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// CellAt returns the raw cell at exact grid coordinates.
+func (t *Table) CellAt(env, intensity, orient, rng int) Cell {
+	return t.Cells[t.cellIndex(env, intensity, orient, rng)]
+}
 
 // randomTable builds a structurally valid table with random axes and cell
 // statistics — the generator behind the round-trip property test.
@@ -90,14 +96,19 @@ func TestTableRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestTableLoadWrite exercises the file round trip.
+// TestTableLoadWrite exercises the file round trip: Write, then read
+// the file back through Decode.
 func TestTableLoadWrite(t *testing.T) {
 	orig := randomTable(rand.New(rand.NewSource(7)))
 	path := filepath.Join(t.TempDir(), "cal.json")
 	if err := orig.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}

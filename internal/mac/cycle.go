@@ -244,6 +244,8 @@ type macMetrics struct {
 	quarantined *telemetry.Counter // probation entries
 	restored    *telemetry.Counter // probation exits via successful probe
 	probes      *telemetry.Counter // quarantine re-probe attempts
+	failed      *telemetry.Counter // cycles that returned an error
+	failedPolls *telemetry.Counter // polls those cycles had scheduled
 	liveNodes   *telemetry.Gauge
 	recoveryLat *telemetry.Histogram // cycles from quarantine entry to restore
 }
@@ -307,6 +309,10 @@ func (s *Scheduler) Instrument(reg *telemetry.Registry) {
 			"Quarantined nodes restored by a successful re-probe."),
 		probes: reg.Counter("vab_mac_probes_total",
 			"Single-attempt re-probes of quarantined nodes."),
+		failed: reg.Counter("vab_mac_failed_cycles_total",
+			"Cycles that returned an error and resynced the schedule."),
+		failedPolls: reg.Counter("vab_mac_failed_cycle_polls_total",
+			"Polls scheduled in failed cycles; no other counter reports their outcomes."),
 		liveNodes: reg.Gauge("vab_mac_live_nodes",
 			"Nodes currently in the polling schedule."),
 		recoveryLat: reg.Histogram("vab_mac_recovery_cycles",
@@ -415,7 +421,7 @@ func (s *Scheduler) RunCycle() (CycleReport, error) {
 	sched := Schedule{Live: s.live, Due: s.due}
 	rep.Polled = sched.Len()
 	if err := s.backend.BeginCycle(cycle, rep.ChipRate, sched); err != nil {
-		s.resync(cycle)
+		s.resync(cycle, rep.Polled)
 		return rep, err
 	}
 
@@ -430,7 +436,7 @@ func (s *Scheduler) RunCycle() (CycleReport, error) {
 	s.running = cycle
 	var t cycleTally
 	if err := s.dispatch(blocks, &t); err != nil {
-		s.resync(cycle)
+		s.resync(cycle, rep.Polled)
 		return rep, err
 	}
 	s.live = s.live[:t.kept]
@@ -480,9 +486,12 @@ func (s *Scheduler) RunCycle() (CycleReport, error) {
 // schedule, and every quarantined node is calendared at its next
 // re-probe, a due one (such as a probe the failed cycle took from the
 // wheel but never ran) at the next cycle. The failed cycle's counters are
-// not flushed, and its rate-controller feed stops at the failing block.
-// O(nodes), on the error path only.
-func (s *Scheduler) resync(cycle int) {
+// not flushed, and its rate-controller feed stops at the failing block;
+// the failed-cycle counters record the cycle and its `polls` scheduled
+// polls instead. O(nodes), on the error path only.
+func (s *Scheduler) resync(cycle, polls int) {
+	s.met.failed.Inc()
+	s.met.failedPolls.Add(int64(polls))
 	s.live = s.live[:0]
 	s.wheel.clear()
 	s.nQuar, s.nDrop = 0, 0

@@ -454,19 +454,37 @@ func TestFailedCycleResyncs(t *testing.T) {
 		b := fixedBackend(false, true, true, true, true, false, true, true, true, true, true, true)
 		s := newSched(t, b, 1, PollPolicy{DropAfter: 1, Probation: true, ProbeBackoffBase: 2, ProbeBackoffMax: 8})
 		s.SetWorkers(workers)
+		reg := telemetry.NewRegistry()
+		s.Instrument(reg)
+		lost := func(wantCycles, wantPolls int64) {
+			t.Helper()
+			cycles := reg.Counter("vab_mac_failed_cycles_total", "").Value()
+			polls := reg.Counter("vab_mac_failed_cycle_polls_total", "").Value()
+			if cycles != wantCycles || polls != wantPolls {
+				t.Errorf("workers=%d: failed cycles %d with %d polls, want %d with %d",
+					workers, cycles, polls, wantCycles, wantPolls)
+			}
+		}
 		b.errFor[2] = errors.New("flooded")
-		if _, err := s.RunCycle(); err == nil {
+		failed, err := s.RunCycle()
+		if err == nil {
 			t.Fatalf("workers=%d: cycle 0 did not fail", workers)
 		}
+		if failed.Polled != 12 {
+			t.Fatalf("workers=%d: cycle 0 scheduled %d polls, want 12", workers, failed.Polled)
+		}
+		lost(1, 12)
 		delete(b.errFor, 2)
 		consistent(t, s, CycleReport{Live: len(s.live), Quarantined: s.nQuar, Dropped: s.nDrop})
 		consistent(t, s, runScheduled(t, s)) // cycle 1: node 5 quarantines if cycle 0 never reached it
 
 		b.beginErr = errors.New("no model")
-		if _, err := s.RunCycle(); err == nil { // cycle 2: node 0's probe is due
+		failed2, err := s.RunCycle() // cycle 2: node 0's probe is due
+		if err == nil {
 			t.Fatalf("workers=%d: cycle 2 did not fail", workers)
 		}
 		b.beginErr = nil
+		lost(2, int64(12+failed2.Polled))
 		calls := slices.Clone(b.calls)
 		rep := runScheduled(t, s) // cycle 3
 		consistent(t, s, rep)
@@ -482,6 +500,7 @@ func TestFailedCycleResyncs(t *testing.T) {
 		for range 12 {
 			consistent(t, s, runScheduled(t, s))
 		}
+		lost(2, int64(12+failed2.Polled)) // clean cycles add nothing
 		s.Close()
 	}
 }
