@@ -107,15 +107,8 @@ type Reader struct {
 	pos int // bit cursor
 }
 
-// NewReader returns a Reader over buf. The Reader does not copy buf;
-// callers may also Reset an existing Reader to avoid the value copy.
+// NewReader returns a Reader over buf. The Reader does not copy buf.
 func NewReader(buf []byte) Reader { return Reader{buf: buf} }
-
-// Reset re-points the reader at buf with the cursor at bit 0.
-func (r *Reader) Reset(buf []byte) {
-	r.buf = buf
-	r.pos = 0
-}
 
 // Remaining returns the number of unread bits.
 func (r *Reader) Remaining() int { return len(r.buf)*8 - r.pos }

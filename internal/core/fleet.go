@@ -25,7 +25,7 @@ import (
 // bit-identical at any worker count.
 type Fleet struct {
 	sched   *mac.Scheduler
-	cols    *mac.NodeColumns // indexed like systems
+	cols    *mac.NodeColumns // indexed like systems, statistics attached
 	systems []*System        // by node index: ascending address
 
 	// Per node, the payload the running cycle delivered (nil if none):
@@ -58,6 +58,8 @@ func NewFleet(base SystemConfig, placements []NodePlacement, policy mac.PollPoli
 		systems:  make([]*System, 0, len(placements)),
 		payloads: make([][]byte, len(placements)),
 	}
+	// Nodes and the readings RunCycle returns report the statistics.
+	f.cols.Stats = mac.NewNodeStats(len(placements))
 	for i, p := range placements {
 		cfg := base
 		cfg.NodeAddr = p.Addr
@@ -83,8 +85,8 @@ func NewFleet(base SystemConfig, placements []NodePlacement, policy mac.PollPoli
 	// fixed output order — regardless of how the placements were listed.
 	slices.SortFunc(f.systems, func(a, b *System) int { return cmp.Compare(a.cfg.NodeAddr, b.cfg.NodeAddr) })
 	for i, s := range f.systems {
-		f.cols.Addr[i] = s.cfg.NodeAddr
-		if i > 0 && f.cols.Addr[i-1] == s.cfg.NodeAddr {
+		f.cols.Stats.Addr[i] = s.cfg.NodeAddr
+		if i > 0 && f.cols.Stats.Addr[i-1] == s.cfg.NodeAddr {
 			return nil, fmt.Errorf("core: duplicate node address %d", s.cfg.NodeAddr)
 		}
 	}
@@ -226,7 +228,7 @@ func (f *Fleet) RunCycle() ([]FleetReading, mac.CycleReport, error) {
 			continue
 		}
 		for _, rd := range scratch {
-			out = append(out, FleetReading{Addr: f.cols.Addr[i], Reading: rd, SNRdB: f.cols.LastSNRdB[i]})
+			out = append(out, FleetReading{Addr: f.cols.Stats.Addr[i], Reading: rd, SNRdB: f.cols.Stats.LastSNRdB[i]})
 		}
 	}
 	return out, rep, nil
@@ -245,7 +247,7 @@ func (f *Fleet) Nodes() []mac.NodeState {
 // System returns the per-node system (nil for unknown addresses), for
 // advanced access such as ranging rounds or commands.
 func (f *Fleet) System(addr byte) *System {
-	if i, ok := slices.BinarySearch(f.cols.Addr, addr); ok {
+	if i, ok := slices.BinarySearch(f.cols.Stats.Addr, addr); ok {
 		return f.systems[i]
 	}
 	return nil

@@ -84,7 +84,7 @@ func cycleSignature(t *testing.T, f *Fleet, cycles int) string {
 			c, rep.Polled, rep.Delivered, rep.Retries, rep.Probes)
 		for i, p := range f.payloads {
 			if p != nil {
-				fmt.Fprintf(&b, "  payload %d: %x\n", f.cols.Addr[i], p)
+				fmt.Fprintf(&b, "  payload %d: %x\n", f.cols.Stats.Addr[i], p)
 			}
 		}
 		for _, r := range readings {

@@ -70,7 +70,7 @@ func TestSystemRoundAtModerateRange(t *testing.T) {
 	if !rep.PayloadOK {
 		t.Error("payload did not parse")
 	}
-	if rep.Rx.Frame.Addr != s.Node.Addr() {
+	if rep.Rx.Frame.Addr != s.cfg.NodeAddr {
 		t.Errorf("frame from addr %d", rep.Rx.Frame.Addr)
 	}
 }
@@ -79,6 +79,7 @@ func TestSystemMultipleRounds(t *testing.T) {
 	s := riverSystem(t, 40, 9)
 	s.WakeNode(3600)
 	ok := 0
+	var seqs []byte
 	for i := 0; i < 5; i++ {
 		s.WakeNode(60) // keep the reservoir topped up between polls
 		rep, err := s.RunRound()
@@ -87,14 +88,17 @@ func TestSystemMultipleRounds(t *testing.T) {
 		}
 		if rep.Rx.OK() {
 			ok++
+			seqs = append(seqs, rep.Rx.Frame.Seq)
 		}
 	}
 	if ok < 4 {
 		t.Errorf("only %d/5 rounds decoded at 40 m", ok)
 	}
 	// Sequence numbers should advance.
-	if s.Node.Stats().FramesReturned < 4 {
-		t.Errorf("node returned %d frames", s.Node.Stats().FramesReturned)
+	for i := 1; i < len(seqs); i++ {
+		if seqs[i] <= seqs[i-1] {
+			t.Errorf("decoded frame sequence numbers %v do not advance", seqs)
+		}
 	}
 }
 

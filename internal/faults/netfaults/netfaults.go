@@ -103,18 +103,8 @@ func (p Profile) Validate() error {
 	return nil
 }
 
-// Stats counts injections by class since the engine was built. Counters
-// are atomic; Snapshot returns a consistent-enough copy for reporting.
-type Stats struct {
-	Drops    int64
-	Stalls   int64
-	Delays   int64
-	Partials int64
-	Corrupts int64
-}
-
 // Engine derives the injection schedule. It is stateless apart from the
-// connection-index allocator and the telemetry counters: the plan for
+// connection-index allocator and the drop and stall counters: the plan for
 // (conn, op) is a pure function of the seed, so one engine may wrap any
 // number of concurrent connections.
 type Engine struct {
@@ -123,11 +113,10 @@ type Engine struct {
 
 	nextConn atomic.Uint64
 
-	drops    atomic.Int64
-	stalls   atomic.Int64
-	delays   atomic.Int64
-	partials atomic.Int64
-	corrupts atomic.Int64
+	// Injected drops and stalls so far, for tests that assert a profile
+	// fired.
+	drops  atomic.Int64
+	stalls atomic.Int64
 
 	// sleep is the timing-fault clock; tests replace it to observe
 	// injected delays without waiting them out.
@@ -140,17 +129,6 @@ func NewEngine(seed int64, prof Profile) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{seed: seed, prof: prof, sleep: time.Sleep}, nil
-}
-
-// Stats returns the injection counts so far.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		Drops:    e.drops.Load(),
-		Stalls:   e.stalls.Load(),
-		Delays:   e.delays.Load(),
-		Partials: e.partials.Load(),
-		Corrupts: e.corrupts.Load(),
-	}
 }
 
 // stream is a deterministic draw sequence for one (conn, op, direction)
@@ -263,9 +241,6 @@ type Conn struct {
 	scratch []byte
 }
 
-// Index returns the connection's schedule index.
-func (c *Conn) Index() uint64 { return c.idx }
-
 // Wrap attaches conn to the engine's schedule under the next connection
 // index.
 func (e *Engine) Wrap(conn net.Conn) *Conn {
@@ -299,7 +274,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	if pl.corrupt && n > 0 {
 		p[pl.corruptOff%uint64(n)] ^= 1 << pl.corruptBit
-		c.eng.corrupts.Add(1)
 	}
 	return n, err
 }
@@ -326,12 +300,10 @@ func (c *Conn) Write(p []byte) (int, error) {
 		buf = c.scratch[:len(p)]
 		copy(buf, p)
 		buf[pl.corruptOff%uint64(len(p))] ^= 1 << pl.corruptBit
-		c.eng.corrupts.Add(1)
 	}
 	if pl.partial >= 0 && len(p) > 1 {
 		keep := 1 + int(pl.partial*float64(len(p)-1))
 		n, err := c.Conn.Write(buf[:keep])
-		c.eng.partials.Add(1)
 		c.Conn.Close()
 		if err != nil {
 			return n, err
@@ -343,15 +315,13 @@ func (c *Conn) Write(p []byte) (int, error) {
 }
 
 // pause sleeps for d (capped at one second so a pathological profile
-// cannot hang a harness) and books the matching stat.
+// cannot hang a harness) and counts it when it is a stall.
 func (c *Conn) pause(d time.Duration) {
 	if d > time.Second {
 		d = time.Second
 	}
 	if d >= time.Duration(c.eng.prof.StallMs*float64(time.Millisecond)) && c.eng.prof.StallMs > 0 {
 		c.eng.stalls.Add(1)
-	} else {
-		c.eng.delays.Add(1)
 	}
 	c.eng.sleep(d)
 }

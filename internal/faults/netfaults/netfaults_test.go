@@ -161,7 +161,7 @@ func TestInjectedDrop(t *testing.T) {
 	if _, err := client.Read(make([]byte, 1)); err == nil {
 		t.Fatal("peer still readable after injected drop")
 	}
-	if eng.Stats().Drops == 0 {
+	if eng.drops.Load() == 0 {
 		t.Fatal("drop not counted")
 	}
 }
@@ -228,7 +228,7 @@ func TestStallObserved(t *testing.T) {
 	if len(slept) != 1 || slept[0] != 50*time.Millisecond {
 		t.Fatalf("slept %v, want one 50ms stall", slept)
 	}
-	if eng.Stats().Stalls == 0 {
+	if eng.stalls.Load() == 0 {
 		t.Fatal("stall not counted")
 	}
 }
@@ -255,7 +255,7 @@ func TestListenerAssignsIndices(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sc.Close()
-		if got := sc.(*Conn).Index(); got != want {
+		if got := sc.(*Conn).idx; got != want {
 			t.Fatalf("accept %d got index %d", want, got)
 		}
 	}

@@ -75,9 +75,21 @@ func resumeCounter(s *Server) *telemetry.Counter {
 	return reg.Counter("vab_gateway_resumes_total", "")
 }
 
-func waitCount(t *testing.T, c *telemetry.Counter, n int64) {
+// Waits for Subscribe to resume. A first dial goes out at once and gets
+// handshakeWait for its dial and handshake. After an outage Subscribe
+// re-dials on its backoff schedule, whose level doubles with every
+// refused dial while the gateway is down, so its next dial can come up
+// to maxBackoff after the gateway is back (a rebind slowed by a loaded
+// host takes the level past 5 s).
+const (
+	handshakeWait = 5 * time.Second
+	reconnectWait = maxBackoff + handshakeWait
+)
+
+// waitCount waits up to within for c to reach n.
+func waitCount(t *testing.T, c *telemetry.Counter, n int64, within time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(within)
 	for c.Value() < n {
 		if time.Now().After(deadline) {
 			t.Fatalf("counter at %d, want %d", c.Value(), n)
@@ -148,14 +160,14 @@ func TestSubscribeRecoversDroppedGap(t *testing.T) {
 	resumes := resumeCounter(s)
 
 	out := startSubscribe(t, s.Addr().String())
-	waitCount(t, resumes, 1)
+	waitCount(t, resumes, 1, handshakeWait)
 	expectReadings(t, out, publishRange(s, 1, 3)...)
 
 	ln.cut()
 	waitForSubscribers(t, s, 0)
 	gap := publishRange(s, 4, 6)
 	ln.restore()
-	waitCount(t, resumes, 2)
+	waitCount(t, resumes, 2, reconnectWait)
 	expectReadings(t, out, append(gap, publishRange(s, 7, 9)...)...)
 }
 
@@ -174,7 +186,7 @@ func TestSubscribeResumesAfterRestart(t *testing.T) {
 	addr := s1.Addr().String()
 	resumes1 := resumeCounter(s1)
 	out := startSubscribe(t, addr)
-	waitCount(t, resumes1, 1)
+	waitCount(t, resumes1, 1, handshakeWait)
 	expectReadings(t, out, publishRange(s1, 1, 5)...)
 
 	s1.Close()
@@ -190,17 +202,22 @@ func TestSubscribeResumesAfterRestart(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+	// The subscriber is already re-dialing: hold s2's accepts until its
+	// resume counter is registered, or a resume handled first goes
+	// uncounted.
 	ln := newOutageListener(raw)
+	ln.cut()
 	s2 := NewServerListener(ctx, ln, t.Logf)
 	defer s2.Close()
 	resumes2 := resumeCounter(s2)
-	waitCount(t, resumes2, 1)
+	ln.restore()
+	waitCount(t, resumes2, 1, reconnectWait)
 	expectReadings(t, out, publishRange(s2, 1, 3)...)
 
 	ln.cut()
 	waitForSubscribers(t, s2, 0)
 	gap := publishRange(s2, 4, 7)
 	ln.restore()
-	waitCount(t, resumes2, 2)
+	waitCount(t, resumes2, 2, reconnectWait)
 	expectReadings(t, out, append(gap, publishRange(s2, 8, 8)...)...)
 }

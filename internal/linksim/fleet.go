@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"vab/internal/faults"
 	"vab/internal/mac"
@@ -72,13 +73,27 @@ type modelKey struct {
 	snrDelta float64
 }
 
-// cachedCell is one node's resolved link model under a modelKey: the
-// resolved cell (PDeliver rate-shifted) and the Poisson loop constant
-// e^{-CorrMean} — everything a poll draw needs, so a cache hit skips the
-// trilinear table walk entirely.
+// cachedCell is one node's resolved link model under a modelKey, 40
+// bytes: the resolved cell (PDeliver rate-shifted) with CorrMean replaced
+// by the Poisson loop constant e^{-CorrMean} — everything a poll draw
+// needs, so a cache hit skips the trilinear table walk entirely.
 type cachedCell struct {
-	cell       Cell
+	pDeliver, snrMeanDB, snrStdDB, delayMs float64
+	// expNegCorr is e^{-CorrMean}, or noCorrections when CorrMean ≤ 0.
 	expNegCorr float64
+}
+
+// noCorrections is cachedCell.expNegCorr for a cell whose CorrMean is not
+// positive: above every e^{-λ} of a positive λ, it tells the draw to take
+// no uniform (see poissonExp).
+const noCorrections = 2.0
+
+// setCell stores a resolved cell.
+func (c *cachedCell) setCell(cell *Cell) {
+	*c = cachedCell{cell.PDeliver, cell.SNRMeanDB, cell.SNRStdDB, cell.DelayMs, noCorrections}
+	if cell.CorrMean > 0 {
+		c.expNegCorr = math.Exp(-cell.CorrMean)
+	}
 }
 
 // pollBlock is the scheduler's block length for this backend: a block is
@@ -101,14 +116,13 @@ type Fleet struct {
 	table *Table
 	env   int
 
-	cols    *mac.NodeColumns // per-node MAC bookkeeping, SoA layout
-	sched   *mac.Scheduler
-	coords  []linkCoord // per-node interpolation coordinates
-	ranges  []float64
-	orients []float64
+	cols   *mac.NodeColumns // per-node MAC liveness, SoA layout
+	sched  *mac.Scheduler
+	coords []linkCoord // per-node interpolation coordinates
 
-	seedBase uint64
-	seedHead uint64 // mix(seedBase): the link every poll seed chains from
+	seedBase  uint64
+	seedHead  uint64 // mix(seedBase): the link every poll seed chains from
+	placeHead uint64 // mix(seedBase, placeDomain): the placement draws' chain
 
 	chaos    *faults.Engine
 	hero     *heroChecker
@@ -133,17 +147,19 @@ type Fleet struct {
 }
 
 // NewFleet builds an abstract fleet. Placements (range, orientation) are
-// drawn deterministically from the seed, uniform over the configured
-// annulus, and resolved against the table once. Construction runs in
-// blocks of nodes on runtime.GOMAXPROCS(0) goroutines (it precedes
-// SetWorkers); each node is a pure function of (seed, node), so the fleet
-// is the same at any GOMAXPROCS.
+// pinned by cfg.Placements, which NewFleet copies, or drawn
+// deterministically from the seed, uniform over the configured annulus;
+// either way only their table coordinates are kept (see placement).
+// Construction runs in blocks of nodes on runtime.GOMAXPROCS(0)
+// goroutines (it precedes SetWorkers); each node is a pure function of
+// (seed, node), so the fleet is the same at any GOMAXPROCS.
 func NewFleet(cfg Config) (*Fleet, error) {
 	if n := len(cfg.Placements); n > 0 {
 		if cfg.Nodes != 0 && cfg.Nodes != n {
 			return nil, fmt.Errorf("linksim: Nodes=%d conflicts with %d placements", cfg.Nodes, n)
 		}
 		cfg.Nodes = n
+		cfg.Placements = slices.Clone(cfg.Placements)
 	}
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("linksim: fleet needs at least one node, got %d", cfg.Nodes)
@@ -175,28 +191,16 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		env:      env,
 		cols:     mac.NewNodeColumns(cfg.Nodes),
 		coords:   make([]linkCoord, cfg.Nodes),
-		ranges:   make([]float64, cfg.Nodes),
-		orients:  make([]float64, cfg.Nodes),
 		seedBase: uint64(cfg.Seed),
 		seedHead: mix(uint64(cfg.Seed)),
 	}
-	// Node i draws from mix(seedBase, placeDomain, i). The chain up to
-	// placeDomain is the same for every node, so it is computed once,
-	// leaving one SplitMix64 per node.
-	placeHead := faults.SplitMix64(f.seedHead ^ placeDomain)
+	// The chain up to placeDomain is the same for every node, so it is
+	// computed once, leaving one SplitMix64 per node.
+	f.placeHead = faults.SplitMix64(f.seedHead ^ placeDomain)
 	blocks := (cfg.Nodes + pollBlock - 1) / pollBlock
 	if err := workpool.Run(blocks, runtime.GOMAXPROCS(0), "linksim_place", func(b int) error {
 		for i := b * pollBlock; i < min((b+1)*pollBlock, cfg.Nodes); i++ {
-			if len(cfg.Placements) > 0 {
-				f.ranges[i] = cfg.Placements[i].RangeM
-				f.orients[i] = cfg.Placements[i].OrientRad
-			} else {
-				st := newStream(faults.SplitMix64(placeHead ^ uint64(i)))
-				f.ranges[i] = rangeMinM + st.f64()*(rangeMaxM-rangeMinM)
-				f.orients[i] = (2*st.f64() - 1) * maxOrientRad
-			}
-			f.coords[i] = t.Resolve(f.ranges[i], f.orients[i])
-			f.cols.Addr[i] = byte(i % 251)
+			f.coords[i] = t.Resolve(f.placement(int32(i)))
 		}
 		return nil
 	}); err != nil {
@@ -213,6 +217,19 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		}
 	}
 	return f, nil
+}
+
+// placement returns node i's range and orientation: the pinned placement,
+// or the seeded draw from mix(seedBase, placeDomain, i). Construction and
+// the hero checker call it; nothing keeps the result.
+func (f *Fleet) placement(i int32) (rangeM, orientRad float64) {
+	if len(f.cfg.Placements) > 0 {
+		p := f.cfg.Placements[i]
+		return p.RangeM, p.OrientRad
+	}
+	st := newStream(faults.SplitMix64(f.placeHead ^ uint64(i)))
+	rangeM = rangeMinM + st.f64()*(rangeMaxM-rangeMinM)
+	return rangeM, (2*st.f64() - 1) * maxOrientRad
 }
 
 // SetWorkers bounds the worker pool that runs the scheduler's blocks and
@@ -315,9 +332,9 @@ func (b backend) BeginCycle(cycle int, chipRate float64, sched mac.Schedule) err
 		blocks := (f.cfg.Nodes + pollBlock - 1) / pollBlock
 		if err := workpool.Run(blocks, f.sched.Workers(), "linksim_cache", func(b int) error {
 			for n := b * pollBlock; n < min((b+1)*pollBlock, f.cfg.Nodes); n++ {
-				cc := &f.cellCache[n]
-				f.model.resolve(&cc.cell, f.coords[n])
-				cc.expNegCorr = math.Exp(-cc.cell.CorrMean)
+				var cell Cell
+				f.model.resolve(&cell, f.coords[n])
+				f.cellCache[n].setCell(&cell)
 			}
 			return nil
 		}); err != nil {
@@ -348,12 +365,13 @@ func (b backend) Draw(c *mac.Chunk) error {
 	var out mac.Outcome
 	for k, p := range c.Polls {
 		if f.cached {
-			cc := &f.cellCache[p.Node]
-			m.pollCell(&seeds[k], int(p.Attempts), &cc.cell, cc.expNegCorr, &out)
+			m.pollCell(&seeds[k], int(p.Attempts), &f.cellCache[p.Node], &out)
 		} else {
 			var cell Cell
+			var cc cachedCell
 			m.resolve(&cell, f.coords[p.Node])
-			m.pollCell(&seeds[k], int(p.Attempts), &cell, 0, &out)
+			cc.setCell(&cell)
+			m.pollCell(&seeds[k], int(p.Attempts), &cc, &out)
 		}
 		c.Fold(&out)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"os"
 	"strings"
 	"testing"
@@ -15,7 +14,7 @@ import (
 
 // scheduleLog renders what a cycle scheduled and what it left behind: per
 // cycle the polled, due-probe and restored counts and the hero picks, then
-// a hash of the node columns the fold writes.
+// a hash of the five liveness columns the fold writes.
 type scheduleLog struct{ b strings.Builder }
 
 func (l *scheduleLog) cycle(f *Fleet, rep CycleReport) {
@@ -32,12 +31,11 @@ func (l *scheduleLog) columns(f *Fleet) {
 		h.Write(buf[:])
 	}
 	for i := 0; i < c.Len(); i++ {
-		put(uint64(uint32(c.Polls[i])))
-		put(uint64(uint32(c.Successes[i])))
-		put(uint64(uint32(c.Retries[i])))
+		put(uint64(uint32(c.SilentCycles[i])))
 		put(uint64(c.Flags[i]))
-		put(math.Float64bits(c.Health[i]))
+		put(uint64(uint32(c.ProbeInterval[i])))
 		put(uint64(uint32(c.NextProbe[i])))
+		put(uint64(uint32(c.QuarantinedAt[i])))
 	}
 	fmt.Fprintf(&l.b, "columns %016x\n", h.Sum64())
 }

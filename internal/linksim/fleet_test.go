@@ -245,11 +245,15 @@ func TestFleetProbeBeyondWheelHorizon(t *testing.T) {
 	// 2048 cycles later.
 	const quarantineCycle = 1
 	probeCycle := quarantineCycle + 1500
+	cycles, regular, probes := 0, 0, 0
 	for c := 0; c <= probeCycle+2048; c++ {
 		rep, err := fleet.RunCycle()
 		if err != nil {
 			t.Fatal(err)
 		}
+		cycles++
+		regular += rep.Polled - rep.Probes
+		probes += rep.Probes
 		wantProbes := 0
 		if c == probeCycle || c == probeCycle+2048 {
 			wantProbes = 1
@@ -261,8 +265,11 @@ func TestFleetProbeBeyondWheelHorizon(t *testing.T) {
 			t.Fatalf("cycle %d: polled %d while node 1 awaits its far probe, want 1", c, rep.Polled)
 		}
 	}
-	if st := fleet.cols.State(1); !st.Quarantined || st.Polls != 4 {
-		t.Fatalf("node 1 state %+v, want quarantined after 2 polls and 2 probes", st)
+	// Node 0 (50 m) takes one regular poll every cycle: the loop pins it
+	// as the only poll of each probe-free cycle after the quarantine.
+	if !fleet.cols.Quarantined(1) || regular-cycles != 2 || probes != 2 {
+		t.Fatalf("node 1 quarantined=%v after %d regular polls and %d probes, want quarantined after 2 and 2",
+			fleet.cols.Quarantined(1), regular-cycles, probes)
 	}
 }
 
@@ -369,14 +376,26 @@ func TestPlacementsMatchSeedChain(t *testing.T) {
 			st := newStream(mix(uint64(seed), placeDomain, uint64(i)))
 			r := rangeMinM + st.f64()*(rangeMaxM-rangeMinM)
 			o := (2*st.f64() - 1) * maxOrientRad
-			if math.Float64bits(fleet.ranges[i]) != math.Float64bits(r) ||
-				math.Float64bits(fleet.orients[i]) != math.Float64bits(o) ||
-				fleet.coords[i] != tab.Resolve(r, o) || fleet.cols.Addr[i] != byte(i%251) {
+			fr, fo := fleet.placement(int32(i))
+			if math.Float64bits(fr) != math.Float64bits(r) || math.Float64bits(fo) != math.Float64bits(o) ||
+				fleet.coords[i] != tab.Resolve(r, o) {
 				t.Fatalf("GOMAXPROCS=%d node %d: range %v orient %v coord %+v, serial chain gives %v, %v, %+v",
-					procs, i, fleet.ranges[i], fleet.orients[i], fleet.coords[i], r, o, tab.Resolve(r, o))
+					procs, i, fr, fo, fleet.coords[i], r, o, tab.Resolve(r, o))
 			}
 		}
 		fleet.Close()
+	}
+
+	// Pinned placements are copied: a caller's later edit cannot move a
+	// node's hero geometry away from the coordinates it was resolved at.
+	pinned := []Placement{{RangeM: 50, OrientRad: 0.2}}
+	fleet, err := NewFleet(Config{Placements: pinned, Policy: mac.DefaultPollPolicy(), Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned[0].RangeM = 250
+	if r, o := fleet.placement(0); r != 50 || o != 0.2 {
+		t.Fatalf("pinned placement moved to %v, %v after the caller's edit", r, o)
 	}
 }
 

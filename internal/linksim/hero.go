@@ -114,8 +114,7 @@ func (h *heroChecker) check(f *Fleet, model *cycleModel, cycle int) (HeroReport,
 		p := model.table.ShiftDelivery(cell.PDeliver, model.snrDelta)
 
 		cfg := h.envCfg
-		cfg.Range = f.ranges[node]
-		cfg.Orientation = f.orients[node]
+		cfg.Range, cfg.Orientation = f.placement(node)
 		cfg.NodeAddr = byte(node%250) + 1
 		cfg.Seed = int64(mix(f.seedBase, uint64(uint32(node)), uint64(cycle)) >> 1)
 		cfg.Design = h.design.CloneDesign()

@@ -117,19 +117,16 @@ func zigSigned(u uint64, x float64) float64 {
 	return x
 }
 
-// poissonExp draws k ~ Poisson(lambda) by Knuth's product method — the
-// same small-rate regime the faults engine uses it in — with the loop
-// constant e^{-lambda} optionally precomputed (expNeg = 0 means "compute
-// it here"). A cycle's hot path resolves each node's cell once and caches
-// the exponent alongside it, so a million delivered polls skip a million
-// math.Exp calls. lambda <= 0 short-circuits without consuming a draw —
-// the draw-count contract is what keeps transcripts bit-identical.
-func (d *drawStream) poissonExp(lambda, expNeg float64) int {
-	if lambda <= 0 {
+// poissonExp draws k ~ Poisson(λ) by Knuth's product method — the same
+// small-rate regime the faults engine uses it in — from the loop constant
+// expNeg = e^{-λ}, which a cycle's hot path caches with each node's cell,
+// so a million delivered polls skip a million math.Exp calls. expNeg above
+// 1 (noCorrections, for λ ≤ 0) returns 0 without consuming a draw; a tiny
+// positive λ whose e^{-λ} rounds to exactly 1 consumes one. The
+// draw-count contract is what keeps transcripts bit-identical.
+func (d *drawStream) poissonExp(expNeg float64) int {
+	if expNeg > 1 {
 		return 0
-	}
-	if expNeg == 0 {
-		expNeg = math.Exp(-lambda)
 	}
 	k, p := 0, 1.0
 	for {
@@ -219,11 +216,10 @@ func seedPoll(head uint64, node int32, cycle int, probe bool) pollSeed {
 // everything that depends on the first delivery uniform. Up to
 // maxAttempts independent attempts (the MAC retry budget) each draw from
 // their own seeded stream; the first that delivers draws SNR, corrections
-// and delay. expNegCorr is e^{-cell.CorrMean} if precomputed, else 0.
-// The outcome goes through a pointer because it is too wide for
+// and delay. The outcome goes through a pointer because it is too wide for
 // registers: returned by value, it is built field by field on the stack
 // and then copied in wider moves, which stall on store forwarding.
-func (m *cycleModel) pollCell(s *pollSeed, maxAttempts int, cell *Cell, expNegCorr float64, out *mac.Outcome) {
+func (m *cycleModel) pollCell(s *pollSeed, maxAttempts int, cell *cachedCell, out *mac.Outcome) {
 	*out = mac.Outcome{}
 	st, u := s.st, s.u
 	for a := 0; a < maxAttempts; a++ {
@@ -232,14 +228,14 @@ func (m *cycleModel) pollCell(s *pollSeed, maxAttempts int, cell *Cell, expNegCo
 			u = st.f64()
 		}
 		out.Attempts = int32(a + 1)
-		if u >= cell.PDeliver {
+		if u >= cell.pDeliver {
 			continue // this attempt timed out
 		}
 		out.Delivered = true
-		out.SNRdB = cell.SNRMeanDB + cell.SNRStdDB*st.norm() + m.snrDelta
-		out.Corrected = int32(st.poissonExp(cell.CorrMean, expNegCorr))
+		out.SNRdB = cell.snrMeanDB + cell.snrStdDB*st.norm() + m.snrDelta
+		out.Corrected = int32(st.poissonExp(cell.expNegCorr))
 		// Delay: propagation plus a small sway-scale jitter (±0.1 ms RMS).
-		d := cell.DelayMs + 0.1*st.norm()
+		d := cell.delayMs + 0.1*st.norm()
 		if d < 0 {
 			d = 0
 		}

@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"vab/internal/faults"
+	"vab/internal/mac"
 )
 
 // TestZigguratTables pins the equal-area construction: every strip
@@ -90,22 +93,94 @@ func TestNormDistribution(t *testing.T) {
 	}
 }
 
-// TestPoissonExpMatchesPoisson: the precomputed-exponent path must be
-// draw-for-draw identical to the plain path, including the zero-rate
-// short-circuit consuming no draws.
+// poissonRef draws k ~ Poisson(λ) by Knuth's product method from λ
+// itself, with no draw for λ ≤ 0: the reference poissonExp's cached loop
+// constant must reproduce draw for draw.
+func poissonRef(d *drawStream, lambda float64) int {
+	if lambda <= 0 {
+		return 0
+	}
+	e := math.Exp(-lambda)
+	k, p := 0, 1.0
+	for {
+		p *= d.f64()
+		if p <= e {
+			return k
+		}
+		k++
+	}
+}
+
+// pollCellRef is the poll draw from a full resolved Cell, CorrMean and
+// all: the reference for pollCell over a cachedCell.
+func (m *cycleModel) pollCellRef(s *pollSeed, maxAttempts int, cell *Cell, out *mac.Outcome) {
+	*out = mac.Outcome{}
+	st, u := s.st, s.u
+	for a := 0; a < maxAttempts; a++ {
+		if a > 0 {
+			st = newStream(faults.SplitMix64(s.prefix ^ uint64(a)))
+			u = st.f64()
+		}
+		out.Attempts = int32(a + 1)
+		if u >= cell.PDeliver {
+			continue
+		}
+		out.Delivered = true
+		out.SNRdB = cell.SNRMeanDB + cell.SNRStdDB*st.norm() + m.snrDelta
+		out.Corrected = int32(poissonRef(&st, cell.CorrMean))
+		d := cell.DelayMs + 0.1*st.norm()
+		if d < 0 {
+			d = 0
+		}
+		out.DelayMs = d
+		return
+	}
+}
+
+// TestPoissonExpMatchesPoisson: the cached-exponent draw is draw for draw
+// the plain one, including the zero-rate short-circuit consuming no draws
+// and a rate whose e^{-λ} rounds to 1 consuming one.
 func TestPoissonExpMatchesPoisson(t *testing.T) {
-	for _, lambda := range []float64{0, 0.3, 1.5, 4} {
+	for _, lambda := range []float64{0, 1e-300, 0.3, 1.5, 4} {
+		var c cachedCell
+		c.setCell(&Cell{CorrMean: lambda})
 		a, b := newStream(7), newStream(7)
-		exp := math.Exp(-lambda)
 		for i := 0; i < 500; i++ {
-			ka := a.poissonExp(lambda, 0)
-			kb := b.poissonExp(lambda, exp)
+			ka := poissonRef(&a, lambda)
+			kb := b.poissonExp(c.expNegCorr)
 			if ka != kb {
 				t.Fatalf("lambda %v draw %d: %d vs %d", lambda, i, ka, kb)
 			}
 		}
 		if a.s != b.s {
 			t.Fatalf("lambda %v: stream positions diverged", lambda)
+		}
+	}
+}
+
+// TestCachedPollMatchesPollCell: a poll drawn from the 40-byte cache entry
+// equals the draw from the full cell, bit for bit, across the CorrMean
+// regimes the entry encodes differently: zero (no correction draw), so
+// tiny that e^{-λ} rounds to 1 (one draw), ordinary, and so large that
+// e^{-λ} underflows to 0. A correction draw that took a different number
+// of uniforms would shift the delay jitter drawn after it.
+func TestCachedPollMatchesPollCell(t *testing.T) {
+	m := newCycleModel(DefaultTable(), 0, 0, 250)
+	head := mix(31)
+	for _, corr := range []float64{0, 1e-300, 1e-17, 0.3, 8, 800} {
+		cell := Cell{PDeliver: 0.6, SNRMeanDB: 11, SNRStdDB: 2.5, CorrMean: corr, DelayMs: 0.05}
+		var cc cachedCell
+		cc.setCell(&cell)
+		for node := int32(0); node < 400; node++ {
+			s := seedPoll(head, node, int(node)%7, node%5 == 0)
+			var got, want mac.Outcome
+			m.pollCell(&s, 3, &cc, &got)
+			m.pollCellRef(&s, 3, &cell, &want)
+			if got.Attempts != want.Attempts || got.Delivered != want.Delivered || got.Corrected != want.Corrected ||
+				math.Float64bits(got.SNRdB) != math.Float64bits(want.SNRdB) ||
+				math.Float64bits(got.DelayMs) != math.Float64bits(want.DelayMs) {
+				t.Fatalf("CorrMean %v node %d: cached %+v, full cell %+v", corr, node, got, want)
+			}
 		}
 	}
 }

@@ -37,7 +37,8 @@ func TestFleetTierSeam(t *testing.T) {
 	}
 	placements := make([]core.NodePlacement, nodes)
 	for i := range placements {
-		placements[i] = core.NodePlacement{Addr: byte(i + 1), Range: abstract.ranges[i], Orientation: abstract.orients[i]}
+		r, o := abstract.placement(int32(i))
+		placements[i] = core.NodePlacement{Addr: byte(i + 1), Range: r, Orientation: o}
 	}
 	wave, err := core.NewFleet(core.SystemConfig{Env: env, Design: design, Range: 1, Seed: 61}, placements, policy)
 	if err != nil {

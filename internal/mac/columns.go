@@ -2,24 +2,28 @@ package mac
 
 // Decision-phase fold state, exported.
 //
-// RunCycle folds poll outcomes into per-node bookkeeping — health EWMA,
-// silent-cycle counting, probation entry/exit with backed-off re-probes,
-// permanent drops. Those transitions are the MAC layer's *semantics*,
-// whichever Backend produced the outcome, so they live here once, over
-// NodeColumns indexed by dense node index. They are exported because
-// reports and the benchmark ladder read and drive them directly.
+// RunCycle folds poll outcomes into per-node bookkeeping — silent-cycle
+// counting, probation entry/exit with backed-off re-probes, permanent
+// drops. Those transitions are the MAC layer's *semantics*, whichever
+// Backend produced the outcome, so they live here once, over NodeColumns
+// indexed by dense node index. They are exported because reports and the
+// benchmark ladder read and drive them directly.
 //
 // The columns are struct-of-arrays because of the abstract tier's scale:
 // folding through one ~100-byte struct per node would drag two cache lines
-// per node through a million-node cycle. They split into the *hot* columns
-// the fold phase and the decision phase stream (health, silent-cycle
-// count, liveness flags, probe schedule) and the *cold* columns only
-// reports materialize (cumulative counters, last SNR, quarantine
-// provenance). State materializes one node as a NodeState for reports.
+// per node through a million-node cycle. NodeColumns holds only the
+// liveness columns the fold and the decision phase read: silent-cycle
+// count, liveness flags, probe schedule and quarantine entry cycle (the
+// recovery-latency histogram's input), 17 bytes a node. The per-node
+// statistics reports materialize — health EWMA, cumulative counters, last
+// SNR, address — live in a NodeStats an owner attaches only when it
+// reports them (core.Fleet does; the million-node abstract tier does not).
+// No decision reads a statistic, so a schedule is the same with or
+// without them. State materializes one node as a NodeState for reports.
 //
 // Counters are int32: a single node would need 2³¹ polls to overflow —
 // about 68 years of one-second cycles — while the narrower columns keep a
-// million-node fleet's hot state inside ~20 MB.
+// million-node fleet's liveness state inside 17 MB.
 
 // LivenessChange reports the transition FoldPollFailureAt applied to a node.
 type LivenessChange int
@@ -57,50 +61,64 @@ func foldHealth(h float64, delivered bool) float64 {
 // NodeColumns holds per-node scheduler bookkeeping as struct-of-arrays,
 // indexed by a dense node index the owner assigns.
 type NodeColumns struct {
-	// Hot columns: read or written by every fold-phase transition and by
+	// Liveness columns: read or written by the fold-phase transitions and
 	// the decision phase's liveness scan.
-	Health        []float64 // delivery EWMA in [0, 1] (NodeState.Health)
-	SilentCycles  []int32   // consecutive failed cycles
-	Flags         []uint8   // FlagQuarantined | FlagDropped
-	ProbeInterval []int32   // current re-probe backoff, cycles
-	NextProbe     []int32   // cycle index of the next re-probe
+	SilentCycles  []int32 // consecutive failed cycles
+	Flags         []uint8 // FlagQuarantined | FlagDropped
+	ProbeInterval []int32 // current re-probe backoff, cycles
+	NextProbe     []int32 // cycle index of the next re-probe
+	QuarantinedAt []int32 // cycle of the latest quarantine entry
 
-	// Cold columns: cumulative statistics reports materialize.
+	// Stats, when attached, receives every fold's statistics; nil skips
+	// them.
+	Stats *NodeStats
+}
+
+// NodeStats holds the per-node statistics reports materialize, as
+// struct-of-arrays indexed like the NodeColumns they are attached to.
+// Nothing in a cycle's decisions reads them.
+type NodeStats struct {
+	Health            []float64 // delivery EWMA in [0, 1] (NodeState.Health)
 	Polls             []int32
 	Successes         []int32
 	Retries           []int32
 	QuarantineEntries []int32
-	QuarantinedAt     []int32
 	LastSNRdB         []float64
-	Addr              []byte
+	Addr              []byte // left 0 for the owner to assign
 }
 
-// NewNodeColumns allocates columns for n nodes, each initialized as a
-// freshly added node: health 1, everything else zero. Addresses are left 0
-// for the owner to assign.
+// NewNodeColumns allocates liveness columns for n nodes, each initialized
+// as a freshly added node, with no statistics attached.
 func NewNodeColumns(n int) *NodeColumns {
-	c := &NodeColumns{
+	return &NodeColumns{
+		SilentCycles:  make([]int32, n),
+		Flags:         make([]uint8, n),
+		ProbeInterval: make([]int32, n),
+		NextProbe:     make([]int32, n),
+		QuarantinedAt: make([]int32, n),
+	}
+}
+
+// NewNodeStats allocates statistics for n nodes, each initialized as a
+// freshly added node: health 1, everything else zero.
+func NewNodeStats(n int) *NodeStats {
+	st := &NodeStats{
 		Health:            make([]float64, n),
-		SilentCycles:      make([]int32, n),
-		Flags:             make([]uint8, n),
-		ProbeInterval:     make([]int32, n),
-		NextProbe:         make([]int32, n),
 		Polls:             make([]int32, n),
 		Successes:         make([]int32, n),
 		Retries:           make([]int32, n),
 		QuarantineEntries: make([]int32, n),
-		QuarantinedAt:     make([]int32, n),
 		LastSNRdB:         make([]float64, n),
 		Addr:              make([]byte, n),
 	}
-	for i := range c.Health {
-		c.Health[i] = 1
+	for i := range st.Health {
+		st.Health[i] = 1
 	}
-	return c
+	return st
 }
 
 // Len returns the node count.
-func (c *NodeColumns) Len() int { return len(c.Health) }
+func (c *NodeColumns) Len() int { return len(c.Flags) }
 
 // Live reports whether node i is on the regular schedule (neither
 // quarantined nor dropped).
@@ -110,14 +128,16 @@ func (c *NodeColumns) Live(i int) bool { return c.Flags[i] == 0 }
 func (c *NodeColumns) Quarantined(i int) bool { return c.Flags[i]&FlagQuarantined != 0 }
 
 // FoldDeliveredAt folds a delivered poll (or a restoring probe's
-// successful round) into node i: success and SNR accounting plus the
-// health EWMA. Quarantine exit for probes is a separate step — see
-// RestoreAt.
+// successful round) into node i: the silent-cycle count resets, and with
+// statistics attached, success and SNR accounting plus the health EWMA.
+// Quarantine exit for probes is a separate step — see RestoreAt.
 func (c *NodeColumns) FoldDeliveredAt(i int, snrDB float64) {
-	c.Successes[i]++
-	c.LastSNRdB[i] = snrDB
 	c.SilentCycles[i] = 0
-	c.Health[i] = foldHealth(c.Health[i], true)
+	if st := c.Stats; st != nil {
+		st.Successes[i]++
+		st.LastSNRdB[i] = snrDB
+		st.Health[i] = foldHealth(st.Health[i], true)
+	}
 }
 
 // RestoreAt exits quarantine after a successful re-probe and returns the
@@ -128,12 +148,15 @@ func (c *NodeColumns) RestoreAt(i, cycle int) int {
 	return cycle - int(c.QuarantinedAt[i]) + 1
 }
 
-// FoldProbeFailureAt folds a failed quarantine re-probe: the health EWMA
-// decays and the re-probe backoff doubles up to the policy cap. Probes
+// FoldProbeFailureAt folds a failed quarantine re-probe: the re-probe
+// backoff doubles up to the policy cap, and with statistics attached the
+// health EWMA decays. Probes
 // deliberately skip the retry budget — a node that is still down should
 // cost the cycle as little airtime as possible.
 func (p PollPolicy) FoldProbeFailureAt(c *NodeColumns, i, cycle int) {
-	c.Health[i] = foldHealth(c.Health[i], false)
+	if st := c.Stats; st != nil {
+		st.Health[i] = foldHealth(st.Health[i], false)
+	}
 	iv := c.ProbeInterval[i] * 2
 	if max := int32(p.probeMax()); iv > max {
 		iv = max
@@ -148,12 +171,17 @@ func (p PollPolicy) FoldProbeFailureAt(c *NodeColumns, i, cycle int) {
 // accumulate. The caller owns any rate-controller loss feeding and
 // metrics.
 func (p PollPolicy) FoldPollFailureAt(c *NodeColumns, i, cycle int) LivenessChange {
-	c.Health[i] = foldHealth(c.Health[i], false)
+	st := c.Stats
+	if st != nil {
+		st.Health[i] = foldHealth(st.Health[i], false)
+	}
 	c.SilentCycles[i]++
 	if p.DropAfter > 0 && int(c.SilentCycles[i]) >= p.DropAfter {
 		if p.Probation {
 			c.Flags[i] |= FlagQuarantined
-			c.QuarantineEntries[i]++
+			if st != nil {
+				st.QuarantineEntries[i]++
+			}
 			c.QuarantinedAt[i] = int32(cycle)
 			c.ProbeInterval[i] = int32(p.probeBase())
 			c.NextProbe[i] = int32(cycle) + c.ProbeInterval[i]
@@ -176,20 +204,24 @@ func (c *NodeColumns) ProbeDueAt(i, cycle int) bool {
 // calendar probes instead of scanning every quarantined node.
 func (c *NodeColumns) NextProbeAt(i int) int { return int(c.NextProbe[i]) }
 
-// State materializes node i as a NodeState, for reports.
+// State materializes node i as a NodeState, for reports. Its statistics
+// fields are zero unless statistics are attached.
 func (c *NodeColumns) State(i int) NodeState {
-	return NodeState{
-		Addr:              c.Addr[i],
-		Polls:             int(c.Polls[i]),
-		Successes:         int(c.Successes[i]),
-		Retries:           int(c.Retries[i]),
-		SilentCycles:      int(c.SilentCycles[i]),
-		Dropped:           c.Flags[i]&FlagDropped != 0,
-		LastSNRdB:         c.LastSNRdB[i],
-		Health:            c.Health[i],
-		Quarantined:       c.Flags[i]&FlagQuarantined != 0,
-		QuarantineEntries: int(c.QuarantineEntries[i]),
+	ns := NodeState{
+		SilentCycles: int(c.SilentCycles[i]),
+		Dropped:      c.Flags[i]&FlagDropped != 0,
+		Quarantined:  c.Flags[i]&FlagQuarantined != 0,
 	}
+	if st := c.Stats; st != nil {
+		ns.Addr = st.Addr[i]
+		ns.Polls = int(st.Polls[i])
+		ns.Successes = int(st.Successes[i])
+		ns.Retries = int(st.Retries[i])
+		ns.LastSNRdB = st.LastSNRdB[i]
+		ns.Health = st.Health[i]
+		ns.QuarantineEntries = int(st.QuarantineEntries[i])
+	}
+	return ns
 }
 
 // ProbeHorizon returns the resolved re-probe backoff cap in cycles — the

@@ -1,6 +1,9 @@
 package mac
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestFoldPrimitivesMatchScheduler drives a Scheduler through a
 // quarantine/restore trajectory and replays the same outcome sequence
@@ -19,7 +22,7 @@ func TestFoldPrimitivesMatchScheduler(t *testing.T) {
 	b.tapes[0] = script
 
 	// Shadow state evolved through the column fold only.
-	shadow := NewNodeColumns(1)
+	shadow := statsColumns(1)
 	si := 0 // script cursor for the shadow run
 
 	const cycles = 20
@@ -31,7 +34,7 @@ func TestFoldPrimitivesMatchScheduler(t *testing.T) {
 		// Shadow decision phase: same schedule the Scheduler computes.
 		if shadow.Live(0) || shadow.ProbeDueAt(0, c) {
 			probe := !shadow.Live(0)
-			shadow.Polls[0]++
+			shadow.Stats.Polls[0]++
 			ok := script[min(si, len(script)-1)]
 			si++
 			switch {
@@ -64,7 +67,7 @@ func TestFoldPrimitivesMatchScheduler(t *testing.T) {
 // the cap, and the recovery latency a restore reports.
 func TestFoldPollFailureTransitions(t *testing.T) {
 	p := PollPolicy{MaxRetries: 0, DropAfter: 2, Probation: true, ProbeBackoffMax: 8}
-	c := NewNodeColumns(2)
+	c := statsColumns(2)
 	if ch := p.FoldPollFailureAt(c, 0, 0); ch != LivenessNone {
 		t.Fatalf("first silent cycle: got %v, want LivenessNone", ch)
 	}
@@ -100,7 +103,7 @@ func TestFoldPollFailureTransitions(t *testing.T) {
 // TestNodeColumnsInit pins the freshly-added initial state and the
 // probe-horizon export the calendar wheel sizes itself with.
 func TestNodeColumnsInit(t *testing.T) {
-	c := NewNodeColumns(3)
+	c := statsColumns(3)
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d", c.Len())
 	}
@@ -118,5 +121,58 @@ func TestNodeColumnsInit(t *testing.T) {
 	}
 	if h := (PollPolicy{ProbeBackoffMax: 8}).ProbeHorizon(); h != 8 {
 		t.Fatalf("probe horizon %d, want 8", h)
+	}
+}
+
+// TestStatsDoNotSteerTheSchedule runs one script through two schedulers,
+// one with statistics attached and one without, for 30 cycles of
+// retries, probation, restores and drops: every report and every liveness
+// column must agree, so the statistics are pure output.
+func TestStatsDoNotSteerTheSchedule(t *testing.T) {
+	const nodes, cycles = 64, 30
+	for _, policy := range []PollPolicy{probationPolicy(), {MaxRetries: 1, DropAfter: 3}} {
+		var with, without *Scheduler
+		for _, stats := range []bool{true, false} {
+			cols := NewNodeColumns(nodes)
+			if stats {
+				cols.Stats = NewNodeStats(nodes)
+			}
+			s, err := NewScheduler(churnBackend(nodes), cols, 4, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc, err := NewRateController([]float64{125, 250, 500}, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetRateController(rc)
+			if stats {
+				with = s
+			} else {
+				without = s
+			}
+		}
+		var retries, quarantined, restored, dropped int
+		for c := 0; c < cycles; c++ {
+			a := runCycles(t, with, 1)
+			b := runCycles(t, without, 1)
+			if a != b {
+				t.Fatalf("policy %+v cycle %d: with stats %+v, without %+v", policy, c, a, b)
+			}
+			retries += a.Retries
+			restored += a.Restored
+			quarantined = max(quarantined, a.Quarantined)
+			dropped = a.Dropped
+		}
+		if retries == 0 || (policy.Probation && (quarantined == 0 || restored == 0)) || (!policy.Probation && dropped == 0) {
+			t.Fatalf("policy %+v: trajectory lost its teeth: retries %d, quarantined %d, restored %d, dropped %d",
+				policy, retries, quarantined, restored, dropped)
+		}
+		x, y := with.cols, without.cols
+		if !slices.Equal(x.SilentCycles, y.SilentCycles) || !slices.Equal(x.Flags, y.Flags) ||
+			!slices.Equal(x.ProbeInterval, y.ProbeInterval) || !slices.Equal(x.NextProbe, y.NextProbe) ||
+			!slices.Equal(x.QuarantinedAt, y.QuarantinedAt) {
+			t.Fatalf("policy %+v: liveness columns differ with and without statistics", policy)
+		}
 	}
 }

@@ -214,12 +214,11 @@ type Scheduler struct {
 	workers int
 	met     macMetrics
 
-	live    []int32 // ascending node indices on the regular schedule
-	liveAlt []int32 // double buffer for the restore merge
-	wheel   probeWheel
-	nQuar   int
-	nDrop   int
-	cycle   int // cycles started: the probation clock
+	live  []int32 // ascending node indices on the regular schedule, capacity n
+	wheel probeWheel
+	nQuar int
+	nDrop int
+	cycle int // cycles started: the probation clock
 
 	due      []int32       // this cycle's due probes, ascending, disjoint from live
 	bounds   []schedPos    // block b covers the schedule from bounds[b] to bounds[b+1]
@@ -276,7 +275,6 @@ func NewScheduler(b Backend, cols *NodeColumns, block int, policy PollPolicy) (*
 		cols:    cols,
 		workers: 1,
 		live:    make([]int32, n),
-		liveAlt: make([]int32, 0, n),
 		wheel:   newProbeWheel(policy.ProbeHorizon()),
 	}
 	for i := range s.live {
@@ -457,12 +455,9 @@ func (s *Scheduler) RunCycle() (CycleReport, error) {
 	s.met.restored.Add(int64(rep.Restored))
 	s.met.dropped.Add(int64(t.dropped))
 
-	// The restored merge back into the live list (both lists are
-	// ascending; the merge lands in the double buffer and the buffers
-	// swap, so no cycle allocates).
+	// The restored merge back into the live list, in place.
 	if len(s.restored) > 0 {
-		s.liveAlt = mergeSortedInto(s.liveAlt, s.live, s.restored)
-		s.live, s.liveAlt = s.liveAlt, s.live
+		s.live = mergeRestored(s.live, s.restored)
 	}
 	s.met.liveNodes.Set(float64(len(s.live)))
 
@@ -474,6 +469,26 @@ func (s *Scheduler) RunCycle() (CycleReport, error) {
 	rep.Quarantined = s.nQuar
 	rep.Dropped = s.nDrop
 	return rep, nil
+}
+
+// mergeRestored merges the ascending restored nodes into the ascending
+// live list in place and returns the merged list. The two are disjoint and
+// live has capacity for every node, so the merge fits; it runs from the
+// back, where each write lands on a slot whose live entry has already
+// moved.
+func mergeRestored(live, restored []int32) []int32 {
+	i, j := len(live)-1, len(restored)-1
+	live = live[:len(live)+len(restored)]
+	for k := len(live) - 1; j >= 0; k-- {
+		if i >= 0 && live[i] > restored[j] {
+			live[k] = live[i]
+			i--
+		} else {
+			live[k] = restored[j]
+			j--
+		}
+	}
+	return live
 }
 
 // resync rebuilds the live list, the probe calendar and the quarantine
@@ -636,13 +651,17 @@ func (c *Chunk) Fold(out *Outcome) {
 	s, rec, p := c.s, c.rec, c.Polls[c.folded]
 	ni := int(p.Node)
 	attempts := int(out.Attempts)
-	s.cols.Polls[ni] += int32(attempts)
 	rec.polls += attempts
 	if p.Probe {
 		rec.probes++
 	} else if attempts > 1 {
-		s.cols.Retries[ni] += int32(attempts - 1)
 		rec.retries += attempts - 1
+	}
+	if st := s.cols.Stats; st != nil {
+		st.Polls[ni] += int32(attempts)
+		if !p.Probe {
+			st.Retries[ni] += int32(attempts - 1)
+		}
 	}
 	stays := false
 	switch {

@@ -33,10 +33,19 @@ func fixedBackend(ok ...bool) *scriptBackend {
 	return b
 }
 
-// newSched builds a scheduler over b's nodes with the given block length.
+// statsColumns allocates columns for n nodes with statistics attached, so
+// tests can read every NodeState field.
+func statsColumns(n int) *NodeColumns {
+	c := NewNodeColumns(n)
+	c.Stats = NewNodeStats(n)
+	return c
+}
+
+// newSched builds a scheduler over b's nodes, statistics attached, with
+// the given block length.
 func newSched(t *testing.T, b *scriptBackend, block int, policy PollPolicy) *Scheduler {
 	t.Helper()
-	s, err := NewScheduler(b, NewNodeColumns(len(b.calls)), block, policy)
+	s, err := NewScheduler(b, statsColumns(len(b.calls)), block, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +650,50 @@ func TestCycleTelemetry(t *testing.T) {
 		"vab_mac_nodes_dropped_total":      0,
 		"vab_mac_live_nodes":               3,
 	})
-	if n, sum := s.met.recoveryLat.Count(), s.met.recoveryLat.Sum(); n != 1 || sum != 3 {
-		t.Errorf("recovery latency: %d observations summing to %g, want one of 3 cycles", n, sum)
+	var lat telemetry.Snapshot
+	for _, snap := range reg.Snapshot() {
+		if snap.Name == "vab_mac_recovery_cycles" {
+			lat = snap
+		}
+	}
+	if lat.Count != 1 || lat.Sum != 3 {
+		t.Errorf("recovery latency: %d observations summing to %g, want one of 3 cycles", lat.Count, lat.Sum)
+	}
+}
+
+// TestRestoreMergeInPlace: merging restored nodes into the live list in
+// place, with the list filled to its full capacity, equals the copying
+// merge, whether the restored nodes sort before, between or after the live
+// entries.
+func TestRestoreMergeInPlace(t *testing.T) {
+	cases := []struct{ live, restored []int32 }{
+		{[]int32{5, 6, 7}, []int32{0, 1, 2}},            // before
+		{[]int32{0, 3, 6}, []int32{1, 2, 4, 5}},         // between
+		{[]int32{0, 1, 2}, []int32{3, 4, 9}},            // after
+		{[]int32{2, 5, 9}, []int32{0, 3, 4, 7, 10, 11}}, // all three
+		{nil, []int32{1, 4}},                            // the live list had emptied
+		{[]int32{4}, []int32{8}},
+	}
+	rng := faults.SplitMix64(17)
+	for k := 0; k < 200; k++ { // random disjoint splits of 0…n-1
+		var c struct{ live, restored []int32 }
+		for n := int32(0); n < 40; n++ {
+			rng = faults.SplitMix64(rng)
+			if rng%3 == 0 {
+				c.restored = append(c.restored, n)
+			} else {
+				c.live = append(c.live, n)
+			}
+		}
+		cases = append(cases, c)
+	}
+	for _, c := range cases {
+		n := len(c.live) + len(c.restored)
+		live := make([]int32, len(c.live), n)
+		copy(live, c.live)
+		want := mergeSortedInto(nil, c.live, c.restored)
+		if got := mergeRestored(live, c.restored); !slices.Equal(got, want) || cap(got) != n {
+			t.Fatalf("live %v restored %v: in place %v, want %v", c.live, c.restored, got, want)
+		}
 	}
 }

@@ -96,7 +96,7 @@ type NodeState struct {
 	LastSNRdB    float64
 
 	// Health is an EWMA of per-cycle delivery in [0, 1] (1 = every recent
-	// cycle delivered), the score the probation policy keys on.
+	// cycle delivered). It is reported, never read by a decision.
 	Health float64
 	// Quarantined marks a node in probation: off the regular schedule,
 	// awaiting a backed-off re-probe.

@@ -112,7 +112,7 @@ func TestHealthEWMA(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = (1-healthAlpha)*want + healthAlpha*outcome
-		if got := s.cols.Health[0]; math.Abs(got-want) > 1e-12 {
+		if got := s.cols.Stats.Health[0]; math.Abs(got-want) > 1e-12 {
 			t.Fatalf("health %.6f, want %.6f", got, want)
 		}
 	}

@@ -38,8 +38,8 @@ func TestInjectBrownout(t *testing.T) {
 	if n.State() != StateSleep {
 		t.Fatalf("state after brownout = %v, want sleep", n.State())
 	}
-	if n.Harvester().voltage != 0 {
-		t.Fatalf("rail at %.3g V after forced depletion", n.Harvester().voltage)
+	if n.cfg.Harvest.voltage != 0 {
+		t.Fatalf("rail at %.3g V after forced depletion", n.cfg.Harvest.voltage)
 	}
 	if bits, err := n.HandleQuery(&link.Frame{Type: link.FrameQuery, Addr: 3}); err != nil || bits != nil {
 		t.Fatalf("browned-out node answered (bits=%v err=%v)", bits != nil, err)
@@ -57,14 +57,14 @@ func TestInjectBrownout(t *testing.T) {
 
 func TestSetClockPPM(t *testing.T) {
 	n := newTestNode(t)
-	if n.ClockPPM() != 0 {
-		t.Fatalf("default clock error %.3g ppm", n.ClockPPM())
+	if n.cfg.PHY.ClockPPM != 0 {
+		t.Fatalf("default clock error %.3g ppm", n.cfg.PHY.ClockPPM)
 	}
 	if err := n.SetClockPPM(1500); err != nil {
 		t.Fatal(err)
 	}
-	if n.ClockPPM() != 1500 {
-		t.Fatalf("clock error %.3g ppm, want 1500", n.ClockPPM())
+	if n.cfg.PHY.ClockPPM != 1500 {
+		t.Fatalf("clock error %.3g ppm, want 1500", n.cfg.PHY.ClockPPM)
 	}
 	// No-op path.
 	if err := n.SetClockPPM(1500); err != nil {

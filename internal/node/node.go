@@ -235,13 +235,6 @@ func New(cfg Config) (*Node, error) {
 	return &Node{cfg: cfg, mod: mod, state: StateSleep}, nil
 }
 
-// Addr returns the node's link-layer address.
-func (n *Node) Addr() byte { return n.cfg.Addr }
-
-// Harvester exposes the node's energy reservoir for inspection and fault
-// injection.
-func (n *Node) Harvester() *Harvester { return n.cfg.Harvest }
-
 // InjectBrownout forcibly depletes the reservoir and drops the node into
 // the sleep state: the deterministic fault-injection entry point. The node
 // stays silent until the next charge interval restores the rail (which,
@@ -250,9 +243,6 @@ func (n *Node) InjectBrownout() {
 	n.cfg.Harvest.Deplete()
 	n.state = StateSleep
 }
-
-// ClockPPM returns the node oscillator's current frequency error.
-func (n *Node) ClockPPM() float64 { return n.cfg.PHY.ClockPPM }
 
 // SetClockPPM re-tunes the node oscillator's frequency error mid-run (a
 // temperature transient, or a fault-injected clock step) by rebuilding the
@@ -293,9 +283,6 @@ func (n *Node) SetChipRate(rate float64) error {
 
 // State returns the FSM state.
 func (n *Node) State() State { return n.state }
-
-// Stats returns a copy of the activity counters.
-func (n *Node) Stats() Stats { return n.stats }
 
 // Harvest charges the node from an incident carrier for dt seconds
 // (pressure in Pa RMS at the node, rhoC the medium impedance). While the

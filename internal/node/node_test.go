@@ -156,7 +156,7 @@ func TestNodeWakesAndResponds(t *testing.T) {
 	if gamma == nil {
 		t.Fatal("addressed query should produce a response burst")
 	}
-	st := n.Stats()
+	st := n.stats
 	if st.FramesReturned != 1 || st.QueriesMine != 1 {
 		t.Errorf("stats %+v", st)
 	}
@@ -202,8 +202,8 @@ func TestNodeBrownsOutWithoutEnergy(t *testing.T) {
 	if gamma != nil {
 		t.Error("dead node responded")
 	}
-	if n.Stats().BrownOuts != 1 {
-		t.Errorf("brownouts = %d, want 1", n.Stats().BrownOuts)
+	if n.stats.BrownOuts != 1 {
+		t.Errorf("brownouts = %d, want 1", n.stats.BrownOuts)
 	}
 	if n.State() != StateSleep {
 		t.Errorf("state %v, want sleep", n.State())
@@ -284,8 +284,8 @@ func TestCommandPing(t *testing.T) {
 	if gamma == nil {
 		t.Fatal("ping not acknowledged")
 	}
-	if n.Stats().CommandsApplied != 1 {
-		t.Errorf("commands applied %d", n.Stats().CommandsApplied)
+	if n.stats.CommandsApplied != 1 {
+		t.Errorf("commands applied %d", n.stats.CommandsApplied)
 	}
 }
 

@@ -124,13 +124,6 @@ func (t *Transducer) Qm() float64 {
 	return 2 * math.Pi * t.SeriesResonance() * t.L1 / t.R1
 }
 
-// CouplingK2 returns the effective electromechanical coupling coefficient
-// k_eff² = C1/(C0+C1), the fraction of stored energy exchanged between the
-// electrical and mechanical domains.
-func (t *Transducer) CouplingK2() float64 {
-	return t.C1 / (t.C0 + t.C1)
-}
-
 // Response returns the normalized second-order band-pass transduction
 // response at fHz (1 at resonance), applied to both receive and transmit
 // paths. It captures how quickly the piezo rolls off away from resonance —

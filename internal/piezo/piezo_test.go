@@ -19,7 +19,7 @@ func TestNewTransducerRealizesParams(t *testing.T) {
 	if q := tr.Qm(); math.Abs(q-p.Qm) > 0.01*p.Qm {
 		t.Errorf("Qm %v, want %v", q, p.Qm)
 	}
-	if k2 := tr.CouplingK2(); math.Abs(k2-p.CouplingK2) > 1e-9 {
+	if k2 := couplingK2(tr); math.Abs(k2-p.CouplingK2) > 1e-9 {
 		t.Errorf("k² %v, want %v", k2, p.CouplingK2)
 	}
 	if fp := parallelResonance(tr); fp <= tr.SeriesResonance() {
@@ -279,4 +279,11 @@ func TestMatchQualityBoundsProperty(t *testing.T) {
 // impedance magnitude peaks: f_p = f_s·√(1 + C1/C0).
 func parallelResonance(t *Transducer) float64 {
 	return t.SeriesResonance() * math.Sqrt(1+t.C1/t.C0)
+}
+
+// couplingK2 returns the effective electromechanical coupling coefficient
+// k_eff² = C1/(C0+C1), the fraction of stored energy exchanged between the
+// electrical and mechanical domains.
+func couplingK2(t *Transducer) float64 {
+	return t.C1 / (t.C0 + t.C1)
 }

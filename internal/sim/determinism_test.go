@@ -73,13 +73,13 @@ func TestRunCellsParallelBitIdentity(t *testing.T) {
 		}
 	}
 
-	// OrientationSweep under the same contract.
+	// orientationSweep under the same contract.
 	thetas := []float64{0, 0.3, 0.6, 0.9}
-	oSerial, err := OrientationSweep(b, 150, thetas, 200, 392, 23, 1)
+	oSerial, err := orientationSweep(b, 150, thetas, 200, 392, 23, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oParallel, err := OrientationSweep(b, 150, thetas, 200, 392, 23, 4)
+	oParallel, err := orientationSweep(b, 150, thetas, 200, 392, 23, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,20 +181,3 @@ func RangeSweep(b *core.LinkBudget, ranges []float64, trials, chipsPerTrial int,
 	}
 	return RunCells(cfgs, workers)
 }
-
-// OrientationSweep runs cells across node orientations at a fixed range on
-// a RunCells pool (see RangeSweep for the worker contract). The budget is
-// copied per cell so the caller's budget is untouched and no two workers
-// share a mutable budget.
-func OrientationSweep(b *core.LinkBudget, rangeM float64, thetas []float64, trials, chipsPerTrial int, seed int64, workers int) ([]CellResult, error) {
-	cfgs := make([]TrialConfig, len(thetas))
-	for i, th := range thetas {
-		bb := *b
-		bb.Orientation = th
-		cfgs[i] = TrialConfig{
-			Budget: &bb, RangeM: rangeM, Trials: trials,
-			ChipsPerTrial: chipsPerTrial, Seed: seed + int64(i)*104729,
-		}
-	}
-	return RunCells(cfgs, workers)
-}

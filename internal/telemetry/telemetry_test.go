@@ -20,11 +20,10 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
-	g.Add(-1)
 	h.Observe(3)
 	sp := StartSpan(h)
 	sp.End()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Sum() != 0 {
 		t.Error("nil metrics must read as zero")
 	}
 	if r.Snapshot() != nil {
@@ -47,7 +46,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	g := r.Gauge("vab_test_gauge", "test gauge")
 	g.Set(2.5)
-	g.Add(-1)
+	g.Set(1.5)
 	if got := g.Value(); got != 1.5 {
 		t.Errorf("gauge = %g, want 1.5", got)
 	}
@@ -122,7 +121,7 @@ func TestConcurrentHammering(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(w))
 				h.Observe(float64(i%1000) / 100)
 				// Snapshots race the writers on purpose: they must never
 				// tear a value or crash.
@@ -137,8 +136,8 @@ func TestConcurrentHammering(t *testing.T) {
 	if c.Value() != total {
 		t.Errorf("counter lost updates: %d != %d", c.Value(), total)
 	}
-	if g.Value() != total {
-		t.Errorf("gauge lost updates: %g != %d", g.Value(), total)
+	if v := g.Value(); v != math.Trunc(v) || v < 0 || v >= workers {
+		t.Errorf("gauge %g is no worker's value: a torn store", v)
 	}
 	counts, _, count := h.snapshot()
 	if count != total {
@@ -159,8 +158,8 @@ func TestSpanObservesElapsed(t *testing.T) {
 	sp := StartSpan(h)
 	time.Sleep(2 * time.Millisecond)
 	sp.End()
-	if h.Count() != 1 {
-		t.Fatalf("span recorded %d observations", h.Count())
+	if _, _, n := h.snapshot(); n != 1 {
+		t.Fatalf("span recorded %d observations", n)
 	}
 	if s := h.Sum(); s < 0.001 || s > 5 {
 		t.Errorf("span sum %g implausible", s)

