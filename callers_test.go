@@ -1,160 +1,565 @@
 package vab
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// uncalledAllowed lists the exported functions and methods of the main
-// module that no non-test file calls by name, each kept on purpose. Keys
-// are pkg.Name or pkg.Recv.Name.
+// uncalledAllowed lists the exported names and the methods of the main
+// module that no non-test file references, each kept on purpose. Keys are
+// pkg.Name or pkg.Recv.Name, with pkg the last element of the import path.
 var uncalledAllowed = map[string]string{
-	"netmem.Conn.LocalAddr":         "net.Conn method; callers hold a net.Conn",
-	"netmem.Conn.SetDeadline":       "net.Conn method; callers hold a net.Conn",
-	"netmem.Addr.Network":           "net.Addr method; callers hold a net.Addr",
-	"netmem.timeoutError.Timeout":   "net.Error method; callers test errors through net.Error",
-	"netmem.timeoutError.Temporary": "net.Error method; callers test errors through net.Error",
-	"dsp.ReadCapture":               "reads the VABC captures that vabscan -capture writes; the receive chain's recorded fixtures (ROADMAP item 2) load through it",
-	"dsp.WelchPSD":                  "how TestWelchConfirmsChannelColoring measures the synthesized noise spectrum; the Wenz noise check (ROADMAP item 6) needs it",
-	"dsp.BandPower":                 "integrates WelchPSD over a band for TestWelchConfirmsChannelColoring and the Wenz noise check",
-	"vanatta.Array.FailedElements":  "core's TestApplyFaultPlanElements counts the elements a DeadFrac fault plan kills through it",
-	"node.DecodeReadings":           "the inverse of the packed payload encoder; FuzzPackedDecode round-trips against it",
+	"dsp.ReadCapture":              "reads the VABC captures that vabscan -capture writes; the receive chain's recorded fixtures (ROADMAP item 2) load through it",
+	"dsp.WelchPSD":                 "how TestWelchConfirmsChannelColoring measures the synthesized noise spectrum; the Wenz noise check (ROADMAP item 6) needs it",
+	"dsp.BandPower":                "integrates WelchPSD over a band for TestWelchConfirmsChannelColoring and the Wenz noise check",
+	"vanatta.Array.FailedElements": "core's TestApplyFaultPlanElements counts the elements a DeadFrac fault plan kills through it",
+	"node.DecodeReadings":          "the inverse of the packed payload encoder; FuzzPackedDecode round-trips against it",
+	"dsp.NormXCorrInto":            "reference implementation: TestCorrelatorMatchesOneShot pins Correlator.NormXCorrInto, which acquisition runs, against it bit for bit",
+	"dsp.Correlator.XCorrInto":     "the raw surface TestCorrelatorMatchesOneShot compares with the package-level XCorrInto on both the direct and the FFT path",
+	"dsp.Goertzel.Energy":          "reference single-tone energy: the Goertzel tests check tone orthogonality with it, and the phy and channel tests measure tone energies with it",
+	"core.Fleet.System":            "test seam: linksim's TestFleetTierSeam reads a waveform node's chip rate through it",
 }
 
-// TestEveryExportedFuncHasACaller fails when an exported top-level function
-// or method of the main module has no caller in a non-test Go file, unless
-// uncalledAllowed names it with a reason; it also fails on an allow-list
-// entry that is now called or no longer declared. Declarations come from
-// every non-test file outside internal/benchmark; callers come from every
-// non-test file, cmd/, examples/ and internal/benchmark included.
-//
-// A declaration counts as called when its name appears as an identifier
-// anywhere outside its own body. The match is by name only, so dead code
-// whose name a live symbol (or a field) shares goes unnoticed; but a
-// function that is called is never flagged.
+// unwrittenAllowed lists the exported struct fields of the main module's
+// package-level types that no non-test file writes, each kept on purpose.
+// Keys are pkg.Type.Field.
+var unwrittenAllowed = map[string]string{
+	"channel.Config.DisableNoise":     "test seam: the channel tests' base config switches ambient noise off so each test measures one mechanism",
+	"core.SystemConfig.DisableFading": "test seam: TestSystemWaveformAgreesWithBudgetTier switches fading off so one waveform realization tracks the budget tier",
+	"linksim.Config.Table":            "test seam: fleet tests inject a hand-built table; production runs the embedded calibration",
+	"linksim.Placement.RangeM":        "test seam: pinned placements put fleet-test nodes at known ranges; production draws them from the seed",
+	"linksim.Placement.OrientRad":     "test seam: pinned placements put fleet-test nodes at known orientations; production draws them from the seed",
+	"reader.Config.UseEqualizer":      "the equalizer ablation bench and TestEqualizerImprovesCoastalDecodeRate turn it on; ROADMAP item 1 names both as gates",
+}
+
+// TestEveryExportedFuncHasACaller fails when an exported package-level
+// func, type, var or const of the main module, or any method of its
+// package-level types (interface methods included), has no reference from
+// a non-test file outside its own declaration (for a type, its methods do
+// not count either), unless uncalledAllowed names it with a reason; it
+// also fails on an allow-list entry that is referenced now, no longer
+// declared or has no reason. A method also counts as referenced when its
+// type, or a pointer to it, implements an interface that non-test code
+// names and that declares the method. References come from every non-test
+// file, internal/benchmark's included; uses are resolved by go/types, so a
+// dead name that a live one shares is still caught.
 func TestEveryExportedFuncHasACaller(t *testing.T) {
-	root, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		t.Fatalf("module root not found at %s: %v", root, err)
-	}
-	skip := map[string]bool{
-		filepath.Join(root, ".bench_build"): true,
-		filepath.Join(root, ".git"):         true,
-	}
-	benchDir := filepath.Join(root, "internal", "benchmark") + string(filepath.Separator)
+	m := loadModule(t)
+	checkAllowList(t, "uncalledAllowed", uncalledAllowed, m.names,
+		"has no non-test reference: delete it, move it into a _test.go file, or allow-list it with a reason",
+		"is referenced now")
+}
 
-	type decl struct {
-		key, name, pos string
-		own            int // uses of name inside the declaration's own body
-	}
-	var decls []decl
-	uses := map[string]int{}
-	fset := token.NewFileSet()
-	var scanned int
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if skip[path] {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		scanned++
-		names := map[*ast.Ident]bool{}
-		for _, dd := range f.Decls {
-			if fd, ok := dd.(*ast.FuncDecl); ok {
-				names[fd.Name] = true
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !names[id] {
-				uses[id.Name]++
-			}
-			return true
-		})
-		if strings.HasPrefix(path, benchDir) {
-			return nil
-		}
-		for _, dd := range f.Decls {
-			fd, ok := dd.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
-				continue
-			}
-			key := f.Name.Name + "."
-			if fd.Recv != nil && len(fd.Recv.List) == 1 {
-				key += recvName(fd.Recv.List[0].Type) + "."
-			}
-			own := 0
-			if fd.Body != nil {
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok && id.Name == fd.Name.Name {
-						own++
-					}
-					return true
-				})
-			}
-			rel, _ := filepath.Rel(root, fset.Position(fd.Pos()).Filename)
-			decls = append(decls, decl{key + fd.Name.Name, fd.Name.Name,
-				rel + ":" + strconv.Itoa(fset.Position(fd.Pos()).Line), own})
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scanned < 100 {
-		t.Fatalf("scanned only %d Go files under %s; the walk is not covering the module", scanned, root)
-	}
+// TestEverySettingHasAProductionWriter fails when an exported struct field
+// of a package-level type of the main module is never written by a
+// non-test file, unless unwrittenAllowed names it with a reason; it also
+// fails on a stale or reasonless entry.
+// A write is a composite literal (keyed or positional), an assignment,
+// ++/--, taking the field's address, or calling a pointer method on it; a
+// field with a json tag is filled by reflection and counts as written.
+func TestEverySettingHasAProductionWriter(t *testing.T) {
+	m := loadModule(t)
+	checkAllowList(t, "unwrittenAllowed", unwrittenAllowed, m.fields,
+		"is never written outside tests: make it a constant, delete it, or allow-list it with a reason",
+		"is written now")
+}
 
-	declared := map[string]bool{}
-	for _, d := range decls {
-		declared[d.key] = true
-		called := uses[d.name] > d.own
-		_, allowed := uncalledAllowed[d.key]
-		switch {
-		case !called && !allowed:
-			t.Errorf("%s (%s) has no non-test caller: delete it, move it into a _test.go file, or allow-list it with a reason", d.key, d.pos)
-		case called && allowed:
-			t.Errorf("allow-list entry %s is stale: %s is called now", d.key, d.pos)
-		}
-	}
-	var keys []string
-	for k := range uncalledAllowed {
+// checkAllowList reports every unused declaration that allow is missing,
+// and every entry of allow that is used, undeclared or has no reason.
+func checkAllowList(t *testing.T, name string, allow map[string]string, decls map[string]*declUse, unused, stale string) {
+	t.Helper()
+	keys := make([]string, 0, len(decls))
+	for k := range decls {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if !declared[k] {
-			t.Errorf("allow-list entry %s is stale: nothing declares it", k)
+		d := decls[k]
+		_, allowed := allow[k]
+		switch {
+		case !d.used && !allowed:
+			t.Errorf("%s (%s) %s", k, d.pos, unused)
+		case d.used && allowed:
+			t.Errorf("%s entry %s is stale: %s (%s)", name, k, stale, d.pos)
 		}
-		if strings.TrimSpace(uncalledAllowed[k]) == "" {
-			t.Errorf("allow-list entry %s has no reason", k)
+	}
+	keys = keys[:0]
+	for k := range allow {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if decls[k] == nil {
+			t.Errorf("%s entry %s is stale: nothing declares it", name, k)
+		}
+		if strings.TrimSpace(allow[k]) == "" {
+			t.Errorf("%s entry %s has no reason", name, k)
 		}
 	}
 }
 
-// recvName is the receiver's type name, without pointer or type parameters.
-func recvName(e ast.Expr) string {
+// declUse is one checked declaration and whether non-test code uses it.
+type declUse struct {
+	pos  string
+	used bool
+}
+
+// moduleUses is what both guards read from one type-check of the module.
+type moduleUses struct {
+	names  map[string]*declUse // guard 1: pkg.Name and pkg.Recv.Name
+	fields map[string]*declUse // guard 2: pkg.Type.Field
+}
+
+var (
+	moduleOnce sync.Once
+	moduleRes  *moduleUses
+	moduleErr  error
+)
+
+// loadModule type-checks every non-test package once per test binary.
+func loadModule(t *testing.T) *moduleUses {
+	t.Helper()
+	moduleOnce.Do(func() { moduleRes, moduleErr = scanModule(".") })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return moduleRes
+}
+
+// modLoader type-checks the module's packages from source on demand, in
+// import order, into one shared types.Info; the standard library comes
+// from the source importer.
+type modLoader struct {
+	fset  *token.FileSet
+	std   types.Importer
+	dirs  map[string]string // import path → directory
+	pkgs  map[string]*types.Package
+	files map[string][]*ast.File
+	info  *types.Info
+}
+
+func (l *modLoader) Import(p string) (*types.Package, error) {
+	if pkg, ok := l.pkgs[p]; ok {
+		return pkg, nil
+	}
+	dir, ok := l.dirs[p]
+	if !ok {
+		return l.std.Import(p)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range ents {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		match, err := build.Default.MatchFile(dir, name) // build constraints, such as rlimit_other.go's !unix
+		if err != nil {
+			return nil, err
+		}
+		if !match {
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(p, l.fset, files, l.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-check %s: %w", p, err)
+	}
+	l.pkgs[p] = pkg
+	l.files[p] = files
+	return pkg, nil
+}
+
+// scanModule type-checks every non-test package under root (module vab,
+// internal/benchmark's nested module included) and records, for each
+// declaration the guards check outside internal/benchmark, whether
+// non-test code uses it.
+func scanModule(root string) (*moduleUses, error) {
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		return nil, fmt.Errorf("module root not found at %s: %w", root, err)
+	}
+	fset := token.NewFileSet()
+	l := &modLoader{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil),
+		dirs:  map[string]string{},
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		if n := d.Name(); p != root && (n == "testdata" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_")) {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		ip := "vab"
+		if rel != "." {
+			ip += "/" + filepath.ToSlash(rel)
+		}
+		l.dirs[ip] = p
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var paths []string
+	for ip := range l.dirs {
+		paths = append(paths, ip)
+	}
+	sort.Strings(paths)
+	var nfiles int
+	for _, ip := range paths {
+		if _, err := l.Import(ip); err != nil {
+			return nil, err
+		}
+		nfiles += len(l.files[ip])
+	}
+	if nfiles < 100 {
+		return nil, fmt.Errorf("type-checked only %d Go files under %s; the walk is not covering the module", nfiles, root)
+	}
+
+	info := l.info
+	m := &moduleUses{names: map[string]*declUse{}, fields: map[string]*declUse{}}
+	where := func(pos token.Pos) string {
+		p := fset.Position(pos)
+		rel, _ := filepath.Rel(root, p.Filename)
+		return rel + ":" + strconv.Itoa(p.Line)
+	}
+
+	// Declarations, and the spans whose references to them do not count.
+	type span struct{ from, to token.Pos }
+	names := map[types.Object]string{}
+	own := map[types.Object][]span{}
+	fieldKey := map[*types.Var]string{}
+	written := map[*types.Var]bool{}
+	for _, ip := range paths {
+		if ip == "vab/internal/benchmark" || strings.HasPrefix(ip, "vab/internal/benchmark/") {
+			continue
+		}
+		base := path.Base(ip)
+		for _, f := range l.files[ip] {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					obj := info.Defs[d.Name]
+					sp := span{d.Pos(), d.End()}
+					own[obj] = append(own[obj], sp)
+					if d.Recv == nil {
+						if d.Name.IsExported() {
+							names[obj] = base + "." + d.Name.Name
+						}
+						continue
+					}
+					recv := recvTypeName(info, d.Recv.List[0].Type)
+					if recv == nil {
+						continue
+					}
+					own[recv] = append(own[recv], sp)
+					names[obj] = base + "." + recv.Name() + "." + d.Name.Name
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							obj := info.Defs[s.Name]
+							own[obj] = append(own[obj], span{s.Pos(), s.End()})
+							if s.Name.IsExported() {
+								names[obj] = base + "." + s.Name.Name
+							}
+							if it, ok := s.Type.(*ast.InterfaceType); ok {
+								for _, fld := range it.Methods.List {
+									for _, n := range fld.Names {
+										names[info.Defs[n]] = base + "." + s.Name.Name + "." + n.Name
+									}
+								}
+							}
+							ast.Inspect(s.Type, func(n ast.Node) bool {
+								st, ok := n.(*ast.StructType)
+								if !ok {
+									return true
+								}
+								for _, fld := range st.Fields.List {
+									tagged := false
+									if fld.Tag != nil {
+										tag, _ := strconv.Unquote(fld.Tag.Value)
+										_, tagged = reflect.StructTag(tag).Lookup("json")
+									}
+									idents := fld.Names
+									if len(idents) == 0 {
+										idents = []*ast.Ident{embeddedIdent(fld.Type)}
+									}
+									for _, id := range idents {
+										v, ok := info.Defs[id].(*types.Var)
+										if !ok || !v.Exported() {
+											continue
+										}
+										fieldKey[v] = base + "." + s.Name.Name + "." + id.Name
+										if tagged {
+											written[v] = true
+										}
+									}
+								}
+								return true
+							})
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								obj := info.Defs[n]
+								own[obj] = append(own[obj], span{s.Pos(), s.End()})
+								if n.IsExported() {
+									names[obj] = base + "." + n.Name
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// References and writes, from every non-test file.
+	used := map[types.Object]bool{}
+	outside := func(obj types.Object, pos token.Pos) bool {
+		for _, sp := range own[obj] {
+			if sp.from <= pos && pos < sp.to {
+				return false
+			}
+		}
+		return true
+	}
+	for id, obj := range info.Uses {
+		obj = origin(obj)
+		if _, ok := names[obj]; ok && !used[obj] && outside(obj, id.Pos()) {
+			used[obj] = true
+		}
+	}
+	var markChain func(e ast.Expr)
+	markChain = func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					written[origin(sel.Obj()).(*types.Var)] = true
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	for _, ip := range paths {
+		for _, f := range l.files[ip] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CompositeLit:
+					st := structOf(info.Types[x].Type)
+					if st == nil || len(x.Elts) == 0 {
+						return true
+					}
+					if _, keyed := x.Elts[0].(*ast.KeyValueExpr); !keyed {
+						for i := 0; i < len(x.Elts) && i < st.NumFields(); i++ {
+							written[origin(st.Field(i)).(*types.Var)] = true
+						}
+						return true
+					}
+					for _, e := range x.Elts {
+						if id, ok := e.(*ast.KeyValueExpr).Key.(*ast.Ident); ok {
+							if v, ok := info.Uses[id].(*types.Var); ok {
+								written[origin(v).(*types.Var)] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, e := range x.Lhs {
+						markChain(e)
+					}
+				case *ast.IncDecStmt:
+					markChain(x.X)
+				case *ast.RangeStmt:
+					if x.Tok == token.ASSIGN {
+						markChain(x.Key)
+						markChain(x.Value)
+					}
+				case *ast.UnaryExpr:
+					if x.Op == token.AND {
+						markChain(x.X)
+					}
+				case *ast.SelectorExpr:
+					// x.f.M() with M on *T takes &x.f.
+					if sel := info.Selections[x]; sel != nil && sel.Kind() == types.MethodVal {
+						if _, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptrRecv {
+							if _, isPtr := sel.Recv().(*types.Pointer); !isPtr {
+								markChain(x.X)
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	// A method that an interface named by non-test code declares is
+	// reached through that interface; fmt reaches String through
+	// fmt.Stringer without the caller naming it.
+	ifaces := map[*types.Interface]bool{}
+	if fmtPkg, err := l.Import("fmt"); err == nil {
+		ifaces[fmtPkg.Scope().Lookup("Stringer").Type().Underlying().(*types.Interface)] = true
+	}
+	for _, obj := range info.Uses {
+		if tn, ok := obj.(*types.TypeName); ok {
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				ifaces[it] = true
+			}
+		}
+	}
+	for _, tv := range info.Types {
+		if it, ok := tv.Type.(*types.Interface); ok && tv.IsType() {
+			ifaces[it] = true
+		}
+	}
+	for obj := range names {
+		fn, ok := obj.(*types.Func)
+		if !ok || used[obj] {
+			continue
+		}
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			continue
+		}
+		rt := recv.Type()
+		if p, ok := rt.(*types.Pointer); ok {
+			rt = p.Elem()
+		}
+		named, ok := rt.(*types.Named)
+		if !ok || named.TypeParams().Len() > 0 {
+			continue
+		}
+		if _, isIface := named.Underlying().(*types.Interface); isIface {
+			continue
+		}
+		for it := range ifaces {
+			if !declares(it, fn.Name()) {
+				continue
+			}
+			if types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
+				used[obj] = true
+				break
+			}
+		}
+	}
+
+	for obj, key := range names {
+		m.names[key] = &declUse{pos: where(obj.Pos()), used: used[obj]}
+	}
+	for v, key := range fieldKey {
+		m.fields[key] = &declUse{pos: where(v.Pos()), used: written[v]}
+	}
+	return m, nil
+}
+
+// declares reports whether it has a method called name.
+func declares(it *types.Interface, name string) bool {
+	for i := 0; i < it.NumMethods(); i++ {
+		if it.Method(i).Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+// origin maps an instantiated generic method or field to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// structOf is the struct type a composite literal of type t builds.
+func structOf(t types.Type) *types.Struct {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
+}
+
+// recvTypeName is the type a method's receiver expression names.
+func recvTypeName(info *types.Info, e ast.Expr) *types.TypeName {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			tn, _ := info.Uses[x].(*types.TypeName)
+			return tn
+		default:
+			return nil
+		}
+	}
+}
+
+// embeddedIdent is the name an embedded field's type expression gives it.
+func embeddedIdent(e ast.Expr) *ast.Ident {
 	for {
 		switch x := e.(type) {
 		case *ast.StarExpr:
@@ -163,10 +568,12 @@ func recvName(e ast.Expr) string {
 			e = x.X
 		case *ast.IndexListExpr:
 			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel
 		case *ast.Ident:
-			return x.Name
+			return x
 		default:
-			return "?"
+			return nil
 		}
 	}
 }

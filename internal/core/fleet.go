@@ -43,12 +43,11 @@ type NodePlacement struct {
 	Addr        byte
 	Range       float64 // m from the reader
 	Orientation float64 // rad
-	Depth       float64 // m; 0 → the system default
 }
 
 // NewFleet builds a fleet: one waveform-level System per placement, all
-// sharing the environment and design from the base config (whose Range,
-// Orientation, NodeAddr and NodeDepth fields are overridden per node).
+// sharing the environment, design and depths from the base config (whose
+// Range, Orientation and NodeAddr fields are overridden per node).
 func NewFleet(base SystemConfig, placements []NodePlacement, policy mac.PollPolicy) (*Fleet, error) {
 	if len(placements) == 0 {
 		return nil, fmt.Errorf("core: fleet needs at least one node")
@@ -65,7 +64,6 @@ func NewFleet(base SystemConfig, placements []NodePlacement, policy mac.PollPoli
 		cfg.NodeAddr = p.Addr
 		cfg.Range = p.Range
 		cfg.Orientation = p.Orientation
-		cfg.NodeDepth = p.Depth
 		cfg.Seed = base.Seed + int64(i+1)*1009
 		// Give each node its own design instance when the design supports
 		// it: element-fault injection mutates the design's array, so a

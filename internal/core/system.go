@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"vab/internal/channel"
 	"vab/internal/faults"
@@ -34,14 +33,8 @@ type SystemConfig struct {
 	// coupling when nonzero.
 	SelfInterferenceDB float64
 
-	DisableNoise  bool
+	// DisableFading switches the channel's fading process off.
 	DisableFading bool
-
-	// RoundDeadline bounds the wall time RunRound may spend before the
-	// watchdog abandons the round (reported, not an error). Zero disables
-	// the watchdog — the default, and required for bit-reproducible seeded
-	// transcripts, since wall time is not deterministic.
-	RoundDeadline time.Duration
 
 	// SensorBatch selects the node's payload format: ≤1 (the default)
 	// keeps the v1 single-reading 8-byte payload and bit-identical seeded
@@ -115,7 +108,6 @@ type System struct {
 	appliedDeadFrac   float64
 	appliedClockDelta float64
 	shadowDB          float64
-	watchdogTrips     *telemetry.Counter
 }
 
 // Instrument enables round-stage tracing (vab_round_stage_seconds) and
@@ -135,8 +127,6 @@ func (s *System) Instrument(reg *telemetry.Registry) {
 	s.stNode, s.stDecode = stage("node"), stage("decode")
 	s.rounds = reg.Counter("vab_round_total",
 		"Query-response rounds executed at waveform level.")
-	s.watchdogTrips = reg.Counter("vab_round_watchdog_trips_total",
-		"Rounds abandoned by the per-round deadline watchdog.")
 	s.reg = reg
 	s.Reader.Instrument(reg)
 	s.chaos.Instrument(reg)
@@ -178,7 +168,6 @@ func (s *System) rebuildLink() error {
 		NodeDepth:          nd,
 		Range:              rg,
 		SelfInterferenceDB: cfg.SelfInterferenceDB,
-		DisableNoise:       cfg.DisableNoise,
 		DisableFading:      cfg.DisableFading,
 		Seed:               seed,
 	})
@@ -343,10 +332,6 @@ type RoundReport struct {
 	NodeSilent bool // node declined to answer (energy, address)
 	PayloadOK  bool // payload parses as a sensor reading
 	ToneSNREst float64
-
-	// WatchdogTripped marks a round abandoned by the RoundDeadline
-	// watchdog: the stages up to the trip ran, the rest were skipped.
-	WatchdogTripped bool
 }
 
 // SNRdB is the round's tone SNR estimate in dB, or 0 when the estimate is
@@ -363,21 +348,6 @@ func (r *RoundReport) SNRdB() float64 {
 func (s *System) RunRound() (RoundReport, error) {
 	var rep RoundReport
 	s.rounds.Inc()
-
-	// Per-round watchdog: bound wall time when a deadline is configured.
-	// The zero deadline (the default) makes every check a no-op.
-	var deadline time.Time
-	if s.cfg.RoundDeadline > 0 {
-		deadline = time.Now().Add(s.cfg.RoundDeadline)
-	}
-	tripped := func() bool {
-		if deadline.IsZero() || time.Now().Before(deadline) {
-			return false
-		}
-		rep.WatchdogTripped = true
-		s.watchdogTrips.Inc()
-		return true
-	}
 
 	// Fault injection: compute and apply this round's plan. A nil engine
 	// skips the block entirely, leaving seeded runs bit-identical to a
@@ -409,7 +379,7 @@ func (s *System) RunRound() (RoundReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	if tripped() || qf == nil { // nil qf: the node never heard the query
+	if qf == nil { // the node never heard the query
 		return rep, nil
 	}
 	rep.QueryOK = true
@@ -425,9 +395,6 @@ func (s *System) RunRound() (RoundReport, error) {
 		rep.NodeSilent = true
 		return rep, nil
 	}
-	if tripped() {
-		return rep, nil
-	}
 
 	// Round trip.
 	tx, gamma, _ := s.uplinkWaveforms(gammaBits)
@@ -440,9 +407,6 @@ func (s *System) RunRound() (RoundReport, error) {
 	}
 	if len(plan.Bursts) > 0 {
 		s.injectBursts(capture, &plan)
-	}
-	if tripped() {
-		return rep, nil
 	}
 	sp = telemetry.StartSpan(s.stDecode)
 	rep.Rx = s.Reader.Decode(capture, tx, s.payloadLen)

@@ -10,7 +10,6 @@ package dsp
 
 import (
 	"math"
-	"math/cmplx"
 )
 
 // Tau is the circle constant 2π.
@@ -27,15 +26,6 @@ func NextPow2(n int) int {
 
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-// Abs returns the element-wise magnitudes of a complex sequence.
-func Abs(x []complex128) []float64 {
-	r := make([]float64, len(x))
-	for i, v := range x {
-		r[i] = cmplx.Abs(v)
-	}
-	return r
-}
 
 // Energy returns the sum of squared magnitudes of x.
 func Energy(x []complex128) float64 {
@@ -87,12 +77,4 @@ func MixInto(dst, src []complex128, off int, g complex128) {
 	for i, v := range s {
 		d[i] += g * v
 	}
-}
-
-// Conj conjugates x in place and returns x.
-func Conj(x []complex128) []complex128 {
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	return x
 }

@@ -48,18 +48,6 @@ func TestAddIntoPanicsOnMismatch(t *testing.T) {
 	AddInto(make([]complex128, 2), make([]complex128, 3))
 }
 
-func TestRealImagAbsConj(t *testing.T) {
-	x := []complex128{complex(1, -2), complex(-3, 4)}
-	ab := Abs(x)
-	if !approxEq(ab[1], 5, tol) {
-		t.Error("Abs wrong")
-	}
-	Conj(x)
-	if x[0] != complex(1, 2) {
-		t.Error("Conj wrong")
-	}
-}
-
 func TestWindowsBasics(t *testing.T) {
 	for _, w := range []Window{Rectangular, Hann, Hamming, Blackman, BlackmanHarris} {
 		c := w.Coefficients(64)
@@ -93,25 +81,6 @@ func TestHannEndpointsAndPeak(t *testing.T) {
 	}
 	if !approxEq(c[32], 1, 1e-12) {
 		t.Error("Hann center should be 1")
-	}
-}
-
-func TestStatsBasics(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	if !approxEq(Median(x), 2.5, tol) {
-		t.Error("even median")
-	}
-	if !approxEq(Median([]float64{3, 1, 2}), 2, tol) {
-		t.Error("odd median")
-	}
-	if !approxEq(Percentile(x, 0), 1, tol) || !approxEq(Percentile(x, 100), 4, tol) {
-		t.Error("percentile extremes")
-	}
-	if !approxEq(Percentile(x, 50), 2.5, tol) {
-		t.Error("percentile 50")
-	}
-	if Median(nil) != 0 || Percentile(nil, 50) != 0 {
-		t.Error("empty-input stats should be 0")
 	}
 }
 
@@ -202,20 +171,6 @@ func TestMSequenceAutocorrelation(t *testing.T) {
 	}
 	if _, err := MSequence(2); err == nil {
 		t.Error("degree 2 should be unsupported")
-	}
-}
-
-func TestBarker13Sidelobes(t *testing.T) {
-	// Aperiodic autocorrelation peak sidelobe of a Barker code is 1.
-	n := len(Barker13)
-	for lag := 1; lag < n; lag++ {
-		var s float64
-		for i := 0; i+lag < n; i++ {
-			s += Barker13[i] * Barker13[i+lag]
-		}
-		if math.Abs(s) > 1+1e-12 {
-			t.Errorf("Barker sidelobe at lag %d = %v", lag, s)
-		}
 	}
 }
 

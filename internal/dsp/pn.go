@@ -53,7 +53,3 @@ func MSequence(degree int) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// Barker13 is the length-13 Barker code, the classic short sync word with
-// peak sidelobe 1.
-var Barker13 = []float64{1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1, 1}

@@ -3,46 +3,7 @@ package dsp
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
-
-// Median returns the median of x without modifying it.
-func Median(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), x...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of x using linear
-// interpolation between closest ranks.
-func Percentile(x []float64, p float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), x...)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
-	}
-	if p >= 100 {
-		return c[len(c)-1]
-	}
-	rank := p / 100 * float64(len(c)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return c[lo]
-	}
-	frac := rank - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
-}
 
 // WilsonCI returns the Wilson score confidence interval for a binomial
 // proportion with k successes out of n trials at confidence level implied by

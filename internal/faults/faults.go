@@ -1,7 +1,7 @@
 // Package faults is the deterministic fault-injection engine for the VAB
-// stack: it turns a Scenario — a list of typed faults with activation
-// windows — into per-round injection plans that the waveform-level system
-// applies to its channel, array, node and PHY models.
+// stack: it turns a Scenario — a list of typed faults, each active for the
+// whole run — into per-round injection plans that the waveform-level
+// system applies to its channel, array, node and PHY models.
 //
 // The paper's headline claim (>1,500 field trials across river and ocean)
 // was earned against a hostile medium: snapping-shrimp impulse trains,
@@ -65,16 +65,13 @@ func (t Type) String() string {
 	}
 }
 
-// Fault is one scheduled impairment. StartRound/EndRound bound the
-// activation window [StartRound, EndRound); EndRound 0 means "until the
-// end of the run". Intensity in [0, 1] scales the type-specific severity
-// fields, which carry canonical full-intensity values (see the preset
-// constructors in scenario.go).
+// Fault is one impairment, active from round 0 to the end of the run.
+// Intensity in [0, 1] scales the type-specific severity fields, which
+// carry canonical full-intensity values (see the preset constructors in
+// scenario.go).
 type Fault struct {
-	Type       Type
-	StartRound int
-	EndRound   int
-	Intensity  float64
+	Type      Type
+	Intensity float64
 
 	// Impulse parameters.
 	RatePerRound float64 // mean Poisson bursts per round at Intensity 1
@@ -95,11 +92,6 @@ type Fault struct {
 	StepPPM float64 // oscillator error added while active, ppm
 }
 
-// active reports whether the fault's window covers round r.
-func (f *Fault) active(r int) bool {
-	return r >= f.StartRound && (f.EndRound == 0 || r < f.EndRound)
-}
-
 // Validate reports structurally impossible faults.
 func (f *Fault) Validate() error {
 	if f.Type < 0 || f.Type >= numTypes {
@@ -107,12 +99,6 @@ func (f *Fault) Validate() error {
 	}
 	if f.Intensity < 0 || f.Intensity > 1 {
 		return fmt.Errorf("faults: intensity %.3g outside [0, 1]", f.Intensity)
-	}
-	if f.StartRound < 0 {
-		return fmt.Errorf("faults: negative start round %d", f.StartRound)
-	}
-	if f.EndRound != 0 && f.EndRound <= f.StartRound {
-		return fmt.Errorf("faults: empty window [%d, %d)", f.StartRound, f.EndRound)
 	}
 	if f.DeadFrac < 0 || f.DeadFrac > 1 {
 		return fmt.Errorf("faults: dead fraction %.3g outside [0, 1]", f.DeadFrac)
@@ -255,7 +241,7 @@ func (e *Engine) Plan(round int) RoundPlan {
 	}
 	for i := range e.sc.Faults {
 		f := &e.sc.Faults[i]
-		if !f.active(round) || f.Intensity == 0 {
+		if f.Intensity == 0 {
 			continue
 		}
 		switch f.Type {
@@ -284,10 +270,10 @@ func (e *Engine) Plan(round int) RoundPlan {
 			frac := f.DeadFrac * f.Intensity
 			if frac > plan.DeadFrac {
 				plan.DeadFrac = frac
-				// Seed the element pick from the window start, not the
-				// round: the same elements stay dead for the whole window,
-				// as real flooded transducers do.
-				plan.FailSeed = e.drawSeed(i, f.StartRound)
+				// Seed the element pick from round 0, not the round: the
+				// same elements stay dead for the whole run, as real
+				// flooded transducers do.
+				plan.FailSeed = e.drawSeed(i, 0)
 			}
 			e.met.injections[ElementFailure].Inc()
 		case Brownout:
@@ -341,7 +327,7 @@ func (e *Engine) shadowDB(idx int, f *Fault, round int) float64 {
 
 // PickElements deterministically selects k distinct element indices out of
 // n using the plan's fail seed: the helper the array-fault applier uses so
-// the same elements die for the whole activation window.
+// the same elements die for the whole run.
 func PickElements(n, k int, seed int64) []int {
 	if k <= 0 || n <= 0 {
 		return nil

@@ -13,7 +13,7 @@ func freshPlan(e *Engine, round int) RoundPlan {
 	plan := RoundPlan{Round: round}
 	for i := range e.sc.Faults {
 		f := &e.sc.Faults[i]
-		if !f.active(round) || f.Intensity == 0 {
+		if f.Intensity == 0 {
 			continue
 		}
 		switch f.Type {
@@ -34,7 +34,7 @@ func freshPlan(e *Engine, round int) RoundPlan {
 		case ElementFailure:
 			if frac := f.DeadFrac * f.Intensity; frac > plan.DeadFrac {
 				plan.DeadFrac = frac
-				plan.FailSeed = e.drawSeed(i, f.StartRound)
+				plan.FailSeed = e.drawSeed(i, 0)
 			}
 		case Brownout:
 			rng := rand.New(rand.NewSource(e.drawSeed(i, round)))

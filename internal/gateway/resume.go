@@ -91,9 +91,6 @@ func NewReplayRing(n int) *ReplayRing {
 	return &ReplayRing{buf: make([]Reading, n), next: 1}
 }
 
-// Len returns the number of readings currently replayable.
-func (r *ReplayRing) Len() int { return r.n }
-
 // Window returns the replayable sequence span [oldest, next): oldest is
 // the smallest recoverable sequence, next the sequence the upcoming
 // reading will carry. Empty window ⇔ oldest == next.

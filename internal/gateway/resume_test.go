@@ -68,8 +68,8 @@ func TestReplayRing(t *testing.T) {
 		r.Append(i, seqReading(i))
 	}
 	oldest, next := r.Window()
-	if oldest != 7 || next != 11 || r.Len() != 4 {
-		t.Fatalf("window [%d,%d) len %d, want [7,11) 4", oldest, next, r.Len())
+	if oldest != 7 || next != 11 || r.n != 4 {
+		t.Fatalf("window [%d,%d) len %d, want [7,11) 4", oldest, next, r.n)
 	}
 	// Everything still in the window replays in order.
 	got, first := r.Since(8, nil)
@@ -87,8 +87,8 @@ func TestReplayRing(t *testing.T) {
 	}
 	// Out-of-order append resets instead of serving a holed window.
 	r.Append(100, seqReading(100))
-	if oldest, next := r.Window(); oldest != 100 || next != 101 || r.Len() != 1 {
-		t.Fatalf("after reset: [%d,%d) len %d", oldest, next, r.Len())
+	if oldest, next := r.Window(); oldest != 100 || next != 101 || r.n != 1 {
+		t.Fatalf("after reset: [%d,%d) len %d", oldest, next, r.n)
 	}
 	// Zero-size ring keeps nothing and never panics.
 	z := NewReplayRing(0)
@@ -206,10 +206,10 @@ func TestResumeAgedOutGap(t *testing.T) {
 }
 
 // TestResumeAheadOfRestartedServer: a resume point beyond the server's
-// stream means the gateway restarted into a fresh sequence space. The
-// ack moves LastSeq to just before the server's next sequence, even with
-// no reading delivered yet, so the next resume replays what the new
-// server publishes from there.
+// flushed stream can only come from a previous server, so the gateway
+// restarted into a fresh sequence space. Everything the new server
+// published is new to the client: it replays from the ring's oldest
+// reading, and LastSeq follows the new stream.
 func TestResumeAheadOfRestartedServer(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -222,19 +222,22 @@ func TestResumeAheadOfRestartedServer(t *testing.T) {
 		srv.Publish(seqReading(i))
 	}
 	srv.Flush()
-	c, err := Dial(ctx, addr(srv), WithResume(5))
+	c, err := Dial(ctx, addr(srv), WithResume(100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Next(time.Now().Add(300 * time.Millisecond)); err == nil {
-		t.Fatal("a reading arrived, want none: 1..3 are below the resume point")
+	for want := uint64(1); want <= 3; want++ {
+		rd, err := c.Next(time.Now().Add(2 * time.Second))
+		if err != nil {
+			t.Fatalf("next (want %d): %v", want, err)
+		}
+		if got := c.LastSeq(); got != want || uint64(rd.Count) != want {
+			t.Fatalf("seq %d (count %d), want %d", got, rd.Count, want)
+		}
 	}
-	if _, _, ok := c.ResumeWindow(); !ok {
-		t.Fatal("no resume ack")
-	}
-	if got := c.LastSeq(); got != 3 {
-		t.Fatalf("LastSeq after the ack = %d, want 3", got)
+	if from, _, ok := c.ResumeWindow(); !ok || from != 1 {
+		t.Fatalf("ack from=%d ok=%v, want 1", from, ok)
 	}
 }
 

@@ -413,6 +413,12 @@ func (s *Server) handleResume(sub *subscriber, lastSeq uint64, now time.Time) {
 	// pending readings reach this subscriber through the ordinary flush,
 	// already sequenced, so replaying them too would duplicate.
 	replayEnd := s.nextSeq - uint64(len(s.pending)) // == pendingFirst when pending
+	if lastSeq >= replayEnd {
+		// This server never flushed lastSeq: the point comes from a
+		// previous server, and this one's whole stream is new to the
+		// client. Replay it from the ring's oldest reading.
+		lastSeq = 0
+	}
 	s.replayBuf = s.replayBuf[:0]
 	var firstSeq uint64
 	if s.ring != nil {

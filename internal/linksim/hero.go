@@ -110,8 +110,9 @@ func (h *heroChecker) check(f *Fleet, model *cycleModel, cycle int) (HeroReport,
 	rep := HeroReport{}
 	var absZSum float64
 	for _, node := range h.picked {
-		cell := model.table.Lookup(model.env, f.coords[node], model.severity)
-		p := model.table.ShiftDelivery(cell.PDeliver, model.snrDelta)
+		var cell Cell
+		model.resolve(&cell, f.coords[node])
+		p := cell.PDeliver
 
 		cfg := h.envCfg
 		cfg.Range, cfg.Orientation = f.placement(node)

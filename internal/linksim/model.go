@@ -144,14 +144,13 @@ func (d *drawStream) poissonExp(expNeg float64) int {
 // caller's goroutine, then read-only across the scheduler's blocks.
 type cycleModel struct {
 	table    *Table
-	env      int
 	severity float64 // fault severity on the table's intensity axis
 	snrDelta float64 // dB shift from the commanded chip rate vs calibration
 	chipRate float64 // the commanded rate itself (hero systems retune to it)
 
 	// Lookup constants, computed once so resolve needs neither a binary
 	// search nor an exponential per node: the severity's bracket on the
-	// intensity axis, and ShiftDelivery's odds gain e^{LogisticK·snrDelta}.
+	// intensity axis, and the rate shift's odds gain e^{LogisticK·snrDelta}.
 	span     intensitySpan
 	oddsGain float64
 }
@@ -159,7 +158,7 @@ type cycleModel struct {
 // newCycleModel builds the model of a cycle at the given fault severity
 // and commanded chip rate (0 = the table's calibrated rate).
 func newCycleModel(t *Table, env int, severity, chipRate float64) cycleModel {
-	m := cycleModel{table: t, env: env, severity: severity, chipRate: t.ChipRate}
+	m := cycleModel{table: t, severity: severity, chipRate: t.ChipRate}
 	if chipRate > 0 {
 		m.chipRate = chipRate
 		m.snrDelta = 10 * math.Log10(t.ChipRate/chipRate)
@@ -171,9 +170,10 @@ func newCycleModel(t *Table, env int, severity, chipRate float64) cycleModel {
 
 // resolve interpolates a node's calibration cell into cell under this
 // cycle's model parameters, with PDeliver replaced by its rate-command
-// shift: the cell this cycle's draws see, bit for bit Table.Lookup then
-// ShiftDelivery. Pure in the model and coordinate, so resolved cells are
-// cacheable across cycles whose (severity, snrDelta) match.
+// shift: the cell this cycle's draws and the hero check see, bit for bit
+// the reference Lookup then ShiftDelivery in table_test.go. Pure in the
+// model and coordinate, so resolved cells are cacheable across cycles
+// whose (severity, snrDelta) match.
 func (m *cycleModel) resolve(cell *Cell, coord linkCoord) {
 	m.table.lookupAt(cell, coord, &m.span)
 	if m.snrDelta != 0 {

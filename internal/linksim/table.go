@@ -192,15 +192,6 @@ func (t *Table) planeCell(dst *Cell, plane []Cell, c linkCoord) {
 	lerpCell(dst, &low, &high, wo)
 }
 
-// Lookup interpolates the full grid: bilinear on (orientation, range),
-// then linear along the fault-intensity axis, clamped at the grid edges.
-func (t *Table) Lookup(env int, c linkCoord, intensity float64) Cell {
-	s := t.bracketIntensity(env, intensity)
-	var cell Cell
-	t.lookupAt(&cell, c, &s)
-	return cell
-}
-
 // intensitySpan brackets one severity on the intensity axis of one
 // environment: the planes of the lower and upper grid intensities, and
 // the upper one's weight.
@@ -222,7 +213,9 @@ func (t *Table) bracketIntensity(env int, intensity float64) intensitySpan {
 	return intensitySpan{lo: t.Cells[lo : lo+n], hi: t.Cells[hi : hi+n], w: wi}
 }
 
-// lookupAt is Lookup into cell, with the intensity already bracketed.
+// lookupAt interpolates the full grid into cell: bilinear on
+// (orientation, range), then linear along the fault-intensity axis that s
+// brackets, clamped at the grid edges.
 func (t *Table) lookupAt(cell *Cell, c linkCoord, s *intensitySpan) {
 	var lo, hi Cell
 	t.planeCell(&lo, s.lo, c)
@@ -236,19 +229,11 @@ func (t *Table) lookupAt(cell *Cell, c linkCoord, s *intensitySpan) {
 	}
 }
 
-// ShiftDelivery translates an SNR delta (dB) into a delivery-probability
-// adjustment using the fitted logistic transfer: the cell's calibrated
-// probability anchors the curve and the delta slides along it in odds
-// space — p' = p·e^{kΔ} / (1 − p + p·e^{kΔ}). Δ = 0 returns p unchanged;
+// shiftOdds translates an SNR delta Δ ≠ 0 into a delivery-probability
+// adjustment using the fitted logistic transfer, given its odds gain
+// e^{kΔ}: the cell's calibrated probability anchors the curve and the
+// delta slides along it in odds space — p' = p·e^{kΔ} / (1 − p + p·e^{kΔ}).
 // p of exactly 0 or 1 is a hard cell (no finite SNR shift changes it).
-func (t *Table) ShiftDelivery(p, deltaDB float64) float64 {
-	if deltaDB == 0 {
-		return p
-	}
-	return shiftOdds(p, math.Exp(t.LogisticK*deltaDB))
-}
-
-// shiftOdds is ShiftDelivery for Δ ≠ 0 with its odds gain e^{kΔ} given.
 func shiftOdds(p, gain float64) float64 {
 	if p <= 0 || p >= 1 {
 		return p

@@ -15,6 +15,24 @@ func (t *Table) CellAt(env, intensity, orient, rng int) Cell {
 	return t.Cells[t.cellIndex(env, intensity, orient, rng)]
 }
 
+// Lookup is the reference cell interpolation resolve must match: the
+// intensity bracketed per call, then lookupAt.
+func (t *Table) Lookup(env int, c linkCoord, intensity float64) Cell {
+	s := t.bracketIntensity(env, intensity)
+	var cell Cell
+	t.lookupAt(&cell, c, &s)
+	return cell
+}
+
+// ShiftDelivery is the reference rate-command shift resolve must match:
+// identity at Δ = 0, else shiftOdds with the odds gain computed per call.
+func (t *Table) ShiftDelivery(p, deltaDB float64) float64 {
+	if deltaDB == 0 {
+		return p
+	}
+	return shiftOdds(p, math.Exp(t.LogisticK*deltaDB))
+}
+
 // randomTable builds a structurally valid table with random axes and cell
 // statistics — the generator behind the round-trip property test.
 func randomTable(rng *rand.Rand) *Table {

@@ -116,16 +116,6 @@ func (w *probeWheel) clear() {
 	w.overflow = w.overflow[:0]
 }
 
-// pending counts calendared entries across the wheel and overflow —
-// test and debugging instrumentation, not a hot path.
-func (w *probeWheel) pending() int {
-	n := len(w.overflow)
-	for _, b := range w.buckets {
-		n += len(b)
-	}
-	return n
-}
-
 // mergeSortedInto merges two ascending int32 slices into dst (truncated,
 // then appended; dst must not alias a or b).
 func mergeSortedInto(dst, a, b []int32) []int32 {

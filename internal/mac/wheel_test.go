@@ -2,6 +2,15 @@ package mac
 
 import "testing"
 
+// pending counts calendared entries across the wheel and overflow.
+func (w *probeWheel) pending() int {
+	n := len(w.overflow)
+	for _, b := range w.buckets {
+		n += len(b)
+	}
+	return n
+}
+
 // TestProbeWheelBasics pins the wheel's scheduling semantics: ascending
 // take order regardless of insertion order, bucket recycling, past-due
 // clamping, and the pending() inventory.

@@ -19,15 +19,6 @@ type Profile interface {
 	Gradient(z float64) float64
 }
 
-// IsoVelocity is a constant-speed profile.
-type IsoVelocity float64
-
-// SpeedAt implements Profile.
-func (c IsoVelocity) SpeedAt(float64) float64 { return float64(c) }
-
-// Gradient implements Profile.
-func (c IsoVelocity) Gradient(float64) float64 { return 0 }
-
 // MunkProfile is the canonical deep-ocean sound channel:
 //
 //	c(z) = c1·(1 + ε·(η − 1 + e^(−η))),  η = 2(z − z1)/B
@@ -57,19 +48,6 @@ func (m *MunkProfile) Gradient(z float64) float64 {
 	eta := 2 * (z - m.AxisDepth) / m.Scale
 	return m.AxisSpeed * m.Epsilon * (2 / m.Scale) * (1 - math.Exp(-eta))
 }
-
-// LinearProfile has constant gradient g from surface speed c0: the textbook
-// upward/downward-refracting water column.
-type LinearProfile struct {
-	SurfaceSpeed float64 // m/s at z = 0
-	G            float64 // dc/dz in 1/s (positive: faster with depth)
-}
-
-// SpeedAt implements Profile.
-func (l *LinearProfile) SpeedAt(z float64) float64 { return l.SurfaceSpeed + l.G*z }
-
-// Gradient implements Profile.
-func (l *LinearProfile) Gradient(float64) float64 { return l.G }
 
 // RayPoint is one sample of a traced ray path.
 type RayPoint struct {

@@ -5,6 +5,22 @@ import (
 	"testing"
 )
 
+// isoVelocity is a constant-speed profile.
+type isoVelocity float64
+
+func (c isoVelocity) SpeedAt(float64) float64  { return float64(c) }
+func (c isoVelocity) Gradient(float64) float64 { return 0 }
+
+// linearProfile has constant gradient G from surface speed SurfaceSpeed:
+// the textbook upward/downward-refracting water column.
+type linearProfile struct {
+	SurfaceSpeed float64 // m/s at z = 0
+	G            float64 // dc/dz in 1/s (positive: faster with depth)
+}
+
+func (l *linearProfile) SpeedAt(z float64) float64 { return l.SurfaceSpeed + l.G*z }
+func (l *linearProfile) Gradient(float64) float64  { return l.G }
+
 func TestMunkProfileShape(t *testing.T) {
 	m := CanonicalMunk()
 	// Minimum at the axis.
@@ -48,7 +64,7 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 }
 
 func TestTraceRayStraightInIsoVelocity(t *testing.T) {
-	path, err := TraceRay(IsoVelocity(1500), 100, 0.1, 5000, 10, 0)
+	path, err := TraceRay(isoVelocity(1500), 100, 0.1, 5000, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +132,7 @@ func TestTraceRayUpwardRefraction(t *testing.T) {
 	// Speed increasing with depth bends rays upward (classic surface
 	// duct): a horizontally launched ray must rise and repeatedly bounce
 	// off the surface.
-	p := &LinearProfile{SurfaceSpeed: 1480, G: 0.05}
+	p := &linearProfile{SurfaceSpeed: 1480, G: 0.05}
 	path, err := TraceRay(p, 50, 0.001, 30e3, 20, 200)
 	if err != nil {
 		t.Fatal(err)
@@ -136,16 +152,16 @@ func TestTraceRayUpwardRefraction(t *testing.T) {
 }
 
 func TestTraceRayValidation(t *testing.T) {
-	if _, err := TraceRay(IsoVelocity(1500), 10, 0.1, -1, 10, 0); err == nil {
+	if _, err := TraceRay(isoVelocity(1500), 10, 0.1, -1, 10, 0); err == nil {
 		t.Error("negative range accepted")
 	}
-	if _, err := TraceRay(IsoVelocity(1500), 10, 0.1, 100, 0, 0); err == nil {
+	if _, err := TraceRay(isoVelocity(1500), 10, 0.1, 100, 0, 0); err == nil {
 		t.Error("zero dr accepted")
 	}
-	if _, err := TraceRay(IsoVelocity(1500), -5, 0.1, 100, 10, 0); err == nil {
+	if _, err := TraceRay(isoVelocity(1500), -5, 0.1, 100, 10, 0); err == nil {
 		t.Error("negative launch depth accepted")
 	}
-	if _, err := TraceRay(IsoVelocity(1500), 10, 1.6, 100, 10, 0); err == nil {
+	if _, err := TraceRay(isoVelocity(1500), 10, 1.6, 100, 10, 0); err == nil {
 		t.Error("vertical launch accepted")
 	}
 }
@@ -153,7 +169,7 @@ func TestTraceRayValidation(t *testing.T) {
 func TestBoundaryReflectionsConserveInvariant(t *testing.T) {
 	// In a bounded iso-velocity channel the grazing magnitude is conserved
 	// across surface/bottom bounces.
-	path, err := TraceRay(IsoVelocity(1500), 10, 0.15, 20e3, 10, 100)
+	path, err := TraceRay(isoVelocity(1500), 10, 0.15, 20e3, 10, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

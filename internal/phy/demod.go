@@ -20,12 +20,6 @@ type Demodulator struct {
 	coarse   *dsp.Correlator // preamble integrated and dumped by decim
 	decim    int             // coarse acquisition factor, see coarseFactor
 
-	// CombineOffsets lists additional sample offsets (relative to the
-	// acquired start) whose tone energy is summed into each chip decision —
-	// the diversity combiner across resolvable multipath arrivals. Empty
-	// means single-path detection.
-	CombineOffsets []int
-
 	// Reused scratch: the demodulator runs once per round for thousands of
 	// rounds, so per-call buffers (the decimated capture, the correlation
 	// surface and secondary-peak values, the peak list, the notch history
@@ -325,11 +319,10 @@ func (s SoftChip) Margin() float64 {
 
 // DemodChips detects n payload chips from y, where acq locates the
 // preamble; the payload starts one preamble length after acq.Start. Tone
-// energies are combined maximal-ratio style across the main arrival, the
-// configured diversity offsets (unit weight), and the acquisition-reported
-// multipath peaks (weighted by their estimated branch power |g|², so a
-// weak echo contributes its information without importing a full branch of
-// noise).
+// energies are combined maximal-ratio style across the main arrival and
+// the acquisition-reported multipath peaks (weighted by their estimated
+// branch power |g|², so a weak echo contributes its information without
+// importing a full branch of noise).
 func (d *Demodulator) DemodChips(y []complex128, acq Acquisition, n int) ([]SoftChip, error) {
 	return d.DemodChipsInto(nil, y, acq, n)
 }
@@ -344,9 +337,6 @@ func (d *Demodulator) DemodChipsInto(dst []SoftChip, y []complex128, acq Acquisi
 		return nil, fmt.Errorf("phy: capture too short: need %d samples, have %d", need, len(y))
 	}
 	branches := append(d.branchBuf[:0], demodBranch{0, 1})
-	for _, off := range d.CombineOffsets {
-		branches = append(branches, demodBranch{off, 1})
-	}
 	for _, p := range acq.Peaks {
 		branches = append(branches, demodBranch{p.Offset, p.Gain * p.Gain})
 	}

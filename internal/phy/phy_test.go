@@ -261,8 +261,9 @@ func TestDiversityCombiningImprovesMargin(t *testing.T) {
 			t.Fatal(err)
 		}
 		d2, _ := NewDemodulator(p)
-		d2.CombineOffsets = []int{echoOff}
-		soft2, err := d2.DemodChips(y, acq, len(chips))
+		echo := acq
+		echo.Peaks = []PathPeak{{Offset: echoOff, Gain: 1}}
+		soft2, err := d2.DemodChips(y, echo, len(chips))
 		if err != nil {
 			t.Fatal(err)
 		}

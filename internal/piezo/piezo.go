@@ -164,13 +164,9 @@ func (t *Transducer) ModulationDepth(fHz float64, z1, z2 complex128) float64 {
 	return cmplx.Abs(g1-g2) / 2
 }
 
-// Common load states for backscatter switching.
-var (
-	// ShortLoad approximates a closed analog switch (small on-resistance).
-	ShortLoad = complex(2.0, 0)
-	// OpenLoad approximates an open switch (large off-impedance).
-	OpenLoad = complex(1e9, 0)
-)
+// ShortLoad approximates a closed analog switch (small on-resistance), the
+// reflective state of backscatter switching.
+var ShortLoad = complex(2.0, 0)
 
 // MatchedLoad returns the conjugate-match impedance at fHz, the fully
 // absorbing termination used for the non-reflective state and for energy

@@ -39,35 +39,22 @@ type Config struct {
 	UseEqualizer bool
 
 	// Reacquire enables burst reacquisition: when acquisition fails at
-	// AcquireThreshold, the threshold steps down by ReacquireStep for up
-	// to ReacquireMax extra attempts, never below ReacquireFloor. An
+	// AcquireThreshold, the threshold steps down by reacquireStep for up
+	// to reacquireMax extra attempts, never below reacquireFloor. An
 	// impulse-masked or shadow-faded preamble that correlates weakly but
 	// genuinely is thereby recovered instead of discarded; the floor
 	// bounds the false-acquisition risk. Off (the default) preserves the
 	// historical single-attempt behavior bit for bit.
 	Reacquire bool
-	// ReacquireMax bounds the extra acquisition attempts (0 → 2).
-	ReacquireMax int
-	// ReacquireStep is the per-attempt threshold decrement (0 → 0.05).
-	ReacquireStep float64
-	// ReacquireFloor is the lowest threshold tried (0 → 0.08).
-	ReacquireFloor float64
 }
 
-// reacquire resolves the reacquisition policy's defaults.
-func (c *Config) reacquire() (max int, step, floor float64) {
-	max, step, floor = c.ReacquireMax, c.ReacquireStep, c.ReacquireFloor
-	if max <= 0 {
-		max = 2
-	}
-	if step <= 0 {
-		step = 0.05
-	}
-	if floor <= 0 {
-		floor = 0.08
-	}
-	return max, step, floor
-}
+// The reacquisition policy: extra attempts, per-attempt threshold
+// decrement, and the lowest threshold tried.
+const (
+	reacquireMax   = 2
+	reacquireStep  = 0.05
+	reacquireFloor = 0.08
+)
 
 // DefaultConfig returns the reader used by the end-to-end experiments:
 // 180 dB source level (a small projector), canceller and diversity on.
@@ -288,12 +275,11 @@ func (r *Reader) Decode(capture, txRef []complex128, payloadLen int) RxReport {
 		// whose preamble correlation was dented by an impulse train or a
 		// shadowing fade often still peaks above a relaxed threshold. The
 		// capture is located once; each attempt only re-tests its peak.
-		max, step, floor := r.cfg.reacquire()
 		thr := r.cfg.AcquireThreshold
-		for attempt := 0; attempt < max && err != nil; attempt++ {
-			thr -= step
-			if thr < floor {
-				thr = floor
+		for attempt := 0; attempt < reacquireMax && err != nil; attempt++ {
+			thr -= reacquireStep
+			if thr < reacquireFloor {
+				thr = reacquireFloor
 			}
 			r.met.reacquires.Inc()
 			sp = telemetry.StartSpan(r.met.stReacquire)
@@ -301,7 +287,7 @@ func (r *Reader) Decode(capture, txRef []complex128, payloadLen int) RxReport {
 				err = acq.Detect(thr)
 			}
 			sp.End()
-			if thr == floor {
+			if thr == reacquireFloor {
 				break
 			}
 		}

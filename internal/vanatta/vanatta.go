@@ -54,10 +54,6 @@ func DirectionXZ(theta float64) Vec3 {
 // Pair connects two element indices through a transmission line.
 type Pair struct {
 	A, B int
-	// ExtraDelay is a per-pair line-length mismatch in seconds relative to
-	// the nominal interconnect. Ideal Van Atta arrays need equal line
-	// lengths; this field exists to study manufacturing tolerance.
-	ExtraDelay float64
 }
 
 // Array is a Van Atta backscatter array: transducer elements at fixed
@@ -175,11 +171,11 @@ func NewUniformLinear(n int, spacing float64, tr *piezo.Transducer, soundSpeed f
 // N returns the number of elements.
 func (a *Array) N() int { return len(a.Positions) }
 
-// lineGain returns the complex one-way interconnect gain at fHz for a pair.
-func (a *Array) lineGain(fHz float64, p Pair) complex128 {
+// lineGain returns the complex one-way interconnect gain at fHz; every
+// pair's line has the same length.
+func (a *Array) lineGain(fHz float64) complex128 {
 	amp := math.Pow(10, -a.LineLossDB/20)
-	delay := a.LineDelaySec + p.ExtraDelay
-	return cmplx.Rect(amp, -2*math.Pi*fHz*delay)
+	return cmplx.Rect(amp, -2*math.Pi*fHz*a.LineDelaySec)
 }
 
 // phase returns the spatial phase k·ŝ·r of an element for a wave arriving
@@ -201,12 +197,12 @@ func (a *Array) Scatter(fHz float64, in, out Vec3) complex128 {
 	out = out.Unit()
 	resp := a.Trans.Response(fHz)
 	elem := resp * resp
+	lg := a.lineGain(fHz)
 	var sum complex128
 	for _, p := range a.Pairs {
 		if !a.elementOK(p.A) || !a.elementOK(p.B) {
 			continue // a dead or stuck member breaks the whole pair's path
 		}
-		lg := a.lineGain(fHz, p)
 		phiInA := a.phase(fHz, in, p.A)
 		phiInB := a.phase(fHz, in, p.B)
 		phiOutA := a.phase(fHz, out, p.A)
