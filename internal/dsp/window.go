@@ -14,24 +14,6 @@ const (
 	BlackmanHarris
 )
 
-// String returns the window's conventional name.
-func (w Window) String() string {
-	switch w {
-	case Rectangular:
-		return "rectangular"
-	case Hann:
-		return "hann"
-	case Hamming:
-		return "hamming"
-	case Blackman:
-		return "blackman"
-	case BlackmanHarris:
-		return "blackman-harris"
-	default:
-		return "unknown"
-	}
-}
-
 // Coefficients returns the n window coefficients using the symmetric
 // convention (endpoints included), suitable for FIR design.
 func (w Window) Coefficients(n int) []float64 {

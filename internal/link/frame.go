@@ -3,7 +3,6 @@ package link
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 )
 
 // FrameType distinguishes the frames flowing through a VAB network.
@@ -20,22 +19,6 @@ const (
 
 // Valid reports whether t is a known frame type.
 func (t FrameType) Valid() bool { return t >= FrameData && t <= FrameAck }
-
-// String names the frame type.
-func (t FrameType) String() string {
-	switch t {
-	case FrameData:
-		return "data"
-	case FrameQuery:
-		return "query"
-	case FrameCmd:
-		return "cmd"
-	case FrameAck:
-		return "ack"
-	default:
-		return fmt.Sprintf("type(0x%02x)", byte(t))
-	}
-}
 
 // BroadcastAddr addresses every node in range.
 const BroadcastAddr = 0xFF

@@ -22,20 +22,6 @@ const (
 	FM0
 )
 
-// String returns the code's conventional name.
-func (c LineCode) String() string {
-	switch c {
-	case NRZ:
-		return "nrz"
-	case Manchester:
-		return "manchester"
-	case FM0:
-		return "fm0"
-	default:
-		return "unknown"
-	}
-}
-
 // ChipsPerBit returns the chip expansion factor of the code.
 func (c LineCode) ChipsPerBit() int {
 	if c == NRZ {

@@ -3,7 +3,6 @@ package linksim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 
 	"vab/internal/faults"
@@ -98,8 +97,8 @@ func (c *cachedCell) setCell(cell *Cell) {
 
 // pollBlock is the scheduler's block length for this backend: a block is
 // pollBlock scheduled polls whatever the worker count, long enough that a
-// block amortizes its dispatch. Placement and cache population run in
-// blocks of as many nodes.
+// block amortizes its dispatch. Cache population and the coordinate
+// column run in blocks of as many nodes.
 const pollBlock = 16384
 
 // placeDomain separates the placement draws, mix(seed, placeDomain, i),
@@ -116,9 +115,13 @@ type Fleet struct {
 	table *Table
 	env   int
 
-	cols   *mac.NodeColumns // per-node MAC liveness, SoA layout
-	sched  *mac.Scheduler
-	coords []linkCoord // per-node interpolation coordinates
+	cols  *mac.NodeColumns // per-node MAC liveness, SoA layout
+	sched *mac.Scheduler
+	// coords holds per-node table coordinates for uncached draws; nil
+	// until the first cycle that draws uncached builds it, so a fleet
+	// served from the cell cache never does. The cache fill and the hero
+	// checker resolve a coordinate from the node's placement instead.
+	coords []linkCoord
 
 	seedBase  uint64
 	seedHead  uint64 // mix(seedBase): the link every poll seed chains from
@@ -148,11 +151,10 @@ type Fleet struct {
 
 // NewFleet builds an abstract fleet. Placements (range, orientation) are
 // pinned by cfg.Placements, which NewFleet copies, or drawn
-// deterministically from the seed, uniform over the configured annulus;
-// either way only their table coordinates are kept (see placement).
-// Construction runs in blocks of nodes on runtime.GOMAXPROCS(0)
-// goroutines (it precedes SetWorkers); each node is a pure function of
-// (seed, node), so the fleet is the same at any GOMAXPROCS.
+// deterministically from the seed, uniform over the configured annulus.
+// Neither placements nor their table coordinates are computed here: a
+// node's coordinate, Table.Resolve of its placement, is a pure function
+// of (seed, node), resolved when a cycle needs it.
 func NewFleet(cfg Config) (*Fleet, error) {
 	if n := len(cfg.Placements); n > 0 {
 		if cfg.Nodes != 0 && cfg.Nodes != n {
@@ -190,22 +192,12 @@ func NewFleet(cfg Config) (*Fleet, error) {
 		table:    t,
 		env:      env,
 		cols:     mac.NewNodeColumns(cfg.Nodes),
-		coords:   make([]linkCoord, cfg.Nodes),
 		seedBase: uint64(cfg.Seed),
 		seedHead: mix(uint64(cfg.Seed)),
 	}
 	// The chain up to placeDomain is the same for every node, so it is
 	// computed once, leaving one SplitMix64 per node.
 	f.placeHead = faults.SplitMix64(f.seedHead ^ placeDomain)
-	blocks := (cfg.Nodes + pollBlock - 1) / pollBlock
-	if err := workpool.Run(blocks, runtime.GOMAXPROCS(0), "linksim_place", func(b int) error {
-		for i := b * pollBlock; i < min((b+1)*pollBlock, cfg.Nodes); i++ {
-			f.coords[i] = t.Resolve(f.placement(int32(i)))
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
 	f.sched, err = mac.NewScheduler(backend{f}, f.cols, pollBlock, cfg.Policy)
 	if err != nil {
 		return nil, err
@@ -220,8 +212,8 @@ func NewFleet(cfg Config) (*Fleet, error) {
 }
 
 // placement returns node i's range and orientation: the pinned placement,
-// or the seeded draw from mix(seedBase, placeDomain, i). Construction and
-// the hero checker call it; nothing keeps the result.
+// or the seeded draw from mix(seedBase, placeDomain, i). Nothing keeps the
+// result.
 func (f *Fleet) placement(i int32) (rangeM, orientRad float64) {
 	if len(f.cfg.Placements) > 0 {
 		p := f.cfg.Placements[i]
@@ -232,11 +224,11 @@ func (f *Fleet) placement(i int32) (rangeM, orientRad float64) {
 	return rangeM, (2*st.f64() - 1) * maxOrientRad
 }
 
-// SetWorkers bounds the worker pool that runs the scheduler's blocks and
-// populates the cell cache (n <= 0 selects runtime.NumCPU()). Cycle
-// outcomes are bit-identical at any width: every draw is a pure function
-// of (seed, node, cycle, attempt), and mac.Scheduler folds in schedule
-// order.
+// SetWorkers bounds the worker pool that runs the scheduler's blocks,
+// populates the cell cache and builds the coordinate column (n <= 0
+// selects runtime.NumCPU()). Cycle outcomes are bit-identical at any
+// width: every draw is a pure function of (seed, node, cycle, attempt),
+// and mac.Scheduler folds in schedule order.
 func (f *Fleet) SetWorkers(n int) { f.sched.SetWorkers(n) }
 
 // Close releases the scheduler's persistent worker pool (if any). The
@@ -274,9 +266,11 @@ func (f *Fleet) Instrument(reg *telemetry.Registry) {
 // RunCycle runs one mac.Scheduler cycle over the fleet, then cross-checks
 // the cycle's hero picks at waveform fidelity.
 //
-// At 10⁶ nodes on a 2-vCPU host with two workers, deciding takes under a
-// microsecond and the fold about 0.5 ms of a 19 ms cycle, behind the
-// blocks; DESIGN.md, "Fleet scaling", has the measured split.
+// At 10⁶ nodes deciding takes under a microsecond and the in-order fold
+// runs behind the blocks; DESIGN.md, "Fleet scaling", has the measured
+// split on a 2-vCPU AMD EPYC host. On a 2-vCPU Intel Xeon host the
+// benchmark's fleet_1m workload reads about 50 ms a cycle at two workers
+// (testdata/perf/fleet_1m.json holds the current record).
 func (f *Fleet) RunCycle() (CycleReport, error) {
 	mrep, err := f.sched.RunCycle()
 	rep := CycleReport{CycleReport: mrep, Severity: f.model.severity}
@@ -303,8 +297,10 @@ type backend struct{ f *Fleet }
 // BeginCycle snapshots everything the cycle's draws depend on, once,
 // before fan-out: the fault severity, the rate command as an SNR shift,
 // the lookup constants, and whether the draws read the resolved-cell
-// cache. It populates the cache (see the Fleet's cache fields), and picks
-// the hero links from the schedule before the blocks compact it.
+// cache. It populates the cache (see the Fleet's cache fields), builds
+// the coordinate column if the draws are uncached and it is not built
+// yet, and picks the hero links from the schedule before the blocks
+// compact it.
 func (b backend) BeginCycle(cycle int, chipRate float64, sched mac.Schedule) error {
 	f := b.f
 	f.cycle = cycle
@@ -333,7 +329,7 @@ func (b backend) BeginCycle(cycle int, chipRate float64, sched mac.Schedule) err
 		if err := workpool.Run(blocks, f.sched.Workers(), "linksim_cache", func(b int) error {
 			for n := b * pollBlock; n < min((b+1)*pollBlock, f.cfg.Nodes); n++ {
 				var cell Cell
-				f.model.resolve(&cell, f.coords[n])
+				f.model.resolve(&cell, f.table.Resolve(f.placement(int32(n))))
 				f.cellCache[n].setCell(&cell)
 			}
 			return nil
@@ -344,6 +340,20 @@ func (b backend) BeginCycle(cycle int, chipRate float64, sched mac.Schedule) err
 	}
 	if f.cached {
 		f.cellHits.Inc()
+	} else if f.coords == nil {
+		// Uncached draws read a node's coordinate every poll, so it is
+		// resolved once for the fleet's life rather than per poll.
+		coords := make([]linkCoord, f.cfg.Nodes)
+		blocks := (f.cfg.Nodes + pollBlock - 1) / pollBlock
+		if err := workpool.Run(blocks, f.sched.Workers(), "linksim_coords", func(b int) error {
+			for n := b * pollBlock; n < min((b+1)*pollBlock, f.cfg.Nodes); n++ {
+				coords[n] = f.table.Resolve(f.placement(int32(n)))
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		f.coords = coords
 	}
 	if f.hero != nil {
 		f.hero.pick(f, sched, cycle)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -73,7 +72,16 @@ func campaignFleet(t *testing.T, workers, heroLinks int) *Fleet {
 		t.Fatal(err)
 	}
 	fleet.EnableRateAdaptation(rc)
-	sc, err := faults.Parse("chaos", 17+9001)
+	attachChaos(t, fleet, 17+9001)
+	fleet.SetWorkers(workers)
+	return fleet
+}
+
+// attachChaos attaches the seeded chaos scenario to fleet. Its severity
+// changes every cycle, so the fleet's draws are never cached.
+func attachChaos(t *testing.T, fleet *Fleet, seed int64) {
+	t.Helper()
+	sc, err := faults.Parse("chaos", seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +90,6 @@ func campaignFleet(t *testing.T, workers, heroLinks int) *Fleet {
 		t.Fatal(err)
 	}
 	fleet.SetFaultEngine(eng)
-	fleet.SetWorkers(workers)
-	return fleet
 }
 
 // TestFleetDeterminismAcrossWorkers: the full campaign transcript — every
@@ -355,9 +361,10 @@ func TestNewFleetValidation(t *testing.T) {
 	}
 }
 
-// TestPlacementsMatchSeedChain: NewFleet draws placements in parallel
-// blocks, but every node keeps the geometry of a serial loop over
-// mix(seed, placeDomain, i), at any GOMAXPROCS. 40,000 nodes span three
+// TestPlacementsMatchSeedChain: the coordinate column the first uncached
+// cycle builds in parallel blocks, and the cell cache a calm fleet fills
+// in parallel blocks, hold for every node what a serial loop resolves from
+// mix(seed, placeDomain, i), at 1 and 4 workers. 40,000 nodes span three
 // blocks, the last one partial.
 func TestPlacementsMatchSeedChain(t *testing.T) {
 	const nodes, seed = 40_000, 23
@@ -365,25 +372,49 @@ func TestPlacementsMatchSeedChain(t *testing.T) {
 		t.Fatalf("%d nodes fit in two blocks of %d", nodes, pollBlock)
 	}
 	tab := DefaultTable()
-	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		fleet, err := NewFleet(Config{Nodes: nodes, Policy: mac.DefaultPollPolicy(), Seed: seed})
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatal(err)
+	type placed struct{ r, o float64 }
+	serial := make([]placed, nodes)
+	for i := range serial {
+		st := newStream(mix(uint64(seed), placeDomain, uint64(i)))
+		r := rangeMinM + st.f64()*(rangeMaxM-rangeMinM)
+		serial[i] = placed{r, (2*st.f64() - 1) * maxOrientRad}
+	}
+	for _, workers := range []int{1, 4} {
+		build := func() *Fleet {
+			fleet, err := NewFleet(Config{Nodes: nodes, Policy: mac.DefaultPollPolicy(), Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet.SetWorkers(workers)
+			return fleet
 		}
-		for i := 0; i < nodes; i++ {
-			st := newStream(mix(uint64(seed), placeDomain, uint64(i)))
-			r := rangeMinM + st.f64()*(rangeMaxM-rangeMinM)
-			o := (2*st.f64() - 1) * maxOrientRad
-			fr, fo := fleet.placement(int32(i))
-			if math.Float64bits(fr) != math.Float64bits(r) || math.Float64bits(fo) != math.Float64bits(o) ||
-				fleet.coords[i] != tab.Resolve(r, o) {
-				t.Fatalf("GOMAXPROCS=%d node %d: range %v orient %v coord %+v, serial chain gives %v, %v, %+v",
-					procs, i, fr, fo, fleet.coords[i], r, o, tab.Resolve(r, o))
+		uncached, calm := build(), build()
+		attachChaos(t, uncached, seed)
+		for _, fleet := range []*Fleet{uncached, calm} {
+			if _, err := fleet.RunCycle(); err != nil {
+				t.Fatal(err)
+			}
+			fleet.Close()
+		}
+		if len(uncached.coords) != nodes {
+			t.Fatalf("workers=%d: the first uncached cycle built %d coordinates, want %d", workers, len(uncached.coords), nodes)
+		}
+		for i, p := range serial {
+			coord := tab.Resolve(p.r, p.o)
+			fr, fo := uncached.placement(int32(i))
+			if math.Float64bits(fr) != math.Float64bits(p.r) || math.Float64bits(fo) != math.Float64bits(p.o) ||
+				uncached.coords[i] != coord {
+				t.Fatalf("workers=%d node %d: range %v orient %v coord %+v, serial chain gives %v, %v, %+v",
+					workers, i, fr, fo, uncached.coords[i], p.r, p.o, coord)
+			}
+			var cell Cell
+			var want cachedCell
+			calm.model.resolve(&cell, coord)
+			want.setCell(&cell)
+			if calm.cellCache[i] != want {
+				t.Fatalf("workers=%d node %d: cache entry %+v, serial coordinate gives %+v", workers, i, calm.cellCache[i], want)
 			}
 		}
-		fleet.Close()
 	}
 
 	// Pinned placements are copied: a caller's later edit cannot move a
@@ -439,15 +470,7 @@ func TestCellCachePolicy(t *testing.T) {
 	t.Run("chaos", func(t *testing.T) {
 		fleet := build()
 		defer fleet.Close()
-		sc, err := faults.Parse("chaos", 31)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := faults.NewEngine(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fleet.SetFaultEngine(eng)
+		attachChaos(t, fleet, 31)
 		n := hits(fleet)
 		prev := math.NaN()
 		for c := 0; c < cycles; c++ {
@@ -500,4 +523,34 @@ func TestCellCachePolicy(t *testing.T) {
 			t.Fatalf("rate steps %d, cached cycles %d: the check needs both", steps, want)
 		}
 	})
+}
+
+// TestCoordsOnlyForUncachedDraws pins when the coordinate column exists: a
+// calm fleet, served from the cell cache from its first cycle, never
+// builds it, and a chaos fleet, which draws uncached, builds it in its
+// first cycle, for every node.
+func TestCoordsOnlyForUncachedDraws(t *testing.T) {
+	const nodes = 2000
+	for _, chaos := range []bool{false, true} {
+		fleet, err := NewFleet(Config{Nodes: nodes, Policy: probationPolicy(), Seed: 37})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet.SetWorkers(2)
+		if chaos {
+			attachChaos(t, fleet, 37)
+		}
+		if fleet.coords != nil {
+			t.Fatalf("chaos=%v: NewFleet built %d coordinates", chaos, len(fleet.coords))
+		}
+		for c := 0; c < 6; c++ {
+			if _, err := fleet.RunCycle(); err != nil {
+				t.Fatal(err)
+			}
+			if built := len(fleet.coords); chaos && built != nodes || !chaos && fleet.coords != nil {
+				t.Fatalf("chaos=%v cycle %d: %d coordinates built", chaos, c, built)
+			}
+		}
+		fleet.Close()
+	}
 }

@@ -110,12 +110,12 @@ func (h *heroChecker) check(f *Fleet, model *cycleModel, cycle int) (HeroReport,
 	rep := HeroReport{}
 	var absZSum float64
 	for _, node := range h.picked {
-		var cell Cell
-		model.resolve(&cell, f.coords[node])
-		p := cell.PDeliver
-
 		cfg := h.envCfg
 		cfg.Range, cfg.Orientation = f.placement(node)
+		var cell Cell
+		model.resolve(&cell, f.table.Resolve(cfg.Range, cfg.Orientation))
+		p := cell.PDeliver
+
 		cfg.NodeAddr = byte(node%250) + 1
 		cfg.Seed = int64(mix(f.seedBase, uint64(uint32(node)), uint64(cycle)) >> 1)
 		cfg.Design = h.design.CloneDesign()

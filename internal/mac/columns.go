@@ -13,17 +13,19 @@ package mac
 // folding through one ~100-byte struct per node would drag two cache lines
 // per node through a million-node cycle. NodeColumns holds only the
 // liveness columns the fold and the decision phase read: silent-cycle
-// count, liveness flags, probe schedule and quarantine entry cycle (the
-// recovery-latency histogram's input), 17 bytes a node. The per-node
-// statistics reports materialize — health EWMA, cumulative counters, last
-// SNR, address — live in a NodeStats an owner attaches only when it
-// reports them (core.Fleet does; the million-node abstract tier does not).
-// No decision reads a statistic, so a schedule is the same with or
-// without them. State materializes one node as a NodeState for reports.
+// count and liveness flags, 5 bytes a node, plus, under a Probation
+// policy, the probe schedule and quarantine entry cycle (the
+// recovery-latency histogram's input), 12 more. The per-node statistics
+// reports materialize — health EWMA, cumulative counters, last SNR,
+// address — live in a NodeStats an owner attaches only when it reports
+// them (core.Fleet does; the million-node abstract tier does not). No
+// decision reads a statistic, so a schedule is the same with or without
+// them. State materializes one node as a NodeState for reports.
 //
 // Counters are int32: a single node would need 2³¹ polls to overflow —
 // about 68 years of one-second cycles — while the narrower columns keep a
-// million-node fleet's liveness state inside 17 MB.
+// million-node fleet's liveness state inside 5 MB (17 MB under
+// probation).
 
 // LivenessChange reports the transition FoldPollFailureAt applied to a node.
 type LivenessChange int
@@ -63,8 +65,12 @@ func foldHealth(h float64, delivered bool) float64 {
 type NodeColumns struct {
 	// Liveness columns: read or written by the fold-phase transitions and
 	// the decision phase's liveness scan.
-	SilentCycles  []int32 // consecutive failed cycles
-	Flags         []uint8 // FlagQuarantined | FlagDropped
+	SilentCycles []int32 // consecutive failed cycles
+	Flags        []uint8 // FlagQuarantined | FlagDropped
+
+	// Probation columns: written and read only for quarantined nodes, so
+	// NewScheduler allocates them only under a Probation policy; nil
+	// otherwise.
 	ProbeInterval []int32 // current re-probe backoff, cycles
 	NextProbe     []int32 // cycle index of the next re-probe
 	QuarantinedAt []int32 // cycle of the latest quarantine entry
@@ -88,14 +94,22 @@ type NodeStats struct {
 }
 
 // NewNodeColumns allocates liveness columns for n nodes, each initialized
-// as a freshly added node, with no statistics attached.
+// as a freshly added node, with no statistics attached and no probation
+// columns (NewScheduler adds those under a Probation policy).
 func NewNodeColumns(n int) *NodeColumns {
 	return &NodeColumns{
-		SilentCycles:  make([]int32, n),
-		Flags:         make([]uint8, n),
-		ProbeInterval: make([]int32, n),
-		NextProbe:     make([]int32, n),
-		QuarantinedAt: make([]int32, n),
+		SilentCycles: make([]int32, n),
+		Flags:        make([]uint8, n),
+	}
+}
+
+// allocProbation allocates the probation columns, if not yet allocated.
+func (c *NodeColumns) allocProbation() {
+	if c.ProbeInterval == nil {
+		n := c.Len()
+		c.ProbeInterval = make([]int32, n)
+		c.NextProbe = make([]int32, n)
+		c.QuarantinedAt = make([]int32, n)
 	}
 }
 
@@ -168,7 +182,8 @@ func (p PollPolicy) FoldProbeFailureAt(c *NodeColumns, i, cycle int) {
 // FoldPollFailureAt folds a poll whose retry budget is exhausted: the
 // silent cycle is counted and the liveness policy applied — quarantine
 // (Probation) or permanent drop once DropAfter consecutive silent cycles
-// accumulate. The caller owns any rate-controller loss feeding and
+// accumulate. Under Probation, c must hold the probation columns (see
+// NewScheduler). The caller owns any rate-controller loss feeding and
 // metrics.
 func (p PollPolicy) FoldPollFailureAt(c *NodeColumns, i, cycle int) LivenessChange {
 	st := c.Stats

@@ -21,8 +21,10 @@ func TestFoldPrimitivesMatchScheduler(t *testing.T) {
 	sched, b := newScripted(t, 1, policy)
 	b.tapes[0] = script
 
-	// Shadow state evolved through the column fold only.
+	// Shadow state evolved through the column fold only, with the
+	// probation storage the scheduler allocates under this policy.
 	shadow := statsColumns(1)
+	shadow.allocProbation()
 	si := 0 // script cursor for the shadow run
 
 	const cycles = 20
@@ -68,6 +70,7 @@ func TestFoldPrimitivesMatchScheduler(t *testing.T) {
 func TestFoldPollFailureTransitions(t *testing.T) {
 	p := PollPolicy{MaxRetries: 0, DropAfter: 2, Probation: true, ProbeBackoffMax: 8}
 	c := statsColumns(2)
+	c.allocProbation()
 	if ch := p.FoldPollFailureAt(c, 0, 0); ch != LivenessNone {
 		t.Fatalf("first silent cycle: got %v, want LivenessNone", ch)
 	}
@@ -174,5 +177,34 @@ func TestStatsDoNotSteerTheSchedule(t *testing.T) {
 			!slices.Equal(x.QuarantinedAt, y.QuarantinedAt) {
 			t.Fatalf("policy %+v: liveness columns differ with and without statistics", policy)
 		}
+	}
+}
+
+// TestProbationColumnsOnlyUnderProbation pins the column layout: a
+// scheduler whose policy drops nodes never quarantines one, so it leaves
+// the three probation columns nil through cycles that drop nodes, and a
+// Probation scheduler allocates them for every node.
+func TestProbationColumnsOnlyUnderProbation(t *testing.T) {
+	const nodes = 64
+	cols := NewNodeColumns(nodes)
+	s, err := NewScheduler(churnBackend(nodes), cols, 4, PollPolicy{MaxRetries: 1, DropAfter: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := runCycles(t, s, 30); rep.Dropped == 0 {
+		t.Fatal("no node dropped: the check needs the drop path")
+	}
+	if cols.ProbeInterval != nil || cols.NextProbe != nil || cols.QuarantinedAt != nil {
+		t.Fatalf("drop policy allocated probation columns: %d, %d, %d",
+			len(cols.ProbeInterval), len(cols.NextProbe), len(cols.QuarantinedAt))
+	}
+
+	cols = NewNodeColumns(nodes)
+	if _, err := NewScheduler(churnBackend(nodes), cols, 4, probationPolicy()); err != nil {
+		t.Fatal(err)
+	}
+	if len(cols.ProbeInterval) != nodes || len(cols.NextProbe) != nodes || len(cols.QuarantinedAt) != nodes {
+		t.Fatalf("probation columns hold %d, %d, %d nodes, want %d each",
+			len(cols.ProbeInterval), len(cols.NextProbe), len(cols.QuarantinedAt), nodes)
 	}
 }

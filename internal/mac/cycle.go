@@ -250,7 +250,9 @@ type macMetrics struct {
 }
 
 // NewScheduler builds a scheduler over cols, freshly allocated by
-// NewNodeColumns, with every node on the regular schedule. block is the
+// NewNodeColumns, with every node on the regular schedule. Under a
+// Probation policy it allocates cols' probation columns; otherwise no
+// node is ever quarantined and they stay nil. block is the
 // number of scheduled polls one pool task runs: large for a cheap backend,
 // so a block amortizes its dispatch, and 1 for one that costs about a
 // millisecond a poll, so the pool balances.
@@ -266,6 +268,9 @@ func NewScheduler(b Backend, cols *NodeColumns, block int, policy PollPolicy) (*
 	}
 	if err := policy.Validate(); err != nil {
 		return nil, err
+	}
+	if policy.Probation {
+		cols.allocProbation()
 	}
 	n := cols.Len()
 	s := &Scheduler{

@@ -304,8 +304,10 @@ func TestRestoreAndDropSameCycle(t *testing.T) {
 }
 
 // quarantineNode force-quarantines a live node with its probe due at
-// `due`, as a prior campaign would have left it.
+// `due`, as a prior campaign would have left it, allocating the probation
+// columns a scheduler without Probation lacks.
 func quarantineNode(s *Scheduler, node int32, due int) {
+	s.cols.allocProbation()
 	s.cols.Flags[node] |= FlagQuarantined
 	s.cols.NextProbe[node] = int32(due)
 	s.cols.ProbeInterval[node] = 2
