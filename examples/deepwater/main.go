@@ -25,7 +25,7 @@ func main() {
 		bar := strings.Repeat("·", int((c-1498)/1.2))
 		fmt.Printf("  %5.0f m  %7.1f m/s  %s\n", z, c, bar)
 	}
-	fmt.Printf("  sound channel axis at %.0f m (minimum %.0f m/s)\n\n", m.AxisDepth, m.AxisSpeed)
+	fmt.Printf("  sound channel axis at %.0f m (minimum %.0f m/s)\n\n", ocean.MunkAxisDepth, ocean.MunkAxisSpeed)
 
 	// Trace a fan of rays launched from the axis.
 	fmt.Println("Ray fan from the SOFAR axis (80 km, '·' = ray sample):")
@@ -39,7 +39,7 @@ func main() {
 		grid[i] = []byte(strings.Repeat(" ", cols))
 	}
 	for _, th := range []float64{-0.12, -0.06, 0.03, 0.09, 0.14} {
-		path, err := ocean.TraceRay(m, m.AxisDepth, th, rangeMax, 100, depthMax)
+		path, err := ocean.TraceRay(m, ocean.MunkAxisDepth, th, rangeMax, 100, depthMax)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +51,8 @@ func main() {
 			}
 		}
 	}
-	axisRow := int(m.AxisDepth / depthMax * float64(rows-1))
+	axis := ocean.MunkAxisDepth
+	axisRow := int(axis / depthMax * float64(rows-1))
 	for r, line := range grid {
 		mark := " "
 		if r == axisRow {
@@ -62,9 +63,9 @@ func main() {
 	fmt.Println("       (= sound channel axis: rays oscillate around it, never touching surface or bottom)")
 
 	// Turning depths for a shallow launch.
-	sh, dp := ocean.TurningDepths(m, m.AxisDepth, 0.09, depthMax)
+	sh, dp := ocean.TurningDepths(m, ocean.MunkAxisDepth, 0.09, depthMax)
 	fmt.Printf("\nray at ±%.0f mrad turns at %.0f m and %.0f m (Snell: c(z_t) = c_axis/cosθ = %.1f m/s)\n",
-		0.09*1000, sh, dp, m.AxisSpeed/math.Cos(0.09))
+		0.09*1000, sh, dp, ocean.MunkAxisSpeed/math.Cos(0.09))
 
 	fmt.Println("\nWhy this matters for backscatter: today's VAB operates in shallow")
 	fmt.Println("iso-velocity waveguides (rivers, coasts). A deep-moored retrodirective")

@@ -23,7 +23,6 @@ type LinkBudget struct {
 	Env    *ocean.Environment
 	Design Design
 
-	CarrierHz     float64
 	ChipRate      float64 // detection bin bandwidth
 	SourceLevelDB float64
 
@@ -53,7 +52,6 @@ func NewLinkBudget(env *ocean.Environment, d Design) *LinkBudget {
 	return &LinkBudget{
 		Env:               env,
 		Design:            d,
-		CarrierHz:         DefaultCarrierHz,
 		ChipRate:          p.ChipRate,
 		SourceLevelDB:     DefaultSourceLevelDB,
 		ReaderDepth:       0.4 * env.Depth, // staggered: see SystemConfig
@@ -72,8 +70,8 @@ func (b *LinkBudget) Validate() error {
 	if err := b.Env.Validate(); err != nil {
 		return err
 	}
-	if b.CarrierHz <= 0 || b.ChipRate <= 0 {
-		return fmt.Errorf("core: carrier %.3g / chip rate %.3g must be positive", b.CarrierHz, b.ChipRate)
+	if b.ChipRate <= 0 {
+		return fmt.Errorf("core: chip rate %.3g must be positive", b.ChipRate)
 	}
 	if b.ReaderDepth <= 0 || b.ReaderDepth > b.Env.Depth || b.NodeDepth <= 0 || b.NodeDepth > b.Env.Depth {
 		return fmt.Errorf("core: depths outside water column")
@@ -84,9 +82,9 @@ func (b *LinkBudget) Validate() error {
 // ToneSNRdB returns the per-chip tone SNR in dB at horizontal range r
 // meters (one-way; the backscatter travels 2r in total).
 func (b *LinkBudget) ToneSNRdB(r float64) float64 {
-	tl := b.Env.TransmissionLoss(b.CarrierHz, r)
-	gNode := EffectiveGainDB(b.Design, b.CarrierHz, b.Orientation)
-	nl := b.Env.NoiseLevel(b.CarrierHz, b.ChipRate)
+	tl := b.Env.TransmissionLoss(DefaultCarrierHz, r)
+	gNode := EffectiveGainDB(b.Design, DefaultCarrierHz, b.Orientation)
+	nl := b.Env.NoiseLevel(DefaultCarrierHz, b.ChipRate)
 	return b.SourceLevelDB - 2*tl + gNode - nl + b.DiversityGainDB - b.SIPenaltyDB
 }
 
@@ -98,7 +96,7 @@ func (b *LinkBudget) RicianK(r float64) float64 {
 	}
 	arr := b.Env.Multipath(ocean.Geometry{
 		SourceDepth: b.ReaderDepth, ReceiverDepth: b.NodeDepth, Range: r,
-	}, ocean.DefaultMultipathConfig(b.CarrierHz))
+	}, ocean.DefaultMultipathConfig(DefaultCarrierHz))
 	kdb := ocean.RicianK(arr)
 	if math.IsInf(kdb, 1) {
 		return math.Inf(1)
@@ -168,7 +166,7 @@ type Terms struct {
 func (b *LinkBudget) TermsAt(r float64) Terms {
 	arr := b.Env.Multipath(ocean.Geometry{
 		SourceDepth: b.ReaderDepth, ReceiverDepth: b.NodeDepth, Range: r,
-	}, ocean.DefaultMultipathConfig(b.CarrierHz))
+	}, ocean.DefaultMultipathConfig(DefaultCarrierHz))
 	k := b.RicianK(r)
 	kdb := math.Inf(1)
 	if !math.IsInf(k, 1) {
@@ -176,9 +174,9 @@ func (b *LinkBudget) TermsAt(r float64) Terms {
 	}
 	return Terms{
 		SourceLevelDB:  b.SourceLevelDB,
-		OneWayTLDB:     b.Env.TransmissionLoss(b.CarrierHz, r),
-		NodeGainDB:     EffectiveGainDB(b.Design, b.CarrierHz, b.Orientation),
-		NoiseLevelDB:   b.Env.NoiseLevel(b.CarrierHz, b.ChipRate),
+		OneWayTLDB:     b.Env.TransmissionLoss(DefaultCarrierHz, r),
+		NodeGainDB:     EffectiveGainDB(b.Design, DefaultCarrierHz, b.Orientation),
+		NoiseLevelDB:   b.Env.NoiseLevel(DefaultCarrierHz, b.ChipRate),
 		DiversityDB:    b.DiversityGainDB,
 		SIPenaltyDB:    b.SIPenaltyDB,
 		ToneSNRdB:      b.ToneSNRdB(r),

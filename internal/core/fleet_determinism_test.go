@@ -93,10 +93,10 @@ func cycleSignature(t *testing.T, f *Fleet, cycles int) string {
 				hexF(r.Reading.PressureMbar), hexF(r.SNRdB))
 		}
 	}
-	for _, st := range f.Nodes() {
-		fmt.Fprintf(&b, "node %d: polls=%d succ=%d retries=%d silent=%d quar=%v(%d) dropped=%v snr=%s\n",
-			st.Addr, st.Polls, st.Successes, st.Retries, st.SilentCycles,
-			st.Quarantined, st.QuarantineEntries, st.Dropped, hexF(st.LastSNRdB))
+	for i, st := range f.Nodes() {
+		fmt.Fprintf(&b, "node %d: polls=%d succ=%d silent=%d quar=%v(%d) dropped=%v snr=%s\n",
+			st.Addr, st.Polls, st.Successes, f.cols.SilentCycles[i],
+			st.Quarantined, st.QuarantineEntries, st.Dropped, hexF(f.cols.Stats.LastSNRdB[i]))
 	}
 	frames, corrected := f.LinkQuality()
 	fmt.Fprintf(&b, "link: frames=%d corrected=%d\n", frames, corrected)

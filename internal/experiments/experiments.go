@@ -130,9 +130,9 @@ var inventory = []experiment{
 	{"E5", "element scaling: range vs Van Atta array size", E5ElementScaling, false},
 	{"E6", "ocean validation: coastal Atlantic environment", E6Ocean, false},
 	{"E7", "throughput vs range at fixed reliability", E7Throughput, false},
-	{"E8", "power budget: harvested vs consumed per uplink frame", E8PowerBudget, false},
-	{"E9", "matching-network sensitivity of the scattered field", E9Matching, false},
-	{"E10", "full campaign: the multi-cell Monte-Carlo summary table", E10Campaign, false},
+	{"E8", "power budget: harvested vs consumed per uplink frame", e8PowerBudget, false},
+	{"E9", "matching-network sensitivity of the scattered field", e9Matching, false},
+	{"E10", "full campaign: the multi-cell Monte-Carlo summary table", e10Campaign, false},
 	{"X1", "extension: round-trip acoustic ranging accuracy", X1Ranging, false},
 	{"X2", "extension: M-ary orthogonal signaling throughput", X2MaryThroughput, false},
 	{"X3", "extension: waveform pipeline vs analytic budget cross-validation", X3WaveformValidation, false},
@@ -465,25 +465,4 @@ func E7Throughput(opts Options) (*Result, error) {
 	res.Notes = append(res.Notes,
 		"halving the chip rate buys ~1 dB of detection SNR (3 dB noise bandwidth − 2·TL slope), extending range")
 	return res, nil
-}
-
-// E8PowerBudget regenerates the node power table (R): component draws,
-// per-response energy, harvestable power versus range, and the harvesting
-// break-even.
-func E8PowerBudget(opts Options) (*Result, error) {
-	return e8PowerBudget(opts)
-}
-
-// E9Matching regenerates the electro-mechanical co-design figure (R):
-// reflection-coefficient contrast versus frequency with and without the
-// matching network, and the match bandwidth.
-func E9Matching(opts Options) (*Result, error) {
-	return e9Matching(opts)
-}
-
-// E10Campaign regenerates the trial-campaign summary (R): the >1,500
-// experimental trials across environments, ranges and orientations that
-// the abstract reports, aggregated per cell.
-func E10Campaign(opts Options) (*Result, error) {
-	return e10Campaign(opts)
 }

@@ -238,7 +238,7 @@ func TestE7ThroughputTradeoff(t *testing.T) {
 }
 
 func TestE8PowerClaims(t *testing.T) {
-	res, err := E8PowerBudget(fast())
+	res, err := e8PowerBudget(fast())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestE8PowerClaims(t *testing.T) {
 }
 
 func TestE9MatchingClaims(t *testing.T) {
-	res, err := E9Matching(fast())
+	res, err := e9Matching(fast())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestE9MatchingClaims(t *testing.T) {
 
 // TestE10CampaignScale locks the >1,500-trials claim at full options.
 func TestE10CampaignScale(t *testing.T) {
-	res, err := E10Campaign(Options{Seed: 5}) // default trial counts
+	res, err := e10Campaign(Options{Seed: 5}) // default trial counts
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,12 +6,12 @@
 // The waveform tier (core.System/core.Fleet) is physics-exact but costs
 // milliseconds per node per round — city-scale deployments are out of
 // reach by brute force. This package replaces the per-round DSP with
-// table-driven draws: each poll of a link samples delivery, SNR,
-// FEC-correction count and propagation delay from distributions measured
-// off the waveform tier over a grid of (environment, fault intensity,
-// orientation, range) cells. The calibration table is a serializable,
-// versioned artifact (see Table): committed under testdata/, embedded in
-// the binary, and regenerable with `vabsim -calibrate` — per "On the
+// table-driven draws: each poll of a link samples delivery, SNR and
+// FEC-correction count from distributions measured off the waveform tier
+// over a grid of (environment, fault intensity, orientation, range)
+// cells. The calibration table is a serializable, versioned artifact (see
+// Table): committed under testdata/, embedded in the binary, and
+// regenerable with `vabsim -calibrate` — per "On the
 // Reusability of Post-Experimental Field Data", campaign statistics are
 // reusable data, not throwaway sweep output.
 //
@@ -26,8 +26,8 @@
 //   - Shared MAC semantics. The tier does not reimplement the polling
 //     protocol: Fleet is a mac.Backend, as the waveform core.Fleet is, so
 //     one mac.Scheduler cycle — schedule, retries, the NodeColumns fold,
-//     the mac.RateController feed — runs both, and probation, health and
-//     rate stepdown behave identically by construction.
+//     the mac.RateController feed — runs both, and probation and rate
+//     stepdown behave identically by construction.
 //   - Hero links. Every cycle a configurable subset of links is promoted
 //     to full waveform fidelity and cross-checked against the model
 //     online; divergence counters and an SNR z-score histogram are

@@ -58,8 +58,7 @@ type Placement struct {
 type CycleReport struct {
 	mac.CycleReport
 
-	CorrectedPerFrame float64
-	Severity          float64 // fault severity driving this cycle's draws
+	Severity float64 // fault severity driving this cycle's draws
 
 	Hero HeroReport
 }
@@ -72,12 +71,12 @@ type modelKey struct {
 	snrDelta float64
 }
 
-// cachedCell is one node's resolved link model under a modelKey, 40
+// cachedCell is one node's resolved link model under a modelKey, 32
 // bytes: the resolved cell (PDeliver rate-shifted) with CorrMean replaced
 // by the Poisson loop constant e^{-CorrMean} — everything a poll draw
 // needs, so a cache hit skips the trilinear table walk entirely.
 type cachedCell struct {
-	pDeliver, snrMeanDB, snrStdDB, delayMs float64
+	pDeliver, snrMeanDB, snrStdDB float64
 	// expNegCorr is e^{-CorrMean}, or noCorrections when CorrMean ≤ 0.
 	expNegCorr float64
 }
@@ -89,7 +88,7 @@ const noCorrections = 2.0
 
 // setCell stores a resolved cell.
 func (c *cachedCell) setCell(cell *Cell) {
-	*c = cachedCell{cell.PDeliver, cell.SNRMeanDB, cell.SNRStdDB, cell.DelayMs, noCorrections}
+	*c = cachedCell{cell.PDeliver, cell.SNRMeanDB, cell.SNRStdDB, noCorrections}
 	if cell.CorrMean > 0 {
 		c.expNegCorr = math.Exp(-cell.CorrMean)
 	}
@@ -269,7 +268,7 @@ func (f *Fleet) Instrument(reg *telemetry.Registry) {
 // At 10⁶ nodes deciding takes under a microsecond and the in-order fold
 // runs behind the blocks; DESIGN.md, "Fleet scaling", has the measured
 // split on a 2-vCPU AMD EPYC host. On a 2-vCPU Intel Xeon host the
-// benchmark's fleet_1m workload reads about 50 ms a cycle at two workers
+// benchmark's fleet_1m workload reads about 42 ms a cycle at two workers
 // (testdata/perf/fleet_1m.json holds the current record).
 func (f *Fleet) RunCycle() (CycleReport, error) {
 	mrep, err := f.sched.RunCycle()
@@ -277,9 +276,6 @@ func (f *Fleet) RunCycle() (CycleReport, error) {
 	rep.ChipRate = f.model.chipRate
 	if err != nil {
 		return rep, err
-	}
-	if rep.Delivered > 0 {
-		rep.CorrectedPerFrame = float64(rep.Corrected) / float64(rep.Delivered)
 	}
 	if f.hero != nil {
 		hr, err := f.hero.check(f, &f.model, rep.Cycle)

@@ -215,10 +215,10 @@ func seedPoll(head uint64, node int32, cycle int, probe bool) pollSeed {
 // resolve) and writes the outcome to out: pass 2 of the two-pass draw,
 // everything that depends on the first delivery uniform. Up to
 // maxAttempts independent attempts (the MAC retry budget) each draw from
-// their own seeded stream; the first that delivers draws SNR, corrections
-// and delay. The outcome goes through a pointer because it is too wide for
-// registers: returned by value, it is built field by field on the stack
-// and then copied in wider moves, which stall on store forwarding.
+// their own seeded stream; the first that delivers draws SNR and
+// corrections. The outcome goes through a pointer into the Chunk's fold:
+// returned by value, it is built field by field on the stack and then
+// copied in wider moves, which stall on store forwarding.
 func (m *cycleModel) pollCell(s *pollSeed, maxAttempts int, cell *cachedCell, out *mac.Outcome) {
 	*out = mac.Outcome{}
 	st, u := s.st, s.u
@@ -234,12 +234,6 @@ func (m *cycleModel) pollCell(s *pollSeed, maxAttempts int, cell *cachedCell, ou
 		out.Delivered = true
 		out.SNRdB = cell.snrMeanDB + cell.snrStdDB*st.norm() + m.snrDelta
 		out.Corrected = int32(st.poissonExp(cell.expNegCorr))
-		// Delay: propagation plus a small sway-scale jitter (±0.1 ms RMS).
-		d := cell.delayMs + 0.1*st.norm()
-		if d < 0 {
-			d = 0
-		}
-		out.DelayMs = d
 		return
 	}
 }

@@ -29,6 +29,8 @@ type Cell struct {
 	// residual-BER proxy core.Fleet.LinkQuality tracks), drawn Poisson.
 	CorrMean float64 `json:"corr_mean"`
 	// DelayMs is the round-trip propagation delay at the cell's range.
+	// Nothing draws from it: it stays because table format v1 carries
+	// it, and resolution leaves it 0.
 	DelayMs float64 `json:"delay_ms"`
 }
 
@@ -160,16 +162,16 @@ func (t *Table) Resolve(rangeM, orientRad float64) linkCoord {
 	return linkCoord{ri: uint16(ri), oi: uint16(oi), wr: float32(wr), wo: float32(wo)}
 }
 
-// lerpCell linearly interpolates every cell statistic into dst. Cells go
-// through pointers, field by field: a Cell returned by value is built on
-// the stack and then copied in wider moves, which stall on store
-// forwarding and cost the table walk most of its time.
+// lerpCell linearly interpolates every statistic a draw reads into dst;
+// DelayMs stays 0. Cells go through pointers, field by field: a Cell
+// returned by value is built on the stack and then copied in wider moves,
+// which stall on store forwarding and cost the table walk most of its
+// time.
 func lerpCell(dst, a, b *Cell, w float64) {
 	dst.PDeliver = a.PDeliver + (b.PDeliver-a.PDeliver)*w
 	dst.SNRMeanDB = a.SNRMeanDB + (b.SNRMeanDB-a.SNRMeanDB)*w
 	dst.SNRStdDB = a.SNRStdDB + (b.SNRStdDB-a.SNRStdDB)*w
 	dst.CorrMean = a.CorrMean + (b.CorrMean-a.CorrMean)*w
-	dst.DelayMs = a.DelayMs + (b.DelayMs-a.DelayMs)*w
 }
 
 // planeCell bilinearly interpolates one (orientation, range) plane, the

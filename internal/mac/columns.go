@@ -16,11 +16,11 @@ package mac
 // count and liveness flags, 5 bytes a node, plus, under a Probation
 // policy, the probe schedule and quarantine entry cycle (the
 // recovery-latency histogram's input), 12 more. The per-node statistics
-// reports materialize — health EWMA, cumulative counters, last SNR,
-// address — live in a NodeStats an owner attaches only when it reports
-// them (core.Fleet does; the million-node abstract tier does not). No
-// decision reads a statistic, so a schedule is the same with or without
-// them. State materializes one node as a NodeState for reports.
+// reports materialize — cumulative counters, last SNR, address — live in
+// a NodeStats an owner attaches only when it reports them (core.Fleet
+// does; the million-node abstract tier does not). No decision reads a
+// statistic, so a schedule is the same with or without them. State
+// materializes one node as a NodeState for reports.
 //
 // Counters are int32: a single node would need 2³¹ polls to overflow —
 // about 68 years of one-second cycles — while the narrower columns keep a
@@ -48,18 +48,6 @@ const (
 	FlagDropped
 )
 
-// healthAlpha is the EWMA coefficient of the per-node health score.
-const healthAlpha = 0.25
-
-// foldHealth folds one cycle outcome into a health score.
-func foldHealth(h float64, delivered bool) float64 {
-	outcome := 0.0
-	if delivered {
-		outcome = 1
-	}
-	return (1-healthAlpha)*h + healthAlpha*outcome
-}
-
 // NodeColumns holds per-node scheduler bookkeeping as struct-of-arrays,
 // indexed by a dense node index the owner assigns.
 type NodeColumns struct {
@@ -84,10 +72,8 @@ type NodeColumns struct {
 // struct-of-arrays indexed like the NodeColumns they are attached to.
 // Nothing in a cycle's decisions reads them.
 type NodeStats struct {
-	Health            []float64 // delivery EWMA in [0, 1] (NodeState.Health)
 	Polls             []int32
 	Successes         []int32
-	Retries           []int32
 	QuarantineEntries []int32
 	LastSNRdB         []float64
 	Addr              []byte // left 0 for the owner to assign
@@ -113,22 +99,15 @@ func (c *NodeColumns) allocProbation() {
 	}
 }
 
-// NewNodeStats allocates statistics for n nodes, each initialized as a
-// freshly added node: health 1, everything else zero.
+// NewNodeStats allocates zeroed statistics for n nodes.
 func NewNodeStats(n int) *NodeStats {
-	st := &NodeStats{
-		Health:            make([]float64, n),
+	return &NodeStats{
 		Polls:             make([]int32, n),
 		Successes:         make([]int32, n),
-		Retries:           make([]int32, n),
 		QuarantineEntries: make([]int32, n),
 		LastSNRdB:         make([]float64, n),
 		Addr:              make([]byte, n),
 	}
-	for i := range st.Health {
-		st.Health[i] = 1
-	}
-	return st
 }
 
 // Len returns the node count.
@@ -143,14 +122,13 @@ func (c *NodeColumns) Quarantined(i int) bool { return c.Flags[i]&FlagQuarantine
 
 // FoldDeliveredAt folds a delivered poll (or a restoring probe's
 // successful round) into node i: the silent-cycle count resets, and with
-// statistics attached, success and SNR accounting plus the health EWMA.
+// statistics attached, success and SNR accounting.
 // Quarantine exit for probes is a separate step — see RestoreAt.
 func (c *NodeColumns) FoldDeliveredAt(i int, snrDB float64) {
 	c.SilentCycles[i] = 0
 	if st := c.Stats; st != nil {
 		st.Successes[i]++
 		st.LastSNRdB[i] = snrDB
-		st.Health[i] = foldHealth(st.Health[i], true)
 	}
 }
 
@@ -163,14 +141,10 @@ func (c *NodeColumns) RestoreAt(i, cycle int) int {
 }
 
 // FoldProbeFailureAt folds a failed quarantine re-probe: the re-probe
-// backoff doubles up to the policy cap, and with statistics attached the
-// health EWMA decays. Probes
-// deliberately skip the retry budget — a node that is still down should
-// cost the cycle as little airtime as possible.
+// backoff doubles up to the policy cap. Probes deliberately skip the
+// retry budget — a node that is still down should cost the cycle as little
+// airtime as possible.
 func (p PollPolicy) FoldProbeFailureAt(c *NodeColumns, i, cycle int) {
-	if st := c.Stats; st != nil {
-		st.Health[i] = foldHealth(st.Health[i], false)
-	}
 	iv := c.ProbeInterval[i] * 2
 	if max := int32(p.probeMax()); iv > max {
 		iv = max
@@ -186,15 +160,11 @@ func (p PollPolicy) FoldProbeFailureAt(c *NodeColumns, i, cycle int) {
 // NewScheduler). The caller owns any rate-controller loss feeding and
 // metrics.
 func (p PollPolicy) FoldPollFailureAt(c *NodeColumns, i, cycle int) LivenessChange {
-	st := c.Stats
-	if st != nil {
-		st.Health[i] = foldHealth(st.Health[i], false)
-	}
 	c.SilentCycles[i]++
 	if p.DropAfter > 0 && int(c.SilentCycles[i]) >= p.DropAfter {
 		if p.Probation {
 			c.Flags[i] |= FlagQuarantined
-			if st != nil {
+			if st := c.Stats; st != nil {
 				st.QuarantineEntries[i]++
 			}
 			c.QuarantinedAt[i] = int32(cycle)
@@ -223,17 +193,13 @@ func (c *NodeColumns) NextProbeAt(i int) int { return int(c.NextProbe[i]) }
 // fields are zero unless statistics are attached.
 func (c *NodeColumns) State(i int) NodeState {
 	ns := NodeState{
-		SilentCycles: int(c.SilentCycles[i]),
-		Dropped:      c.Flags[i]&FlagDropped != 0,
-		Quarantined:  c.Flags[i]&FlagQuarantined != 0,
+		Dropped:     c.Flags[i]&FlagDropped != 0,
+		Quarantined: c.Flags[i]&FlagQuarantined != 0,
 	}
 	if st := c.Stats; st != nil {
 		ns.Addr = st.Addr[i]
 		ns.Polls = int(st.Polls[i])
 		ns.Successes = int(st.Successes[i])
-		ns.Retries = int(st.Retries[i])
-		ns.LastSNRdB = st.LastSNRdB[i]
-		ns.Health = st.Health[i]
 		ns.QuarantineEntries = int(st.QuarantineEntries[i])
 	}
 	return ns

@@ -28,7 +28,6 @@ type Poll struct {
 // Outcome is a Backend's result for one Poll.
 type Outcome struct {
 	SNRdB     float64 // reported SNR of the delivering attempt
-	DelayMs   float64 // propagation delay of the delivering attempt
 	Attempts  int32   // attempts used, 1…Poll.Attempts
 	Corrected int32   // FEC corrections in the delivered frame
 	Delivered bool
@@ -127,14 +126,9 @@ type CycleReport struct {
 	Quarantined int
 	Dropped     int
 
-	MeanSNRdB   float64 // over delivered polls (0 if none)
-	MeanDelayMs float64
-	ChipRate    float64 // rate command of every attempt (0 = no controller)
+	MeanSNRdB float64 // over delivered polls (0 if none)
+	ChipRate  float64 // rate command of every attempt (0 = no controller)
 }
-
-// drawPair is one delivered poll's SNR and delay, kept in schedule order
-// so the cycle means sum in the order a serial fold would.
-type drawPair struct{ snrDB, delayMs float64 }
 
 // rateObs is one rate-controller observation: a delivered regular poll's
 // SNR, or (loss) an exhausted one.
@@ -154,11 +148,11 @@ type blockRecord struct {
 	corr                   int64
 	kept                   int // live entries kept, compacted to the front of the block's live range
 
-	pairs    []drawPair // delivered polls' (snr, delay), one per delivery
-	calendar []int32    // nodes to calendar: failed probes, new quarantines
-	restored []int32    // nodes restored by a delivered probe
-	feed     []rateObs  // rate-controller feed (only with a controller)
-	err      error      // the block's first failure
+	snrs     []float64 // delivered polls' SNRs, so the cycle mean sums in the order a serial fold would
+	calendar []int32   // nodes to calendar: failed probes, new quarantines
+	restored []int32   // nodes restored by a delivered probe
+	feed     []rateObs // rate-controller feed (only with a controller)
+	err      error     // the block's first failure
 
 	chunk Chunk // the polls being drawn
 
@@ -172,7 +166,7 @@ type blockRecord struct {
 func (r *blockRecord) reset() {
 	r.polls, r.retries, r.probes = 0, 0, 0
 	r.quarantined, r.dropped, r.corr, r.kept = 0, 0, 0, 0
-	r.pairs, r.calendar, r.restored, r.feed = r.pairs[:0], r.calendar[:0], r.restored[:0], r.feed[:0]
+	r.snrs, r.calendar, r.restored, r.feed = r.snrs[:0], r.calendar[:0], r.restored[:0], r.feed[:0]
 	r.err = nil
 }
 
@@ -181,7 +175,7 @@ type cycleTally struct {
 	polls, delivered, retries, probes int
 	quarantined, dropped              int
 	corr                              int64
-	snrSum, delaySum                  float64
+	snrSum                            float64
 	kept                              int // live entries kept by the blocks folded so far
 }
 
@@ -468,7 +462,6 @@ func (s *Scheduler) RunCycle() (CycleReport, error) {
 
 	if t.delivered > 0 {
 		rep.MeanSNRdB = t.snrSum / float64(t.delivered)
-		rep.MeanDelayMs = t.delaySum / float64(t.delivered)
 	}
 	rep.Live = len(s.live)
 	rep.Quarantined = s.nQuar
@@ -541,10 +534,10 @@ func (s *Scheduler) dispatch(blocks int, t *cycleTally) error {
 	width := s.workers
 	if n := 2 * width; len(s.ring) != n {
 		// A block schedules each node at most once, so no record ever
-		// holds more pairs than this.
+		// holds more SNRs than this.
 		s.ring = make([]blockRecord, n)
 		for i := range s.ring {
-			s.ring[i].pairs = make([]drawPair, 0, min(s.block, s.cols.Len()))
+			s.ring[i].snrs = make([]float64, 0, min(s.block, s.cols.Len()))
 		}
 	}
 	if width == 1 || blocks <= 1 {
@@ -664,15 +657,12 @@ func (c *Chunk) Fold(out *Outcome) {
 	}
 	if st := s.cols.Stats; st != nil {
 		st.Polls[ni] += int32(attempts)
-		if !p.Probe {
-			st.Retries[ni] += int32(attempts - 1)
-		}
 	}
 	stays := false
 	switch {
 	case out.Delivered:
 		s.cols.FoldDeliveredAt(ni, out.SNRdB)
-		rec.pairs = append(rec.pairs, drawPair{out.SNRdB, out.DelayMs})
+		rec.snrs = append(rec.snrs, out.SNRdB)
 		rec.corr += int64(out.Corrected)
 		if p.Probe {
 			s.cols.RestoreAt(ni, c.cycle)
@@ -708,7 +698,7 @@ func (c *Chunk) Fold(out *Outcome) {
 }
 
 // foldBlock folds block b's finished record into the cycle: counts, the
-// delivered pairs' float sums, calendar inserts, restores and the rate
+// delivered SNRs' float sum, calendar inserts, restores and the rate
 // feed, in schedule order. It then closes the gap between the block's kept
 // live entries and those of the blocks before it; the copy lands below the
 // block's own range, which no running block reads.
@@ -718,18 +708,17 @@ func (s *Scheduler) foldBlock(b int, t *cycleTally) error {
 		return r.err
 	}
 	t.polls += r.polls
-	t.delivered += len(r.pairs)
+	t.delivered += len(r.snrs)
 	t.retries += r.retries
 	t.probes += r.probes
 	t.quarantined += r.quarantined
 	t.dropped += r.dropped
 	t.corr += r.corr
-	snrSum, delaySum := t.snrSum, t.delaySum // in registers: the sums are a serial chain
-	for _, d := range r.pairs {
-		snrSum += d.snrDB
-		delaySum += d.delayMs
+	snrSum := t.snrSum // in a register: the sum is a serial chain
+	for _, d := range r.snrs {
+		snrSum += d
 	}
-	t.snrSum, t.delaySum = snrSum, delaySum
+	t.snrSum = snrSum
 	cycle := s.running
 	for _, n := range r.calendar {
 		s.wheel.schedule(n, s.cols.NextProbeAt(int(n)), cycle)

@@ -87,17 +87,10 @@ func (p PollPolicy) Validate() error {
 // NodeState is one node's scheduler bookkeeping, as reports see it
 // (NodeColumns.State materializes it).
 type NodeState struct {
-	Addr         byte
-	Polls        int
-	Successes    int
-	Retries      int
-	SilentCycles int
-	Dropped      bool
-	LastSNRdB    float64
-
-	// Health is an EWMA of per-cycle delivery in [0, 1] (1 = every recent
-	// cycle delivered). It is reported, never read by a decision.
-	Health float64
+	Addr      byte
+	Polls     int
+	Successes int
+	Dropped   bool
 	// Quarantined marks a node in probation: off the regular schedule,
 	// awaiting a backed-off re-probe.
 	Quarantined bool

@@ -127,8 +127,8 @@ func TestSchedulerBasics(t *testing.T) {
 	if b.begun != 1 {
 		t.Errorf("BeginCycle ran %d times in one cycle", b.begun)
 	}
-	if st := s.cols.State(0); st.Polls != 1 || st.Successes != 1 || st.LastSNRdB != 12 {
-		t.Errorf("node state %+v", st)
+	if st := s.cols.State(0); st.Polls != 1 || st.Successes != 1 || s.cols.Stats.LastSNRdB[0] != 12 {
+		t.Errorf("node state %+v, last SNR %v", st, s.cols.Stats.LastSNRdB[0])
 	}
 	if rep := runCycles(t, s, 1); rep.Cycle != 1 {
 		t.Errorf("second cycle reports index %d", rep.Cycle)

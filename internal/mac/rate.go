@@ -20,11 +20,6 @@ type RateController struct {
 	// RequiredSNRdB is the tone SNR needed at the *lowest* rate for the
 	// target BER (the per-rate requirement adds 3 dB per doubling).
 	RequiredSNRdB float64
-	// UpMarginDB is the extra headroom demanded before stepping up
-	// (default 6), DownMarginDB the deficit tolerated before stepping
-	// down (default 1). UpMargin > DownMargin gives hysteresis.
-	UpMarginDB   float64
-	DownMarginDB float64
 	// Smoothing is the EWMA coefficient on SNR observations in (0, 1];
 	// 1 reacts instantly, small values average long (default 0.3).
 	Smoothing float64
@@ -65,6 +60,11 @@ func (rc *RateController) Instrument(reg *telemetry.Registry) {
 	rc.met.chipRate.Set(rc.Rate())
 }
 
+// upMarginDB is the extra headroom demanded before stepping up,
+// downMarginDB the deficit tolerated before stepping down; upMarginDB >
+// downMarginDB gives hysteresis.
+const upMarginDB, downMarginDB = 6, 1
+
 // NewRateController validates and builds a controller starting at the
 // lowest (most robust) rate.
 func NewRateController(rates []float64, requiredSNRdB float64) (*RateController, error) {
@@ -82,8 +82,6 @@ func NewRateController(rates []float64, requiredSNRdB float64) (*RateController,
 	return &RateController{
 		Rates:         append([]float64(nil), rates...),
 		RequiredSNRdB: requiredSNRdB,
-		UpMarginDB:    6,
-		DownMarginDB:  1,
 		Smoothing:     0.3,
 	}, nil
 }
@@ -115,11 +113,11 @@ func (rc *RateController) Observe(snrDB float64) float64 {
 	}
 
 	for rc.idx+1 < len(rc.Rates) &&
-		rc.ewmaDB >= rc.requiredAt(rc.idx+1)+rc.UpMarginDB {
+		rc.ewmaDB >= rc.requiredAt(rc.idx+1)+upMarginDB {
 		rc.idx++
 		rc.met.stepsUp.Inc()
 	}
-	for rc.idx > 0 && rc.ewmaDB < rc.requiredAt(rc.idx)+rc.DownMarginDB {
+	for rc.idx > 0 && rc.ewmaDB < rc.requiredAt(rc.idx)+downMarginDB {
 		rc.idx--
 		rc.met.stepsDown.Inc()
 	}

@@ -12,10 +12,8 @@ import (
 // (big endian): uint32 sample counter, int16 temperature in centi-°C,
 // uint16 pressure in millibar.
 type EnvSensor struct {
-	BaseTempC   float64
-	BaseDepthM  float64
-	DriftPeriod float64 // samples per full drift cycle
-	NoiseStd    float64
+	BaseTempC  float64
+	BaseDepthM float64
 
 	count uint32
 	rng   *rand.Rand
@@ -25,13 +23,15 @@ type EnvSensor struct {
 // noise stream for reproducible trials.
 func NewEnvSensor(tempC, depthM float64, seed int64) *EnvSensor {
 	return &EnvSensor{
-		BaseTempC:   tempC,
-		BaseDepthM:  depthM,
-		DriftPeriod: 480,
-		NoiseStd:    0.05,
-		rng:         rand.New(rand.NewSource(seed)),
+		BaseTempC:  tempC,
+		BaseDepthM: depthM,
+		rng:        rand.New(rand.NewSource(seed)),
 	}
 }
+
+// driftPeriod is the samples per full drift cycle; noiseStd the
+// measurement noise, °C (and tens of millibar).
+const driftPeriod, noiseStd = 480, 0.05
 
 // PayloadSize is the wire size of one EnvSensor reading.
 const PayloadSize = 8
@@ -42,10 +42,10 @@ const PayloadSize = 8
 // and the packed batch payload encode from these samples, so the two
 // formats quantize identically.
 func (s *EnvSensor) sample() Reading {
-	phase := 2 * math.Pi * float64(s.count) / s.DriftPeriod
-	temp := s.BaseTempC + 0.5*math.Sin(phase) + s.rng.NormFloat64()*s.NoiseStd
+	phase := 2 * math.Pi * float64(s.count) / driftPeriod
+	temp := s.BaseTempC + 0.5*math.Sin(phase) + s.rng.NormFloat64()*noiseStd
 	// Hydrostatic pressure: 1 bar surface + ~0.0981 bar per meter.
-	pressureMbar := 1000 + 98.1*s.BaseDepthM + 5*math.Sin(phase/3) + s.rng.NormFloat64()*s.NoiseStd*10
+	pressureMbar := 1000 + 98.1*s.BaseDepthM + 5*math.Sin(phase/3) + s.rng.NormFloat64()*noiseStd*10
 
 	rd := Reading{
 		Count:        s.count,

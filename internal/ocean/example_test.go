@@ -34,7 +34,7 @@ func Example() {
 // profile traps it between its turning depths.
 func ExampleTraceRay() {
 	m := ocean.CanonicalMunk()
-	path, err := ocean.TraceRay(m, m.AxisDepth, 0.08, 60e3, 50, 5000)
+	path, err := ocean.TraceRay(m, ocean.MunkAxisDepth, 0.08, 60e3, 50, 5000)
 	if err != nil {
 		panic(err)
 	}
@@ -47,7 +47,7 @@ func ExampleTraceRay() {
 			maxZ = pt.Depth
 		}
 	}
-	fmt.Printf("trapped between %.0f m and %.0f m (axis at %.0f m)\n", minZ, maxZ, m.AxisDepth)
+	fmt.Printf("trapped between %.0f m and %.0f m (axis at %.0f m)\n", minZ, maxZ, ocean.MunkAxisDepth)
 	// Output:
 	// trapped between 775 m and 2017 m (axis at 1300 m)
 }

@@ -10,8 +10,6 @@ import (
 type Arrival struct {
 	Delay          float64    // propagation delay in s
 	Gain           complex128 // complex amplitude relative to 1 m reference
-	Length         float64    // path length in m
-	Grazing        float64    // grazing angle at the boundaries, rad
 	SurfaceBounces int
 	BottomBounces  int
 }
@@ -85,8 +83,6 @@ func (e *Environment) MultipathAppend(dst []Arrival, g Geometry, cfg MultipathCo
 		arrivals = append(arrivals, Arrival{
 			Delay:          length / c,
 			Gain:           gain,
-			Length:         length,
-			Grazing:        grazing,
 			SurfaceBounces: surf,
 			BottomBounces:  bot,
 		})

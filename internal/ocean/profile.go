@@ -23,30 +23,33 @@ type Profile interface {
 //
 //	c(z) = c1·(1 + ε·(η − 1 + e^(−η))),  η = 2(z − z1)/B
 //
-// with a minimum (the SOFAR axis) at depth z1. Rays launched near the axis
-// are trapped and oscillate around it.
-type MunkProfile struct {
-	AxisDepth float64 // z1, m (canonical 1300)
-	AxisSpeed float64 // c1, m/s (canonical 1500)
-	Scale     float64 // B, m (canonical 1300)
-	Epsilon   float64 // ε (canonical 0.00737)
-}
+// with a minimum (the SOFAR axis) at depth z1, in Munk's standard
+// parameterization. Rays launched near the axis are trapped and oscillate
+// around it.
+type MunkProfile struct{}
 
-// CanonicalMunk returns Munk's standard parameterization.
-func CanonicalMunk() *MunkProfile {
-	return &MunkProfile{AxisDepth: 1300, AxisSpeed: 1500, Scale: 1300, Epsilon: 0.00737}
-}
+// Munk's standard parameterization.
+const (
+	MunkAxisDepth float64 = 1300    // z1, m
+	MunkAxisSpeed float64 = 1500    // c1, m/s
+	munkScale     float64 = 1300    // B, m
+	munkEpsilon   float64 = 0.00737 // ε
+)
+
+// CanonicalMunk returns Munk's sound channel.
+func CanonicalMunk() *MunkProfile { return &MunkProfile{} }
 
 // SpeedAt implements Profile.
 func (m *MunkProfile) SpeedAt(z float64) float64 {
-	eta := 2 * (z - m.AxisDepth) / m.Scale
-	return m.AxisSpeed * (1 + m.Epsilon*(eta-1+math.Exp(-eta)))
+	eta := 2 * (z - MunkAxisDepth) / munkScale
+	return MunkAxisSpeed * (1 + munkEpsilon*(eta-1+math.Exp(-eta)))
 }
 
-// Gradient implements Profile.
+// Gradient implements Profile. The constant factor c1·ε·2/B folds to the
+// same float64 the field-by-field product gave.
 func (m *MunkProfile) Gradient(z float64) float64 {
-	eta := 2 * (z - m.AxisDepth) / m.Scale
-	return m.AxisSpeed * m.Epsilon * (2 / m.Scale) * (1 - math.Exp(-eta))
+	eta := 2 * (z - MunkAxisDepth) / munkScale
+	return MunkAxisSpeed * munkEpsilon * (2 / munkScale) * (1 - math.Exp(-eta))
 }
 
 // RayPoint is one sample of a traced ray path.

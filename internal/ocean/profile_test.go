@@ -24,12 +24,12 @@ func (l *linearProfile) Gradient(float64) float64  { return l.G }
 func TestMunkProfileShape(t *testing.T) {
 	m := CanonicalMunk()
 	// Minimum at the axis.
-	cAxis := m.SpeedAt(m.AxisDepth)
-	if math.Abs(cAxis-m.AxisSpeed) > 1e-9 {
-		t.Errorf("axis speed %v, want %v", cAxis, m.AxisSpeed)
+	cAxis := m.SpeedAt(MunkAxisDepth)
+	if math.Abs(cAxis-MunkAxisSpeed) > 1e-9 {
+		t.Errorf("axis speed %v, want %v", cAxis, MunkAxisSpeed)
 	}
 	for _, dz := range []float64{-800, -300, 300, 800, 2000} {
-		if m.SpeedAt(m.AxisDepth+dz) <= cAxis {
+		if m.SpeedAt(MunkAxisDepth+dz) <= cAxis {
 			t.Errorf("speed at axis%+.0f should exceed the axis minimum", dz)
 		}
 	}
@@ -41,7 +41,7 @@ func TestMunkProfileShape(t *testing.T) {
 		t.Errorf("5 km speed %v, want ~1551", c5)
 	}
 	// Gradient zero at the axis, negative above, positive below.
-	if g := m.Gradient(m.AxisDepth); math.Abs(g) > 1e-12 {
+	if g := m.Gradient(MunkAxisDepth); math.Abs(g) > 1e-12 {
 		t.Errorf("axis gradient %v", g)
 	}
 	if m.Gradient(500) >= 0 {
@@ -82,7 +82,7 @@ func TestTraceRaySOFARTrapping(t *testing.T) {
 	// A ray launched on the axis at a shallow angle must oscillate around
 	// the axis without touching surface or bottom.
 	m := CanonicalMunk()
-	path, err := TraceRay(m, m.AxisDepth, 0.08, 100e3, 50, 5000)
+	path, err := TraceRay(m, MunkAxisDepth, 0.08, 100e3, 50, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTraceRaySOFARTrapping(t *testing.T) {
 		if pt.Depth > maxZ {
 			maxZ = pt.Depth
 		}
-		above := pt.Depth < m.AxisDepth
+		above := pt.Depth < MunkAxisDepth
 		if i > 0 && above != prevAbove {
 			crossings++
 		}
@@ -109,15 +109,15 @@ func TestTraceRaySOFARTrapping(t *testing.T) {
 		t.Errorf("ray crossed the axis only %d times over 100 km; not oscillating", crossings)
 	}
 	// Turning depths must bracket the axis, symmetric-ish in speed.
-	sh, dp := TurningDepths(m, m.AxisDepth, 0.08, 5000)
+	sh, dp := TurningDepths(m, MunkAxisDepth, 0.08, 5000)
 	if math.IsNaN(sh) || math.IsNaN(dp) {
 		t.Fatalf("missing turning depths: %v %v", sh, dp)
 	}
-	if !(sh < m.AxisDepth && dp > m.AxisDepth) {
+	if !(sh < MunkAxisDepth && dp > MunkAxisDepth) {
 		t.Errorf("turning depths [%v, %v] don't bracket the axis", sh, dp)
 	}
 	// At a turning depth the local speed satisfies Snell: c(z_t) = c_axis/cos(θ0).
-	want := m.AxisSpeed / math.Cos(0.08)
+	want := MunkAxisSpeed / math.Cos(0.08)
 	if got := m.SpeedAt(dp); math.Abs(got-want) > 0.5 {
 		t.Errorf("deep turning speed %v, want %v", got, want)
 	}

@@ -12,8 +12,7 @@ import (
 // networks so that interconnected Van Atta pairs transfer energy instead of
 // detuning each other.
 type MatchingNetwork struct {
-	DesignHz float64
-	TargetR  float64
+	TargetR float64
 
 	// Element values. Exactly one of each L/C pair is nonzero (or both zero
 	// when the element is absent).
@@ -49,7 +48,7 @@ func DesignLSection(zLoad complex128, r0, fHz float64) (*MatchingNetwork, error)
 		return nil, fmt.Errorf("piezo: design frequency %.3g must be positive", fHz)
 	}
 	w := 2 * math.Pi * fHz
-	m := &MatchingNetwork{DesignHz: fHz, TargetR: r0}
+	m := &MatchingNetwork{TargetR: r0}
 
 	setSeries := func(x float64) {
 		if x > 0 {

@@ -15,7 +15,6 @@
 package piezo
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 )
@@ -28,79 +27,40 @@ type Transducer struct {
 	R1 float64 // motional resistance, Ω (mechanical + radiation loss)
 	L1 float64 // motional inductance, H
 	C1 float64 // motional capacitance, F
-
-	// Electro-acoustic calibration at resonance.
-	RxSensitivity float64 // open-circuit receive sensitivity, V/Pa
-	TxResponse    float64 // transmit response, Pa·m/V (pressure at 1 m per volt)
 }
 
-// Params configures NewTransducer with designer-level quantities instead of
-// raw circuit values.
-type Params struct {
-	ResonanceHz float64 // series (motional) resonance f_s
-	Qm          float64 // mechanical quality factor
-	C0          float64 // clamped capacitance, F
-	CouplingK2  float64 // effective electromechanical coupling k_eff² in (0, 1)
+// The design of the cylindrical transducers used in underwater backscatter
+// prototypes: ~18.5 kHz resonance, moderate mechanical Q, k31-mode
+// coupling around 0.3 (k² ≈ 0.09 would be raw ceramic; potted cylinders in
+// water achieve effective k_eff² near 0.25–0.35 with the radiation load
+// folded in).
+const (
+	resonanceHz = 18500 // series (motional) resonance f_s
+	qm          = 28    // mechanical quality factor
+	c0          = 9e-9  // clamped capacitance, F
+	couplingK2  = 0.30  // effective electromechanical coupling k_eff²
+)
 
-	RxSensitivity float64 // V/Pa at resonance
-	TxResponse    float64 // Pa·m/V at resonance
+// MustDefault returns the default transducer: the BVD circuit realizing
+// the design constants above.
+func MustDefault() *Transducer {
+	return newTransducer(resonanceHz, qm, c0, couplingK2)
 }
 
-// DefaultParams returns parameters representative of the cylindrical
-// transducers used in underwater backscatter prototypes: ~18.5 kHz
-// resonance, moderate mechanical Q, k31-mode coupling around 0.3 (k² ≈ 0.09
-// would be raw ceramic; potted cylinders in water achieve effective k_eff²
-// near 0.25–0.35 with the radiation load folded in).
-func DefaultParams() Params {
-	return Params{
-		ResonanceHz: 18500,
-		Qm:          28,
-		C0:          9e-9,
-		CouplingK2:  0.30,
-		// Representative of small cylinders: −193 dB re V/µPa receive,
-		// 130 dB re µPa·m/V transmit.
-		RxSensitivity: 2.2e-4, // V/Pa
-		TxResponse:    3.2,    // Pa·m/V
-	}
-}
-
-// NewTransducer constructs the BVD circuit realizing the given parameters.
-// The motional branch values follow from
+// newTransducer constructs the BVD circuit realizing a series resonance
+// fs, mechanical quality factor q, clamped capacitance c0 and coupling
+// k2. The motional branch values follow from
 //
 //	C1 = C0·k²/(1−k²),  L1 = 1/(ω_s²·C1),  R1 = ω_s·L1/Q_m.
-func NewTransducer(p Params) (*Transducer, error) {
-	switch {
-	case p.ResonanceHz <= 0:
-		return nil, fmt.Errorf("piezo: resonance %.3g Hz must be positive", p.ResonanceHz)
-	case p.Qm <= 0:
-		return nil, fmt.Errorf("piezo: Qm %.3g must be positive", p.Qm)
-	case p.C0 <= 0:
-		return nil, fmt.Errorf("piezo: C0 %.3g F must be positive", p.C0)
-	case p.CouplingK2 <= 0 || p.CouplingK2 >= 1:
-		return nil, fmt.Errorf("piezo: coupling k² %.3g outside (0,1)", p.CouplingK2)
-	}
-	ws := 2 * math.Pi * p.ResonanceHz
-	c1 := p.C0 * p.CouplingK2 / (1 - p.CouplingK2)
+//
+// The design goes in as arguments, not as constants in the formulas: Go
+// folds constant arithmetic exactly, which can round differently from the
+// float64 operations the circuit has always been computed with.
+func newTransducer(fs, q, c0, k2 float64) *Transducer {
+	ws := 2 * math.Pi * fs
+	c1 := c0 * k2 / (1 - k2)
 	l1 := 1 / (ws * ws * c1)
-	r1 := ws * l1 / p.Qm
-	return &Transducer{
-		C0:            p.C0,
-		R1:            r1,
-		L1:            l1,
-		C1:            c1,
-		RxSensitivity: p.RxSensitivity,
-		TxResponse:    p.TxResponse,
-	}, nil
-}
-
-// MustDefault returns the default transducer, panicking on the (impossible)
-// error path. Convenience for tests and examples.
-func MustDefault() *Transducer {
-	t, err := NewTransducer(DefaultParams())
-	if err != nil {
-		panic(err)
-	}
-	return t
+	return &Transducer{C0: c0, R1: ws * l1 / q, L1: l1, C1: c1}
 }
 
 // Impedance returns the complex electrical impedance of the transducer at

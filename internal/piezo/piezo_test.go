@@ -12,39 +12,21 @@ import (
 const openLoad = complex(1e9, 0)
 
 func TestNewTransducerRealizesParams(t *testing.T) {
-	p := DefaultParams()
-	tr, err := NewTransducer(p)
-	if err != nil {
-		t.Fatal(err)
+	tr := MustDefault()
+	if fs := tr.SeriesResonance(); math.Abs(fs-resonanceHz) > 1 {
+		t.Errorf("series resonance %v, want %v", fs, resonanceHz)
 	}
-	if fs := tr.SeriesResonance(); math.Abs(fs-p.ResonanceHz) > 1 {
-		t.Errorf("series resonance %v, want %v", fs, p.ResonanceHz)
+	if q := tr.Qm(); math.Abs(q-qm) > 0.01*qm {
+		t.Errorf("Qm %v, want %v", q, qm)
 	}
-	if q := tr.Qm(); math.Abs(q-p.Qm) > 0.01*p.Qm {
-		t.Errorf("Qm %v, want %v", q, p.Qm)
+	if k2 := measuredK2(tr); math.Abs(k2-couplingK2) > 1e-9 {
+		t.Errorf("k² %v, want %v", k2, couplingK2)
 	}
-	if k2 := couplingK2(tr); math.Abs(k2-p.CouplingK2) > 1e-9 {
-		t.Errorf("k² %v, want %v", k2, p.CouplingK2)
+	if tr.C0 != c0 {
+		t.Errorf("C0 %v, want %v", tr.C0, c0)
 	}
 	if fp := parallelResonance(tr); fp <= tr.SeriesResonance() {
 		t.Error("anti-resonance must sit above series resonance")
-	}
-}
-
-func TestNewTransducerValidation(t *testing.T) {
-	bad := []func(*Params){
-		func(p *Params) { p.ResonanceHz = 0 },
-		func(p *Params) { p.Qm = -1 },
-		func(p *Params) { p.C0 = 0 },
-		func(p *Params) { p.CouplingK2 = 0 },
-		func(p *Params) { p.CouplingK2 = 1 },
-	}
-	for i, mutate := range bad {
-		p := DefaultParams()
-		mutate(&p)
-		if _, err := NewTransducer(p); err == nil {
-			t.Errorf("mutation %d not rejected", i)
-		}
 	}
 }
 
@@ -285,9 +267,9 @@ func parallelResonance(t *Transducer) float64 {
 	return t.SeriesResonance() * math.Sqrt(1+t.C1/t.C0)
 }
 
-// couplingK2 returns the effective electromechanical coupling coefficient
+// measuredK2 returns the effective electromechanical coupling coefficient
 // k_eff² = C1/(C0+C1), the fraction of stored energy exchanged between the
 // electrical and mechanical domains.
-func couplingK2(t *Transducer) float64 {
+func measuredK2(t *Transducer) float64 {
 	return t.C1 / (t.C0 + t.C1)
 }

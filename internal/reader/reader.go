@@ -218,7 +218,6 @@ type RxReport struct {
 	AcqMetric   float64     // normalized acquisition correlation
 	AcqStart    int         // sample index of the acquired burst (time-of-flight input)
 	SNREstimate float64     // linear per-chip tone SNR estimate
-	MeanMargin  float64     // average soft decision margin
 	Corrected   int         // FEC corrections
 }
 
@@ -328,7 +327,6 @@ func (r *Reader) Decode(capture, txRef []complex128, payloadLen int) RxReport {
 		return rep
 	}
 	rep.SNREstimate = phy.EstimateSNR(soft)
-	rep.MeanMargin = phy.MeanMargin(soft)
 	sp = telemetry.StartSpan(r.met.stDecode)
 	frame, stats, err := r.cfg.UplinkCodec.DecodeFrame(phy.HardChips(soft))
 	sp.End()
