@@ -286,7 +286,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		Addr:    cfg.NodeAddr,
 		Codec:   cfg.Reader.UplinkCodec,
 		PHY:     nodePHY,
-		Budget:  node.DefaultPowerBudget(),
 		Harvest: harv,
 		Sensor:  sensor,
 	})

@@ -14,22 +14,21 @@ import (
 // energy cost of one complete query-response, harvestable power across
 // range, and the range at which harvesting stops covering the listen state.
 func e8PowerBudget(opts Options) (*Result, error) {
-	budget := node.DefaultPowerBudget()
 	h := node.DefaultHarvester()
 	env := ocean.CharlesRiver()
 	rhoC := ocean.WaterDensity * env.MeanSoundSpeed()
 
 	t := sim.NewTable("E8 (R): Node power budget",
 		"item", "value", "unit")
-	t.AddRowf("sleep power", budget.Sleep*1e6, "uW")
-	t.AddRowf("listen power", budget.Listen*1e6, "uW")
-	t.AddRowf("decode power", budget.Decode*1e6, "uW")
-	t.AddRowf("backscatter power", budget.Backscatter*1e6, "uW")
+	t.AddRowf("sleep power", node.SleepW*1e6, "uW")
+	t.AddRowf("listen power", node.ListenW*1e6, "uW")
+	t.AddRowf("decode power", node.DecodeW*1e6, "uW")
+	t.AddRowf("backscatter power", node.BackscatterW*1e6, "uW")
 
 	// Per-response energy: burst duration at the default numerology.
 	burstChips := float64(chipsPerFrame + 31) // payload + preamble
 	burstSec := burstChips / 500
-	respEnergy := budget.Backscatter*burstSec + budget.Decode*0.01
+	respEnergy := node.BackscatterW*burstSec + node.DecodeW*0.01
 	t.AddRowf("response burst duration", burstSec*1e3, "ms")
 	t.AddRowf("energy per response", respEnergy*1e6, "uJ")
 
@@ -40,7 +39,7 @@ func e8PowerBudget(opts Options) (*Result, error) {
 		pPa := math.Pow(10, (core.DefaultSourceLevelDB-tl)/20) * 1e-6
 		pw := h.HarvestablePower(pPa, rhoC)
 		t.AddRowf(fmt.Sprintf("harvest @ %.0f m", r), pw*1e6, "uW")
-		if breakEven == 0 && pw < budget.Listen {
+		if breakEven == 0 && pw < node.ListenW {
 			breakEven = r
 		}
 	}
@@ -50,7 +49,7 @@ func e8PowerBudget(opts Options) (*Result, error) {
 		mid := (lo + hi) / 2
 		tl := env.TransmissionLoss(core.DefaultCarrierHz, mid)
 		pPa := math.Pow(10, (core.DefaultSourceLevelDB-tl)/20) * 1e-6
-		if h.HarvestablePower(pPa, rhoC) > budget.Listen {
+		if h.HarvestablePower(pPa, rhoC) > node.ListenW {
 			lo = mid
 		} else {
 			hi = mid
@@ -62,12 +61,12 @@ func e8PowerBudget(opts Options) (*Result, error) {
 	// Battery life at one poll per minute beyond break-even, from a coin
 	// cell (CR2477: ~2.9 kJ usable).
 	const coinCellJ = 2900.0
-	perDay := budget.Listen*86400 + respEnergy*1440
+	perDay := node.ListenW*86400 + respEnergy*1440
 	t.AddRowf("battery-backed life @1 poll/min", coinCellJ/perDay/365, "years")
 
 	res := &Result{ID: "E8", Title: "Node power budget", Kind: "table", Table: t,
 		Metrics: map[string]float64{
-			"backscatter_uw":      budget.Backscatter * 1e6,
+			"backscatter_uw":      node.BackscatterW * 1e6,
 			"response_energy_uj":  respEnergy * 1e6,
 			"harvest_breakeven_m": breakEven,
 			"battery_years":       coinCellJ / perDay / 365,

@@ -15,7 +15,6 @@ func newTestNode(t *testing.T) *Node {
 		Addr:    3,
 		Codec:   link.DefaultCodec(),
 		PHY:     phy.DefaultParams(),
-		Budget:  DefaultPowerBudget(),
 		Harvest: h,
 		Sensor:  NewEnvSensor(15, 2.5, 1),
 	})

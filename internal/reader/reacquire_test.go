@@ -35,7 +35,6 @@ func buildCleanCapture(t *testing.T, cfg Config, r *Reader, burst bool) ([]compl
 		Addr:    7,
 		Codec:   cfg.UplinkCodec,
 		PHY:     cfg.PHY,
-		Budget:  node.DefaultPowerBudget(),
 		Harvest: node.DefaultHarvester(),
 		Sensor:  node.NewEnvSensor(15, 2.5, 1),
 	})

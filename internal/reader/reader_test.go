@@ -108,7 +108,6 @@ func TestEndToEndQueryResponse(t *testing.T) {
 		Addr:    7,
 		Codec:   cfg.UplinkCodec,
 		PHY:     cfg.PHY,
-		Budget:  node.DefaultPowerBudget(),
 		Harvest: node.DefaultHarvester(),
 		Sensor:  node.NewEnvSensor(15, 2.5, 1),
 	})
@@ -217,8 +216,8 @@ func TestEndToEndPayloadIntegrity(t *testing.T) {
 	for seed := int64(23); seed < 29 && !decoded; seed++ {
 		n, _ := node.New(node.Config{
 			Addr: 3, Codec: cfg.UplinkCodec, PHY: cfg.PHY,
-			Budget: node.DefaultPowerBudget(), Harvest: node.DefaultHarvester(),
-			Sensor: node.NewEnvSensor(12, 4, 5),
+			Harvest: node.DefaultHarvester(),
+			Sensor:  node.NewEnvSensor(12, 4, 5),
 		})
 		n.Harvest(100, 1025*1480, 3600)
 		ch, err := channel.New(channel.Config{
