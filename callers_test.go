@@ -67,7 +67,6 @@ var oneValueAllowed = map[string]string{
 	"phy.Params.F1":                     "seam: TestLocateMatchesFullSearch and TestCoarseFactorKeepsTonesInBand acquire at other tone pairs",
 	"phy.Params.SampleRate":             "seam: every sample-time formula of phy, reader, node and channel reads it from Params; TestParamsValidation pins its checks",
 	"reader.Config.AcquireThreshold":    "seam: TestReacquireBoundedByFloor starts below 0.13, the only way to reach reacquireFloor",
-	"reader.Config.SourceLevelDB":       "seam: the projector level of a deployment; TestSourceAmplitude pins the µPa conversion at it and TestNewValidation its bounds",
 	"reader.Config.UseDiversity":        "seam: TestSystemWaveformAgreesWithBudgetTier switches diversity off to compare one branch with the budget tier",
 	"vanatta.Array.LineDelaySec":        "seam: the vanatta tests build ideal arrays with zero line delay",
 	"vanatta.Array.LineLossDB":          "seam: TestLineLossReducesGain sets 3 dB; the other vanatta tests build lossless arrays",
@@ -273,7 +272,7 @@ func (l *modLoader) Import(p string) (*types.Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		match, err := build.Default.MatchFile(dir, name) // build constraints, such as rlimit_other.go's !unix
+		match, err := build.Default.MatchFile(dir, name) // build constraints: a //go:build line or a _windows.go suffix
 		if err != nil {
 			return nil, err
 		}

@@ -1,5 +1,7 @@
 package core
 
+import "vab/internal/reader"
+
 // Calibration constants. These are the only free parameters of the
 // reproduction; everything else (curve shapes, crossovers, orientation
 // behaviour, environment deltas) follows from the physical models. They are
@@ -14,8 +16,8 @@ const (
 	// potted cylindrical transducers.
 	DefaultCarrierHz = 18.5e3
 
-	// DefaultSourceLevelDB re 1 µPa @ 1 m: a small survey projector.
-	DefaultSourceLevelDB = 180.0
+	// DefaultSourceLevelDB re 1 µPa @ 1 m: the reader's projector.
+	DefaultSourceLevelDB = reader.SourceLevelDB
 
 	// StructuralLossDB is the acoustic re-radiation deficit of a
 	// wavelength-scale piezo scatterer relative to an ideal point

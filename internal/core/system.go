@@ -310,7 +310,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 // deployment phase before the first poll.
 func (s *System) WakeNode(seconds float64) {
 	tl := s.cfg.Env.TransmissionLoss(DefaultCarrierHz, s.cfg.Range)
-	pPa := math.Pow(10, (s.cfg.Reader.SourceLevelDB-tl)/20) * 1e-6
+	pPa := math.Pow(10, (DefaultSourceLevelDB-tl)/20) * 1e-6
 	rhoC := ocean.WaterDensity * s.cfg.Env.MeanSoundSpeed()
 	s.Node.Harvest(pPa, rhoC, seconds)
 }
@@ -538,7 +538,6 @@ func (s *System) PredictedBudget() *LinkBudget {
 	b.ReaderDepth = s.cfg.ReaderDepth
 	b.NodeDepth = s.cfg.NodeDepth
 	b.Orientation = s.cfg.Orientation
-	b.SourceLevelDB = s.cfg.Reader.SourceLevelDB
 	b.ChipRate = s.cfg.Reader.PHY.ChipRate
 	if !s.cfg.Reader.UseDiversity {
 		b.DiversityGainDB = 0

@@ -21,8 +21,8 @@ import (
 // codec, and reconnect recovery runs through the real gateway.ReplayRing
 // — but no goroutine, socket or wall clock is involved, so transcripts
 // are byte-identical at any worker count. The live-TCP incarnation of
-// the same machinery is exercised by the gateway churn soak test and the
-// vabload harness, which measure real latency but are not byte-compared.
+// the same machinery is exercised by the gateway churn soak test, which
+// checks every reading's sequence and content but is not byte-compared.
 var e14Intensities = chaosIntensities // share E11's sweep axis
 
 const (

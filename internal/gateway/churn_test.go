@@ -91,7 +91,7 @@ func TestChurnSoakThroughChaos(t *testing.T) {
 	var lastSeq uint64
 	var delivered, sessions int
 	for round := 0; round < rounds; round++ {
-		c, err := Dial(ctx, addr, WithResume(lastSeq), WithHandshakeTimeout(2*time.Second))
+		c, err := Dial(ctx, addr, WithResume(lastSeq), withHandshakeTimeout(2*time.Second))
 		if err != nil {
 			continue // injected drop during handshake: next round
 		}

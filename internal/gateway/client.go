@@ -28,7 +28,8 @@ type Client struct {
 	// lastSeq is the stream sequence of the last reading Next returned
 	// (on a resume session, the resume point until then).
 	lastSeq uint64
-	// ack* record the MsgResumeAck bounds once it arrives.
+	// ack* record the MsgResumeAck bounds once it arrives: replayFrom
+	// moves lastSeq, and the resume tests read all three.
 	ackReplayFrom uint64
 	ackLiveNext   uint64
 	ackSeen       bool
@@ -43,20 +44,11 @@ type Client struct {
 type DialOption func(*dialConfig)
 
 type dialConfig struct {
+	// handshakeTimeout bounds the wait for the gateway's hello frame;
+	// Dial and NewClientConn use 5 s.
 	handshakeTimeout time.Duration
 	resume           bool
 	resumeLast       uint64
-}
-
-// WithHandshakeTimeout bounds the wait for the gateway's hello frame
-// (default 5s). Satellite or acoustic-modem backhauls with multi-second
-// RTTs need more; a LAN health checker may want much less.
-func WithHandshakeTimeout(d time.Duration) DialOption {
-	return func(c *dialConfig) {
-		if d > 0 {
-			c.handshakeTimeout = d
-		}
-	}
 }
 
 // WithResume requests gap replay: after its hello the client sends
@@ -85,7 +77,7 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 }
 
 // NewClientConn runs the gateway handshake over an existing connection —
-// any net.Conn, not just TCP. The in-process load harness uses it to
+// any net.Conn, not just TCP. The vabperf ingest workloads use it to
 // subscribe over netmem conns; it also suits tunneled or pre-dialed
 // transports. The conn is closed on handshake failure.
 func NewClientConn(conn net.Conn, opts ...DialOption) (*Client, error) {
@@ -194,16 +186,6 @@ func (c *Client) Next(deadline time.Time) (Reading, error) {
 // gateway's ack, then the sequence just before the ack's replayFrom) —
 // the value to pass to WithResume on the next dial.
 func (c *Client) LastSeq() uint64 { return c.lastSeq }
-
-// ResumeWindow reports the MsgResumeAck bounds once the gateway has
-// acknowledged a resume: replayFrom is the first sequence the server
-// delivers, liveNext the next live sequence at ack time. ok is false
-// until the ack arrives. replayFrom > lastSeq+1 means the gap
-// [lastSeq+1, replayFrom) aged out of the server's ring and is
-// unrecoverable.
-func (c *Client) ResumeWindow() (replayFrom, liveNext uint64, ok bool) {
-	return c.ackReplayFrom, c.ackLiveNext, c.ackSeen
-}
 
 // Close terminates the subscription.
 func (c *Client) Close() error { return c.conn.Close() }

@@ -504,7 +504,7 @@ func TestShardChurnResumeSoak(t *testing.T) {
 			defer wg.Done()
 			var lastSeq uint64
 			for round := 0; round < rounds; round++ {
-				c, err := Dial(ctx, addr, WithResume(lastSeq), WithHandshakeTimeout(2*time.Second))
+				c, err := Dial(ctx, addr, WithResume(lastSeq), withHandshakeTimeout(2*time.Second))
 				if err != nil {
 					continue
 				}

@@ -158,7 +158,7 @@ func TestResumeRecoversGap(t *testing.T) {
 			t.Fatalf("session 2 seq %d (count %d), want %d", got, rd.Count, want)
 		}
 	}
-	from, liveNext, ok := c2.ResumeWindow()
+	from, liveNext, ok := c2.ackReplayFrom, c2.ackLiveNext, c2.ackSeen
 	if !ok || from != lastSeq+1 {
 		t.Fatalf("ack window from=%d ok=%v, want from=%d", from, ok, lastSeq+1)
 	}
@@ -199,8 +199,7 @@ func TestResumeAgedOutGap(t *testing.T) {
 			t.Fatalf("seq %d (count %d), want %d", got, rd.Count, want)
 		}
 	}
-	from, _, ok := c.ResumeWindow()
-	if !ok || from != 17 {
+	if from, ok := c.ackReplayFrom, c.ackSeen; !ok || from != 17 {
 		t.Fatalf("ack from=%d ok=%v, want 17 (gap 3..16 aged out)", from, ok)
 	}
 }
@@ -236,7 +235,7 @@ func TestResumeAheadOfRestartedServer(t *testing.T) {
 			t.Fatalf("seq %d (count %d), want %d", got, rd.Count, want)
 		}
 	}
-	if from, _, ok := c.ResumeWindow(); !ok || from != 1 {
+	if from, ok := c.ackReplayFrom, c.ackSeen; !ok || from != 1 {
 		t.Fatalf("ack from=%d ok=%v, want 1", from, ok)
 	}
 }

@@ -132,13 +132,10 @@ func (c *NodeColumns) FoldDeliveredAt(i int, snrDB float64) {
 	}
 }
 
-// RestoreAt exits quarantine after a successful re-probe and returns the
-// recovery latency in cycles (1 = restored by the first probe after
-// entry), the value the recovery-latency histogram records.
-func (c *NodeColumns) RestoreAt(i, cycle int) int {
-	c.Flags[i] &^= FlagQuarantined
-	return cycle - int(c.QuarantinedAt[i]) + 1
-}
+// RestoreAt exits quarantine after a successful re-probe. QuarantinedAt
+// keeps the entry cycle, from which the cycle fold records the recovery
+// latency.
+func (c *NodeColumns) RestoreAt(i int) { c.Flags[i] &^= FlagQuarantined }
 
 // FoldProbeFailureAt folds a failed quarantine re-probe: the re-probe
 // backoff doubles up to the policy cap. Probes deliberately skip the

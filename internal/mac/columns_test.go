@@ -44,7 +44,7 @@ func TestFoldPrimitivesMatchScheduler(t *testing.T) {
 			case ok:
 				shadow.FoldDeliveredAt(0, 12)
 				if probe {
-					shadow.RestoreAt(0, c)
+					shadow.RestoreAt(0)
 				}
 			case probe:
 				policy.FoldProbeFailureAt(shadow, 0, c)
@@ -73,7 +73,7 @@ func TestFoldPrimitivesMatchScheduler(t *testing.T) {
 
 // TestFoldPollFailureTransitions pins the liveness transitions and the
 // probe backoff: base interval on entry, doubling per failed probe up to
-// the cap, and the recovery latency a restore reports.
+// the cap, and the entry cycle a restore's recovery latency counts from.
 func TestFoldPollFailureTransitions(t *testing.T) {
 	p := PollPolicy{MaxRetries: 0, DropAfter: 2, Probation: true, ProbeBackoffMax: 8}
 	c := statsColumns(2)
@@ -97,8 +97,9 @@ func TestFoldPollFailureTransitions(t *testing.T) {
 		}
 	}
 	c.FoldDeliveredAt(0, 12)
-	if lat := c.RestoreAt(0, 23); lat != 23 || !c.Live(0) {
-		t.Fatalf("restore at 23: latency %d live=%v, want 23 true", lat, c.Live(0))
+	c.RestoreAt(0)
+	if at := c.QuarantinedAt[0]; at != 1 || !c.Live(0) {
+		t.Fatalf("restore at 23: quarantined at %d live=%v, want 1 (latency 23) true", at, c.Live(0))
 	}
 	if st := c.State(0); c.SilentCycles[0] != 0 || st.QuarantineEntries != 1 || st.Successes != 1 {
 		t.Fatalf("restored state %+v, silent %d", st, c.SilentCycles[0])

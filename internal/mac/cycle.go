@@ -665,7 +665,7 @@ func (c *Chunk) Fold(out *Outcome) {
 		rec.snrs = append(rec.snrs, out.SNRdB)
 		rec.corr += int64(out.Corrected)
 		if p.Probe {
-			s.cols.RestoreAt(ni, c.cycle)
+			s.cols.RestoreAt(ni)
 			rec.restored = append(rec.restored, p.Node)
 			break // probes are off-schedule and never feed the rate controller
 		}

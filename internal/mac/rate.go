@@ -96,9 +96,9 @@ func (rc *RateController) requiredAt(i int) float64 {
 }
 
 // Observe feeds one per-round tone SNR measurement (dB, at the *current*
-// rate) and returns the rate to use for the next round. A failed round
-// (no decode) should be reported with ObserveLoss instead.
-func (rc *RateController) Observe(snrDB float64) float64 {
+// rate); Rate then returns the rate to use for the next round. A failed
+// round (no decode) should be reported with ObserveLoss instead.
+func (rc *RateController) Observe(snrDB float64) {
 	// Normalize the observation to the lowest rate before smoothing:
 	// measured at rate idx, the equivalent SNR at rate 0 is higher by the
 	// bandwidth ratio. Smoothing raw values across rate changes would mix
@@ -123,12 +123,11 @@ func (rc *RateController) Observe(snrDB float64) float64 {
 	}
 	rc.met.chipRate.Set(rc.Rate())
 	rc.met.snrEWMA.Set(rc.ewmaDB)
-	return rc.Rate()
 }
 
 // ObserveLoss reports a failed round: the controller immediately steps down
 // one rate (multiplicative decrease) and discounts its SNR belief.
-func (rc *RateController) ObserveLoss() float64 {
+func (rc *RateController) ObserveLoss() {
 	if rc.idx > 0 {
 		rc.idx--
 		rc.met.lossSteps.Inc()
@@ -138,5 +137,4 @@ func (rc *RateController) ObserveLoss() float64 {
 		rc.met.snrEWMA.Set(rc.ewmaDB)
 	}
 	rc.met.chipRate.Set(rc.Rate())
-	return rc.Rate()
 }

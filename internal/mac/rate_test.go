@@ -38,11 +38,10 @@ func TestRateControllerClimbsOnStrongSNR(t *testing.T) {
 	rc := newRC(t)
 	// Very strong channel: ample for the top rate (requirement there is
 	// 11 + 12 dB; + margin 6 → 29 dB at base).
-	var r float64
 	for i := 0; i < 20; i++ {
-		r = rc.Observe(40)
+		rc.Observe(40)
 	}
-	if r != 2000 {
+	if r := rc.Rate(); r != 2000 {
 		t.Errorf("rate %v after strong SNR, want 2000", r)
 	}
 }
@@ -52,14 +51,12 @@ func TestRateControllerHoldsAtSustainableRate(t *testing.T) {
 	// SNR that supports 500 cps but not 1000: requirement at 500 is
 	// 11+6=17 dB; at 1000 it is 20 dB (+6 margin = 26 at base scale).
 	// Feed a mid-level channel and check it settles between the extremes.
-	var r float64
 	for i := 0; i < 30; i++ {
 		// Observed SNR at the *current* rate: emulate a channel with 24 dB
 		// at the 125 cps base → at rate R it reads 24 − 10log10(R/125).
-		r = rc.Rate()
-		obs := 24 - 10*logRatio(r, 125)
-		r = rc.Observe(obs)
+		rc.Observe(24 - 10*logRatio(rc.Rate(), 125))
 	}
+	r := rc.Rate()
 	if r != 250 && r != 500 {
 		t.Errorf("settled at %v, want a middle rate", r)
 	}
@@ -67,9 +64,8 @@ func TestRateControllerHoldsAtSustainableRate(t *testing.T) {
 	settled := r
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
-		obs := 24 - 10*logRatio(rc.Rate(), 125) + rng.Float64()*2 - 1
-		r = rc.Observe(obs)
-		if r != settled {
+		rc.Observe(24 - 10*logRatio(rc.Rate(), 125) + rng.Float64()*2 - 1)
+		if r = rc.Rate(); r != settled {
 			t.Fatalf("rate flapped from %v to %v under ±1 dB wiggle", settled, r)
 		}
 	}
@@ -84,12 +80,10 @@ func TestRateControllerStepsDownOnFade(t *testing.T) {
 		t.Fatal("setup failed")
 	}
 	// Channel collapses 25 dB: controller must descend.
-	var r float64
 	for i := 0; i < 20; i++ {
-		obs := 15 - 10*logRatio(rc.Rate(), 125)
-		r = rc.Observe(obs)
+		rc.Observe(15 - 10*logRatio(rc.Rate(), 125))
 	}
-	if r > 250 {
+	if r := rc.Rate(); r > 250 {
 		t.Errorf("rate %v after fade, want <= 250", r)
 	}
 }
@@ -100,15 +94,15 @@ func TestRateControllerObserveLoss(t *testing.T) {
 		rc.Observe(40)
 	}
 	top := rc.Rate()
-	r := rc.ObserveLoss()
-	if r >= top {
+	rc.ObserveLoss()
+	if r := rc.Rate(); r >= top {
 		t.Errorf("loss should step down: %v -> %v", top, r)
 	}
 	// Repeated losses bottom out without panicking.
 	for i := 0; i < 10; i++ {
-		r = rc.ObserveLoss()
+		rc.ObserveLoss()
 	}
-	if r != 125 {
+	if r := rc.Rate(); r != 125 {
 		t.Errorf("rate %v after loss storm, want floor", r)
 	}
 }

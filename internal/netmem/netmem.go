@@ -2,10 +2,11 @@
 // buffered, deadline-aware duplex pipes that carry the gateway protocol
 // without consuming file descriptors or kernel socket buffers.
 //
-// The load harness (cmd/vabload) uses it to stand up 100k+ concurrent
-// subscriber sessions in one process — far past RLIMIT_NOFILE — while
-// still exercising the full wire protocol: framing, hello exchange,
-// heartbeats, resume, the broadcast logs and the writer drain path.
+// The vabperf ingest workloads and the gateway tests use it to stand up
+// thousands of subscriber sessions in one process, with no file
+// descriptor apiece, while still exercising the full wire protocol:
+// framing, hello exchange, heartbeats, resume, the broadcast logs and the
+// writer drain path.
 // Unlike net.Pipe the conns are buffered (a write completes once it fits
 // in the peer's window, like TCP), so producer and consumer scheduling
 // decouple the same way they do on a real socket.

@@ -84,18 +84,14 @@ func (h *Harvester) HarvestablePower(pressurePa, rhoC float64) float64 {
 }
 
 // Step advances the reservoir by dt seconds with the given input power and
-// load power (both watts). It returns the actually expended load energy —
-// less than load·dt if the rail collapses below turn-on mid-interval.
-func (h *Harvester) Step(inputW, loadW, dt float64) float64 {
+// load power (both watts). A load the reservoir cannot cover collapses the
+// rail to 0 V, unless a battery backs it.
+func (h *Harvester) Step(inputW, loadW, dt float64) {
 	if dt <= 0 {
-		return 0
+		return
 	}
-	eIn := inputW * dt
-	eLoad := loadW * dt
-	e := h.StoredEnergy() + eIn
-	spent := eLoad
-	if eLoad > e {
-		spent = e
+	e := h.StoredEnergy() + inputW*dt
+	if eLoad := loadW * dt; eLoad > e {
 		e = 0
 	} else {
 		e -= eLoad
@@ -107,11 +103,9 @@ func (h *Harvester) Step(inputW, loadW, dt float64) float64 {
 	if h.BatteryBacked && v < turnOnVoltage {
 		// The battery tops the rail up and covers any load the capacitor
 		// couldn't.
-		spent = eLoad
 		v = turnOnVoltage
 	}
 	h.voltage = v
-	return spent
 }
 
 // Deplete collapses the reservoir to 0 V immediately: the fault-injection

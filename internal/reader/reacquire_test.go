@@ -42,7 +42,7 @@ func buildCleanCapture(t *testing.T, cfg Config, r *Reader, burst bool) ([]compl
 		t.Fatal(err)
 	}
 	tl := env.TransmissionLoss(18.5e3, 30)
-	pAtNode := math.Pow(10, (cfg.SourceLevelDB-tl)/20) * 1e-6 // µPa → Pa
+	pAtNode := math.Pow(10, (SourceLevelDB-tl)/20) * 1e-6 // µPa → Pa
 	n.Harvest(pAtNode, 1025*env.MeanSoundSpeed(), 3600)
 	gammaBits, err := n.HandleQuery(&link.Frame{Type: link.FrameQuery, Addr: 7})
 	if err != nil || gammaBits == nil {

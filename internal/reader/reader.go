@@ -25,8 +25,6 @@ type Config struct {
 	// it with trivial hardware.
 	DownlinkCodec link.Codec
 
-	// SourceLevelDB is the projector source level in dB re 1 µPa @ 1 m.
-	SourceLevelDB float64
 	// AcquireThreshold is the minimum normalized correlation for declaring
 	// a burst (0…1).
 	AcquireThreshold float64
@@ -48,6 +46,10 @@ type Config struct {
 	Reacquire bool
 }
 
+// SourceLevelDB is the projector source level in dB re 1 µPa @ 1 m: a
+// small survey projector.
+const SourceLevelDB float64 = 180
+
 // The reacquisition policy: extra attempts, per-attempt threshold
 // decrement, and the lowest threshold tried.
 const (
@@ -57,13 +59,12 @@ const (
 )
 
 // DefaultConfig returns the reader used by the end-to-end experiments:
-// 180 dB source level (a small projector), canceller and diversity on.
+// canceller and diversity on.
 func DefaultConfig() Config {
 	return Config{
 		PHY:              phy.DefaultParams(),
 		UplinkCodec:      link.DefaultCodec(),
 		DownlinkCodec:    link.Codec{Code: link.Manchester},
-		SourceLevelDB:    180,
 		AcquireThreshold: 0.22,
 		UseDiversity:     true,
 	}
@@ -145,9 +146,6 @@ func (r *Reader) Instrument(reg *telemetry.Registry) {
 
 // New validates the configuration and builds a reader.
 func New(cfg Config) (*Reader, error) {
-	if cfg.SourceLevelDB < 100 || cfg.SourceLevelDB > 230 {
-		return nil, fmt.Errorf("reader: source level %.1f dB re µPa implausible", cfg.SourceLevelDB)
-	}
 	if cfg.AcquireThreshold <= 0 || cfg.AcquireThreshold >= 1 {
 		return nil, fmt.Errorf("reader: acquire threshold %.3g outside (0,1)", cfg.AcquireThreshold)
 	}
@@ -167,7 +165,7 @@ func (r *Reader) Config() Config { return r.cfg }
 
 // SourceAmplitude returns the transmit envelope magnitude in µPa (re 1 m).
 func (r *Reader) SourceAmplitude() float64 {
-	return math.Pow(10, r.cfg.SourceLevelDB/20)
+	return math.Pow(10, SourceLevelDB/20)
 }
 
 // CarrierEnvelope returns n samples of the interrogation carrier at source

@@ -17,11 +17,6 @@ import (
 
 func TestNewValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SourceLevelDB = 50
-	if _, err := New(cfg); err == nil {
-		t.Error("silly source level accepted")
-	}
-	cfg = DefaultConfig()
 	cfg.AcquireThreshold = 0
 	if _, err := New(cfg); err == nil {
 		t.Error("zero threshold accepted")
@@ -34,9 +29,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestSourceAmplitude(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SourceLevelDB = 180
-	r, err := New(cfg)
+	r, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +124,7 @@ func TestEndToEndQueryResponse(t *testing.T) {
 
 	// Phase 1: carrier on, node harvests. Pressure at node from SL − TL.
 	tl := env.TransmissionLoss(18.5e3, rng)
-	pAtNode := math.Pow(10, (cfg.SourceLevelDB-tl)/20) * 1e-6 // µPa → Pa
+	pAtNode := math.Pow(10, (SourceLevelDB-tl)/20) * 1e-6 // µPa → Pa
 	n.Harvest(pAtNode, 1025*env.MeanSoundSpeed(), 3600)
 	if n.State() != node.StateListen {
 		t.Fatalf("node failed to wake: %v", n.State())
@@ -266,7 +259,7 @@ func TestConfigAccessorAndRangeMath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Config().SourceLevelDB; got != 180 {
+	if got := r.Config().AcquireThreshold; got != 0.22 {
 		t.Errorf("config accessor returned %v", got)
 	}
 	// EstimateRange: 160 samples at 16 kHz is 10 ms RTT → 7.4 m at
