@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"vab/internal/faults"
 	"vab/internal/mac"
@@ -34,8 +35,11 @@ type Fleet struct {
 	chipRate float64 // the running cycle's rate command (0 = none)
 
 	// Link-quality totals across every decoded frame: corrected FEC bits
-	// per delivered frame is the campaign's residual-BER proxy.
+	// per delivered frame is the campaign's residual-BER proxy. The
+	// running cycle's workers add their delivered frames' corrections to
+	// cycleCorrected, which joins the totals only if the cycle succeeds.
 	frames, corrected int64
+	cycleCorrected    atomic.Int64
 }
 
 // NodePlacement positions one node of a fleet.
@@ -138,8 +142,9 @@ func (b fleetBackend) Draw(c *mac.Chunk) error {
 			}
 			o.Attempts++
 			if rep.Rx.OK() {
-				o.Delivered, o.SNRdB, o.Corrected = true, rep.SNRdB(), int32(rep.Rx.Corrected)
+				o.Delivered, o.SNRdB = true, rep.SNRdB()
 				f.payloads[p.Node] = rep.Rx.Frame.Payload
+				f.cycleCorrected.Add(int64(rep.Rx.Corrected))
 			}
 		}
 		c.Fold(&o)
@@ -208,12 +213,13 @@ type FleetReading struct {
 // can yield several FleetReadings.
 func (f *Fleet) RunCycle() ([]FleetReading, mac.CycleReport, error) {
 	clear(f.payloads)
+	f.cycleCorrected.Store(0)
 	rep, err := f.sched.RunCycle()
 	if err != nil {
 		return nil, rep, err
 	}
 	f.frames += int64(rep.Delivered)
-	f.corrected += int64(rep.Corrected)
+	f.corrected += f.cycleCorrected.Load()
 	out := make([]FleetReading, 0, rep.Delivered)
 	var scratch []node.Reading
 	for i, payload := range f.payloads {

@@ -6,10 +6,10 @@
 // The waveform tier (core.System/core.Fleet) is physics-exact but costs
 // milliseconds per node per round — city-scale deployments are out of
 // reach by brute force. This package replaces the per-round DSP with
-// table-driven draws: each poll of a link samples delivery, SNR and
-// FEC-correction count from distributions measured off the waveform tier
-// over a grid of (environment, fault intensity, orientation, range)
-// cells. The calibration table is a serializable, versioned artifact (see
+// table-driven draws: each poll of a link samples delivery and SNR from
+// distributions measured off the waveform tier over a grid of
+// (environment, fault intensity, orientation, range) cells. The
+// calibration table is a serializable, versioned artifact (see
 // Table): committed under testdata/, embedded in the binary, and
 // regenerable with `vabsim -calibrate` — per "On the
 // Reusability of Post-Experimental Field Data", campaign statistics are

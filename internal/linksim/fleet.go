@@ -71,27 +71,17 @@ type modelKey struct {
 	snrDelta float64
 }
 
-// cachedCell is one node's resolved link model under a modelKey, 32
-// bytes: the resolved cell (PDeliver rate-shifted) with CorrMean replaced
-// by the Poisson loop constant e^{-CorrMean} — everything a poll draw
-// needs, so a cache hit skips the trilinear table walk entirely.
+// cachedCell is one node's resolved link model under a modelKey, 24
+// bytes: the resolved cell's PDeliver (rate-shifted) and SNR
+// distribution — everything a poll draw needs, so a cache hit skips the
+// trilinear table walk entirely.
 type cachedCell struct {
 	pDeliver, snrMeanDB, snrStdDB float64
-	// expNegCorr is e^{-CorrMean}, or noCorrections when CorrMean ≤ 0.
-	expNegCorr float64
 }
-
-// noCorrections is cachedCell.expNegCorr for a cell whose CorrMean is not
-// positive: above every e^{-λ} of a positive λ, it tells the draw to take
-// no uniform (see poissonExp).
-const noCorrections = 2.0
 
 // setCell stores a resolved cell.
 func (c *cachedCell) setCell(cell *Cell) {
-	*c = cachedCell{cell.PDeliver, cell.SNRMeanDB, cell.SNRStdDB, noCorrections}
-	if cell.CorrMean > 0 {
-		c.expNegCorr = math.Exp(-cell.CorrMean)
-	}
+	*c = cachedCell{cell.PDeliver, cell.SNRMeanDB, cell.SNRStdDB}
 }
 
 // pollBlock is the scheduler's block length for this backend: a block is

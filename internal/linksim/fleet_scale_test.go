@@ -46,8 +46,8 @@ func TestFleetCycleAllocs(t *testing.T) {
 // TestFleetBytesPerNode pins what a calm fleet keeps per node: the live
 // heap after NewFleet and two cycles at one worker, as a slope between
 // 50k and 100k nodes so fixed costs (the dispatch ring's record storage,
-// the table) cancel. The cycle reads 41 bytes a node: 5 of liveness
-// columns, a 32-byte resolved-cell cache entry and a 4-byte live-list
+// the table) cancel. The cycle reads 33 bytes a node: 5 of liveness
+// columns, a 24-byte resolved-cell cache entry and a 4-byte live-list
 // slot. A calm fleet under a policy without probation keeps neither the
 // probation columns nor the table coordinates.
 func TestFleetBytesPerNode(t *testing.T) {
@@ -71,8 +71,8 @@ func TestFleetBytesPerNode(t *testing.T) {
 		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	}
 	small, large := live(50_000), live(100_000)
-	if slope := float64(large-small) / 50_000; slope > 44 {
-		t.Fatalf("live heap %.1f B/node (%d B at 50k nodes, %d B at 100k), want ≤ 44", slope, small, large)
+	if slope := float64(large-small) / 50_000; slope > 36 {
+		t.Fatalf("live heap %.1f B/node (%d B at 50k nodes, %d B at 100k), want ≤ 36", slope, small, large)
 	} else {
 		t.Logf("live heap %.1f B/node", slope)
 	}

@@ -27,14 +27,10 @@ func probationPolicy() mac.PollPolicy {
 func transcript(reps []CycleReport) string {
 	var b strings.Builder
 	for _, r := range reps {
-		corrPerFrame := 0.0
-		if r.Delivered > 0 {
-			corrPerFrame = float64(r.Corrected) / float64(r.Delivered)
-		}
-		fmt.Fprintf(&b, "c%d p%d d%d r%d pr%d re%d L%d Q%d D%d snr%x corr%x sev%x chips%x h%d/%d z%x\n",
+		fmt.Fprintf(&b, "c%d p%d d%d r%d pr%d re%d L%d Q%d D%d snr%x sev%x chips%x h%d/%d z%x\n",
 			r.Cycle, r.Polled, r.Delivered, r.Retries, r.Probes, r.Restored,
 			r.Live, r.Quarantined, r.Dropped,
-			r.MeanSNRdB, corrPerFrame, r.Severity, r.ChipRate,
+			r.MeanSNRdB, r.Severity, r.ChipRate,
 			r.Hero.Checks, r.Hero.Diverged, r.Hero.MeanAbsZ)
 	}
 	return b.String()

@@ -45,7 +45,7 @@ func (d *drawStream) f64() float64 {
 
 // Ziggurat tables for norm: 128 strips of equal area zigV under the
 // standard normal density (Marsaglia–Tsang layout, float64 throughout).
-// The delivered-poll path draws two normals per poll, so this is the
+// The delivered-poll path draws one normal per poll, so this is the
 // fleet's hottest math — the ziggurat's common case is one PRNG word, two
 // multiplies and a compare, where Box–Muller costs log+sqrt+cos per draw.
 const (
@@ -115,27 +115,6 @@ func zigSigned(u uint64, x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// poissonExp draws k ~ Poisson(λ) by Knuth's product method — the same
-// small-rate regime the faults engine uses it in — from the loop constant
-// expNeg = e^{-λ}, which a cycle's hot path caches with each node's cell,
-// so a million delivered polls skip a million math.Exp calls. expNeg above
-// 1 (noCorrections, for λ ≤ 0) returns 0 without consuming a draw; a tiny
-// positive λ whose e^{-λ} rounds to exactly 1 consumes one. The
-// draw-count contract is what keeps transcripts bit-identical.
-func (d *drawStream) poissonExp(expNeg float64) int {
-	if expNeg > 1 {
-		return 0
-	}
-	k, p := 0, 1.0
-	for {
-		p *= d.f64()
-		if p <= expNeg {
-			return k
-		}
-		k++
-	}
 }
 
 // cycleModel snapshots everything a cycle's draws depend on: the per-cycle
@@ -215,10 +194,10 @@ func seedPoll(head uint64, node int32, cycle int, probe bool) pollSeed {
 // resolve) and writes the outcome to out: pass 2 of the two-pass draw,
 // everything that depends on the first delivery uniform. Up to
 // maxAttempts independent attempts (the MAC retry budget) each draw from
-// their own seeded stream; the first that delivers draws SNR and
-// corrections. The outcome goes through a pointer into the Chunk's fold:
-// returned by value, it is built field by field on the stack and then
-// copied in wider moves, which stall on store forwarding.
+// their own seeded stream; the first that delivers draws its SNR. The
+// outcome goes through a pointer into the Chunk's fold: returned by
+// value, it is built field by field on the stack and then copied in wider
+// moves, which stall on store forwarding.
 func (m *cycleModel) pollCell(s *pollSeed, maxAttempts int, cell *cachedCell, out *mac.Outcome) {
 	*out = mac.Outcome{}
 	st, u := s.st, s.u
@@ -233,7 +212,6 @@ func (m *cycleModel) pollCell(s *pollSeed, maxAttempts int, cell *cachedCell, ou
 		}
 		out.Delivered = true
 		out.SNRdB = cell.snrMeanDB + cell.snrStdDB*st.norm() + m.snrDelta
-		out.Corrected = int32(st.poissonExp(cell.expNegCorr))
 		return
 	}
 }

@@ -25,8 +25,10 @@ type Cell struct {
 	// delivered frames (dB, normal approximation).
 	SNRMeanDB float64 `json:"snr_mean_db"`
 	SNRStdDB  float64 `json:"snr_std_db"`
-	// CorrMean is the mean FEC corrections per delivered frame (the
-	// residual-BER proxy core.Fleet.LinkQuality tracks), drawn Poisson.
+	// CorrMean is the mean FEC corrections per delivered frame, as the
+	// waveform tier measures them (the residual-BER proxy
+	// core.Fleet.LinkQuality tracks). Nothing draws from it: it stays
+	// because table format v1 carries it, and resolution leaves it 0.
 	CorrMean float64 `json:"corr_mean"`
 	// DelayMs is the round-trip propagation delay at the cell's range.
 	// Nothing draws from it: it stays because table format v1 carries
@@ -163,15 +165,14 @@ func (t *Table) Resolve(rangeM, orientRad float64) linkCoord {
 }
 
 // lerpCell linearly interpolates every statistic a draw reads into dst;
-// DelayMs stays 0. Cells go through pointers, field by field: a Cell
-// returned by value is built on the stack and then copied in wider moves,
-// which stall on store forwarding and cost the table walk most of its
-// time.
+// CorrMean and DelayMs stay 0. Cells go through pointers, field by
+// field: a Cell returned by value is built on the stack and then copied
+// in wider moves, which stall on store forwarding and cost the table walk
+// most of its time.
 func lerpCell(dst, a, b *Cell, w float64) {
 	dst.PDeliver = a.PDeliver + (b.PDeliver-a.PDeliver)*w
 	dst.SNRMeanDB = a.SNRMeanDB + (b.SNRMeanDB-a.SNRMeanDB)*w
 	dst.SNRStdDB = a.SNRStdDB + (b.SNRStdDB-a.SNRStdDB)*w
-	dst.CorrMean = a.CorrMean + (b.CorrMean-a.CorrMean)*w
 }
 
 // planeCell bilinearly interpolates one (orientation, range) plane, the

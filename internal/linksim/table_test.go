@@ -220,14 +220,14 @@ func TestBracket(t *testing.T) {
 }
 
 // TestLookupInterpolates: grid points reproduce every statistic a draw
-// reads exactly (resolution leaves DelayMs 0), midpoints land between
-// their neighbours, and the intensity axis blends planes.
+// reads exactly (resolution leaves CorrMean and DelayMs 0), midpoints
+// land between their neighbours, and the intensity axis blends planes.
 func TestLookupInterpolates(t *testing.T) {
 	tab := DefaultTable()
 	coord := tab.Resolve(tab.RangesM[0], tab.OrientsRad[0])
 	got := tab.Lookup(0, coord, tab.Intensities[0])
 	want := tab.CellAt(0, 0, 0, 0)
-	want.DelayMs = 0
+	want.CorrMean, want.DelayMs = 0, 0
 	if got != want {
 		t.Fatalf("grid-point lookup %+v != cell %+v", got, want)
 	}

@@ -29,7 +29,6 @@ type Poll struct {
 type Outcome struct {
 	SNRdB     float64 // reported SNR of the delivering attempt
 	Attempts  int32   // attempts used, 1…Poll.Attempts
-	Corrected int32   // FEC corrections in the delivered frame
 	Delivered bool
 }
 
@@ -120,7 +119,6 @@ type CycleReport struct {
 	Retries   int
 	Probes    int // quarantine re-probe attempts
 	Restored  int // quarantined nodes a probe restored
-	Corrected int // FEC corrections across delivered polls
 
 	Live        int // on the regular schedule after this cycle
 	Quarantined int
@@ -145,7 +143,6 @@ type rateObs struct {
 type blockRecord struct {
 	polls, retries, probes int
 	quarantined, dropped   int
-	corr                   int64
 	kept                   int // live entries kept, compacted to the front of the block's live range
 
 	snrs     []float64 // delivered polls' SNRs, so the cycle mean sums in the order a serial fold would
@@ -165,7 +162,7 @@ type blockRecord struct {
 // reset clears the record for a new block, keeping its storage.
 func (r *blockRecord) reset() {
 	r.polls, r.retries, r.probes = 0, 0, 0
-	r.quarantined, r.dropped, r.corr, r.kept = 0, 0, 0, 0
+	r.quarantined, r.dropped, r.kept = 0, 0, 0
 	r.snrs, r.calendar, r.restored, r.feed = r.snrs[:0], r.calendar[:0], r.restored[:0], r.feed[:0]
 	r.err = nil
 }
@@ -174,7 +171,6 @@ func (r *blockRecord) reset() {
 type cycleTally struct {
 	polls, delivered, retries, probes int
 	quarantined, dropped              int
-	corr                              int64
 	snrSum                            float64
 	kept                              int // live entries kept by the blocks folded so far
 }
@@ -442,7 +438,6 @@ func (s *Scheduler) RunCycle() (CycleReport, error) {
 	rep.Retries = t.retries
 	rep.Probes = t.probes
 	rep.Restored = len(s.restored)
-	rep.Corrected = int(t.corr)
 	s.nQuar += t.quarantined - rep.Restored
 	s.nDrop += t.dropped
 	s.met.polls.Add(int64(t.polls))
@@ -663,7 +658,6 @@ func (c *Chunk) Fold(out *Outcome) {
 	case out.Delivered:
 		s.cols.FoldDeliveredAt(ni, out.SNRdB)
 		rec.snrs = append(rec.snrs, out.SNRdB)
-		rec.corr += int64(out.Corrected)
 		if p.Probe {
 			s.cols.RestoreAt(ni)
 			rec.restored = append(rec.restored, p.Node)
@@ -713,7 +707,6 @@ func (s *Scheduler) foldBlock(b int, t *cycleTally) error {
 	t.probes += r.probes
 	t.quarantined += r.quarantined
 	t.dropped += r.dropped
-	t.corr += r.corr
 	snrSum := t.snrSum // in a register: the sum is a serial chain
 	for _, d := range r.snrs {
 		snrSum += d

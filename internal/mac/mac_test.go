@@ -65,7 +65,7 @@ func (b *scriptBackend) Draw(c *Chunk) error {
 			}
 			o.Attempts++
 			if b.delivers(p.Node, call) {
-				o.Delivered, o.SNRdB, o.Corrected = true, b.snrOf(p.Node), 1
+				o.Delivered, o.SNRdB = true, b.snrOf(p.Node)
 				b.last[p.Node] = call
 			}
 		}
