@@ -402,23 +402,6 @@ func BenchmarkTDLFreq64(b *testing.B) { benchTDL(b, 64, true) }
 
 // --- DSP micro-benches. ---
 
-// BenchmarkRFFT1024 times RFFTInto into a reused dst, the form the
-// ladder's dsp.rfft1024_ns rung measures.
-func BenchmarkRFFT1024(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := make([]float64, 1024)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	dst := make([]complex128, len(x))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dsp.RFFTInto(dst, x)
-	}
-	b.SetBytes(1024 * 8)
-}
-
 // BenchmarkGoertzelChip times the demodulator's per-chip tone detection:
 // ToneBank.Energies over one chip of the default numerology (both
 // subcarriers, one pass).

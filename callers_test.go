@@ -14,6 +14,7 @@ import (
 	"path"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,16 +81,24 @@ var unreadAllowed = map[string]string{
 	"core.RoundReport.NodeSilent":  "stage flag RunRound sets anyway: TestSystemNodeStaysSilentWithoutEnergy and TestApplyFaultPlanBrownout read it",
 	"core.RoundReport.PayloadOK":   "stage flag RunRound sets anyway: TestSystemRoundAtModerateRange reads it",
 	"faults.RoundPlan.Round":       "the plan's own index: TestPooledPlanMatchesFreshSources compares it through samePlanBits",
-	"linksim.HeroReport.MeanAbsZ":  "an abs and an add per hero check; TestFleetTranscriptGolden's transcript prints it (0 there: the golden fleets run no hero links), so it goes with a change that may regenerate that golden",
 	"node.Stats.QueriesMine":       "an increment: TestNodeWakesAndResponds reads it",
 	"node.Stats.CommandsApplied":   "an increment: TestCommandPing reads it",
 	"node.Stats.BrownOuts":         "an increment: TestNodeBrownsOutWithoutEnergy reads it",
 	"ocean.Arrival.SurfaceBounces": "image geometry the tracer computes anyway: TestMultipathBounceCounts reads it",
 	"ocean.Arrival.BottomBounces":  "image geometry the tracer computes anyway: TestMultipathBounceCounts reads it",
 	"ocean.RayPoint.Theta":         "the ray state the integrator steps anyway: TestBoundaryReflectionsConserveInvariant reads it",
-	"phy.EchoEstimate.Offset":      "a view of the fitted path gains the equalizer cancels with: TestEqualizerEstimatesEchoGain reads it",
-	"phy.EchoEstimate.Gain":        "a view of the fitted path gains the equalizer cancels with: TestEqualizerEstimatesEchoGain reads it",
 	"sim.CellResult.BERLow":        "the Wilson bound computed with BERHigh: TestRunCellMatchesAnalyticBER reads it",
+	"gateway.Client.ackLiveNext":   "the MsgResumeAck bound decoded with ackReplayFrom, which Next reads: TestResumeRecoversGap reads it",
+	"gateway.Client.ackSeen":       "set with the ack's bounds: TestResumeRecoversGap, TestResumeAgedOutGap and TestResumeAheadOfRestartedServer read it to tell an arrived ack from a zero one",
+}
+
+// unreadResultAllowed lists the non-error function results that no
+// non-test call reads, each kept on purpose. Keys are "pkg.Func result i"
+// or "pkg.Recv.Method result i", with i the 0-based result position.
+var unreadResultAllowed = map[string]string{
+	"phy.Demodulator.Acquire result 0":            "internal/benchmark's phy.acquire_us rung calls it and keeps only the error, and the benchmark's files stay as they are",
+	"reader.Reader.QueryWaveform result 1":        "internal/benchmark's reader.query_us rung calls it for the waveform and the error, and the benchmark's files stay as they are",
+	"gateway.buffersWriter.WriteBuffers result 0": "internal/benchmark's sinkConn implements this shape to take the gateway's vectored write, and the benchmark's files stay as they are",
 }
 
 // TestEveryExportedFuncHasACaller fails when an exported package-level
@@ -131,14 +140,16 @@ func TestEverySettingHasAProductionWriter(t *testing.T) {
 		"takes more than one value now")
 }
 
-// TestEveryResultHasAProductionReader fails when an exported struct field
-// of a package-level type of the main module is never read by non-test
-// code, unless unreadAllowed names it with a reason; it also fails on a
-// stale or reasonless entry. A read is any selection of the field except
-// as the target of = or :=, as the operand of op=, ++ or -- (an update of
-// the field itself), or as a composite-literal key; selecting an embedded
-// field's promoted member reads the embedded field. internal/benchmark
-// counts as a reader, and a field with a json tag is read by reflection.
+// TestEveryResultHasAProductionReader fails when a struct field, exported
+// or not, of a package-level type of the main module is never read by
+// non-test code, unless unreadAllowed names it with a reason; it also
+// fails on a stale or reasonless entry. A read is any selection of the
+// field except as the target of = or :=, as the operand of op=, ++ or --
+// (an update of the field itself), or as a composite-literal key;
+// selecting an embedded field's promoted member reads the embedded field.
+// A struct value compared with == or !=, used as a map key or converted
+// to an interface reads every field it holds. internal/benchmark counts
+// as a reader, and a field with a json tag is read by reflection.
 func TestEveryResultHasAProductionReader(t *testing.T) {
 	m := loadModule(t)
 	checkAllowList(t, "unreadAllowed", unreadAllowed, m.results,
@@ -146,10 +157,31 @@ func TestEveryResultHasAProductionReader(t *testing.T) {
 		"is read now")
 }
 
+// TestEveryFunctionResultHasAReader fails when a non-error result of a
+// function or method declared outside internal/benchmark (exported or
+// not) is read by no non-test call, unless unreadResultAllowed names it
+// with a reason; it also fails on a stale or reasonless entry. A call does
+// not read a result when it is an expression statement, a go or defer
+// statement, or when that position is assigned to _; any other use of a
+// call, and any use of the function as a value, reads every result. A
+// method that implements a used interface method of the module is checked
+// through that interface method, whose entry holds what its calls leave
+// unread; a method that satisfies an interface of the standard library
+// (io.Writer's Write) has its signature fixed there and is skipped, as is
+// a function no non-test code uses at all (that is
+// TestEveryExportedFuncHasACaller's to catch). internal/benchmark counts
+// as a reader.
+func TestEveryFunctionResultHasAReader(t *testing.T) {
+	m := loadModule(t)
+	checkAllowList(t, "unreadResultAllowed", unreadResultAllowed, m.returns,
+		"is read by no non-test call: stop returning it, or allow-list it with a reason",
+		"is read now")
+}
+
 // TestGuardsCatchTheirSeeds scans the fixture module testdata/guards,
 // which seeds one uncalled name, one unwritten field, one single-valued
-// setting and one unread result, and checks that each guard reports
-// exactly its seed.
+// setting, one unread field and one unread function result, and checks
+// that each guard reports exactly its seeds.
 func TestGuardsCatchTheirSeeds(t *testing.T) {
 	m, err := scanModule(filepath.Join("testdata", "guards"), 2)
 	if err != nil {
@@ -158,12 +190,13 @@ func TestGuardsCatchTheirSeeds(t *testing.T) {
 	for _, g := range []struct {
 		guard string
 		decls map[string]*declUse
-		seed  string
+		seeds []string
 	}{
-		{"caller", m.names, "lib.Unused"},
-		{"writer", m.fields, "lib.Config.Mode"},
-		{"one value", m.settings, "lib.Config.Gain"},
-		{"reader", m.results, "lib.Result.Count"},
+		{"caller", m.names, []string{"lib.Unused"}},
+		{"writer", m.fields, []string{"lib.Config.Mode"}},
+		{"one value", m.settings, []string{"lib.Config.Gain"}},
+		{"reader", m.results, []string{"lib.Result.Count", "lib.tally.hits"}},
+		{"function result", m.returns, []string{"lib.Stats result 1"}},
 	} {
 		var got []string
 		for k, d := range g.decls {
@@ -172,8 +205,8 @@ func TestGuardsCatchTheirSeeds(t *testing.T) {
 			}
 		}
 		sort.Strings(got)
-		if len(got) != 1 || got[0] != g.seed {
-			t.Errorf("%s guard reports %v, want exactly [%s]", g.guard, got, g.seed)
+		if !slices.Equal(got, g.seeds) {
+			t.Errorf("%s guard reports %v, want exactly %v", g.guard, got, g.seeds)
 		}
 	}
 }
@@ -224,6 +257,7 @@ type moduleUses struct {
 	fields   map[string]*declUse // pkg.Type.Field: written
 	settings map[string]*declUse // pkg.Type.Field: takes more than one value
 	results  map[string]*declUse // pkg.Type.Field: read
+	returns  map[string]*declUse // "pkg.Func result i": read by a call
 }
 
 var (
@@ -363,7 +397,7 @@ func scanModule(root string, minFiles int) (*moduleUses, error) {
 	}
 
 	info := l.info
-	m := &moduleUses{names: map[string]*declUse{}, fields: map[string]*declUse{}, settings: map[string]*declUse{}, results: map[string]*declUse{}}
+	m := &moduleUses{names: map[string]*declUse{}, fields: map[string]*declUse{}, settings: map[string]*declUse{}, results: map[string]*declUse{}, returns: map[string]*declUse{}}
 	where := func(pos token.Pos) string {
 		p := fset.Position(pos)
 		rel, _ := filepath.Rel(root, p.Filename)
@@ -373,6 +407,7 @@ func scanModule(root string, minFiles int) (*moduleUses, error) {
 	// Declarations, and the spans whose references to them do not count.
 	type span struct{ from, to token.Pos }
 	names := map[types.Object]string{}
+	funcKey := map[*types.Func]string{} // every declared func and method
 	own := map[types.Object][]span{}
 	fieldKey := map[*types.Var]string{}
 	written := map[*types.Var]bool{}
@@ -396,6 +431,7 @@ func scanModule(root string, minFiles int) (*moduleUses, error) {
 					sp := span{d.Pos(), d.End()}
 					own[obj] = append(own[obj], sp)
 					if d.Recv == nil {
+						funcKey[obj.(*types.Func)] = base + "." + d.Name.Name
 						if d.Name.IsExported() {
 							names[obj] = base + "." + d.Name.Name
 						}
@@ -407,6 +443,7 @@ func scanModule(root string, minFiles int) (*moduleUses, error) {
 					}
 					own[recv] = append(own[recv], sp)
 					names[obj] = base + "." + recv.Name() + "." + d.Name.Name
+					funcKey[obj.(*types.Func)] = names[obj]
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
 						switch s := s.(type) {
@@ -420,6 +457,7 @@ func scanModule(root string, minFiles int) (*moduleUses, error) {
 								for _, fld := range it.Methods.List {
 									for _, n := range fld.Names {
 										names[info.Defs[n]] = base + "." + s.Name.Name + "." + n.Name
+										funcKey[info.Defs[n].(*types.Func)] = names[info.Defs[n]]
 									}
 								}
 							}
@@ -440,7 +478,7 @@ func scanModule(root string, minFiles int) (*moduleUses, error) {
 									}
 									for _, id := range idents {
 										v, ok := info.Defs[id].(*types.Var)
-										if !ok || !v.Exported() {
+										if !ok || id.Name == "_" {
 											continue
 										}
 										fieldKey[v] = base + "." + s.Name.Name + "." + id.Name
@@ -547,12 +585,122 @@ func scanModule(root string, minFiles int) (*moduleUses, error) {
 			targets[sel] = true
 		}
 	}
+	// readAll records a struct value (or an array of them) read whole, by
+	// a comparison, as a map key or through an interface: every field it
+	// holds is read.
+	var readAll func(t types.Type)
+	readAll = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				f := origin(u.Field(i)).(*types.Var)
+				read[f] = true
+				readAll(f.Type())
+			}
+		case *types.Array:
+			readAll(u.Elem())
+		}
+	}
+	// toIface records e stored where a value of type to is expected.
+	toIface := func(e ast.Expr, to types.Type) {
+		if to == nil || !types.IsInterface(to) {
+			return
+		}
+		if from := info.TypeOf(e); from != nil && !types.IsInterface(from) {
+			readAll(from)
+		}
+	}
+	// The result positions each function's non-test calls read (bit i for
+	// result i), the functions non-test code calls or uses as a value, and
+	// the identifiers static calls name their callee by.
+	readPos := map[*types.Func]uint64{}
+	usedFn := map[*types.Func]bool{}
+	callees := map[*ast.Ident]bool{}
+	// unread marks the result positions a call's statement drops: all of
+	// them for an expression, go or defer statement, those assigned to _.
+	unread := map[*ast.CallExpr]uint64{}
+	dropBlank := func(lhs, rhs []ast.Expr) {
+		if len(rhs) == 1 && len(lhs) > 1 {
+			if c, ok := ast.Unparen(rhs[0]).(*ast.CallExpr); ok {
+				for i, e := range lhs {
+					if isBlank(e) {
+						unread[c] |= 1 << i
+					}
+				}
+			}
+			return
+		}
+		for i, e := range rhs {
+			if c, ok := ast.Unparen(e).(*ast.CallExpr); ok && i < len(lhs) && isBlank(lhs[i]) {
+				unread[c] |= 1
+			}
+		}
+	}
 	for _, ip := range paths {
 		for _, f := range l.files[ip] {
+			var stack []ast.Node
 			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
 				switch x := n.(type) {
+				case *ast.ExprStmt:
+					if c, ok := ast.Unparen(x.X).(*ast.CallExpr); ok {
+						unread[c] = ^uint64(0)
+					}
+				case *ast.GoStmt:
+					unread[x.Call] = ^uint64(0)
+				case *ast.DeferStmt:
+					unread[x.Call] = ^uint64(0)
+				case *ast.BinaryExpr:
+					if x.Op == token.EQL || x.Op == token.NEQ {
+						readAll(info.TypeOf(x.X))
+						readAll(info.TypeOf(x.Y))
+					}
+				case *ast.ReturnStmt:
+					for i := len(stack) - 1; i >= 0; i-- {
+						var sig *types.Signature
+						switch fn := stack[i].(type) {
+						case *ast.FuncDecl:
+							sig = info.Defs[fn.Name].Type().(*types.Signature)
+						case *ast.FuncLit:
+							sig = info.TypeOf(fn).(*types.Signature)
+						default:
+							continue
+						}
+						if len(x.Results) == sig.Results().Len() {
+							for j, e := range x.Results {
+								toIface(e, sig.Results().At(j).Type())
+							}
+						}
+						break
+					}
 				case *ast.CompositeLit:
 					st := structOf(info.Types[x].Type)
+					for i, e := range x.Elts {
+						kv, keyed := e.(*ast.KeyValueExpr)
+						if keyed {
+							e = kv.Value
+						}
+						var to types.Type
+						switch u := info.Types[x].Type.Underlying().(type) {
+						case *types.Slice:
+							to = u.Elem()
+						case *types.Array:
+							to = u.Elem()
+						case *types.Map:
+							to = u.Elem()
+						}
+						switch {
+						case st != nil && keyed:
+							to = info.TypeOf(kv.Key)
+						case st != nil && i < st.NumFields():
+							to = st.Field(i).Type()
+						}
+						toIface(e, to)
+					}
 					if st == nil {
 						return true
 					}
@@ -581,7 +729,38 @@ func scanModule(root string, minFiles int) (*moduleUses, error) {
 							zeroOf(info.Defs[n].Type())
 						}
 					}
+					lhs := make([]ast.Expr, len(x.Names))
+					for i, n := range x.Names {
+						lhs[i] = n
+						if x.Type != nil && i < len(x.Values) {
+							toIface(x.Values[i], info.TypeOf(x.Type))
+						}
+					}
+					dropBlank(lhs, x.Values)
 				case *ast.CallExpr:
+					if fn, id := calleeOf(info, x.Fun); fn != nil {
+						callees[id] = true
+						usedFn[fn] = true
+						readPos[fn] |= ^unread[x]
+					}
+					if tv := info.Types[x.Fun]; tv.IsType() {
+						if len(x.Args) == 1 {
+							toIface(x.Args[0], tv.Type)
+						}
+					} else if sig, ok := tv.Type.(*types.Signature); ok {
+						for i, e := range x.Args {
+							var to types.Type
+							switch n := sig.Params().Len(); {
+							case sig.Variadic() && i >= n-1:
+								if !x.Ellipsis.IsValid() {
+									to = sig.Params().At(n - 1).Type().(*types.Slice).Elem()
+								}
+							case i < n:
+								to = sig.Params().At(i).Type()
+							}
+							toIface(e, to)
+						}
+					}
 					if builtin(x, "new") {
 						zeroOf(info.Types[x.Args[0]].Type)
 					}
@@ -598,9 +777,13 @@ func scanModule(root string, minFiles int) (*moduleUses, error) {
 						target(e)
 						if whole {
 							markChain(e, x.Rhs[i])
+							toIface(x.Rhs[i], info.TypeOf(e))
 						} else {
 							markChain(e, nil)
 						}
+					}
+					if x.Tok == token.ASSIGN || x.Tok == token.DEFINE {
+						dropBlank(x.Lhs, x.Rhs)
 					}
 				case *ast.IncDecStmt:
 					target(x.X)
@@ -697,14 +880,75 @@ func scanModule(root string, minFiles int) (*moduleUses, error) {
 		}
 	}
 
+	// A map type reads its key type's fields (hashing and comparing them);
+	// a function named other than as a call's callee is a value, and a
+	// caller of a value may read any of its results.
+	for _, tv := range info.Types {
+		if mt, ok := tv.Type.Underlying().(*types.Map); ok {
+			readAll(mt.Key())
+		}
+	}
+	for id, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok && !callees[id] {
+			fn = origin(fn).(*types.Func)
+			usedFn[fn] = true
+			readPos[fn] = ^uint64(0)
+		}
+	}
+	// Interface methods the module declares and uses, whose calls stand for
+	// the methods implementing them. The standard library's interfaces that
+	// non-test code names fix the signatures of the methods satisfying them.
+	var modIfaceMethods []*types.Func
+	for fn := range usedFn {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) && inModule(fn.Pkg()) {
+			modIfaceMethods = append(modIfaceMethods, fn)
+		}
+	}
+	errType := types.Universe.Lookup("error").Type()
+	for fn, key := range funcKey {
+		sig := fn.Type().(*types.Signature)
+		var want uint64 // the non-error result positions
+		for i := 0; i < sig.Results().Len(); i++ {
+			if !types.Identical(sig.Results().At(i).Type(), errType) {
+				want |= 1 << i
+			}
+		}
+		if want == 0 {
+			continue
+		}
+		reads := readPos[fn]
+		if named := concreteRecv(sig); named != nil {
+			// The interface method's entry holds what its calls leave
+			// unread, which is all the implementation could report.
+			if slices.ContainsFunc(modIfaceMethods, func(im *types.Func) bool {
+				return im.Name() == fn.Name() && implements(named, ifaceOf(im))
+			}) {
+				continue
+			}
+			if satisfiesStd(ifaces, named, fn.Name()) {
+				continue
+			}
+		}
+		if !usedFn[fn] {
+			continue
+		}
+		for i := 0; i < sig.Results().Len(); i++ {
+			if want&(1<<i) != 0 {
+				m.returns[key+" result "+strconv.Itoa(i)] = &declUse{pos: where(fn.Pos()), used: reads&(1<<i) != 0}
+			}
+		}
+	}
+
 	for obj, key := range names {
 		m.names[key] = &declUse{pos: where(obj.Pos()), used: used[obj]}
 	}
 	for v, key := range fieldKey {
 		pos := where(v.Pos())
-		m.fields[key] = &declUse{pos: pos, used: written[v]}
 		m.results[key] = &declUse{pos: pos, used: read[v]}
-		m.settings[key] = &declUse{pos: pos, used: !written[v] || varying[v] || !oneValue(consts[v], unset[v])}
+		if v.Exported() {
+			m.fields[key] = &declUse{pos: pos, used: written[v]}
+			m.settings[key] = &declUse{pos: pos, used: !written[v] || varying[v] || !oneValue(consts[v], unset[v])}
+		}
 	}
 	return m, nil
 }
@@ -727,6 +971,82 @@ func oneValue(cs []constant.Value, unset bool) bool {
 		return constant.StringVal(c) == ""
 	}
 	return constant.Sign(cs[0]) == 0
+}
+
+// inModule reports whether p is a package of the scanned module.
+func inModule(p *types.Package) bool {
+	return p != nil && (p.Path() == "vab" || strings.HasPrefix(p.Path(), "vab/"))
+}
+
+// concreteRecv is the named non-interface, non-generic type whose method
+// sig is, or nil.
+func concreteRecv(sig *types.Signature) *types.Named {
+	if sig.Recv() == nil {
+		return nil
+	}
+	rt := sig.Recv().Type()
+	if p, ok := rt.(*types.Pointer); ok {
+		rt = p.Elem()
+	}
+	named, ok := rt.(*types.Named)
+	if !ok || named.TypeParams().Len() > 0 || types.IsInterface(named) {
+		return nil
+	}
+	return named
+}
+
+// ifaceOf is the interface an interface method belongs to.
+func ifaceOf(im *types.Func) *types.Interface {
+	return im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+}
+
+// satisfiesStd reports whether named or a pointer to it implements one of
+// ifaces that the standard library declares and that has a method name.
+func satisfiesStd(ifaces map[*types.Interface]bool, named *types.Named, name string) bool {
+	for it := range ifaces {
+		if it.NumMethods() > 0 && !inModule(it.Method(0).Pkg()) && declares(it, name) && implements(named, it) {
+			return true
+		}
+	}
+	return false
+}
+
+// implements reports whether named or a pointer to it implements it.
+func implements(named *types.Named, it *types.Interface) bool {
+	return types.Implements(named, it) || types.Implements(types.NewPointer(named), it)
+}
+
+// isBlank reports whether e is the blank identifier.
+func isBlank(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "_"
+}
+
+// calleeOf is the function a call expression names statically, and the
+// identifier naming it; nil for a call of a func value, a conversion or a
+// builtin.
+func calleeOf(info *types.Info, fun ast.Expr) (*types.Func, *ast.Ident) {
+	fun = ast.Unparen(fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
+	var id *ast.Ident
+	switch x := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	default:
+		return nil, nil
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok {
+		return nil, nil
+	}
+	return origin(fn).(*types.Func), id
 }
 
 // declares reports whether it has a method called name.

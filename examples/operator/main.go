@@ -39,7 +39,7 @@ func main() {
 	acked := false
 	for i := 0; i < 5 && !acked; i++ {
 		var err error
-		acked, _, err = sys.RunCommandRound(node.PingPayload())
+		acked, err = sys.RunCommandRound(node.PingPayload())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func main() {
 
 	// 4. Stretch the reporting interval: answer at most every 10 minutes.
 	for i := 0; i < 5; i++ {
-		acked, _, err := sys.RunCommandRound(node.SetIntervalPayload(600))
+		acked, err := sys.RunCommandRound(node.SetIntervalPayload(600))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func main() {
 	fmt.Printf("immediate re-poll answered: %v (energy preserved)\n", rep.Rx.OK())
 
 	// 5. Mute for maintenance: radio silence, unacknowledged by design.
-	if _, _, err := sys.RunCommandRound(node.MutePayload(3600)); err != nil {
+	if _, err := sys.RunCommandRound(node.MutePayload(3600)); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("muted: %v — the node will stay dark for an hour of node-clock time\n", sys.Node.Muted())

@@ -38,7 +38,6 @@ type Writer struct {
 	buf  []byte
 	cur  byte // partial byte being filled, bits at the bottom
 	ncur uint // bits currently in cur (0..7)
-	bits int  // total bits written since Reset
 }
 
 // Reset discards any pending state and directs subsequent writes into
@@ -48,7 +47,6 @@ func (w *Writer) Reset(dst []byte) {
 	w.buf = dst
 	w.cur = 0
 	w.ncur = 0
-	w.bits = 0
 }
 
 // WriteBits appends the low n bits of v, most significant first.
@@ -60,7 +58,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	if n < 64 {
 		v &= (1 << n) - 1
 	}
-	w.bits += int(n)
 	for n > 0 {
 		free := 8 - w.ncur
 		take := n

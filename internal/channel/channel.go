@@ -445,17 +445,16 @@ func (l *Link) RoundTripAbsolute(tx, gamma []complex128, nodeGain complex128) ([
 // shrimp). The burst window is clamped against the slice bounds before any
 // indexing — a scenario whose drawn offsets overhang a short capture
 // buffer perturbs only the overlap — and non-positive lengths are
-// rejected. It returns the number of samples actually perturbed, so
-// callers can account for clipped injections.
-func (l *Link) InjectBurst(y []complex128, start, n int, powerDB float64) int {
+// rejected.
+func (l *Link) InjectBurst(y []complex128, start, n int, powerDB float64) {
 	if n <= 0 || start >= len(y) {
-		return 0
+		return
 	}
 	if start < 0 {
 		// The portion before sample 0 is rejected rather than indexed;
 		// guard the addition so a pathological n cannot wrap around.
 		if n+start <= 0 {
-			return 0
+			return
 		}
 		n += start
 		start = 0
@@ -471,5 +470,4 @@ func (l *Link) InjectBurst(y []complex128, start, n int, powerDB float64) int {
 	for i := start; i < start+n; i++ {
 		y[i] += complex(l.rng.NormFloat64()*amp/math.Sqrt2, l.rng.NormFloat64()*amp/math.Sqrt2)
 	}
-	return n
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -439,28 +440,29 @@ func (s *System) RecordRound() ([]complex128, error) {
 
 // RunCommandRound sends a downlink command frame through the channel and,
 // when the command elicits an acknowledgement, runs the backscatter uplink
-// and decodes it. It returns the reader's view: acked (frame recovered),
-// silent (node ignored or was muted — the expected outcome for CmdMute),
-// or an error for transport problems.
-func (s *System) RunCommandRound(payload []byte) (acked bool, rep reader.RxReport, err error) {
+// and decodes it. It returns the reader's view: acked (an ack frame echoing
+// the command's opcode recovered), not acked (command or ack lost, or the
+// node ignored it or was muted — the expected outcome for CmdMute), or an
+// error for transport problems.
+func (s *System) RunCommandRound(payload []byte) (acked bool, err error) {
 	cfg := s.cfg.Reader
 	if err := s.rebuildLink(); err != nil {
-		return false, rep, err
+		return false, err
 	}
 	// Downlink command frame as OOK.
 	f := &link.Frame{Type: link.FrameCmd, Addr: s.cfg.NodeAddr, Seq: s.querySeq, Payload: payload}
 	s.querySeq++
 	chips, err := cfg.DownlinkCodec.EncodeFrame(f)
 	if err != nil {
-		return false, rep, err
+		return false, err
 	}
 	mod, err := phy.NewModulator(cfg.PHY)
 	if err != nil {
-		return false, rep, err
+		return false, err
 	}
 	w, err := mod.OOKModulate(chips, 1.0)
 	if err != nil {
-		return false, rep, err
+		return false, err
 	}
 	amp := s.Reader.SourceAmplitude()
 	for i := range w {
@@ -468,24 +470,25 @@ func (s *System) RunCommandRound(payload []byte) (acked bool, rep reader.RxRepor
 	}
 	qf, err := s.nodeReceive(w, len(chips), nil)
 	if err != nil || qf == nil {
-		return false, rep, err // nil frame: command lost in flight
+		return false, err // nil frame: command lost in flight
 	}
 	gammaBits, err := s.Node.HandleCommand(qf)
 	if err != nil {
-		return false, rep, fmt.Errorf("core: node command: %w", err)
+		return false, fmt.Errorf("core: node command: %w", err)
 	}
 	if gammaBits == nil {
-		return false, rep, nil
+		return false, nil
 	}
 	// Uplink ack.
 	tx, gamma, _ := s.uplinkWaveforms(gammaBits)
 	s.captureBuf = growRoundBuf(s.captureBuf, len(tx))
 	capture, err := s.Link.RoundTripInto(s.captureBuf, tx, gamma, s.nodeGain)
 	if err != nil {
-		return false, rep, err
+		return false, err
 	}
-	rep = s.Reader.Decode(capture, tx, 1) // ack payload: the echoed opcode
-	return rep.OK(), rep, nil
+	rep := s.Reader.Decode(capture, tx, 1) // ack payload: the echoed opcode
+	acked = rep.OK() && rep.Frame.Type == link.FrameAck && bytes.Equal(rep.Frame.Payload, payload[:1])
+	return acked, nil
 }
 
 // RangingReport is the outcome of a time-of-flight ranging round.

@@ -284,8 +284,9 @@ func sqrt64(v float64) float64 {
 	return math.Sqrt(v)
 }
 
-// ArgMax returns the index and value of the largest element of a real slice.
-func ArgMax(x []float64) (int, float64) {
+// ArgMax returns the index of the largest element of a real slice (the
+// first, on a tie).
+func ArgMax(x []float64) int {
 	idx := 0
 	best := x[0]
 	for i, v := range x {
@@ -294,5 +295,5 @@ func ArgMax(x []float64) (int, float64) {
 			idx = i
 		}
 	}
-	return idx, best
+	return idx
 }

@@ -36,12 +36,11 @@ func Energy(x []complex128) float64 {
 	return e
 }
 
-// Scale multiplies x by a real gain in place and returns x.
-func Scale(x []complex128, g float64) []complex128 {
+// Scale multiplies x by a real gain in place.
+func Scale(x []complex128, g float64) {
 	for i := range x {
 		x[i] *= complex(g, 0)
 	}
-	return x
 }
 
 // AddInto accumulates src into dst element-wise. The slices must have equal

@@ -75,9 +75,9 @@ func NewToneBank(freqsHz []float64, fsHz float64, blockLen int) *ToneBank {
 }
 
 // Energies fills dst (which must have one entry per tone) with the tone
-// energies of block x and returns dst. x may be shorter than the bank's
-// block length, not longer.
-func (tb *ToneBank) Energies(dst []float64, x []complex128) []float64 {
+// energies of block x. x may be shorter than the bank's block length, not
+// longer.
+func (tb *ToneBank) Energies(dst []float64, x []complex128) {
 	if len(dst) != tb.tones {
 		panic("dsp: ToneBank.Energies dst length mismatch")
 	}
@@ -103,5 +103,4 @@ func (tb *ToneBank) Energies(dst []float64, x []complex128) []float64 {
 		}
 		dst[t] = sq(a)
 	}
-	return dst
 }

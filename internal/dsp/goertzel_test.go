@@ -55,7 +55,8 @@ func TestToneBankEnergiesProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		x := randComplex(r, 64)
 		tb := NewToneBank([]float64{250, 750}, 8000, len(x))
-		e := tb.Energies(make([]float64, 2), x)
+		e := make([]float64, 2)
+		tb.Energies(e, x)
 		for _, v := range e {
 			if v < 0 || math.IsNaN(v) {
 				return false
@@ -93,7 +94,8 @@ func TestToneBankMatchesSerialCorrelate(t *testing.T) {
 		for _, n := range []int{0, 1, 17, block - 1, block} {
 			for trial := 0; trial < 20; trial++ {
 				x := randComplex(rng, n)
-				got := tb.Energies(make([]float64, len(freqs)), x)
+				got := make([]float64, len(freqs))
+				tb.Energies(got, x)
 				for k, f := range freqs {
 					if want := serialToneEnergy(f, fs, x); math.Float64bits(got[k]) != math.Float64bits(want) {
 						t.Fatalf("tones %v, n=%d: tone %d energy %v, serial %v", freqs, n, k, got[k], want)

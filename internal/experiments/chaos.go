@@ -23,7 +23,6 @@ type chaosCell struct {
 
 	nodes       int
 	cycles      int
-	polled      int
 	delivered   int
 	probes      int
 	quarantines int
@@ -88,7 +87,6 @@ func runChaosCell(sc faults.Scenario, intensity float64, recovery bool,
 		if err != nil {
 			return cell, err
 		}
-		cell.polled += rep.Polled
 		cell.delivered += rep.Delivered
 		cell.probes += rep.Probes
 	}

@@ -50,7 +50,6 @@ type netchaosCell struct {
 	drops     int
 	tears     int
 	corrupts  int
-	wireBytes int64
 	delayMs   float64
 	writes    int
 }
@@ -103,15 +102,7 @@ func runNetchaosCell(seed int64, intensity float64, resume bool, readings int) (
 
 	// sendFrame pushes one sequenced frame through the chaos schedule;
 	// false means the session died mid-frame (nothing delivered).
-	sendFrame := func(firstSeq uint64, rds []gateway.Reading) (bool, error) {
-		payload, err := gateway.AppendSeqBatch(nil, firstSeq, rds)
-		if err != nil {
-			return false, err
-		}
-		frame, err := gateway.EncodeFrame(gateway.MsgSeqBatch, payload)
-		if err != nil {
-			return false, err
-		}
+	sendFrame := func() bool {
 		o := eng.WriteOp(conn, op)
 		op++
 		cell.writes++
@@ -119,19 +110,18 @@ func runNetchaosCell(seed int64, intensity float64, resume bool, readings int) (
 		switch {
 		case o.Drop:
 			cell.drops++
-			return false, nil
+			return false
 		case o.Partial:
 			cell.tears++
-			return false, nil
+			return false
 		case o.Corrupt:
 			// No integrity check in the wire format: model the corrupted
 			// frame as detected by the codec's strict decode rules (the
 			// common case) — the subscriber abandons the session.
 			cell.corrupts++
-			return false, nil
+			return false
 		}
-		cell.wireBytes += int64(len(frame))
-		return true, nil
+		return true
 	}
 	disconnect := func() {
 		connected = false
@@ -140,19 +130,15 @@ func runNetchaosCell(seed int64, intensity float64, resume bool, readings int) (
 		op = 0
 	}
 
-	var pend []gateway.Reading
 	next := uint64(1)
 	for int(next) <= readings {
 		// Publish one flush worth of readings into the ring.
-		pend = pend[:0]
 		pendFirst := next
-		for len(pend) < e14Batch && int(next) <= readings {
-			rd := e14Reading(next)
-			ring.Append(next, rd)
-			pend = append(pend, rd)
+		for next-pendFirst < e14Batch && int(next) <= readings {
+			ring.Append(next, e14Reading(next))
 			next++
 		}
-		cell.published += len(pend)
+		cell.published += int(next - pendFirst)
 
 		if !connected {
 			outage--
@@ -174,11 +160,7 @@ func runNetchaosCell(seed int64, intensity float64, resume bool, readings int) (
 					if end > len(buf) {
 						end = len(buf)
 					}
-					sent, err := sendFrame(firstSeq+uint64(off), buf[off:end])
-					if err != nil {
-						return cell, err
-					}
-					if sent {
+					if sendFrame() {
 						cell.replayed += end - off
 						cell.delivered += end - off
 						lastSeq = firstSeq + uint64(end) - 1
@@ -195,13 +177,9 @@ func runNetchaosCell(seed int64, intensity float64, resume bool, readings int) (
 			}
 		}
 
-		sent, err := sendFrame(pendFirst, pend)
-		if err != nil {
-			return cell, err
-		}
-		if sent {
-			cell.delivered += len(pend)
-			lastSeq = pendFirst + uint64(len(pend)) - 1
+		if sendFrame() {
+			cell.delivered += int(next - pendFirst)
+			lastSeq = next - 1
 		} else {
 			disconnect()
 		}

@@ -27,11 +27,11 @@ func probationPolicy() mac.PollPolicy {
 func transcript(reps []CycleReport) string {
 	var b strings.Builder
 	for _, r := range reps {
-		fmt.Fprintf(&b, "c%d p%d d%d r%d pr%d re%d L%d Q%d D%d snr%x sev%x chips%x h%d/%d z%x\n",
+		fmt.Fprintf(&b, "c%d p%d d%d r%d pr%d re%d L%d Q%d D%d snr%x sev%x chips%x h%d/%d\n",
 			r.Cycle, r.Polled, r.Delivered, r.Retries, r.Probes, r.Restored,
 			r.Live, r.Quarantined, r.Dropped,
 			r.MeanSNRdB, r.Severity, r.ChipRate,
-			r.Hero.Checks, r.Hero.Diverged, r.Hero.MeanAbsZ)
+			r.Hero.Checks, r.Hero.Diverged)
 	}
 	return b.String()
 }

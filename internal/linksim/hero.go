@@ -28,9 +28,8 @@ const heroRounds = 4
 
 // HeroReport summarizes one cycle's hero-link cross-checks.
 type HeroReport struct {
-	Checks   int     // hero links promoted this cycle
-	Diverged int     // checks outside the divergence budget
-	MeanAbsZ float64 // mean |z| of the SNR comparison (0 if no checks)
+	Checks   int // hero links promoted this cycle
+	Diverged int // checks outside the divergence budget
 }
 
 // heroMetrics instruments the cross-check. Zero value = noop.
@@ -87,9 +86,9 @@ func (h *heroChecker) instrument(reg *telemetry.Registry) {
 // of positions in the cycle's schedule with rejection on duplicates — a
 // pure function of (fleet seed, cycle) and the schedule, independent of
 // worker count. It reads the schedule in place, so it runs before the
-// scheduler's blocks compact the live list. The picks are valid until the
-// next pick.
-func (h *heroChecker) pick(f *Fleet, sched mac.Schedule, cycle int) []int32 {
+// scheduler's blocks compact the live list. The picks, in h.picked, are
+// valid until the next pick.
+func (h *heroChecker) pick(f *Fleet, sched mac.Schedule, cycle int) {
 	n := sched.Len()
 	want := min(f.cfg.HeroLinks, n)
 	const heroDomain = 0x4865726f // hero draws, distinct from poll/placement streams
@@ -102,13 +101,11 @@ func (h *heroChecker) pick(f *Fleet, sched mac.Schedule, cycle int) []int32 {
 		}
 		h.picked = append(h.picked, node)
 	}
-	return h.picked
 }
 
 // check runs the last pick's links at waveform fidelity and scores them.
 func (h *heroChecker) check(f *Fleet, model *cycleModel, cycle int) (HeroReport, error) {
 	rep := HeroReport{}
-	var absZSum float64
 	for _, node := range h.picked {
 		cfg := h.envCfg
 		cfg.Range, cfg.Orientation = f.placement(node)
@@ -165,7 +162,6 @@ func (h *heroChecker) check(f *Fleet, model *cycleModel, cycle int) (HeroReport,
 			}
 			z := (mean - (cell.SNRMeanDB + model.snrDelta)) / se
 			h.met.zScore.Observe(z)
-			absZSum += math.Abs(z)
 			if math.Abs(z) > heroZBudget {
 				diverged = true
 			}
@@ -174,9 +170,6 @@ func (h *heroChecker) check(f *Fleet, model *cycleModel, cycle int) (HeroReport,
 			rep.Diverged++
 			h.met.diverged.Inc()
 		}
-	}
-	if rep.Checks > 0 {
-		rep.MeanAbsZ = absZSum / float64(rep.Checks)
 	}
 	return rep, nil
 }

@@ -98,8 +98,10 @@ func TestHeroPickDeterministic(t *testing.T) {
 			sched.Live = append(sched.Live, i)
 		}
 	}
-	a := slices.Clone(fleet.hero.pick(fleet, sched, 5))
-	b := fleet.hero.pick(fleet, sched, 5)
+	fleet.hero.pick(fleet, sched, 5)
+	a := slices.Clone(fleet.hero.picked)
+	fleet.hero.pick(fleet, sched, 5)
+	b := fleet.hero.picked
 	if len(a) != 3 {
 		t.Fatalf("picked %d links, want 3", len(a))
 	}
@@ -111,7 +113,8 @@ func TestHeroPickDeterministic(t *testing.T) {
 			t.Fatalf("picked a probe item: %v", a)
 		}
 	}
-	c := fleet.hero.pick(fleet, sched, 6)
+	fleet.hero.pick(fleet, sched, 6)
+	c := fleet.hero.picked
 	same := len(c) == len(a)
 	if same {
 		for i := range a {

@@ -57,17 +57,17 @@ func NewFadingProcess(spreadHz, fsHz, depth float64, rng *rand.Rand) *FadingProc
 // with — building a fresh process on the same RNG.
 func (fp *FadingProcess) Reset() { fp.state = 0 }
 
-// Apply multiplies x in place by the evolving channel gain and returns x.
+// Apply multiplies x in place by the evolving channel gain.
 // Each sample advances the AR(1) state by one step, drawing the in-phase
 // then the quadrature innovation (seeded outputs depend on that order),
 // and is multiplied by 1 + state. A static process multiplies every
 // sample by exactly 1.
-func (fp *FadingProcess) Apply(x []complex128) []complex128 {
+func (fp *FadingProcess) Apply(x []complex128) {
 	if fp.sigma == 0 {
 		for i := range x {
 			x[i] *= 1
 		}
-		return x
+		return
 	}
 	rho, sigma, st := fp.rho, fp.sigma, fp.state
 	for i := range x {
@@ -77,5 +77,4 @@ func (fp *FadingProcess) Apply(x []complex128) []complex128 {
 		x[i] *= 1 + st
 	}
 	fp.state = st
-	return x
 }

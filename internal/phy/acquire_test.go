@@ -78,7 +78,8 @@ func TestLocateMatchesFullSearch(t *testing.T) {
 				y := echoCapture(t, d, delay, 45, echo)
 				full := make([]float64, len(y)-len(d.preamble)+1)
 				d.corr.NormXCorrInto(full, y)
-				want, peak := dsp.ArgMax(full)
+				want := dsp.ArgMax(full)
+				peak := full[want]
 				acq, err := d.Locate(y)
 				if err != nil {
 					t.Fatal(err)

@@ -234,7 +234,7 @@ func (d *Demodulator) Locate(y []complex128) (Acquisition, error) {
 	d.ncBuf = resize(d.ncBuf, nCoarse)
 	nc := d.ncBuf
 	d.coarse.NormXCorrInto(nc, d.coarseBuf)
-	k, _ := dsp.ArgMax(nc)
+	k := dsp.ArgMax(nc)
 	acq := Acquisition{Start: -1, Peaks: d.peakBuf[:0]}
 	for s := max(0, d.decim*(k-1)); s <= min(nOut-1, d.decim*(k+1)); s++ {
 		if v := d.corr.NormXCorrAt(y, s); acq.Start < 0 || v > acq.Metric {

@@ -18,20 +18,13 @@ import (
 //     regressors), subtract every late path from the capture, and
 //     demodulate again on the cleaned signal.
 //
-// (The loop below supports more rounds, but without a ground-truth quality
-// signal extra rounds can wander off a good answer; one round measured
-// best.)
+// (Without a ground-truth quality signal, extra rounds can wander off a
+// good answer; one round measured best.)
 //
 // The joint fit matters: shifted copies of an FSK burst are mutually
 // correlated (half the chips repeat a frequency), so independent
 // correlations would hallucinate echoes; solving the normal equations
 // attributes the energy correctly.
-
-// EchoEstimate is one late-path measurement.
-type EchoEstimate struct {
-	Offset int        // samples after the main arrival
-	Gain   complex128 // complex gain relative to the main path
-}
 
 // reconstruct renders the waveform the capture actually contains for a
 // unit-gain path carrying the given payload chips: the modulator's 0/1
@@ -173,13 +166,48 @@ func solveHermitian(a [][]complex128, b []complex128) ([]complex128, error) {
 // demodulation pass, a joint least-squares channel fit over half-chip
 // delay candidates out to maxEchoChips, ISI subtraction, and a second
 // demodulation on the cleaned capture. It returns the second-pass
-// decisions and the cancelled echoes (empty means the channel needed no
-// equalization and the first pass is returned unchanged).
-func (d *Demodulator) EqualizeAndDemod(y []complex128, acq Acquisition, n, maxEchoChips int) ([]SoftChip, []EchoEstimate, error) {
+// decisions, or the first pass unchanged when the channel needs no
+// equalization.
+func (d *Demodulator) EqualizeAndDemod(y []complex128, acq Acquisition, n, maxEchoChips int) ([]SoftChip, error) {
 	soft, err := d.DemodChips(y, acq, n)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	wave, gains := d.echoGains(y, soft, acq.Start, maxEchoChips)
+	if gains == nil {
+		return soft, nil
+	}
+	half := d.p.SamplesPerChip() / 2
+	clean := append([]complex128(nil), y...)
+	for k := 1; k < len(gains); k++ {
+		if gains[k] == 0 {
+			continue
+		}
+		lo := acq.Start + k*half
+		for t, w := range wave {
+			j := lo + t
+			if j < 0 {
+				continue
+			}
+			if j >= len(clean) {
+				break
+			}
+			clean[j] -= gains[k] * w
+		}
+	}
+	// Re-demodulate without echo combining: the late paths are cancelled,
+	// so only the main-arrival window carries clean signal.
+	acq.Peaks = nil
+	return d.DemodChips(clean, acq, n)
+}
+
+// echoGains reconstructs the waveform of the decisions soft and jointly
+// fits the channel's complex gain at delays k half-chips after start, k = 0
+// (the main path) up to 2·maxEchoChips. It returns the reconstruction and
+// the gains by k, with every late path at or below 0.15 of the main path's
+// amplitude zeroed; gains is nil when the fit fails, finds no main path or
+// keeps no late path, so the channel needs no equalization.
+func (d *Demodulator) echoGains(y []complex128, soft []SoftChip, start, maxEchoChips int) (wave, gains []complex128) {
 	spc := d.p.SamplesPerChip()
 	// Delay grid: half-chip resolution. Finer grids make the shifted
 	// regressors too mutually correlated (an ill-conditioned fit injects
@@ -188,68 +216,25 @@ func (d *Demodulator) EqualizeAndDemod(y []complex128, acq Acquisition, n, maxEc
 	for off := spc / 2; off <= maxEchoChips*spc; off += spc / 2 {
 		offsets = append(offsets, off)
 	}
-
-	var echoes []EchoEstimate
-	const iterations = 1
-	for iter := 0; iter < iterations; iter++ {
-		wave := d.reconstruct(HardChips(soft))
-		gains, err := estimatePaths(y, wave, acq.Start, offsets)
-		if err != nil {
-			// Estimation failure is not fatal: keep the latest decisions.
-			return soft, echoes, nil
-		}
-		mainAmp := cmplx.Abs(gains[0])
-		if mainAmp == 0 {
-			return soft, echoes, nil
-		}
-		echoes = echoes[:0]
-		for i := 1; i < len(offsets); i++ {
-			if cmplx.Abs(gains[i]) > 0.15*mainAmp {
-				echoes = append(echoes, EchoEstimate{
-					Offset: offsets[i],
-					Gain:   gains[i] / gains[0],
-				})
-			}
-		}
-		if len(echoes) == 0 {
-			return soft, nil, nil
-		}
-		clean := append([]complex128(nil), y...)
-		for i := 1; i < len(offsets); i++ {
-			if cmplx.Abs(gains[i]) <= 0.15*mainAmp {
-				continue
-			}
-			lo := acq.Start + offsets[i]
-			for t, w := range wave {
-				j := lo + t
-				if j < 0 {
-					continue
-				}
-				if j >= len(clean) {
-					break
-				}
-				clean[j] -= gains[i] * w
-			}
-		}
-		// Re-demodulate without echo combining: the late paths are
-		// cancelled, so only the main-arrival window carries clean signal.
-		acq2 := acq
-		acq2.Peaks = nil
-		next, err := d.DemodChips(clean, acq2, n)
-		if err != nil {
-			return nil, nil, err
-		}
-		same := true
-		for i := range next {
-			if next[i].Value != soft[i].Value {
-				same = false
-				break
-			}
-		}
-		soft = next
-		if same {
-			break // converged
+	wave = d.reconstruct(HardChips(soft))
+	gains, err := estimatePaths(y, wave, start, offsets)
+	if err != nil {
+		return wave, nil // estimation failure is not fatal: keep the decisions
+	}
+	mainAmp := cmplx.Abs(gains[0])
+	if mainAmp == 0 {
+		return wave, nil
+	}
+	late := false
+	for k := 1; k < len(gains); k++ {
+		if cmplx.Abs(gains[k]) > 0.15*mainAmp {
+			late = true
+		} else {
+			gains[k] = 0
 		}
 	}
-	return soft, echoes, nil
+	if !late {
+		return wave, nil
+	}
+	return wave, gains
 }

@@ -57,12 +57,12 @@ func TestEqualizerCancelsStrongLateEcho(t *testing.T) {
 	}
 	errPlain := CountChipErrors(HardChips(plain), chips)
 
-	eq, echoes, err := d.EqualizeAndDemod(y, acq, len(chips), 6)
+	if _, gains := d.echoGains(y, plain, acq.Start, 6); gains == nil {
+		t.Fatal("equalizer found no echo to cancel")
+	}
+	eq, err := d.EqualizeAndDemod(y, acq, len(chips), 6)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(echoes) == 0 {
-		t.Fatal("equalizer found no echo to cancel")
 	}
 	errEq := CountChipErrors(HardChips(eq), chips)
 
@@ -93,12 +93,16 @@ func TestEqualizerNoOpOnCleanChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	soft, echoes, err := d.EqualizeAndDemod(y, acq, len(chips), 6)
+	plain, err := d.DemodChips(y, acq, len(chips))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(echoes) != 0 {
-		t.Errorf("clean channel produced %d phantom echoes", len(echoes))
+	if _, gains := d.echoGains(y, plain, acq.Start, 6); gains != nil {
+		t.Errorf("clean channel produced phantom echoes: gains %v", gains)
+	}
+	soft, err := d.EqualizeAndDemod(y, acq, len(chips), 6)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if n := CountChipErrors(HardChips(soft), chips); n != 0 {
 		t.Errorf("%d errors on a clean channel", n)
@@ -121,19 +125,21 @@ func TestEqualizerEstimatesEchoGain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, echoes, err := d.EqualizeAndDemod(y, acq, len(chips), 6)
+	plain, err := d.DemodChips(y, acq, len(chips))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(echoes) != 1 {
-		t.Fatalf("found %d echoes, want 1 (%v)", len(echoes), echoes)
+	_, gains := d.echoGains(y, plain, acq.Start, 6)
+	// The gains are indexed by half-chip delay: the echo sits at k = 4.
+	for k := 1; k < len(gains); k++ {
+		if (gains[k] != 0) != (k == 4) {
+			t.Fatalf("kept late paths at half-chip delays other than 4: gains %v", gains)
+		}
 	}
-	p := DefaultParams()
-	spc := p.SamplesPerChip()
-	if echoes[0].Offset != 2*spc {
-		t.Errorf("echo offset %d, want %d", echoes[0].Offset, 2*spc)
+	if gains == nil {
+		t.Fatal("found no echo, want one 2 chips late")
 	}
-	if r := cmplx.Abs(echoes[0].Gain); r < 0.4 || r > 0.6 {
+	if r := cmplx.Abs(gains[4] / gains[0]); r < 0.4 || r > 0.6 {
 		t.Errorf("relative echo gain %.3f, want ~0.5", r)
 	}
 }

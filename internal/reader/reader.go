@@ -311,7 +311,7 @@ func (r *Reader) Decode(capture, txRef []complex128, payloadLen int) RxReport {
 	var soft []phy.SoftChip
 	sp = telemetry.StartSpan(r.met.stDemod)
 	if r.cfg.UseEqualizer {
-		soft, _, err = r.demod.EqualizeAndDemod(y, acq, nChips, 8)
+		soft, err = r.demod.EqualizeAndDemod(y, acq, nChips, 8)
 	} else {
 		soft, err = r.demod.DemodChipsInto(r.softBuf, y, acq, nChips)
 		if err == nil {

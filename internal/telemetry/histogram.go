@@ -12,7 +12,6 @@ import (
 // catches everything above the last bound. A nil *Histogram is a valid
 // noop.
 type Histogram struct {
-	name   string
 	help   string
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1, last = +Inf overflow
@@ -57,7 +56,7 @@ func LinearBuckets(start, width float64, n int) []float64 {
 	return out
 }
 
-func newHistogram(name, help string, bounds []float64) *Histogram {
+func newHistogram(help string, bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = DefBuckets()
 	}
@@ -69,7 +68,6 @@ func newHistogram(name, help string, bounds []float64) *Histogram {
 		b = append(b, v)
 	}
 	return &Histogram{
-		name:   name,
 		help:   help,
 		bounds: b,
 		counts: make([]atomic.Uint64, len(b)+1),

@@ -52,7 +52,6 @@ func (k Kind) String() string {
 // Counter is a monotonically increasing metric. The zero value is ready to
 // use; a nil *Counter is a valid noop.
 type Counter struct {
-	name string
 	help string
 	v    atomic.Int64
 }
@@ -80,7 +79,6 @@ func (c *Counter) Value() int64 {
 // Gauge is a metric that can go up and down, stored as float64 bits with
 // lock-free updates. A nil *Gauge is a valid noop.
 type Gauge struct {
-	name string
 	help string
 	bits atomic.Uint64
 }
@@ -136,9 +134,9 @@ func (r *Registry) Counter(name, help string) *Counter {
 		if m.kind == KindCounter {
 			return m.c
 		}
-		return &Counter{name: name, help: help}
+		return &Counter{help: help}
 	}
-	c := &Counter{name: name, help: help}
+	c := &Counter{help: help}
 	r.metrics[name] = metric{kind: KindCounter, c: c}
 	return c
 }
@@ -155,9 +153,9 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		if m.kind == KindGauge {
 			return m.g
 		}
-		return &Gauge{name: name, help: help}
+		return &Gauge{help: help}
 	}
-	g := &Gauge{name: name, help: help}
+	g := &Gauge{help: help}
 	r.metrics[name] = metric{kind: KindGauge, g: g}
 	return g
 }
@@ -175,9 +173,9 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 		if m.kind == KindHistogram {
 			return m.h
 		}
-		return newHistogram(name, help, bounds)
+		return newHistogram(help, bounds)
 	}
-	h := newHistogram(name, help, bounds)
+	h := newHistogram(help, bounds)
 	r.metrics[name] = metric{kind: KindHistogram, h: h}
 	return h
 }

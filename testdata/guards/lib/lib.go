@@ -25,3 +25,32 @@ func Run(c Config) Result {
 
 // Unused is the seed no code calls.
 func Unused() {}
+
+// tally counts the values Stats sees.
+type tally struct {
+	n    int
+	hits int // seed: updated, never read
+}
+
+// key is a map key: the map reads its fields, which nothing selects.
+type key struct{ lo, hi int }
+
+// Stats returns the sum of xs and how many there are (seed: no call reads
+// the count).
+func Stats(xs []int) (int, int) {
+	var t tally
+	sum := 0
+	for _, x := range xs {
+		sum += x
+		t.n++
+		t.hits += x & 1
+	}
+	return sum, t.n
+}
+
+// Split returns the halves of x: one call drops the low half with _ and
+// another reads it, so both results are read.
+func Split(x int) (int, int) {
+	seen := map[key]bool{{x / 2, x - x/2}: true}
+	return x / 2, x - x/2 + len(seen) - 1
+}

@@ -1,6 +1,6 @@
 // Command guards is the fixture TestGuardsCatchTheirSeeds scans: each
-// source-level guard must report exactly the one declaration seeded for
-// it in package lib.
+// source-level guard must report exactly the declarations seeded for it
+// in package lib.
 package main
 
 import "vab/lib"
@@ -11,5 +11,8 @@ func main() {
 	for _, level := range []int{1, 2} {
 		sum += lib.Run(lib.Config{Gain: 2, Level: level, Scale: 3}).Sum
 	}
-	println(sum)
+	total, _ := lib.Stats([]int{sum, 3})
+	hi, _ := lib.Split(total)
+	_, lo := lib.Split(hi)
+	println(lo)
 }
