@@ -28,7 +28,6 @@ import (
 	"vab/internal/mac"
 	"vab/internal/ocean"
 	"vab/internal/phy"
-	"vab/internal/reader"
 	"vab/internal/sim"
 )
 
@@ -110,8 +109,9 @@ func BenchmarkE10CampaignSerial(b *testing.B) {
 
 // --- Ablation benches: the design choices DESIGN.md calls out. ---
 
-// BenchmarkAblationDiversity compares achievable range with and without
-// multipath diversity combining at the receiver.
+// BenchmarkAblationDiversity compares the analytic budget's achievable
+// range with and without its multipath diversity-combining credit. It is
+// analytic only: the waveform reader has no combiner.
 func BenchmarkAblationDiversity(b *testing.B) {
 	env := ocean.CharlesRiver()
 	d, err := core.NewVanAttaDesign(core.DefaultNodeElements, env, core.DefaultCarrierHz)
@@ -556,49 +556,6 @@ func BenchmarkX1Ranging(b *testing.B) {
 
 func BenchmarkX2MaryThroughput(b *testing.B) {
 	benchExperiment(b, "X2", []string{"range_2fsk_m", "range_4fsk_m"})
-}
-
-// BenchmarkAblationEqualizer measures the decision-feedback equalizer's
-// effect on single-shot decode rate across coastal channel realizations
-// (the ISI-limited regime it targets).
-func BenchmarkAblationEqualizer(b *testing.B) {
-	env := ocean.AtlanticCoastal()
-	d, err := core.NewVanAttaDesign(core.DefaultNodeElements, env, core.DefaultCarrierHz)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(eq bool) float64 {
-		ok := 0
-		const seeds = 20
-		for seed := int64(0); seed < seeds; seed++ {
-			rcfg := reader.DefaultConfig()
-			rcfg.UseEqualizer = eq
-			s, err := core.NewSystem(core.SystemConfig{
-				Env: env, Design: d, Range: 40,
-				ReaderDepth: 3, NodeDepth: 4, NodeAddr: 7, Seed: seed,
-				Reader: rcfg,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.WakeNode(3600)
-			rep, err := s.RunRound()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.Rx.OK() {
-				ok++
-			}
-		}
-		return float64(ok) / seeds
-	}
-	var plain, equalized float64
-	for i := 0; i < b.N; i++ {
-		plain = run(false)
-		equalized = run(true)
-	}
-	b.ReportMetric(plain, "decode_rate_plain")
-	b.ReportMetric(equalized, "decode_rate_equalized")
 }
 
 func BenchmarkX3WaveformValidation(b *testing.B) {

@@ -49,7 +49,6 @@ var unwrittenAllowed = map[string]string{
 	"linksim.Config.Table":            "test seam: fleet tests inject a hand-built table; production runs the embedded calibration",
 	"linksim.Placement.RangeM":        "test seam: pinned placements put fleet-test nodes at known ranges; production draws them from the seed",
 	"linksim.Placement.OrientRad":     "test seam: pinned placements put fleet-test nodes at known orientations; production draws them from the seed",
-	"reader.Config.UseEqualizer":      "the equalizer ablation bench and TestEqualizerImprovesCoastalDecodeRate turn it on; ROADMAP item 1 names both as gates",
 }
 
 // oneValueAllowed lists the exported struct fields that production code
@@ -68,7 +67,6 @@ var oneValueAllowed = map[string]string{
 	"phy.Params.F1":                     "seam: TestLocateMatchesFullSearch and TestCoarseFactorKeepsTonesInBand acquire at other tone pairs",
 	"phy.Params.SampleRate":             "seam: every sample-time formula of phy, reader, node and channel reads it from Params; TestParamsValidation pins its checks",
 	"reader.Config.AcquireThreshold":    "seam: TestReacquireBoundedByFloor starts below 0.13, the only way to reach reacquireFloor",
-	"reader.Config.UseDiversity":        "seam: TestSystemWaveformAgreesWithBudgetTier switches diversity off to compare one branch with the budget tier",
 	"vanatta.Array.LineDelaySec":        "seam: the vanatta tests build ideal arrays with zero line delay",
 	"vanatta.Array.LineLossDB":          "seam: TestLineLossReducesGain sets 3 dB; the other vanatta tests build lossless arrays",
 }

@@ -27,10 +27,12 @@ const (
 	// changing any comparison.
 	StructuralLossDB = 37.5
 
-	// DiversityGainDB is the average detection gain of combining tone
-	// energy across resolvable multipath arrivals in shallow water,
-	// measured from the waveform simulator (see the diversity ablation
-	// bench). Applied when the receiver runs with combining enabled.
+	// DiversityGainDB is the analytic budget's credit for combining tone
+	// energy across resolvable multipath arrivals in shallow water. It is
+	// a modelling assumption, not a measurement: the waveform reader
+	// detects chips on the located arrival alone, so
+	// System.PredictedBudget drops the credit; the headline budgets keep
+	// it.
 	DiversityGainDB = 2.5
 
 	// CarrierBandSIPenaltyDB is the residual self-interference noise-floor

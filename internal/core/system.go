@@ -542,9 +542,9 @@ func (s *System) PredictedBudget() *LinkBudget {
 	b.NodeDepth = s.cfg.NodeDepth
 	b.Orientation = s.cfg.Orientation
 	b.ChipRate = s.cfg.Reader.PHY.ChipRate
-	if !s.cfg.Reader.UseDiversity {
-		b.DiversityGainDB = 0
-		b.DiversityBranches = 1
-	}
+	// The reader detects chips on the located arrival alone: no combining
+	// gain, one branch.
+	b.DiversityGainDB = 0
+	b.DiversityBranches = 1
 	return b
 }

@@ -14,12 +14,6 @@ import (
 	"vab/internal/telemetry"
 )
 
-func readerDefaultNoDiversity() reader.Config {
-	cfg := reader.DefaultConfig()
-	cfg.UseDiversity = false
-	return cfg
-}
-
 func riverSystem(t *testing.T, rangeM float64, seed int64) *System {
 	t.Helper()
 	env := ocean.CharlesRiver()
@@ -151,7 +145,6 @@ func TestSystemWaveformAgreesWithBudgetTier(t *testing.T) {
 			ReaderDepth: 50, NodeDepth: 50,
 			DisableFading: true,
 		}
-		cfg.Reader = readerDefaultNoDiversity()
 		s, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -194,8 +187,7 @@ func TestSystemOceanDeployment(t *testing.T) {
 	s, err := NewSystem(SystemConfig{
 		// Near-surface mooring: the paper's coastal deployments float the
 		// node below a buoy. Mid-column placement at this site suffers a
-		// strong sub-critical bottom bounce 0.8 chips late (see the ISI
-		// ablation bench).
+		// strong sub-critical bottom bounce 0.8 chips late.
 		Env: env, Design: d, Range: 40, Seed: 13,
 		ReaderDepth: 3, NodeDepth: 4,
 	})

@@ -27,16 +27,14 @@ func subGridConfig() CalibrateConfig {
 // equal the committed golden byte for byte, serially and across a worker
 // pool. Any change to the dsp, channel, phy, reader, node or core
 // arithmetic under calibration shows up here; regenerate the golden (and
-// the full table, via vabsim -calibrate) only for a deliberate change.
+// the full table, via vabsim -calibrate) only for a deliberate change,
+// with -update.
 func TestCalibrationSubGridGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waveform calibration campaign")
 	}
-	want, err := os.ReadFile("testdata/calibration_subgrid.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
+	const path = "testdata/calibration_subgrid.json"
+	encode := func(workers int) []byte {
 		cfg := subGridConfig()
 		cfg.Workers = workers
 		tab, err := Calibrate(cfg)
@@ -47,8 +45,20 @@ func TestCalibrationSubGridGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: calibration sub-grid drifted from testdata/calibration_subgrid.json", workers)
+		return got
+	}
+	if *updateGolden {
+		if err := os.WriteFile(path, encode(1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		if !bytes.Equal(encode(workers), want) {
+			t.Fatalf("workers=%d: calibration sub-grid drifted from %s", workers, path)
 		}
 	}
 }

@@ -111,9 +111,10 @@ func TestFleetDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// updateGolden rewrites testdata/fleet_transcript_golden.txt from the
-// code under test: go test ./internal/linksim -run TestFleetTranscriptGolden -update.
-var updateGolden = flag.Bool("update", false, "rewrite testdata/fleet_transcript_golden.txt")
+// updateGolden rewrites the package's goldens (the fleet transcript, the
+// schedule log and the calibration sub-grid) from the code under test:
+// go test ./internal/linksim -run 'Golden' -update.
+var updateGolden = flag.Bool("update", false, "rewrite the goldens under testdata/")
 
 // runDefaultPolicy runs a fleet with no fault engine and no rate
 // controller under mac.DefaultPollPolicy: the model key never changes, so
@@ -437,6 +438,11 @@ func TestPlacementsMatchSeedChain(t *testing.T) {
 //   - a chaos fleet whose severity changes every cycle never is;
 //   - a rate-controlled calm fleet is served once its key repeats in
 //     consecutive cycles, and then while the key stays the cached one.
+//
+// The rate case runs four pinned near-range nodes, which climb to the top
+// rate and hold it. A large seeded fleet would not do: the fleet-wide
+// controller steps down on any lost poll, so its rate flips nearly every
+// cycle and no key repeats.
 func TestCellCachePolicy(t *testing.T) {
 	const cycles = 12
 	hits := func(fleet *Fleet) *telemetry.Counter {
@@ -489,7 +495,12 @@ func TestCellCachePolicy(t *testing.T) {
 	})
 
 	t.Run("rate", func(t *testing.T) {
-		fleet := build()
+		near := Placement{RangeM: 30}
+		fleet, err := NewFleet(Config{Policy: probationPolicy(), Seed: 31,
+			Placements: []Placement{near, near, near, near}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer fleet.Close()
 		rc, err := mac.NewRateController([]float64{125, 250, 500}, 12)
 		if err != nil {

@@ -9,9 +9,8 @@ import (
 )
 
 // Demodulator recovers chips from the reader's received baseband waveform:
-// DC-notch self-interference suppression, noncoherent preamble acquisition,
-// per-chip dual-tone energy detection, and optional multipath diversity
-// combining.
+// DC-notch self-interference suppression, noncoherent preamble acquisition
+// and per-chip dual-tone energy detection on the located arrival alone.
 type Demodulator struct {
 	p        Params
 	bank     *dsp.ToneBank
@@ -22,26 +21,15 @@ type Demodulator struct {
 
 	// Reused scratch: the demodulator runs once per round for thousands of
 	// rounds, so per-call buffers (the decimated capture, the correlation
-	// surface and secondary-peak values, the peak list, the notch history
-	// ring, the diversity branch table, the tone-energy pair, RefineTiming's
+	// surface, the notch history ring, the tone-energy pair, RefineTiming's
 	// probe chips) are owned by the instance instead of allocated per
 	// capture. This is part of why a Demodulator is not safe for concurrent
 	// use.
 	coarseBuf    []complex128
 	ncBuf        []float64
-	peakNC       []float64
-	peakBuf      []PathPeak
 	suppressHist []complex128
-	branchBuf    []demodBranch
 	probeBuf     []SoftChip
 	eBuf         [2]float64
-}
-
-// demodBranch is one diversity branch of the chip detector: a sample offset
-// and its MRC weight.
-type demodBranch struct {
-	off int
-	w   float64
 }
 
 // NewDemodulator builds a demodulator for the given numerology.
@@ -57,8 +45,6 @@ func NewDemodulator(p Params) (*Demodulator, error) {
 	d.corr = dsp.NewCorrelator(d.preamble)
 	d.decim = coarseFactor(p)
 	d.coarse = dsp.NewCorrelator(integrateDump(nil, d.preamble, d.decim))
-	spc := p.SamplesPerChip()
-	d.peakNC = make([]float64, 2*spc-spc/2+3)
 	return d, nil
 }
 
@@ -172,20 +158,10 @@ func divReal(z complex128, f float64) complex128 {
 	return complex((re+im*0)/f, (im-re*0)/f)
 }
 
-// PathPeak is a secondary multipath arrival found during acquisition.
-type PathPeak struct {
-	Offset int     // samples after the main arrival
-	Gain   float64 // correlation amplitude relative to the main peak (> 0.55)
-}
-
 // Acquisition reports where a burst was found.
 type Acquisition struct {
 	Start  int     // sample index of the first preamble sample
 	Metric float64 // normalized correlation peak in [0, 1]
-	// Peaks lists secondary multipath arrivals (for diversity combining).
-	// It lives in a buffer the Demodulator owns and is valid until the
-	// next Locate or Acquire call on the same Demodulator.
-	Peaks []PathPeak
 }
 
 // Detect reports whether the located peak clears minMetric (0…1, typical
@@ -211,18 +187,17 @@ func (d *Demodulator) Acquire(y []complex128, minMetric float64) (Acquisition, e
 }
 
 // Locate finds the preamble in y by normalized noncoherent correlation,
-// with no detection threshold: the best alignment, its metric, and the
-// secondary correlation peaks within two chip durations after it (for
-// diversity combining). A caller that tries several thresholds locates
-// once and calls Detect per threshold. Steady state allocates nothing.
+// with no detection threshold: the best alignment and its metric. A
+// caller that tries several thresholds locates once and calls Detect per
+// threshold. Steady state allocates nothing.
 //
 // The search is coarse to fine. The capture is integrated and dumped by
 // the coarse factor and correlated against the preamble treated the same
 // way, over transforms that factor shorter than a full-rate correlation
 // needs. The full-rate normalized correlation is then evaluated directly
 // at the starts within one decimation step of the coarse peak, and the
-// first maximum among them is the acquisition; the secondary peaks come
-// from direct values after it.
+// first maximum among them is the acquisition. Later arrivals are not
+// reported: the chip detector reads the located arrival alone.
 func (d *Demodulator) Locate(y []complex128) (Acquisition, error) {
 	m := len(d.preamble)
 	if len(y) < m {
@@ -235,34 +210,12 @@ func (d *Demodulator) Locate(y []complex128) (Acquisition, error) {
 	nc := d.ncBuf
 	d.coarse.NormXCorrInto(nc, d.coarseBuf)
 	k := dsp.ArgMax(nc)
-	acq := Acquisition{Start: -1, Peaks: d.peakBuf[:0]}
+	acq := Acquisition{Start: -1}
 	for s := max(0, d.decim*(k-1)); s <= min(nOut-1, d.decim*(k+1)); s++ {
 		if v := d.corr.NormXCorrAt(y, s); acq.Start < 0 || v > acq.Metric {
 			acq.Start, acq.Metric = s, v
 		}
 	}
-	if acq.Metric <= 0 {
-		return acq, nil // nothing correlates; no branch gains to estimate
-	}
-	// Secondary peaks: local maxima above 55% of the main peak within two
-	// chip durations after it, at least half a chip away. The relative
-	// correlation amplitude estimates the branch gain for MRC weighting.
-	spc := d.p.SamplesPerChip()
-	lo := acq.Start + spc/2 - 1 // the first candidate's left neighbour
-	for j := lo; j <= min(acq.Start+2*spc+1, nOut-1); j++ {
-		d.peakNC[j-lo] = d.corr.NormXCorrAt(y, j)
-	}
-	for off := spc / 2; off <= 2*spc; off++ {
-		j := acq.Start + off
-		if j >= nOut-1 {
-			break
-		}
-		v, prev, next := d.peakNC[j-lo], d.peakNC[j-lo-1], d.peakNC[j-lo+1]
-		if v > 0.55*acq.Metric && v >= prev && v >= next {
-			acq.Peaks = append(acq.Peaks, PathPeak{Offset: off, Gain: v / acq.Metric})
-		}
-	}
-	d.peakBuf = acq.Peaks
 	return acq, nil
 }
 
@@ -317,18 +270,11 @@ func (s SoftChip) Margin() float64 {
 	return math.Abs(s.E1-s.E0) / t
 }
 
-// DemodChips detects n payload chips from y, where acq locates the
-// preamble; the payload starts one preamble length after acq.Start. Tone
-// energies are combined maximal-ratio style across the main arrival and
-// the acquisition-reported multipath peaks (weighted by their estimated
-// branch power |g|², so a weak echo contributes its information without
-// importing a full branch of noise).
-func (d *Demodulator) DemodChips(y []complex128, acq Acquisition, n int) ([]SoftChip, error) {
-	return d.DemodChipsInto(nil, y, acq, n)
-}
-
-// DemodChipsInto is DemodChips writing the soft chips into dst, which it
-// grows as needed and returns resliced to n.
+// DemodChipsInto detects n payload chips from y, where acq locates the
+// preamble; the payload starts one preamble length after acq.Start. Each
+// chip is decided by comparing the two tone energies in its window on the
+// located arrival. The soft chips go into dst, which it grows as needed
+// and returns resliced to n.
 func (d *Demodulator) DemodChipsInto(dst []SoftChip, y []complex128, acq Acquisition, n int) ([]SoftChip, error) {
 	spc := d.p.SamplesPerChip()
 	start := acq.Start + len(d.preamble)
@@ -336,27 +282,13 @@ func (d *Demodulator) DemodChipsInto(dst []SoftChip, y []complex128, acq Acquisi
 	if need > len(y) {
 		return nil, fmt.Errorf("phy: capture too short: need %d samples, have %d", need, len(y))
 	}
-	branches := append(d.branchBuf[:0], demodBranch{0, 1})
-	for _, p := range acq.Peaks {
-		branches = append(branches, demodBranch{p.Offset, p.Gain * p.Gain})
-	}
-	d.branchBuf = branches
 	out := resize(dst, n)
 	e := d.eBuf[:]
-	for i := 0; i < n; i++ {
-		var e0, e1 float64
-		for _, b := range branches {
-			lo := start + i*spc + b.off
-			hi := lo + spc
-			if lo < 0 || hi > len(y) {
-				continue
-			}
-			d.bank.Energies(e, y[lo:hi])
-			e0 += b.w * e[0]
-			e1 += b.w * e[1]
-		}
-		sc := SoftChip{E0: e0, E1: e1}
-		if e1 > e0 {
+	for i := range out {
+		lo := start + i*spc
+		d.bank.Energies(e, y[lo:lo+spc])
+		sc := SoftChip{E0: e[0], E1: e[1]}
+		if e[1] > e[0] {
 			sc.Value = 1
 		}
 		out[i] = sc

@@ -28,13 +28,6 @@ type Config struct {
 	// AcquireThreshold is the minimum normalized correlation for declaring
 	// a burst (0…1).
 	AcquireThreshold float64
-	// UseDiversity lets acquisition-reported multipath peaks contribute to
-	// chip decisions.
-	UseDiversity bool
-	// UseEqualizer enables the two-pass decision-feedback equalizer, which
-	// cancels chip-scale late echoes (severe ISI regimes such as
-	// mid-column coastal geometries). Costs a second demodulation pass.
-	UseEqualizer bool
 
 	// Reacquire enables burst reacquisition: when acquisition fails at
 	// AcquireThreshold, the threshold steps down by reacquireStep for up
@@ -58,15 +51,13 @@ const (
 	reacquireFloor = 0.08
 )
 
-// DefaultConfig returns the reader used by the end-to-end experiments:
-// canceller and diversity on.
+// DefaultConfig returns the reader used by the end-to-end experiments.
 func DefaultConfig() Config {
 	return Config{
 		PHY:              phy.DefaultParams(),
 		UplinkCodec:      link.DefaultCodec(),
 		DownlinkCodec:    link.Codec{Code: link.Manchester},
 		AcquireThreshold: 0.22,
-		UseDiversity:     true,
 	}
 }
 
@@ -299,31 +290,21 @@ func (r *Reader) Decode(capture, txRef []complex128, payloadLen int) RxReport {
 	}
 	rep.AcqMetric = acq.Metric
 	rep.AcqStart = acq.Start
-	if !r.cfg.UseDiversity {
-		acq.Peaks = nil
-	}
 	nChips := r.cfg.UplinkCodec.ChipLength(payloadLen)
 	probe := nChips
 	if probe > 24 {
 		probe = 24
 	}
 	acq = r.demod.RefineTiming(y, acq, probe)
-	var soft []phy.SoftChip
 	sp = telemetry.StartSpan(r.met.stDemod)
-	if r.cfg.UseEqualizer {
-		soft, err = r.demod.EqualizeAndDemod(y, acq, nChips, 8)
-	} else {
-		soft, err = r.demod.DemodChipsInto(r.softBuf, y, acq, nChips)
-		if err == nil {
-			r.softBuf = soft
-		}
-	}
+	soft, err := r.demod.DemodChipsInto(r.softBuf, y, acq, nChips)
 	sp.End()
 	if err != nil {
 		r.met.demodErrors.Inc()
 		rep.Err = fmt.Errorf("reader: demod: %w", err)
 		return rep
 	}
+	r.softBuf = soft
 	rep.SNREstimate = phy.EstimateSNR(soft)
 	sp = telemetry.StartSpan(r.met.stDecode)
 	frame, stats, err := r.cfg.UplinkCodec.DecodeFrame(phy.HardChips(soft))
